@@ -85,13 +85,16 @@ ci:
 	  $(GO) test -run '^$$' -bench 'SweepThroughput' -benchtime 1x . ; } \
 		| $(GO) run ./cmd/benchjson -against BENCH_cycles.json -max-regress 50
 
-# fuzz gives the fault-campaign parser and the checkpoint decoder a short
-# randomized budget each (go test accepts one -fuzz pattern per package
-# invocation, hence two lines); the corpus seeds in the fuzz_test.go files
-# always run under plain test.
+# fuzz gives the fault-campaign parser, the checkpoint decoder, the
+# offset-keyed route table (checked against route.Compute), and the
+# flight-recorder dump spec parser a short randomized budget each (go
+# test accepts one -fuzz target per invocation, hence one line each); the
+# corpus seeds in the fuzz_test.go files always run under plain test.
 fuzz:
 	$(GO) test ./internal/fault -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzParse -fuzztime=10s
+	$(GO) test ./internal/route -run='^$$' -fuzz='^FuzzTable$$' -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzParseSpec$$' -fuzztime=10s
 
 # bench is the regression harness: the cycle-loop microbenchmarks run
 # long enough for stable ns/op and allocs/op, the E-suite benchmarks run

@@ -99,11 +99,24 @@ func SpecForRun(kind string, p RunParams) SimSpec {
 // JSON serializes the spec for embedding in a flight-recorder dump.
 func (s SimSpec) JSON() ([]byte, error) { return json.Marshal(s) }
 
-// ParseSpec decodes a spec serialized by JSON.
+// maxSpecK bounds the radix a parsed spec may request. Rebuild builds k²
+// routers from it, so a corrupt or hostile dump must not pick k freely;
+// 128 (16384 tiles) is four times the largest die any experiment builds.
+const maxSpecK = 128
+
+// ParseSpec decodes a spec serialized by JSON, rejecting sizes Rebuild
+// could not honour: a radix outside [1, maxSpecK] and negative VC or
+// buffer counts (zero selects the router default).
 func ParseSpec(data []byte) (SimSpec, error) {
 	var s SimSpec
 	if err := json.Unmarshal(data, &s); err != nil {
 		return SimSpec{}, fmt.Errorf("core: bad sim spec: %w", err)
+	}
+	if s.K < 1 || s.K > maxSpecK {
+		return SimSpec{}, fmt.Errorf("core: sim spec radix k=%d outside [1, %d]", s.K, maxSpecK)
+	}
+	if s.NumVCs < 0 || s.BufFlits < 0 {
+		return SimSpec{}, fmt.Errorf("core: sim spec has negative num_vcs (%d) or buf_flits (%d)", s.NumVCs, s.BufFlits)
 	}
 	return s, nil
 }

@@ -223,12 +223,6 @@ func PaperPowerModel() power.Model {
 	return power.DefaultModel(circuits.LowSwing(circuits.Process100nm()).EnergyPerBitMM)
 }
 
-// routeTableMaxTiles bounds the precomputed all-pairs route table shared
-// through the artifact cache: the table is tiles² route words (~16 MB at
-// 1024 tiles) and grows quadratically, so larger networks keep the lazily
-// filled per-network memo cache instead.
-const routeTableMaxTiles = 1024
-
 // sharedTopology returns the immutable topology for (name, k) from the
 // artifact cache. Topologies are pure geometry — every method is
 // read-only — so one instance serves every network of the shape
@@ -255,21 +249,17 @@ func sharedAdjacency(name string, k int, topo topology.Topology) ([]topology.Lin
 	return v.([]topology.Link), nil
 }
 
-// sharedRouteTable returns the cached all-pairs route table for a
-// topology, or nil above routeTableMaxTiles (the per-network memo cache
-// takes over there).
-func sharedRouteTable(name string, k int, topo topology.Topology) *route.Table {
-	tiles := topo.NumTiles()
-	if tiles > routeTableMaxTiles {
-		return nil
-	}
+// sharedRouteTable returns the cached route table for a topology. The
+// table holds one word per coordinate offset, (2k−1)² words, so dies of
+// every size share one through the artifact cache.
+func sharedRouteTable(name string, k int, topo topology.Topology) (*route.Table, error) {
 	v, err := artifact.Get(fmt.Sprintf("routetable|%s|%d", name, k), func() (any, error) {
-		return route.BuildTable(topo, tiles), nil
+		return route.BuildTable(topo, topo.NumTiles()), nil
 	})
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return v.(*route.Table)
+	return v.(*route.Table), nil
 }
 
 // BuildNetwork assembles the network for the given parameters, without
@@ -280,6 +270,10 @@ func BuildNetwork(p RunParams) (*network.Network, *power.Meter, error) {
 		return nil, nil, err
 	}
 	adj, err := sharedAdjacency(p.Topology, p.K, topo)
+	if err != nil {
+		return nil, nil, err
+	}
+	table, err := sharedRouteTable(p.Topology, p.K, topo)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -311,7 +305,7 @@ func BuildNetwork(p RunParams) (*network.Network, *power.Meter, error) {
 	cfg := network.Config{
 		Topo:         topo,
 		Adjacency:    adj,
-		RouteTable:   sharedRouteTable(p.Topology, p.K, topo),
+		RouteTable:   table,
 		Router:       rc,
 		Shards:       sh,
 		BatchEpochs:  be,

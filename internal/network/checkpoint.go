@@ -19,9 +19,9 @@ import (
 // A checkpoint is taken between cycles (the core layer registers a serial
 // end-of-cycle phase), where every per-shard deferral buffer is empty and
 // the per-component state is byte-identical for any shard count. Shard
-// partitioning, flit free-lists, worklists, and the route cache are all
+// partitioning, flit free-lists, worklists, and the route table are all
 // derived or semantically invisible state, so they are never serialised:
-// restore recomputes occupancy and worklists, and caches refill cold.
+// restore recomputes occupancy and worklists.
 
 // StatefulClient is a Client whose dynamic state rides along in network
 // checkpoints. SaveCheckpoint refuses networks with attached clients that

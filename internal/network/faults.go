@@ -78,34 +78,7 @@ func (n *Network) declareDead(i int, now int64) {
 // fault-free path exists.
 func (n *Network) routeFor(src, dst int) (w route.Word, rerouted bool, err error) {
 	if n.faultMap.Empty() {
-		// Fault-free routes are a pure function of the topology, so they
-		// are served from the shared precomputed table (Config.RouteTable)
-		// or memoized per (src,dst). Both are bypassed once the (grow-only)
-		// fault map is nonempty. routeHits counts lookups that avoided
-		// route.Compute; routeMisses counts recomputations.
-		if n.routeTable != nil {
-			if w, ok := n.routeTable.Lookup(src, dst); ok {
-				n.routeHits++
-				return w, false, nil
-			}
-		}
-		if n.routeOK != nil {
-			if row := n.routeOK[src]; row != nil && row[dst] {
-				n.routeHits++
-				return n.routeCache[src][dst], false, nil
-			}
-		}
-		n.routeMisses++
-		w, err = route.Compute(n.topo, src, dst)
-		if err == nil && n.routeOK != nil {
-			if n.routeOK[src] == nil {
-				tiles := n.topo.NumTiles()
-				n.routeOK[src] = make([]bool, tiles)
-				n.routeCache[src] = make([]route.Word, tiles)
-			}
-			n.routeOK[src][dst] = true
-			n.routeCache[src][dst] = w
-		}
+		w, err = n.faultFreeRoute(src, dst)
 		return w, false, err
 	}
 	n.routeMisses++
@@ -122,6 +95,20 @@ func (n *Network) routeFor(src, dst int) (w route.Word, rerouted bool, err error
 		return route.Word{}, false, err
 	}
 	return w, true, nil
+}
+
+// faultFreeRoute returns the dimension-ordered route from src to dst,
+// ignoring the fault map. Fault-free routes are a pure function of the
+// topology, so they are served from the route table (Config.RouteTable);
+// its only misses are routes too long for a Word, which Compute then
+// reports as an error.
+func (n *Network) faultFreeRoute(src, dst int) (route.Word, error) {
+	if w, ok := n.routeTable.Lookup(src, dst); ok {
+		n.routeHits++
+		return w, nil
+	}
+	n.routeMisses++
+	return route.Compute(n.topo, src, dst)
 }
 
 // pathClear reports whether the route crosses no dead channel.
@@ -178,11 +165,12 @@ func (n *Network) reroutePending() {
 	}
 }
 
-// RouteTableStats reports route lookups served without running
-// route.Compute (from the shared table or the per-network memo cache)
-// versus recomputations. Operational metrics only: the caches refill
-// cold across a checkpoint restore, so these counters are excluded from
-// snapshots and must never feed deterministic outputs.
+// RouteTableStats reports route lookups served from the route table
+// versus route.Compute runs: table misses (routes longer than a Word
+// holds) plus every route taken while the fault map is nonempty.
+// Operational metrics only: they count from the last build or Reset, so
+// they are excluded from snapshots and must never feed deterministic
+// outputs.
 func (n *Network) RouteTableStats() (hits, misses int64) {
 	return n.routeHits, n.routeMisses
 }

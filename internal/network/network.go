@@ -72,13 +72,13 @@ type Config struct {
 	// registers no extra phase.
 	Probe *telemetry.Probe
 
-	// RouteTable, when non-nil, is a precomputed all-pairs source-route
-	// table for this topology (route.BuildTable), shared read-only across
-	// every network built over the same geometry — sweep points, parallel
-	// ForEach workers, pooled arenas. The fault-free routeFor path serves
-	// from it without touching the per-network route cache (which is then
-	// not allocated). The table must have been built for exactly Topo's
-	// geometry; a mismatched table mis-routes silently.
+	// RouteTable is the fault-free source-route table for this topology
+	// (route.BuildTable), shared read-only across every network built
+	// over the same geometry — sweep points, parallel ForEach workers,
+	// pooled arenas. Nil makes New build one; Reset keeps it. Every
+	// fault-free route is served from it, with route.Compute only for its
+	// misses. The table must have been built for exactly Topo's geometry;
+	// a mismatched table mis-routes silently.
 	RouteTable *route.Table
 
 	// Adjacency, when non-nil, is topology.Links(Topo) precomputed and
@@ -90,8 +90,8 @@ type Config struct {
 	// Shards is the intra-cycle parallelism: tiles and links are
 	// partitioned into this many contiguous shards and each kernel phase
 	// runs concurrently across them, with byte-identical results to the
-	// sequential loop (see shard.go). 0 selects GOMAXPROCS; 1 (the
-	// default) is the classic sequential loop. Configurations with
+	// sequential loop (see shard.go). 0 (the zero value) selects
+	// GOMAXPROCS; 1 is the classic sequential loop. Configurations with
 	// globally ordered side effects — PhysWires, a Meter, a TraceWriter,
 	// or telemetry lifecycle tracing — force 1.
 	Shards int
@@ -115,10 +115,6 @@ type Config struct {
 // short enough that a traffic burst returns to lockstep execution within
 // a rounding error of wall-clock time.
 const DefaultBatchEpochs = 64
-
-// routeCacheMaxTiles bounds the route cache: above this tile count the
-// tiles² cache rows would cost more memory than recomputation is worth.
-const routeCacheMaxTiles = 1024
 
 // linkEntry couples a link to its position in the topology. tickedTo is
 // the utilization-window high-water mark for the link-gating fast path
@@ -193,18 +189,12 @@ type Network struct {
 	probe      *telemetry.Probe
 	traceLinks bool
 
-	// routeCache memoizes source routes per (src,dst) while the fault map
-	// is empty (routes are then a pure function of the topology). Rows
-	// allocate lazily; nil outer slices disable caching on huge networks.
-	// routeTable, when non-nil (Config.RouteTable), replaces the cache
-	// with a shared precomputed table. routeHits / routeMisses count
-	// lookups served without route.Compute versus recomputations. They are
-	// operational metrics, not simulation state: the caches they observe
-	// are semantically invisible and refill cold across a restore, so the
-	// counters are excluded from checkpoints and never feed deterministic
-	// outputs.
-	routeCache  [][]route.Word
-	routeOK     [][]bool
+	// routeTable serves every route while the fault map is empty (routes
+	// are then a pure function of the topology). routeHits / routeMisses
+	// count lookups it served versus route.Compute runs. They are
+	// operational metrics, not simulation state: they count from the
+	// last build or Reset, are excluded from checkpoints, and never feed
+	// deterministic outputs.
 	routeTable  *route.Table
 	routeHits   int64
 	routeMisses int64
@@ -319,9 +309,8 @@ func New(cfg Config) (*Network, error) {
 	tiles := cfg.Topo.NumTiles()
 	n.clients = make([]Client, tiles)
 	n.routeTable = cfg.RouteTable
-	if tiles <= routeCacheMaxTiles && n.routeTable == nil {
-		n.routeCache = make([][]route.Word, tiles)
-		n.routeOK = make([][]bool, tiles)
+	if n.routeTable == nil {
+		n.routeTable = route.BuildTable(cfg.Topo, tiles)
 	}
 	// Tori deadlock under dimension-ordered routing without dateline VC
 	// classes; enable them whenever wraparound channels exist. (Dropping
@@ -627,13 +616,6 @@ func (n *Network) Router(tile int) *router.Router {
 // Kernel exposes the simulation kernel.
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
 
-// FlitPool exposes shard 0's flit free-list for leak accounting: on the
-// sequential path (Shards()==1, the default) it is the network's only
-// pool, and after a Drain its Outstanding() must equal zero. Sharded
-// networks recycle flits through one pool per shard — use
-// FlitsOutstanding for the aggregate there.
-func (n *Network) FlitPool() *flit.Pool { return &n.shards[0].pool }
-
 // Recorder exposes the measurement recorder.
 func (n *Network) Recorder() *Recorder { return n.recorder }
 
@@ -766,7 +748,7 @@ func (n *Network) ReserveFlow(src, dst, flow, phase int) (hops int, err error) {
 	if n.cfg.Router.ReservedVC < 0 {
 		return 0, fmt.Errorf("network: configure Router.ReservedVC for pre-scheduled flows")
 	}
-	w, err := route.Compute(n.topo, src, dst)
+	w, err := n.faultFreeRoute(src, dst)
 	if err != nil {
 		return 0, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
-	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/telemetry"
 )
@@ -315,7 +314,7 @@ func (p *Port) SendReserved(dst int, payload []byte, flow int) (uint64, error) {
 	}
 	now := p.net.kernel.Now()
 	id := p.net.nextPacketID()
-	w, err := route.Compute(p.net.topo, p.tile, dst)
+	w, err := p.net.faultFreeRoute(p.tile, dst)
 	if err != nil {
 		return 0, err
 	}

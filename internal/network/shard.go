@@ -181,6 +181,17 @@ func (n *Network) FlitsOutstanding() int64 {
 	return total
 }
 
+// FlitsDrawn reports pool Get calls summed across all shard pools: how
+// many flits the network has drawn since it was built. A leak check
+// pairs it with FlitsOutstanding to show the pools were exercised.
+func (n *Network) FlitsDrawn() int64 {
+	var total int64
+	for _, s := range n.shards {
+		total += s.pool.Gets()
+	}
+	return total
+}
+
 // activate puts a tile's router on its shard's worklist. Safe to call
 // repeatedly; the onList bit dedupes. Called by the owning shard's worker
 // (flit acceptance is always shard-local) or from serial phases.

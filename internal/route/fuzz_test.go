@@ -73,3 +73,24 @@ func FuzzDimensionOrder(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTable fuzzes the offset-keyed route table against Compute: for any
+// geometry up to 40×40, mesh or torus, and any pair of tiles, Lookup
+// must return Compute's word, and miss exactly where Compute fails.
+func FuzzTable(f *testing.F) {
+	f.Add(uint8(4), uint8(4), true, uint16(0), uint16(15))
+	f.Add(uint8(31), uint8(31), true, uint16(0), uint16(528))
+	f.Add(uint8(0), uint8(5), false, uint16(3), uint16(3))
+	f.Add(uint8(39), uint8(16), true, uint16(7), uint16(600))
+	f.Fuzz(func(t *testing.T, kxr, kyr uint8, wrap bool, srcR, dstR uint16) {
+		kx, ky := 1+int(kxr)%40, 1+int(kyr)%40
+		tiles := kx * ky
+		src, dst := int(srcR)%tiles, int(dstR)%tiles
+		g := fakeGeom{kx: kx, ky: ky, wrap: wrap}
+		w, ok := BuildTable(g, tiles).Lookup(src, dst)
+		want, err := Compute(g, src, dst)
+		if ok != (err == nil) || (ok && w != want) {
+			t.Fatalf("%+v: Lookup(%d,%d) = %v,%v; Compute = %v,%v", g, src, dst, w, ok, want, err)
+		}
+	})
+}

@@ -210,10 +210,15 @@ func (w Word) Len() int { return int(w.n) }
 // Empty reports whether no steps remain.
 func (w Word) Empty() bool { return w.n == 0 }
 
+// errWordOverflow is shared rather than built per call: BuildTable
+// meets it once for every offset too far for a Word, thousands per table
+// on a large torus.
+var errWordOverflow = fmt.Errorf("route: word overflow beyond %d steps", MaxSteps)
+
 // Push appends a step to the end of the route.
 func (w Word) Push(c Code) (Word, error) {
 	if w.n >= MaxSteps {
-		return w, fmt.Errorf("route: word overflow beyond %d steps", MaxSteps)
+		return w, errWordOverflow
 	}
 	w.bits |= uint64(c&3) << (2 * uint(w.n))
 	w.n++
@@ -416,9 +421,9 @@ func dimSteps(delta, k int, pos, neg Dir, wrap, tieNeg bool) (Dir, int) {
 // The route is emitted directly into the packed Word — absolute code for
 // the first hop, straights within a dimension, one turn at the x→y corner,
 // Extract last — without materializing the intermediate direction path, so
-// the client-side hot path (every Port.Send on a cold route-cache row) does
-// not allocate. Compute(g, s, d) equals Encode(DimensionOrder(g, ...)) for
-// every pair; the route tests pin that equivalence.
+// building a route table and rerouting around faults do not allocate.
+// Compute(g, s, d) equals Encode(DimensionOrder(g, ...)) for every pair;
+// the route tests pin that equivalence.
 func Compute(g Geometry, src, dst int) (Word, error) {
 	kx, ky := g.Radix()
 	if src == dst {

@@ -371,9 +371,9 @@ func TestComputeMatchesEncodedDimensionOrder(t *testing.T) {
 	}
 }
 
-// TestComputeAllocFree is the alloc gate for the route encoder: Compute is
-// on the Port.Send hot path (every cold route-cache row), so it must not
-// allocate at all.
+// TestComputeAllocFree is the alloc gate for the route encoder: Compute
+// builds every route table entry and runs on each Port.Send once a link
+// is dead, so it must not allocate at all.
 func TestComputeAllocFree(t *testing.T) {
 	// Convert to the interface once, outside the measured loop, the way
 	// real callers hold a topology.Topology; otherwise the measurement

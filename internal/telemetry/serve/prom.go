@@ -56,9 +56,9 @@ func WriteProm(w io.Writer, s *Snapshot) error {
 	gauge("noc_link_in_flight_flits", "Flits on the wires at the snapshot instant.")
 	fmt.Fprintf(bw, "noc_link_in_flight_flits %d\n", s.LinkInFlight)
 
-	counter("noc_route_table_hits_total", "Route lookups served from the shared route table or memo cache.")
+	counter("noc_route_table_hits_total", "Route lookups served from the route table.")
 	fmt.Fprintf(bw, "noc_route_table_hits_total %d\n", s.RouteTableHits)
-	counter("noc_route_table_misses_total", "Route lookups that ran the full route computation.")
+	counter("noc_route_table_misses_total", "Route lookups that ran the full route computation: routes too long for the table, or any route once a link is dead.")
 	fmt.Fprintf(bw, "noc_route_table_misses_total %d\n", s.RouteTableMisses)
 
 	gauge("noc_dead_links", "Channels declared dead by the watchdogs.")

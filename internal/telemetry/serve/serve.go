@@ -139,11 +139,13 @@ type Snapshot struct {
 	FaultsApplied  int64 `json:"faults_applied"`
 	OverUnityLinks int   `json:"over_unity_links"`
 
-	// Route lookups served without recomputation (shared route table or
-	// per-network memo cache) versus recomputed. Deterministic within an
-	// uninterrupted run — the lookup totals are a pure function of the
-	// traffic — but the caches refill cold across a checkpoint restore,
-	// so these are operational figures, never checkpointed.
+	// Route lookups served from the route table versus computed: zero
+	// misses on a fault-free network unless a route is too long for a
+	// Word, and every route is computed once a link is dead.
+	// Deterministic within an uninterrupted run — the lookup totals are a
+	// pure function of the traffic — but they count from the network's
+	// last build or Reset, so these are operational figures, never
+	// checkpointed.
 	RouteTableHits   int64 `json:"route_table_hits"`
 	RouteTableMisses int64 `json:"route_table_misses"`
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/flit"
 	"repro/internal/network"
 	"repro/internal/router"
@@ -23,19 +24,23 @@ import (
 
 // newServedNet builds the standard test network — 4x4 folded torus with a
 // telemetry probe — under uniform Bernoulli load. stopAt 0 means the
-// generators never stop.
-func newServedNet(t testing.TB, rate float64, stopAt, seed int64) *network.Network {
+// generators never stop; opts adjust the network config before the build.
+func newServedNet(t testing.TB, rate float64, stopAt, seed int64, opts ...func(*network.Config)) *network.Network {
 	t.Helper()
 	topo, err := topology.NewFoldedTorus(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := network.New(network.Config{
+	cfg := network.Config{
 		Topo:   topo,
 		Router: router.DefaultConfig(0),
 		Seed:   seed,
 		Probe:  telemetry.New(telemetry.Config{SampleEvery: 64}),
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	n, err := network.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,19 +194,16 @@ func TestEndpoints(t *testing.T) {
 		if _, ok := byKey[`noc_router_ejected_flits_total{router="0"}`]; !ok {
 			t.Fatal("per-router counters missing")
 		}
-		// Route-table counters: this network has no shared table, so the
-		// memo cache serves repeats — a 512-cycle run at rate 0.3 must
-		// both miss (first lookups) and hit (repeats).
-		if byKey["noc_route_table_misses_total"] <= 0 {
-			t.Fatal("noc_route_table_misses_total not positive")
-		}
-		if byKey["noc_route_table_hits_total"] <= 0 {
-			t.Fatal("noc_route_table_hits_total not positive")
-		}
+		// Route-table counters: on a fault-free 4x4 torus the route table
+		// serves every route, so a 512-cycle run at rate 0.3 hits and
+		// never misses. The rows come from the last sample, so they may
+		// lag the network's live counters but never exceed them.
 		hits, misses := n.RouteTableStats()
-		if byKey["noc_route_table_hits_total"] > float64(hits) || byKey["noc_route_table_misses_total"] > float64(misses) {
-			t.Fatalf("route-table rows (%v hits, %v misses) exceed the network's live counters (%d, %d)",
-				byKey["noc_route_table_hits_total"], byKey["noc_route_table_misses_total"], hits, misses)
+		if v, ok := byKey["noc_route_table_misses_total"]; !ok || v != 0 || misses != 0 {
+			t.Fatalf("noc_route_table_misses_total = %v (present %v), live misses %d; want 0 on a fault-free run", v, ok, misses)
+		}
+		if v := byKey["noc_route_table_hits_total"]; v <= 0 || v > float64(hits) {
+			t.Fatalf("noc_route_table_hits_total = %v, want in (0, %d]", v, hits)
 		}
 		// Artifact-cache rows are scrape-time process metrics; they must
 		// be present (and parse strictly) even when the cache is idle.
@@ -279,6 +281,47 @@ func TestEndpoints(t *testing.T) {
 			t.Fatalf("/bogus: %d, want 404", resp.StatusCode)
 		}
 	})
+}
+
+// TestRouteTableCountersAfterLinkKill pins the other half of the
+// route-counter contract: once a watchdog declares a link dead, the
+// fault map is nonempty and every route is computed around it, so
+// /metrics must show misses as well as the hits taken before the fault.
+func TestRouteTableCountersAfterLinkKill(t *testing.T) {
+	n := newServedNet(t, 0.3, 0, 7, func(cfg *network.Config) { cfg.Watchdog = 64 })
+	inj, err := fault.NewInjector(n, []fault.Event{
+		{Kind: fault.LinkKill, At: 200, Link: 9, From: -1, Tile: -1, VC: -1},
+	}, 0, 1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Attach()
+	col, err := AttachCollector(n, Config{Every: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(1024)
+	if n.FaultMap().Empty() {
+		t.Fatal("link kill was never detected; the faulted route path is untested")
+	}
+	var sb strings.Builder
+	if err := WriteProm(&sb, col.Latest()); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[string]float64{}
+	for _, m := range ms {
+		byKey[m.Key()] = m.Value
+	}
+	if byKey["noc_route_table_misses_total"] <= 0 {
+		t.Fatal("noc_route_table_misses_total not positive after a link kill")
+	}
+	if byKey["noc_route_table_hits_total"] <= 0 {
+		t.Fatal("noc_route_table_hits_total not positive: pre-fault routes must hit")
+	}
 }
 
 func readAll(t *testing.T, resp *http.Response) string {

@@ -167,11 +167,11 @@ type Probe struct {
 	FaultsApplied int64
 
 	// Route-table accounting, mirrored from the network after each Run:
-	// lookups served without recomputation (shared precomputed table or
-	// per-network memo cache) versus route.Compute invocations. These are
-	// operational metrics — the caches they observe refill cold across a
-	// checkpoint restore — so they are excluded from SaveState and must
-	// never feed deterministic outputs.
+	// lookups served from the route table versus route.Compute
+	// invocations. These are operational metrics — they count from the
+	// network's last build or Reset, not from cycle 0 of a restored run —
+	// so they are excluded from SaveState and must never feed
+	// deterministic outputs.
 	RouteTableHits   int64
 	RouteTableMisses int64
 
