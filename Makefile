@@ -86,15 +86,19 @@ ci:
 		| $(GO) run ./cmd/benchjson -against BENCH_cycles.json -max-regress 50
 
 # fuzz gives the fault-campaign parser, the checkpoint decoder, the
-# offset-keyed route table (checked against route.Compute), and the
-# flight-recorder dump spec parser a short randomized budget each (go
-# test accepts one -fuzz target per invocation, hence one line each); the
-# corpus seeds in the fuzz_test.go files always run under plain test.
+# offset-keyed route table (checked against route.Compute), the
+# flight-recorder dump spec parser, and the flight-recorder dump parser a
+# short randomized budget each (go test accepts one -fuzz target per
+# invocation, hence one line each); the corpus seeds in the fuzz_test.go
+# files always run under plain test. FuzzParseDump's seed is a real dump
+# carrying a ~165 KB keyframe, so its minimizer is capped at 50 runs per
+# input: the default 60 s per input would spend the whole budget there.
 fuzz:
 	$(GO) test ./internal/fault -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/route -run='^$$' -fuzz='^FuzzTable$$' -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzParseSpec$$' -fuzztime=10s
+	$(GO) test ./internal/telemetry/flightrec -run='^$$' -fuzz='^FuzzParseDump$$' -fuzztime=10s -fuzzminimizetime=50x
 
 # bench is the regression harness: the cycle-loop microbenchmarks run
 # long enough for stable ns/op and allocs/op, the E-suite benchmarks run

@@ -60,7 +60,9 @@ func BenchmarkE18TopologyScaling(b *testing.B) { benchExperiment(b, "E18") }
 func BenchmarkE19Adaptive(b *testing.B)        { benchExperiment(b, "E19") }
 func BenchmarkE20Chaos(b *testing.B)           { benchExperiment(b, "E20") }
 
-// Simulator microbenchmarks: the cost of the cycle loop itself.
+// Simulator microbenchmarks: the cost of the cycle loop itself. Each
+// pins Shards: 1, the sequential loop BENCH_cycles.json records; the zero
+// value would run GOMAXPROCS shards.
 
 // BenchmarkNetworkCycle measures simulated cycles per second on the
 // paper's 16-tile baseline under 30% uniform load.
@@ -69,7 +71,7 @@ func BenchmarkNetworkCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1})
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func benchCycleProbes(b *testing.B, probe *telemetry.Probe) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Probe: probe})
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1, Probe: probe})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func benchCycleServe(b *testing.B, serveOn bool) {
 		b.Fatal(err)
 	}
 	n, err := network.New(network.Config{
-		Topo: topo, Router: router.DefaultConfig(0), Seed: 1,
+		Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1,
 		Probe: telemetry.New(telemetry.Config{}),
 	})
 	if err != nil {
@@ -170,7 +172,7 @@ func benchCycleFlightRec(b *testing.B, recOn bool) {
 		b.Fatal(err)
 	}
 	n, err := network.New(network.Config{
-		Topo: topo, Router: router.DefaultConfig(0), Seed: 1,
+		Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1,
 		Probe: telemetry.New(telemetry.Config{}),
 	})
 	if err != nil {
@@ -208,7 +210,7 @@ func benchCycleLatencyObs(b *testing.B, obsOn bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1})
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func build4096(b testing.TB, idle bool) *network.Network {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1})
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func BenchmarkNetworkBuild4096(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1})
+		n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func BenchmarkSweepPointReuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1})
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/cmd/internal/obs"
@@ -173,24 +174,22 @@ func main() {
 	p.WarmupCycles = *warmup
 	p.MeasureCycles = *measure
 	p.Seed = *seed
-	// The power meter is a globally ordered accumulator, so a metered
-	// network always falls back to the sequential loop; a sharded run
-	// trades the energy lines for speed.
-	p.Metered = *shards == 1
+	// The power meter withdraws sharding and checkpoints (network
+	// Capabilities), and flight-recorder keyframes are checkpoints, so a
+	// run asking for any of them trades the energy lines.
+	var meterOff []string
+	if *shards != 1 {
+		meterOff = append(meterOff, "-shards")
+	}
+	if checkpointing {
+		meterOff = append(meterOff, "-checkpoint-every/-resume")
+	}
+	if obsFlags.FlightRec {
+		meterOff = append(meterOff, "-flightrec")
+	}
+	p.Metered = len(meterOff) == 0
 	if !p.Metered {
-		fmt.Fprintln(os.Stderr, "nocsim: note: -shards disables the power meter (energy lines omitted)")
-	}
-	// The power meter is a globally ordered accumulator outside the
-	// snapshot's coverage, so checkpointed runs trade the energy lines too.
-	if checkpointing && p.Metered {
-		p.Metered = false
-		fmt.Fprintln(os.Stderr, "nocsim: note: checkpointing disables the power meter (energy lines omitted)")
-	}
-	// Flight-recorder keyframes are checkpoint snapshots, so the meter
-	// blocks them the same way; -flightrec trades the energy lines too.
-	if obsFlags.FlightRec && p.Metered {
-		p.Metered = false
-		fmt.Fprintln(os.Stderr, "nocsim: note: -flightrec disables the power meter (energy lines omitted)")
+		fmt.Fprintf(os.Stderr, "nocsim: note: the power meter is off under %s (energy lines omitted)\n", strings.Join(meterOff, ", "))
 	}
 	p.CheckpointEvery = *ckptEvery
 	p.CheckpointDir = *ckptDir

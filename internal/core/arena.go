@@ -1,11 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/network"
-	"repro/internal/power"
 )
 
 // This file is the network arena: a per-shape pool of fully built
@@ -17,11 +17,6 @@ import (
 // pure overhead after the first point. A pooled network is Reset on
 // acquire, so a dirty release (a run abandoned mid-flight by the resume
 // test mode, say) can never leak state into the next run.
-//
-// Only runs whose attachments are plain generators are pooled: meters,
-// probes, deflection state, physical wire models, and OnNetwork hooks
-// tie a network to one run's identity (network.Resettable refuses them),
-// so those configurations fall back to a fresh build per run.
 
 // arenaMaxPerKey caps how many idle networks one shape retains; beyond
 // it, released networks are dropped for the GC. The cap bounds resident
@@ -33,52 +28,44 @@ var arena struct {
 	pools map[string][]*network.Network
 }
 
-// arenaKey fingerprints every parameter that shapes a network's
+// arenaRefusal reports why a run's network may not come from (and return
+// to) the arena, or nil: the configuration's Capabilities.Reset, or an
+// OnNetwork hook, whose attachments live for one run.
+func arenaRefusal(p RunParams, cfg network.Config) error {
+	if err := network.CapabilitiesOf(cfg).Reset; err != nil {
+		return err
+	}
+	if p.OnNetwork != nil {
+		return errors.New("OnNetwork hooks attach per-run state")
+	}
+	return nil
+}
+
+// arenaKey fingerprints every parameter that shapes a poolable network's
 // allocation: topology, radix, router geometry, link models, and the
 // resolved shard/batching layout (kernel.Reset preserves the shard
 // structure, so differently sharded networks must not share a pool).
 // Seed, warmup, rate, and checkpoint policy are per-run state that
-// network.Reset re-establishes.
-func arenaKey(p RunParams) string {
-	sh := p.Shards
-	if sh == 0 {
-		sh = Shards()
-	}
-	if sh < 0 {
-		sh = 0
-	}
-	be := p.BatchEpochs
-	if be == 0 {
-		be = BatchEpochs()
-	}
+// network.Reset re-establishes. Features that withdraw Reset are absent:
+// arenaRefusal turns those runs away before any key is formed.
+func arenaKey(p RunParams, cfg network.Config) string {
 	return fmt.Sprintf("%s|k=%d|vc=%d|buf=%d|mode=%d|ct=%v|ns=%v|serdes=%d|elastic=%v|adaptive=%v|wd=%d|ecc=%v|sh=%d|be=%d",
 		p.Topology, p.K, p.NumVCs, p.BufFlits, p.Mode, p.CutThrough, p.NonSpeculative,
-		p.SerdesCycles, p.ElasticLinks, p.Adaptive, p.Watchdog, p.ECC, sh, be)
+		p.SerdesCycles, p.ElasticLinks, p.Adaptive, p.Watchdog, p.ECC, cfg.Shards, cfg.BatchEpochs)
 }
 
-// arenaEligible reports whether a run's network may come from (and
-// return to) the arena. The exclusions mirror network.Resettable plus
-// the attachments whose lifetime is the run itself (probes, OnNetwork
-// observability hooks).
-func arenaEligible(p RunParams) bool {
-	return !p.Deflect && !p.PhysWires && !p.Metered && p.Probe == nil && p.OnNetwork == nil
-}
-
-// acquireNetwork returns a client-less network for p — re-initialized in
-// place from the arena when one of the right shape is idle, freshly
-// built otherwise — together with its power meter (nil for pooled
-// networks; metered runs are never pooled) and a release function that
-// parks the network for reuse. release is safe to call exactly once, at
-// any point after the run is finished with the network.
-func acquireNetwork(p RunParams) (*network.Network, *power.Meter, func(), error) {
-	if !arenaEligible(p) {
-		n, meter, err := BuildNetwork(p)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return n, meter, func() {}, nil
+// acquireNetwork returns a client-less network built from cfg (p's
+// networkConfig) — re-initialized in place from the arena when one of the
+// right shape is idle, freshly built otherwise — together with a release
+// function that parks a poolable network for reuse. release is safe to
+// call exactly once, at any point after the run is finished with the
+// network.
+func acquireNetwork(p RunParams, cfg network.Config) (*network.Network, func(), error) {
+	if arenaRefusal(p, cfg) != nil {
+		n, err := network.New(cfg)
+		return n, func() {}, err
 	}
-	key := arenaKey(p)
+	key := arenaKey(p, cfg)
 	arena.Lock()
 	pool := arena.pools[key]
 	var n *network.Network
@@ -88,25 +75,15 @@ func acquireNetwork(p RunParams) (*network.Network, *power.Meter, func(), error)
 		arena.pools[key] = pool[:len(pool)-1]
 	}
 	arena.Unlock()
-	if n != nil {
-		if err := n.Reset(p.Seed, p.WarmupCycles); err == nil {
-			return n, nil, releaseFunc(key, n), nil
+	if n == nil {
+		var err error
+		if n, err = network.New(cfg); err != nil {
+			return nil, nil, err
 		}
-		// A pooled network that refuses Reset is dropped; fall through to
-		// a fresh build.
+	} else if err := n.Reset(p.Seed, p.WarmupCycles); err != nil {
+		return nil, nil, err
 	}
-	n, meter, err := BuildNetwork(p)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return n, meter, releaseFunc(key, n), nil
-}
-
-func releaseFunc(key string, n *network.Network) func() {
-	return func() {
-		if n.Resettable() != nil {
-			return
-		}
+	return n, func() {
 		arena.Lock()
 		if arena.pools == nil {
 			arena.pools = make(map[string][]*network.Network)
@@ -115,7 +92,7 @@ func releaseFunc(key string, n *network.Network) func() {
 			arena.pools[key] = append(arena.pools[key], n)
 		}
 		arena.Unlock()
-	}
+	}, nil
 }
 
 // DrainArena empties the arena, for tests and benchmarks that need to

@@ -84,8 +84,8 @@ var resumeAtBits uint64
 // frac x horizon, snapshots, rebuilds a fresh network, restores the
 // snapshot into it, and continues there — so the determinism suite can
 // assert that resumed runs reproduce golden outputs exactly. Runs whose
-// configuration cannot be checkpointed (deflection, physical wires,
-// power meters) fall back to running straight through.
+// network cannot be checkpointed (network.Capabilities.Checkpoint, or a
+// client without checkpoint state) fall back to running straight through.
 func SetResumeAt(frac float64) {
 	if frac < 0 || frac >= 1 {
 		frac = 0
@@ -107,10 +107,10 @@ var forkAtBits uint64
 // an in-memory snapshot, Resets the same network in place, re-attaches
 // fresh clients, restores the snapshot via Fork, and continues — so the
 // determinism suite can assert that a warm-forked run reproduces the
-// uninterrupted run's outputs byte for byte. Runs whose configuration
-// cannot be reset (deflection, physical wires, meters, probes) fall back
-// to running straight through, as do runs with disk checkpointing or the
-// SetResumeAt mode active.
+// uninterrupted run's outputs byte for byte. Runs whose network cannot
+// be reset (network.Capabilities.Reset) fall back to running straight
+// through, as do runs with disk checkpointing or the SetResumeAt mode
+// active.
 func SetForkAt(frac float64) {
 	if frac < 0 || frac >= 1 {
 		frac = 0
@@ -197,7 +197,7 @@ func runToHorizon(n *network.Network, p RunParams, stopAt int64, hash uint64, re
 		}
 	}
 	if frac := ForkAtFrac(); frac > 0 && reattach != nil && ck == nil && ResumeAtFrac() == 0 &&
-		n.Kernel().Now() == 0 && n.Resettable() == nil {
+		n.Kernel().Now() == 0 && n.Capabilities().Reset == nil {
 		if mid := int64(frac * float64(stopAt)); mid > 0 && mid < stopAt {
 			n.Run(mid)
 			// A snapshot failure (unsupported attachment) falls through to

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/network"
 )
 
 func TestAllExperimentsRunQuick(t *testing.T) {
@@ -235,5 +238,32 @@ func TestRunElasticMode(t *testing.T) {
 	}
 	if res.AcceptedFlits < 0.15 {
 		t.Fatalf("elastic 1-flit-buffer mesh accepted only %v", res.AcceptedFlits)
+	}
+}
+
+// TestRunReplicatedRefusals: a run whose network cannot Reset, or one
+// with an OnNetwork hook, cannot warm-fork, and the error carries the
+// reason: the capability record's, or core's own hook rule.
+func TestRunReplicatedRefusals(t *testing.T) {
+	for _, mod := range []func(*RunParams){
+		func(p *RunParams) { p.Deflect = true },
+		func(p *RunParams) { p.PhysWires = true },
+		func(p *RunParams) { p.Metered = true },
+	} {
+		p := DefaultRunParams()
+		mod(&p)
+		cfg, err := networkConfig(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := network.CapabilitiesOf(cfg).Reset
+		if _, err := RunReplicated(p, 2); want == nil || !errors.Is(err, want) {
+			t.Errorf("RunReplicated err = %v, want one wrapping %v", err, want)
+		}
+	}
+	p := DefaultRunParams()
+	p.OnNetwork = func(*network.Network) error { return nil }
+	if _, err := RunReplicated(p, 2); err == nil || !strings.Contains(err.Error(), "OnNetwork") {
+		t.Errorf("RunReplicated with an OnNetwork hook: err = %v, want the hook refusal", err)
 	}
 }

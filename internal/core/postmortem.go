@@ -171,7 +171,7 @@ func (s SimSpec) Rebuild() (*network.Network, error) {
 	stopAt := p.WarmupCycles + p.MeasureCycles
 	n, _, err := BuildNetwork(p)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: rebuild spec (k=%d, num_vcs=%d, buf_flits=%d): %w", s.K, s.NumVCs, s.BufFlits, err)
 	}
 	pattern, err := traffic.ByName(p.Pattern, p.K, p.K)
 	if err != nil {

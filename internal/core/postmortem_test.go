@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,23 @@ func TestParseSpecRejectsHostileSizes(t *testing.T) {
 		spec := fmt.Sprintf(`{"kind":"run","topology":"torus","k":%d}`, k)
 		if _, err := ParseSpec([]byte(spec)); err != nil {
 			t.Errorf("ParseSpec(k=%d) rejected a radix in range: %v", k, err)
+		}
+	}
+}
+
+// TestRebuildRejectsHostileBufferDepth: ParseSpec accepts any positive
+// buf_flits, so Rebuild must refuse a buffer memory no die needs with an
+// error naming the field instead of attempting the allocation.
+func TestRebuildRejectsHostileBufferDepth(t *testing.T) {
+	for _, buf := range []int64{1 << 40, math.MaxInt64} {
+		spec := fmt.Sprintf(`{"kind":"run","topology":"torus","k":4,"buf_flits":%d}`, buf)
+		s, err := ParseSpec([]byte(spec))
+		if err != nil {
+			t.Fatalf("ParseSpec(%s): %v", spec, err)
+		}
+		_, err = s.Rebuild()
+		if err == nil || !strings.Contains(err.Error(), "buf_flits") || !strings.Contains(err.Error(), "buffer-slot cap") {
+			t.Errorf("Rebuild(%s) err = %v, want the buffer-slot cap naming buf_flits", spec, err)
 		}
 	}
 }

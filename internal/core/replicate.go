@@ -35,8 +35,9 @@ func replicaSeed(seed int64, r int) int64 {
 // byte; replicas 1..n-1 draw independent measurement traffic from
 // replicaSeed streams. replicas <= 1 delegates to Run. Disk
 // checkpointing fields are not supported (the engine is in-memory by
-// design), and configurations network.Resettable refuses (deflection,
-// physical wires, meters, probes, OnNetwork hooks) return an error.
+// design), and configurations the arena refuses (arenaRefusal: the
+// network's Capabilities.Reset, or an OnNetwork hook) return an error
+// wrapping the reason.
 func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 	if replicas <= 1 {
 		res, err := Run(p)
@@ -48,11 +49,15 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 	if p.CheckpointEvery > 0 || p.CheckpointDir != "" || p.Resume {
 		return nil, fmt.Errorf("core: RunReplicated is in-memory only; disk checkpointing fields must be unset")
 	}
-	if !arenaEligible(p) {
-		return nil, fmt.Errorf("core: configuration cannot warm-fork (deflection, physical wires, meters, probes, and OnNetwork hooks tie the network to one run)")
+	cfg, err := networkConfig(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := arenaRefusal(p, cfg); err != nil {
+		return nil, fmt.Errorf("core: configuration cannot warm-fork: %w", err)
 	}
 	stopAt := p.WarmupCycles + p.MeasureCycles
-	n, _, release, err := acquireNetwork(p)
+	n, release, err := acquireNetwork(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -60,9 +65,6 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 	gens, err := attachRunClients(n, p, stopAt)
 	if err != nil {
 		return nil, err
-	}
-	if err := n.Resettable(); err != nil {
-		return nil, fmt.Errorf("core: configuration cannot warm-fork: %w", err)
 	}
 	hash := configHash("run", p, "")
 	if p.WarmupCycles > 0 {

@@ -265,17 +265,30 @@ func sharedRouteTable(name string, k int, topo topology.Topology) (*route.Table,
 // BuildNetwork assembles the network for the given parameters, without
 // clients attached.
 func BuildNetwork(p RunParams) (*network.Network, *power.Meter, error) {
-	topo, err := sharedTopology(p.Topology, p.K)
+	cfg, err := networkConfig(p)
 	if err != nil {
 		return nil, nil, err
+	}
+	n, err := network.New(cfg)
+	return n, cfg.Meter, err
+}
+
+// networkConfig derives the network configuration for p: the shared
+// topology, adjacency and route table, the router template, a fresh power
+// meter for metered runs, and the package shard and batching defaults
+// resolved.
+func networkConfig(p RunParams) (network.Config, error) {
+	topo, err := sharedTopology(p.Topology, p.K)
+	if err != nil {
+		return network.Config{}, err
 	}
 	adj, err := sharedAdjacency(p.Topology, p.K, topo)
 	if err != nil {
-		return nil, nil, err
+		return network.Config{}, err
 	}
 	table, err := sharedRouteTable(p.Topology, p.K, topo)
 	if err != nil {
-		return nil, nil, err
+		return network.Config{}, err
 	}
 	rc := router.DefaultConfig(0)
 	if p.NumVCs > 0 {
@@ -302,7 +315,7 @@ func BuildNetwork(p RunParams) (*network.Network, *power.Meter, error) {
 	if be == 0 {
 		be = BatchEpochs()
 	}
-	cfg := network.Config{
+	return network.Config{
 		Topo:         topo,
 		Adjacency:    adj,
 		RouteTable:   table,
@@ -320,12 +333,7 @@ func BuildNetwork(p RunParams) (*network.Network, *power.Meter, error) {
 		PhysWires:    p.PhysWires,
 		ECC:          p.ECC,
 		Probe:        p.Probe,
-	}
-	n, err := network.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return n, meter, nil
+	}, nil
 }
 
 // attachRunClients attaches the Bernoulli generators for one measurement
@@ -393,34 +401,31 @@ func collectResult(n *network.Network, meter *power.Meter, p RunParams, topo top
 // measured packets complete.
 func Run(p RunParams) (RunResult, error) {
 	stopAt := p.WarmupCycles + p.MeasureCycles
-	build := func() (*network.Network, *power.Meter, error) {
-		n, meter, err := BuildNetwork(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := attachRunClients(n, p, stopAt); err != nil {
-			return nil, nil, err
-		}
-		return n, meter, nil
+	attach := func(n *network.Network) error {
+		_, err := attachRunClients(n, p, stopAt)
+		return err
 	}
-	n, meter, release, err := acquireNetwork(p)
+	cfg, err := networkConfig(p)
+	if err != nil {
+		return RunResult{}, err
+	}
+	n, release, err := acquireNetwork(p, cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
 	defer release()
-	if _, err := attachRunClients(n, p, stopAt); err != nil {
+	if err := attach(n); err != nil {
 		return RunResult{}, err
 	}
 	topo := n.Topology()
 	n, err = runToHorizon(n, p, stopAt, configHash("run", p, ""),
 		func() (*network.Network, error) {
-			n2, _, err := build()
+			n2, err := network.New(cfg)
+			if err == nil {
+				err = attach(n2)
+			}
 			return n2, err
-		},
-		func(n2 *network.Network) error {
-			_, err := attachRunClients(n2, p, stopAt)
-			return err
-		})
+		}, attach)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -432,7 +437,7 @@ func Run(p RunParams) (RunResult, error) {
 	}
 	n.Drain(drain)
 	countCycles(n.Kernel().Now())
-	return collectResult(n, meter, p, topo), nil
+	return collectResult(n, cfg.Meter, p, topo), nil
 }
 
 func linkUtilMean(n *network.Network) float64 {

@@ -70,15 +70,12 @@ func (n *Network) NoteCheckpointInterval(every int64) { n.ckptEvery = every }
 // (0 = checkpointing off).
 func (n *Network) CheckpointInterval() int64 { return n.ckptEvery }
 
-// checkpointable reports why this network cannot be checkpointed, or nil.
+// checkpointable reports why this network cannot be checkpointed, or nil:
+// the configuration's Capabilities.Checkpoint, or an attached client
+// whose state cannot ride along.
 func (n *Network) checkpointable() error {
-	switch {
-	case n.cfg.Deflect:
-		return fmt.Errorf("network: checkpointing does not cover deflection routers")
-	case n.cfg.PhysWires:
-		return fmt.Errorf("network: checkpointing does not cover the physical wire layer")
-	case n.cfg.Meter != nil:
-		return fmt.Errorf("network: checkpointing does not cover power meters")
+	if err := n.caps.Checkpoint; err != nil {
+		return err
 	}
 	for tile, c := range n.clients {
 		if c == nil {
@@ -337,7 +334,7 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 			n.activate(r.ID())
 		}
 	}
-	if n.linkGated {
+	if n.caps.LinkGating == nil {
 		// Re-anchor the gated utilization clock at the checkpoint cycle and
 		// enlist every link restored with flits or credits still in flight.
 		n.utilTicks = f.Cycle

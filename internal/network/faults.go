@@ -67,7 +67,6 @@ func (n *Network) declareDead(i int, now int64) {
 	if n.probe != nil {
 		n.probe.OnLinkDead(i, now)
 	}
-	n.trace("cycle=%d event=link-dead link=%d from=%d dir=%v starved=%d", now, i, le.from, le.dir, n.cfg.Watchdog)
 }
 
 // routeFor computes the source route from src to dst honouring the live

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -61,11 +60,6 @@ type Config struct {
 	Warmup int64
 	Seed   int64
 
-	// TraceWriter, when non-nil, receives one line per packet event
-	// (generation, head injection, delivery) for debugging. Tracing does
-	// not alter simulation behaviour.
-	TraceWriter io.Writer
-
 	// Probe, when non-nil, attaches the telemetry layer: per-component
 	// counters, optional cycle-sampled series, and optional per-packet
 	// lifecycle tracing. Nil keeps every hook on its zero-cost path and
@@ -91,9 +85,8 @@ type Config struct {
 	// partitioned into this many contiguous shards and each kernel phase
 	// runs concurrently across them, with byte-identical results to the
 	// sequential loop (see shard.go). 0 (the zero value) selects
-	// GOMAXPROCS; 1 is the classic sequential loop. Configurations with
-	// globally ordered side effects — PhysWires, a Meter, a TraceWriter,
-	// or telemetry lifecycle tracing — force 1.
+	// GOMAXPROCS; 1 is the classic sequential loop. Configurations whose
+	// Capabilities.Sharding is set run one shard.
 	Shards int
 
 	// BatchEpochs bounds quiescence-aware epoch batching on sharded runs
@@ -103,8 +96,7 @@ type Config struct {
 	// crossings per folded cycle. Results are byte-identical either way
 	// (sim.Kernel.SetBatching). 0 selects DefaultBatchEpochs; negative
 	// disables batching; ignored on the sequential path and on
-	// configurations that force full scans (deflection, watchdogs,
-	// tracing, physical wires, power meters).
+	// configurations whose Capabilities.LinkGating is set.
 	BatchEpochs int
 }
 
@@ -115,6 +107,11 @@ type Config struct {
 // short enough that a traffic burst returns to lockstep execution within
 // a rounding error of wall-clock time.
 const DefaultBatchEpochs = 64
+
+// maxBufferSlots caps the flit slots in a network's VC buffers, so a
+// hostile depth fails New instead of exhausting memory. The largest die a
+// spec may name (128² tiles × 5 ports × 8 VCs × 5 slots) needs 3.3M.
+const maxBufferSlots = 1 << 24
 
 // linkEntry couples a link to its position in the topology. tickedTo is
 // the utilization-window high-water mark for the link-gating fast path
@@ -144,6 +141,9 @@ type Network struct {
 	recorder *Recorder
 	nextID   uint64
 
+	// caps is CapabilitiesOf(cfg), derived once by New.
+	caps Capabilities
+
 	// shards partitions the tiles and links for intra-cycle parallelism
 	// (shard.go); one entry (the whole network) on the sequential path.
 	// Each shard owns the flit pool its components recycle through.
@@ -153,18 +153,11 @@ type Network struct {
 	shardOf []int
 	onList  []bool
 
-	// Quiescence gating (shard.go). linkGated enables the per-shard link
-	// worklists (linkOn dedupes membership; outLinkIdx / inLinkIdx map
+	// Link gating state (shard.go), kept when caps.LinkGating is nil:
+	// linkOn dedupes link worklist membership; outLinkIdx / inLinkIdx map
 	// tile×port to the link a send or credit wakes; utilTicks counts
 	// completed delivery phases, the reference clock for frozen Util
-	// windows). portGated enables the pump/loopback port worklists and
-	// the active-list eject walk. Both are off for configurations whose
-	// observable side effects depend on full-scan order: deflection
-	// (separate router type), watchdogs (per-link starvation bookkeeping),
-	// packet or lifecycle tracing (event order), physical wires (RNG draw
-	// order), and power meters (float accumulation order).
-	linkGated  bool
-	portGated  bool
+	// windows.
 	linkOn     []bool
 	outLinkIdx []int32
 	inLinkIdx  []int32
@@ -178,10 +171,6 @@ type Network struct {
 	// batchThresh is the active-work ceiling under which sharded runs may
 	// fold cycles into batched epochs (batchEligible).
 	batchThresh int
-
-	// tracing caches cfg.TraceWriter != nil so hot paths skip the variadic
-	// trace call (whose argument boxing allocates) when tracing is off.
-	tracing bool
 
 	// probe is the telemetry root (nil when disabled); traceLinks caches
 	// whether lifecycle tracing is live so the deliver loop pays one
@@ -291,13 +280,19 @@ func New(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("network: credit watchdogs require the credit-based VC router (no deflect/elastic/adaptive/drop)")
 		}
 	}
+	// Each of the tiles × ports × NumVCs VCs holds BufFlits+1 slots; counts
+	// below 1 are router.New's to reject.
+	if vcs := cfg.Topo.NumTiles() * router.NumPorts * cfg.Router.NumVCs; vcs > 0 && cfg.Router.BufFlits >= maxBufferSlots/vcs {
+		return nil, fmt.Errorf("network: %d virtual channels × (BufFlits %d + 1) exceed the %d buffer-slot cap",
+			vcs, cfg.Router.BufFlits, maxBufferSlots)
+	}
 	n := &Network{
 		cfg:           cfg,
 		topo:          cfg.Topo,
 		kernel:        sim.NewKernel(cfg.Seed),
 		recorder:      NewRecorder(cfg.Warmup),
 		faultMap:      fault.NewMap(),
-		tracing:       cfg.TraceWriter != nil,
+		caps:          CapabilitiesOf(cfg),
 		probe:         cfg.Probe,
 		lastCkptCycle: -1,
 	}
@@ -367,14 +362,9 @@ func New(cfg Config) (*Network, error) {
 			}
 		}
 	}
-	n.initShards(effectiveShards(cfg, tiles))
+	n.initShards()
 	// Quiescence gating: worklist-driven delivery, eject, and pump scans.
-	// See the field comments for why each configuration falls back to the
-	// full scan.
-	ordered := cfg.Deflect || n.tracing || n.traceLinks || cfg.Meter != nil
-	n.linkGated = !ordered && cfg.Watchdog == 0 && !cfg.PhysWires
-	n.portGated = !ordered
-	if n.linkGated {
+	if n.caps.LinkGating == nil {
 		n.linkOn = make([]bool, len(n.links))
 		n.outLinkIdx = make([]int32, tiles*router.NumPorts)
 		n.inLinkIdx = make([]int32, tiles*router.NumPorts)
@@ -515,7 +505,7 @@ func (n *Network) registerPhases() {
 	// activations (a send whose receiving tile lives in another shard);
 	// without gating the merge (and its extra barrier) is omitted.
 	var lam sim.PhaseFunc
-	if n.linkGated {
+	if n.caps.LinkGating == nil {
 		lam = n.linkarbMerge
 	}
 	k.AddShardedPhase("linkarb", n.linkarbShard, lam)
@@ -535,7 +525,7 @@ func (n *Network) registerPhases() {
 	// timing (telemetry samples, serve snapshots, checkpoints) — are
 	// byte-identical; only the barrier count changes. Requires the gated
 	// worklists: they are the quiescence signal.
-	if len(n.shards) > 1 && n.linkGated && n.portGated && n.cfg.BatchEpochs >= 0 {
+	if len(n.shards) > 1 && n.caps.LinkGating == nil && n.cfg.BatchEpochs >= 0 {
 		epochs := n.cfg.BatchEpochs
 		if epochs == 0 {
 			epochs = DefaultBatchEpochs
@@ -656,7 +646,7 @@ func (n *Network) observeProbe() {
 // idle links).
 func (n *Network) Occupancy() int {
 	total := 0
-	if n.linkGated {
+	if n.caps.LinkGating == nil {
 		for _, s := range n.shards {
 			for _, t := range s.active {
 				total += n.routers[t].Occupancy()
@@ -677,7 +667,7 @@ func (n *Network) Occupancy() int {
 // under gating.
 func (n *Network) LinksInFlight() int {
 	total := 0
-	if n.linkGated {
+	if n.caps.LinkGating == nil {
 		for _, s := range n.shards {
 			for _, li := range s.activeLinks {
 				total += n.links[li].l.InFlight()
@@ -699,7 +689,7 @@ func (n *Network) Drain(budget int64) bool {
 		if n.Occupancy() != 0 {
 			return false
 		}
-		if n.portGated {
+		if n.caps.PortGating == nil {
 			// Every port with pending or in-progress injections is on
 			// its shard's pump worklist (Send/SendReserved enlist it and
 			// only the pump sweep delists drained ports).
@@ -775,7 +765,7 @@ func (n *Network) ReserveFlow(src, dst, flow, phase int) (hops int, err error) {
 // links tick every delivery phase and need nothing; off-list links have
 // been idle since tickedTo, so the missing window is pure idle cycles.
 func (n *Network) finalizeUtil() {
-	if !n.linkGated {
+	if n.caps.LinkGating != nil {
 		return
 	}
 	for i := range n.links {
@@ -865,12 +855,4 @@ func (n *Network) Links() []*link.Link {
 func (n *Network) nextPacketID() uint64 {
 	n.nextID++
 	return n.nextID
-}
-
-// trace emits one packet-event line when tracing is enabled.
-func (n *Network) trace(format string, args ...any) {
-	if n.cfg.TraceWriter == nil {
-		return
-	}
-	fmt.Fprintf(n.cfg.TraceWriter, format+"\n", args...)
 }

@@ -293,10 +293,6 @@ func (p *Port) Send(dst int, payload []byte, mask flit.VCMask, class int) (uint6
 	in.class, in.seq = class, id
 	p.pending = append(p.pending, in)
 	p.notePump()
-	if p.net.tracing {
-		p.net.trace("cycle=%d pkt=%d event=generated src=%d dst=%d bytes=%d class=%d flits=%d route=%v",
-			now, id, p.tile, dst, len(payload), class, nf, w)
-	}
 	return id, nil
 }
 
@@ -415,9 +411,6 @@ func (p *Port) receive(flits []*flit.Flit, now int64) {
 				p.probe.AbortedPackets++
 				p.probe.Trace(telemetry.EvAbort, now, f.PacketID, int32(p.tile), 0)
 			}
-			if p.net.tracing {
-				p.net.trace("cycle=%d pkt=%d event=aborted dst=%d", now, f.PacketID, p.tile)
-			}
 			p.pool.Put(f)
 			continue
 		}
@@ -451,10 +444,6 @@ func (p *Port) receive(flits []*flit.Flit, now int64) {
 			src: f.Src, dst: f.Dst, hops: f.Hops,
 			class: f.Class, flow: f.Flow, flits: len(parts),
 		})
-		if p.net.tracing {
-			p.net.trace("cycle=%d pkt=%d event=delivered src=%d dst=%d latency=%d netlatency=%d",
-				now, f.PacketID, f.Src, f.Dst, now-f.Birth, now-f.Inject)
-		}
 		p.releasePartial(s)
 	}
 }
@@ -640,10 +629,6 @@ func (p *Port) injectFlit(in *injection, now int64) {
 		p.shard.injected++
 		if p.probe != nil {
 			p.probe.Trace(telemetry.EvInject, now, f.PacketID, int32(f.Src), int32(f.Dst))
-		}
-		if p.net.tracing {
-			p.net.trace("cycle=%d pkt=%d event=injected src=%d dst=%d vc=%d queued=%d",
-				now, f.PacketID, f.Src, f.Dst, f.VC, now-f.Birth)
 		}
 	}
 	if p.probe != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/flit"
@@ -161,32 +160,6 @@ func TestHeatmapRenders(t *testing.T) {
 		if !bytes.Contains([]byte(out), []byte(fmt.Sprintf("%2d:", tile))) {
 			t.Fatalf("heatmap missing tile %d:\n%s", tile, out)
 		}
-	}
-}
-
-func TestPacketTrace(t *testing.T) {
-	var buf bytes.Buffer
-	topo, err := topology.NewFoldedTorus(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 10, TraceWriter: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.AttachClient(5, ClientFunc(func(now int64, p *Port) { p.Deliveries() }))
-	if _, err := n.Port(0).Send(5, []byte("traced"), flit.MaskFor(0), 0); err != nil {
-		t.Fatal(err)
-	}
-	n.Run(30)
-	out := buf.String()
-	for _, want := range []string{"event=generated", "event=injected", "event=delivered", "pkt=1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Count(out, "\n") != 3 {
-		t.Fatalf("trace lines = %d, want 3:\n%s", strings.Count(out, "\n"), out)
 	}
 }
 

@@ -1,7 +1,5 @@
 package network
 
-import "fmt"
-
 // This file implements network arena pooling: Reset re-initializes a
 // built network in place so a sweep campaign constructs its routers,
 // links, ports, shard partitions, and phase schedule once and reuses them
@@ -17,36 +15,15 @@ import "fmt"
 // image into a Reset-fresh network, so campaigns sharing a deterministic
 // warmup prefix run it once and fork per branch.
 
-// Resettable reports why this network cannot be pooled and reset in
-// place, or nil. The excluded configurations hold state outside the
-// network's reach: deflection routers (separate state machines),
-// physical wire layers (construction-time RNG draws), power meters and
-// trace writers (external accumulators), and telemetry probes
-// (per-component registries with their own counters).
-func (n *Network) Resettable() error {
-	switch {
-	case n.cfg.Deflect:
-		return fmt.Errorf("network: reset does not cover deflection routers")
-	case n.cfg.PhysWires:
-		return fmt.Errorf("network: reset does not cover the physical wire layer")
-	case n.cfg.Meter != nil:
-		return fmt.Errorf("network: reset does not cover power meters")
-	case n.cfg.TraceWriter != nil:
-		return fmt.Errorf("network: reset does not cover trace writers")
-	case n.probe != nil:
-		return fmt.Errorf("network: reset does not cover telemetry probes")
-	}
-	return nil
-}
-
 // Reset re-initializes the network in place for a fresh run with the
 // given seed and warmup horizon, recycling every in-flight flit and
 // allocating nothing in steady state. Clients are detached (the next run
 // attaches its own); phases appended after construction — checkpoint
 // hooks, collectors, injectors — are truncated from the schedule; the
-// configuration, wiring, shard partition, and route table/cache survive.
+// configuration, wiring, shard partition, and route table survive. It
+// returns Capabilities().Reset for configurations Reset cannot cover.
 func (n *Network) Reset(seed, warmup int64) error {
-	if err := n.Resettable(); err != nil {
+	if err := n.caps.Reset; err != nil {
 		return err
 	}
 	n.cfg.Seed, n.cfg.Warmup = seed, warmup

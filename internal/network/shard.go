@@ -82,9 +82,9 @@ type shardState struct {
 	active []int
 
 	// activeLinks is the shard's link worklist (indexes into n.links),
-	// maintained only when n.linkGated: links join when their sender puts
-	// a flit on the wires or their receiver hands them a credit, and leave
-	// at the delivery sweep once Idle. Off-list links skip even the
+	// maintained only when n.caps.LinkGating is nil: links join when
+	// their sender puts a flit on the wires or their receiver hands them
+	// a credit, and leave at the delivery sweep once Idle. Off-list links skip even the
 	// idle utilization tick; linkEntry.tickedTo records how far their
 	// window has been accounted so activation (and any Util read) can
 	// catch the counter up in one AddCycles call.
@@ -99,7 +99,7 @@ type shardState struct {
 	// with queued or in-progress injections (Port.injWork() > 0).
 	// loopList is the matching worklist for pending loopback deliveries.
 	// Both are maintained through Port.notePump/noteLoopback and swept by
-	// their phase; used only when n.portGated.
+	// their phase; used only when n.caps.PortGating is nil.
 	pumpList []int32
 	loopList []int32
 
@@ -117,35 +117,20 @@ type shardState struct {
 	aborted        int64 // Network.aborted
 }
 
-// effectiveShards resolves the configured shard count: 0 selects
-// GOMAXPROCS, the count is clamped to [1, tiles], and configurations with
-// globally ordered side effects — the physical wire layer (shared kernel
-// RNG), a power meter (shared accumulator), packet tracing, telemetry
-// lifecycle tracing — force the sequential path.
-func effectiveShards(cfg Config, tiles int) int {
-	s := cfg.Shards
-	if s == 0 {
-		s = runtime.GOMAXPROCS(0)
-	}
-	if s < 1 {
-		s = 1
-	}
-	if s > tiles {
-		s = tiles
-	}
-	if cfg.PhysWires || cfg.Meter != nil || cfg.TraceWriter != nil {
-		s = 1
-	}
-	if cfg.Probe != nil && cfg.Probe.Tracer() != nil {
-		s = 1
-	}
-	return s
-}
-
-// initShards partitions the tiles into contiguous ranges and assigns each
-// link to the shard of its receiving tile.
-func (n *Network) initShards(count int) {
+// initShards partitions the tiles into contiguous ranges, one per shard,
+// and assigns each link to the shard of its receiving tile. The count is
+// Config.Shards (0 selects GOMAXPROCS) clamped to [1, tiles], or one when
+// the configuration withdraws sharding (Capabilities.Sharding).
+func (n *Network) initShards() {
 	tiles := n.topo.NumTiles()
+	count := n.cfg.Shards
+	if count == 0 {
+		count = runtime.GOMAXPROCS(0)
+	}
+	if count < 1 || n.caps.Sharding != nil {
+		count = 1
+	}
+	count = min(count, tiles)
 	n.shardOf = make([]int, tiles)
 	n.onList = make([]bool, tiles)
 	n.shards = make([]*shardState, count)
@@ -166,7 +151,7 @@ func (n *Network) initShards(count int) {
 
 // Shards reports the effective intra-cycle shard count the network runs
 // with (1 = sequential). It can be lower than Config.Shards when the
-// configuration forces the sequential path.
+// configuration withdraws sharding (Capabilities.Sharding).
 func (n *Network) Shards() int { return len(n.shards) }
 
 // FlitsOutstanding reports pool-allocated flits currently alive anywhere
@@ -280,7 +265,7 @@ func (n *Network) deliverGatedShard(now sim.Cycle, si int) {
 // traversal toward the sending router — applied inline when the sender is
 // in-shard, deferred to the barrier otherwise.
 func (n *Network) deliverShard(now sim.Cycle, si int) {
-	if n.linkGated {
+	if n.caps.LinkGating == nil {
 		n.deliverGatedShard(now, si)
 		return
 	}
@@ -385,7 +370,7 @@ func (n *Network) linkarbShard(now sim.Cycle, si int) {
 			continue
 		}
 		r.LinkArbitrate(now)
-		if !n.linkGated {
+		if n.caps.LinkGating != nil {
 			continue
 		}
 		for m := r.SentOutputs(); m != 0; m &= m - 1 {
@@ -427,7 +412,7 @@ func (n *Network) switcharbShard(now sim.Cycle, si int) {
 			continue
 		}
 		r.SwitchArbitrate(now)
-		if !n.linkGated {
+		if n.caps.LinkGating != nil {
 			continue
 		}
 		for m := r.CreditedInputs(); m != 0; m &= m - 1 {
@@ -453,7 +438,7 @@ func (n *Network) switcharbShard(now sim.Cycle, si int) {
 // loopbacks, exactly as the full scan orders them.
 func (n *Network) ejectShard(now sim.Cycle, si int) {
 	s := n.shards[si]
-	if n.portGated {
+	if n.caps.PortGating == nil {
 		for _, tile := range s.active {
 			if ejected := n.routers[tile].Eject(); len(ejected) > 0 {
 				n.ports[tile].receive(ejected, now)
@@ -532,7 +517,7 @@ func (n *Network) clientsTick(now sim.Cycle) {
 // the tile's own router), so worklist order is as good as tile order.
 func (n *Network) pumpShard(now sim.Cycle, si int) {
 	s := n.shards[si]
-	if n.portGated {
+	if n.caps.PortGating == nil {
 		keep := s.pumpList[:0]
 		for _, t := range s.pumpList {
 			p := n.ports[t]

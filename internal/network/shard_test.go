@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/flit"
-	"repro/internal/power"
 	"repro/internal/router"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -198,38 +196,5 @@ func TestShardedWatchdogFaultsMatchSequential(t *testing.T) {
 		if got != want {
 			t.Errorf("shards=%d diverged:\n--- sequential ---\n%s\n--- sharded ---\n%s", shards, want, got)
 		}
-	}
-}
-
-// TestEffectiveShardsGating pins the sequential-fallback rules: features
-// with globally ordered side effects force one shard; everything else
-// honours (and clamps) the request.
-func TestEffectiveShardsGating(t *testing.T) {
-	if got := buildShardNet(t, 64, true, nil).Shards(); got != 16 {
-		t.Errorf("Shards=64 on 16 tiles -> %d, want clamp to 16", got)
-	}
-	if got := buildShardNet(t, 4, true, func(c *Config) { c.PhysWires = true }).Shards(); got != 1 {
-		t.Errorf("PhysWires forced %d shards, want 1", got)
-	}
-	if got := buildShardNet(t, 4, true, func(c *Config) {
-		c.Meter = power.NewMeter(power.DefaultModel(0))
-	}).Shards(); got != 1 {
-		t.Errorf("Meter forced %d shards, want 1", got)
-	}
-	if got := buildShardNet(t, 4, true, func(c *Config) { c.TraceWriter = &strings.Builder{} }).Shards(); got != 1 {
-		t.Errorf("TraceWriter forced %d shards, want 1", got)
-	}
-	if got := buildShardNet(t, 4, true, func(c *Config) {
-		c.Probe = telemetry.New(telemetry.Config{Trace: true})
-	}).Shards(); got != 1 {
-		t.Errorf("lifecycle tracing forced %d shards, want 1", got)
-	}
-	if got := buildShardNet(t, 4, true, func(c *Config) {
-		c.Probe = telemetry.New(telemetry.Config{SampleEvery: 10})
-	}).Shards(); got != 4 {
-		t.Errorf("counters+sampling probe -> %d shards, want 4", got)
-	}
-	if got := buildShardNet(t, 0, true, nil).Shards(); got < 1 || got > 16 {
-		t.Errorf("Shards=0 (auto) -> %d, want within [1,16]", got)
 	}
 }

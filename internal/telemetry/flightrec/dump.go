@@ -279,6 +279,12 @@ func ParseDump(data []byte) (*Dump, error) {
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("flightrec: %s: %w", secRing, err)
 	}
+	// RecordAt and Range index the ring by cycle offset.
+	for i := 1; i < len(dp.Records); i++ {
+		if dp.Records[i].Cycle != dp.Records[i-1].Cycle+1 {
+			return nil, fmt.Errorf("flightrec: %s: record %d breaks the cycle sequence (records must be contiguous)", secRing, i)
+		}
+	}
 
 	d, err = f.Section(secFaults)
 	if err != nil {
@@ -337,6 +343,12 @@ func ParseDump(data []byte) (*Dump, error) {
 	}
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("flightrec: %s: %w", secKeyframes, err)
+	}
+	// KeyframeBefore binary-searches the keyframes by cycle.
+	for i := 1; i < len(dp.Keyframes); i++ {
+		if dp.Keyframes[i].Cycle < dp.Keyframes[i-1].Cycle {
+			return nil, fmt.Errorf("flightrec: %s: keyframe %d precedes its predecessor (keyframes must be oldest first)", secKeyframes, i)
+		}
 	}
 
 	return dp, nil

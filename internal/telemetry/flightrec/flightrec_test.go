@@ -45,7 +45,7 @@ func newRecordedNet(t testing.TB, rate float64, stopAt, seed int64) *network.Net
 
 // dumpNow requests a dump, runs one cycle so the serial phase drains the
 // request, and returns the parsed dump.
-func dumpNow(t *testing.T, n *network.Network, rec *Recorder, reason string) *Dump {
+func dumpNow(t testing.TB, n *network.Network, rec *Recorder, reason string) *Dump {
 	t.Helper()
 	done := rec.RequestDump(reason)
 	n.Run(1)
