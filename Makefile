@@ -25,10 +25,12 @@ race:
 # the lockstep worker pool), and the hot-path benchmarks stay within 50%
 # of the committed BENCH_cycles.json snapshot with no new allocations.
 # The loose margin absorbs machine-to-machine noise on a short benchtime;
-# `make bench` is the precise record. The telemetry layer, the live
-# observability service (health detectors + HTTP endpoints), and their
-# CLI glue are vetted and race-tested explicitly so a future build-tag or
-# test-cache quirk can't silently drop them from the sweep, and the serve
+# `make bench` is the precise record. The telemetry layer, the health
+# detectors and the one sampler that runs them, the live observability
+# service (HTTP endpoints), the flight recorder, the per-flow latency
+# observatory, and their CLI glue are vetted and race-tested explicitly
+# so a future build-tag or test-cache quirk can't silently drop them from
+# the sweep, and the serve
 # smoke test drives a real nocsim -serve binary end to end (ephemeral
 # port announced on stderr, /metrics parses, /healthz 200, clean exit).
 # The flight-recorder post-mortem smoke does the same for the black-box
@@ -71,8 +73,8 @@ race:
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) vet ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/serve ./internal/telemetry/latency ./cmd/internal/obs
-	$(GO) test -race ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/serve ./internal/telemetry/latency ./cmd/internal/obs
+	$(GO) vet ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/sampler ./internal/telemetry/serve ./internal/telemetry/flightrec ./internal/telemetry/latency ./cmd/internal/obs
+	$(GO) test -race ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/sampler ./internal/telemetry/serve ./internal/telemetry/flightrec ./internal/telemetry/latency ./cmd/internal/obs
 	$(GO) test -race ./internal/checkpoint ./internal/network ./internal/core
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -run 'TestServeSmoke' .
@@ -87,10 +89,11 @@ ci:
 
 # fuzz gives the fault-campaign parser, the checkpoint decoder, the
 # offset-keyed route table (checked against route.Compute), the
-# flight-recorder dump spec parser, and the flight-recorder dump parser a
-# short randomized budget each (go test accepts one -fuzz target per
-# invocation, hence one line each); the corpus seeds in the fuzz_test.go
-# files always run under plain test. FuzzParseDump's seed is a real dump
+# flight-recorder dump spec parser, the flight-recorder dump parser, the
+# trace-file parser, the -slo objective parser, and the strict Prometheus
+# text scraper a short randomized budget each (go test accepts one -fuzz
+# target per invocation, hence one line each); the corpus seeds in the
+# fuzz_test.go files always run under plain test. FuzzParseDump's seed is a real dump
 # carrying a ~165 KB keyframe, so its minimizer is capped at 50 runs per
 # input: the default 60 s per input would spend the whole budget there.
 fuzz:
@@ -99,6 +102,9 @@ fuzz:
 	$(GO) test ./internal/route -run='^$$' -fuzz='^FuzzTable$$' -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzParseSpec$$' -fuzztime=10s
 	$(GO) test ./internal/telemetry/flightrec -run='^$$' -fuzz='^FuzzParseDump$$' -fuzztime=10s -fuzzminimizetime=50x
+	$(GO) test ./internal/traffic -run='^$$' -fuzz='^FuzzParseTrace$$' -fuzztime=10s
+	$(GO) test ./internal/telemetry/latency -run='^$$' -fuzz='^FuzzParseSLO$$' -fuzztime=10s
+	$(GO) test ./internal/telemetry/serve -run='^$$' -fuzz='^FuzzParseText$$' -fuzztime=10s
 
 # bench is the regression harness: the cycle-loop microbenchmarks run
 # long enough for stable ns/op and allocs/op, the E-suite benchmarks run
@@ -106,8 +112,9 @@ fuzz:
 # (simulated cycles/sec, allocs/op) for diffing across commits. The
 # NetworkCycle pattern also matches NetworkCycleProbesOff/ProbesOn (the
 # telemetry-overhead pair), NetworkCycleServeOff/ServeOn (the live
-# observability snapshot-phase pair), NetworkCycleFlightRecOff/FlightRecOn
-# (the flight-recorder ring-phase pair), the 64x64-die pair
+# observability pair: health sampler plus snapshot collector),
+# NetworkCycleFlightRecOff/FlightRecOn (the flight-recorder pair: health
+# sampler plus ring phase), the 64x64-die pair
 # NetworkCycle4096/NetworkCycleIdle4096, and the NetworkCycle64Shards{2,4,8}
 # lockstep worker-pool runs plus their NoBatch twins (epoch batching
 # disabled, isolating the quiescence fast-forward win); the shard

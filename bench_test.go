@@ -13,6 +13,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/latency"
+	"repro/internal/telemetry/sampler"
 	"repro/internal/telemetry/serve"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -119,7 +120,8 @@ func benchCycleProbes(b *testing.B, probe *telemetry.Probe) {
 // BenchmarkNetworkCycleServeOff and BenchmarkNetworkCycleServeOn bound
 // the live observability overhead the same way the Probes pair bounds the
 // counter fabric: the identical baseline loop with a telemetry probe, with
-// and without the serve collector's snapshot phase attached. Off must stay
+// and without the health sampler and the serve collector subscribed to it
+// attached. Off must stay
 // on the 0 allocs/cycle fast path; On amortizes one snapshot allocation
 // per sampling window. Both fold into BENCH_cycles.json via `make bench`.
 func BenchmarkNetworkCycleServeOff(b *testing.B) { benchCycleServe(b, false) }
@@ -143,9 +145,11 @@ func benchCycleServe(b *testing.B, serveOn bool) {
 		n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.3, 2, flit.VCMask(0xFF), 1))
 	}
 	if serveOn {
-		if _, err := serve.AttachCollector(n, serve.Config{Every: serve.DefaultEvery}); err != nil {
+		smp, err := sampler.Attach(n, sampler.Config{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		serve.AttachCollector(smp, serve.Config{})
 	}
 	n.Run(2000)
 	b.ReportAllocs()
@@ -155,8 +159,8 @@ func benchCycleServe(b *testing.B, serveOn bool) {
 
 // BenchmarkNetworkCycleFlightRecOff and BenchmarkNetworkCycleFlightRecOn
 // bound the flight-recorder overhead: the identical baseline loop with a
-// telemetry probe, with and without the recorder's serial ring phase
-// attached. Off must stay on the 0 allocs/cycle fast path; On appends one
+// telemetry probe, with and without the health sampler and the recorder's
+// serial ring phase attached. Off must stay on the 0 allocs/cycle fast path; On appends one
 // fixed-size delta record per cycle into the preallocated ring and takes a
 // keyframe every Window/2 cycles, so its steady state is also
 // allocation-free outside the keyframe cadence. Both fold into
@@ -182,9 +186,11 @@ func benchCycleFlightRec(b *testing.B, recOn bool) {
 		n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.3, 2, flit.VCMask(0xFF), 1))
 	}
 	if recOn {
-		if _, err := flightrec.Attach(n, flightrec.Config{Dir: b.TempDir()}); err != nil {
+		smp, err := sampler.Attach(n, sampler.Config{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		flightrec.Attach(smp, flightrec.Config{Dir: b.TempDir()})
 	}
 	n.Run(2000)
 	b.ReportAllocs()

@@ -1,8 +1,9 @@
 // Package obs wires the shared observability flags (-metrics,
 // -metrics-every, -metrics-out, -tracefile-out, -serve, -flightrec,
-// -pprof) into the command binaries: it builds the telemetry probe the
-// flags ask for, attaches the live observability service and the flight
-// recorder, starts and stops CPU profiling, and exports the collected
+// -flows, -pprof) into the command binaries: it builds the telemetry
+// probe the flags ask for, attaches the observability stack (per-flow
+// observatory, health sampler, live service, flight recorder) in one
+// call, starts and stops CPU profiling, and exports the collected
 // artifacts after a run.
 package obs
 
@@ -20,6 +21,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/latency"
+	"repro/internal/telemetry/sampler"
 	"repro/internal/telemetry/serve"
 )
 
@@ -39,17 +41,13 @@ type Flags struct {
 	Flows    string
 	SLO      string
 	FlowsOut string
-
-	// flowObs is the observatory AttachFlows built, threaded into the
-	// serve collector and the flight recorder by the later attach calls.
-	flowObs *latency.Observatory
 }
 
 // Register installs the observability flags on the default flag set.
 func Register() *Flags {
 	f := &Flags{}
 	flag.BoolVar(&f.Metrics, "metrics", false, "attach telemetry probes and print the metrics table after the run")
-	flag.Int64Var(&f.MetricsEvery, "metrics-every", 0, "telemetry time-series sampling interval, cycles (0 disables the series)")
+	flag.Int64Var(&f.MetricsEvery, "metrics-every", 0, "telemetry time-series sampling interval, cycles (0 disables the series); also the health-sampling cadence of -serve snapshots and detectors and -flightrec dumps (0 = 256)")
 	flag.StringVar(&f.MetricsOut, "metrics-out", "", "write per-component telemetry counters and the sampled series as CSV to this file (requires -metrics)")
 	flag.StringVar(&f.TraceOut, "tracefile-out", "", "record per-packet lifecycle events and write Chrome trace-event JSON (chrome://tracing) to this file (requires -metrics)")
 	flag.StringVar(&f.Serve, "serve", "", "serve live observability over HTTP on this address for the duration of the run (/metrics, /snapshot, /healthz, /events, /debug/flightrec); e.g. :8080 or 127.0.0.1:0")
@@ -109,73 +107,78 @@ func (f *Flags) Validate() error {
 	return nil
 }
 
-// AttachFlows attaches the per-flow latency observatory the -flows/-slo
-// flags ask for (no-op without -flows). Call it before AttachServe (so
-// /snapshot and /healthz carry the observatory's flows and SLO
-// verdicts) and before AttachFlightRec (so an SLO burn can trigger a
-// dump); both pick the observatory up from the flags.
-func (f *Flags) AttachFlows(n *network.Network) (*latency.Observatory, error) {
-	if f.Flows == "" {
-		return nil, nil
-	}
-	o, err := latency.Attach(n, latency.Config{Flows: f.Flows, SLO: f.SLO})
-	if err != nil {
-		return nil, err
-	}
-	f.flowObs = o
-	return o, nil
+// Stack is the observability Flags.Attach wired onto one network.
+type Stack struct {
+	f     *Flags
+	probe *telemetry.Probe
+	flows *latency.Observatory
+	srv   *serve.Server
+	rec   *flightrec.Recorder
+	stop  func() // releases the SIGQUIT handler
 }
 
-// AttachServe starts the live observability service on the -serve address
-// (no-op without the flag) and logs the resolved address to stderr. The
-// caller must Close the returned server when the run ends, and must call
-// AttachServe before the network's first cycle.
-func (f *Flags) AttachServe(n *network.Network) (*serve.Server, error) {
-	if f.Serve == "" {
-		return nil, nil
+// Attach wires the observability the flags ask for onto n, in the one
+// order the types allow: the per-flow observatory (-flows), whose SLO
+// tick runs before the health sampler so each sample sees the cycle's
+// fresh burn verdicts; the sampler, at the -metrics-every cadence
+// (default sampler.DefaultEvery), whenever -serve or -flightrec needs
+// one; the live service's collector (-serve); and the flight recorder
+// (-flightrec) with its crash hook, a SIGQUIT handler for dump-on-demand,
+// and /debug/flightrec when the live service is up. kind, p and extra
+// identify the run for flight-recorder replay, exactly as core stamps
+// its own checkpoints (core.SpecForRun, core.ConfigHash). Call it before
+// the network's first cycle, and Close the stack when the run ends.
+func (f *Flags) Attach(n *network.Network, kind string, p core.RunParams, extra string) (*Stack, error) {
+	s := &Stack{f: f, probe: n.Probe()}
+	if f.Flows != "" {
+		o, err := latency.Attach(n, latency.Config{Flows: f.Flows, SLO: f.SLO})
+		if err != nil {
+			return nil, err
+		}
+		s.flows = o
 	}
-	cfg := serve.Config{Flows: f.flowObs}
-	if f.MetricsEvery > 0 {
-		cfg.Every = f.MetricsEvery
+	if f.Serve == "" && !f.FlightRec {
+		return s, nil
 	}
-	s, err := serve.Start(n, cfg, f.Serve)
+	smp, err := sampler.Attach(n, sampler.Config{Every: f.MetricsEvery})
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "serving live observability on http://%s\n", s.Addr())
+	if f.Serve != "" {
+		if s.srv, err = serve.Start(smp, serve.Config{Flows: s.flows}, f.Serve); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "serving live observability on http://%s\n", s.srv.Addr())
+	}
+	if f.FlightRec {
+		spec, err := core.SpecForRun(kind, p).JSON()
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		s.rec = flightrec.Attach(smp, flightrec.Config{
+			Window:     f.FlightRecCycles,
+			Dir:        f.FlightRecDir,
+			ConfigHash: core.ConfigHash(kind, p, extra),
+			SpecJSON:   spec,
+			SpecKind:   kind,
+		})
+		if s.srv != nil {
+			s.srv.SetDumper(s.rec)
+		}
+		if s.flows != nil {
+			// SLO burns land in the recorder's health log and trigger
+			// dumps whose window includes the burn cycle.
+			s.flows.SetBurnSink(s.rec)
+		}
+		s.stop = s.notifySIGQUIT()
+	}
 	return s, nil
 }
 
-// AttachFlightRec attaches the flight recorder the -flightrec flags ask
-// for (no-op without -flightrec): the recorder's serial ring/keyframe
-// phase on the network's kernel, the kernel crash hook for dump-on-panic,
-// a SIGQUIT handler for dump-on-demand from the terminal, and — when the
-// live service is up — the /debug/flightrec endpoint. kind, specJSON, and
-// hash identify the run for replay (core.SpecForRun / core.ConfigHash).
-// The returned stop function releases the signal handler; call it when
-// the run ends. Must be called before the network's first cycle.
-func (f *Flags) AttachFlightRec(n *network.Network, srv *serve.Server, kind string, specJSON []byte, hash uint64) (*flightrec.Recorder, func(), error) {
-	if !f.FlightRec {
-		return nil, func() {}, nil
-	}
-	rec, err := flightrec.Attach(n, flightrec.Config{
-		Window:     f.FlightRecCycles,
-		Dir:        f.FlightRecDir,
-		ConfigHash: hash,
-		SpecJSON:   specJSON,
-		SpecKind:   kind,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if srv != nil {
-		srv.SetDumper(rec)
-	}
-	if f.flowObs != nil {
-		// SLO burns land in the recorder's health log and trigger dumps
-		// whose window includes the burn cycle.
-		f.flowObs.SetBurnSink(rec)
-	}
+// notifySIGQUIT dumps the recorder on every SIGQUIT until the returned
+// function releases the handler.
+func (s *Stack) notifySIGQUIT() func() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGQUIT)
 	done := make(chan struct{})
@@ -185,7 +188,7 @@ func (f *Flags) AttachFlightRec(n *network.Network, srv *serve.Server, kind stri
 			case <-done:
 				return
 			case <-sigc:
-				if path, err := rec.TriggerDump("sigquit"); err != nil {
+				if path, err := s.rec.TriggerDump("sigquit"); err != nil {
 					fmt.Fprintf(os.Stderr, "flightrec: SIGQUIT dump failed: %v\n", err)
 				} else {
 					fmt.Fprintf(os.Stderr, "flightrec: dump written to %s\n", path)
@@ -193,38 +196,32 @@ func (f *Flags) AttachFlightRec(n *network.Network, srv *serve.Server, kind stri
 			}
 		}
 	}()
-	stop := func() {
+	return func() {
 		signal.Stop(sigc)
 		close(done)
 	}
-	return rec, stop, nil
 }
 
-// AttachFlightRecRun is AttachFlightRec for a plain core.Run: it derives
-// the replayable spec and config hash from the run parameters the same
-// way core stamps its own checkpoints.
-func (f *Flags) AttachFlightRecRun(n *network.Network, srv *serve.Server, p core.RunParams) (*flightrec.Recorder, func(), error) {
-	if !f.FlightRec {
-		return nil, func() {}, nil
-	}
-	spec, err := core.SpecForRun("run", p).JSON()
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.AttachFlightRec(n, srv, "run", spec, core.ConfigHash("run", p, ""))
-}
-
-// ReportFlightRec logs where a recorder's dumps went (and any write
-// error) after a run; a nil recorder is a no-op.
-func ReportFlightRec(w io.Writer, rec *flightrec.Recorder) {
-	if rec == nil {
+// Close ends the stack's run: it releases the SIGQUIT handler, logs
+// where the flight recorder's dumps went (and any write error) to
+// stderr, and shuts the live service down. A nil stack is a no-op.
+func (s *Stack) Close() {
+	if s == nil {
 		return
 	}
-	if err := rec.Err(); err != nil {
-		fmt.Fprintf(w, "flightrec: dump error: %v\n", err)
+	if s.stop != nil {
+		s.stop()
 	}
-	for _, p := range rec.Dumps() {
-		fmt.Fprintf(w, "flightrec: dump written to %s\n", p)
+	if s.rec != nil {
+		if err := s.rec.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "flightrec: dump error: %v\n", err)
+		}
+		for _, path := range s.rec.Dumps() {
+			fmt.Fprintf(os.Stderr, "flightrec: dump written to %s\n", path)
+		}
+	}
+	if s.srv != nil {
+		s.srv.Close()
 	}
 }
 
@@ -264,21 +261,15 @@ func (f *Flags) StartPprof() (stop func(), err error) {
 	}, nil
 }
 
-// Emit writes every artifact the flags asked for from the collected probe:
-// the text table and optional heatmap to w, the CSV metrics and the Chrome
-// trace to their files. A nil probe is a no-op. Commands whose stdout is
+// Emit writes every artifact the flags asked for from the stack's
+// network: the per-flow latency CSV, the text table and optional heatmap
+// to w, the CSV metrics and the Chrome trace to their files. A network
+// without a probe emits only the per-flow CSV. Commands whose stdout is
 // machine-readable (nocsweep's CSV) pass stderr as w.
-func (f *Flags) Emit(w io.Writer, p *telemetry.Probe, heatmap bool) error {
-	if f.FlowsOut != "" && f.flowObs != nil {
-		out, err := os.Create(f.FlowsOut)
-		if err != nil {
-			return err
-		}
-		if err := f.flowObs.WriteCSV(out); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
+func (s *Stack) Emit(w io.Writer, heatmap bool) error {
+	f, p := s.f, s.probe
+	if f.FlowsOut != "" && s.flows != nil {
+		if err := writeFile(f.FlowsOut, s.flows.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "per-flow latency written to %s\n", f.FlowsOut)
@@ -293,38 +284,36 @@ func (f *Flags) Emit(w io.Writer, p *telemetry.Probe, heatmap bool) error {
 		fmt.Fprint(w, p.Heatmap())
 	}
 	if f.MetricsOut != "" {
-		out, err := os.Create(f.MetricsOut)
-		if err != nil {
-			return err
-		}
-		if err := p.WriteMetricsCSV(out); err != nil {
-			out.Close()
-			return err
-		}
-		if f.flowObs != nil {
-			if err := f.flowObs.WriteCSV(out); err != nil {
-				out.Close()
+		err := writeFile(f.MetricsOut, func(out io.Writer) error {
+			if err := p.WriteMetricsCSV(out); err != nil || s.flows == nil {
 				return err
 			}
-		}
-		if err := out.Close(); err != nil {
+			return s.flows.WriteCSV(out)
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "telemetry metrics written to %s\n", f.MetricsOut)
 	}
 	if f.TraceOut != "" {
-		out, err := os.Create(f.TraceOut)
-		if err != nil {
-			return err
-		}
-		if err := p.WriteChromeTrace(out); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
+		if err := writeFile(f.TraceOut, p.WriteChromeTrace); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "execution trace written to %s (load in chrome://tracing)\n", f.TraceOut)
 	}
 	return nil
+}
+
+// writeFile creates path, fills it with write, and closes it, reporting
+// the first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }

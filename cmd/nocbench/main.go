@@ -20,8 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/sim"
-	"repro/internal/telemetry/flightrec"
-	"repro/internal/telemetry/serve"
 )
 
 func main() {
@@ -134,39 +132,19 @@ func main() {
 		inst := core.DefaultRunParams()
 		inst.Rate = 0.3
 		inst.Probe = obsFlags.NewProbe()
-		var srv *serve.Server
-		var frRec *flightrec.Recorder
-		frStop := func() {}
-		inst.OnNetwork = func(n *network.Network) error {
-			if _, err := obsFlags.AttachFlows(n); err != nil {
-				return err
-			}
-			s, err := obsFlags.AttachServe(n)
-			if err != nil {
-				return err
-			}
-			srv = s
-			rec, stop, err := obsFlags.AttachFlightRecRun(n, srv, inst)
-			if err != nil {
-				return err
-			}
-			if rec != nil {
-				frRec, frStop = rec, stop
-			}
-			return nil
+		var stack *obs.Stack
+		inst.OnNetwork = func(n *network.Network) (err error) {
+			stack, err = obsFlags.Attach(n, "run", inst, "")
+			return err
 		}
 		if _, err := core.Run(inst); err != nil {
 			fmt.Fprintln(os.Stderr, "nocbench: telemetry run:", err)
 			os.Exit(1)
 		}
-		frStop()
-		obs.ReportFlightRec(os.Stderr, frRec)
-		if srv != nil {
-			srv.Close()
-		}
+		stack.Close()
 		fmt.Fprintf(os.Stderr, "telemetry run (baseline %s-%dx%d, rate %.2f):\n",
 			inst.Topology, inst.K, inst.K, inst.Rate)
-		if err := obsFlags.Emit(os.Stderr, inst.Probe, false); err != nil {
+		if err := stack.Emit(os.Stderr, false); err != nil {
 			fmt.Fprintln(os.Stderr, "nocbench:", err)
 			os.Exit(1)
 		}

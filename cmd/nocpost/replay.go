@@ -12,6 +12,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/health"
+	"repro/internal/telemetry/sampler"
 )
 
 // replayer reconstructs exact simulation state at recorded cycles: rebuild
@@ -84,20 +85,6 @@ func (r *replayer) baseCycle(cycle int64) int64 {
 		return kf.Cycle
 	}
 	return 0
-}
-
-// minWaitAge mirrors the recorder's reporting threshold so replayed
-// waiting sets match the dumped attribution sample exactly.
-func minWaitAge() int64 {
-	hc := health.New(health.Config{}).Config()
-	min := hc.StarveAge
-	if hc.DeadlockWindow < min {
-		min = hc.DeadlockWindow
-	}
-	if min > 4 {
-		min /= 2
-	}
-	return min
 }
 
 // --- state ------------------------------------------------------------------
@@ -220,7 +207,7 @@ func cmdWaitgraph(args []string) error {
 	cycle := fs.Int64("cycle", -1, "final observation cycle (default: the dumped sample's cycle)")
 	every := fs.Int64("every", 0, "observation cadence in cycles (default: the dump's health cadence)")
 	back := fs.Int64("back", 8, "how many observation intervals to render before the final cycle")
-	age := fs.Int64("age", 0, "minimum head-of-line age to count a VC as waiting (default: the recorder's threshold)")
+	age := fs.Int64("age", 0, "minimum head-of-line age to count a VC as waiting (default: the health sampler's threshold)")
 	fs.Parse(args)
 	dp, err := loadDumpArg(fs)
 	if err != nil {
@@ -238,11 +225,11 @@ func cmdWaitgraph(args []string) error {
 		step = dp.Every
 	}
 	if step <= 0 {
-		step = flightrec.DefaultEvery
+		step = sampler.DefaultEvery
 	}
 	minAge := *age
 	if minAge <= 0 {
-		minAge = minWaitAge()
+		minAge = health.MinWaitAge(health.Config{})
 	}
 	start := c - *back*step
 	if start < 0 {

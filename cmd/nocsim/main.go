@@ -25,8 +25,6 @@ import (
 	"repro/internal/flit"
 	"repro/internal/network"
 	"repro/internal/router"
-	"repro/internal/telemetry/flightrec"
-	"repro/internal/telemetry/serve"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -220,46 +218,18 @@ func main() {
 	if p.Probe == nil && *heatmap {
 		p.Probe = obs.HeatmapProbe()
 	}
-	// -serve attaches the live observability service to the run's network
-	// just before the first cycle; -flightrec attaches the flight recorder
-	// the same way. The recorder stamps dumps and keyframes with the run's
-	// identity (spec JSON + config hash), which the campaign and trace
-	// paths refine below before the network is built.
+	// The observability stack (-flows, -serve, -flightrec) attaches to the
+	// run's network just before the first cycle. The flight recorder
+	// stamps dumps and keyframes with the run's identity (spec JSON +
+	// config hash), which the campaign and trace paths refine below before
+	// the network is built.
 	frKind, frExtra := "run", ""
-	var (
-		srv    *serve.Server
-		frRec  *flightrec.Recorder
-		frStop = func() {}
-	)
-	p.OnNetwork = func(n *network.Network) error {
-		if _, err := obsFlags.AttachFlows(n); err != nil {
-			return err
-		}
-		s, err := obsFlags.AttachServe(n)
-		if err != nil {
-			return err
-		}
-		srv = s
-		spec, err := core.SpecForRun(frKind, p).JSON()
-		if err != nil {
-			return err
-		}
-		rec, stop, err := obsFlags.AttachFlightRec(n, srv, frKind, spec, core.ConfigHash(frKind, p, frExtra))
-		if err != nil {
-			return err
-		}
-		if rec != nil {
-			frRec, frStop = rec, stop
-		}
-		return nil
+	var stack *obs.Stack
+	p.OnNetwork = func(n *network.Network) (err error) {
+		stack, err = obsFlags.Attach(n, frKind, p, frExtra)
+		return err
 	}
-	defer func() {
-		frStop()
-		obs.ReportFlightRec(os.Stderr, frRec)
-		if srv != nil {
-			srv.Close()
-		}
-	}()
+	defer func() { stack.Close() }()
 	stopProf, err := obsFlags.StartPprof()
 	if err != nil {
 		fatal(err)
@@ -276,7 +246,7 @@ func main() {
 		if err := runCampaign(p, *faults, *mtbf, *watchdog); err != nil {
 			fatal(err)
 		}
-		if err := obsFlags.Emit(os.Stdout, p.Probe, *heatmap); err != nil {
+		if err := stack.Emit(os.Stdout, *heatmap); err != nil {
 			fatal(err)
 		}
 		return
@@ -288,7 +258,7 @@ func main() {
 		if err := runTrace(p, *trace, &frExtra); err != nil {
 			fatal(err)
 		}
-		if err := obsFlags.Emit(os.Stdout, p.Probe, *heatmap); err != nil {
+		if err := stack.Emit(os.Stdout, *heatmap); err != nil {
 			fatal(err)
 		}
 		return
@@ -320,7 +290,7 @@ func main() {
 	cycles := core.SimulatedCycles()
 	fmt.Printf("engine            %d simulated cycles in %.2fs wall clock (%.2fM cycles/s)\n",
 		cycles, elapsed.Seconds(), float64(cycles)/elapsed.Seconds()/1e6)
-	if err := obsFlags.Emit(os.Stdout, p.Probe, *heatmap); err != nil {
+	if err := stack.Emit(os.Stdout, *heatmap); err != nil {
 		fatal(err)
 	}
 }

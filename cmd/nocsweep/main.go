@@ -17,8 +17,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/network"
-	"repro/internal/telemetry/flightrec"
-	"repro/internal/telemetry/serve"
 )
 
 func main() {
@@ -167,38 +165,18 @@ func main() {
 		inst.Probe = obsFlags.NewProbe()
 		// The instrumentation run is throwaway: never checkpoint it.
 		inst.CheckpointEvery, inst.CheckpointDir, inst.Resume = 0, "", false
-		var srv *serve.Server
-		var frRec *flightrec.Recorder
-		frStop := func() {}
-		inst.OnNetwork = func(n *network.Network) error {
-			if _, err := obsFlags.AttachFlows(n); err != nil {
-				return err
-			}
-			s, err := obsFlags.AttachServe(n)
-			if err != nil {
-				return err
-			}
-			srv = s
-			rec, stop, err := obsFlags.AttachFlightRecRun(n, srv, inst)
-			if err != nil {
-				return err
-			}
-			if rec != nil {
-				frRec, frStop = rec, stop
-			}
-			return nil
+		var stack *obs.Stack
+		inst.OnNetwork = func(n *network.Network) (err error) {
+			stack, err = obsFlags.Attach(n, "run", inst, "")
+			return err
 		}
 		if _, err := core.Run(inst); err != nil {
 			fmt.Fprintln(os.Stderr, "nocsweep: telemetry run:", err)
 			os.Exit(1)
 		}
-		frStop()
-		obs.ReportFlightRec(os.Stderr, frRec)
-		if srv != nil {
-			srv.Close()
-		}
+		stack.Close()
 		fmt.Fprintf(os.Stderr, "telemetry run at rate %.3f:\n", inst.Rate)
-		if err := obsFlags.Emit(os.Stderr, inst.Probe, false); err != nil {
+		if err := stack.Emit(os.Stderr, false); err != nil {
 			fmt.Fprintln(os.Stderr, "nocsweep:", err)
 			os.Exit(1)
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/sampler"
 	"repro/internal/telemetry/serve"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -284,10 +285,11 @@ func TestShardedServeSnapshots(t *testing.T) {
 			g.StopAt = 400
 			n.AttachClient(tile, g)
 		}
-		col, err := serve.AttachCollector(n, serve.Config{Every: 64})
+		smp, err := sampler.Attach(n, sampler.Config{Every: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
+		col := serve.AttachCollector(smp, serve.Config{})
 		var mirror strings.Builder
 		col.SetMirror(&mirror)
 		n.Run(400)

@@ -34,7 +34,7 @@ func (r *Recorder) encode(cycle int64, reason string) []byte {
 	e := b.Section(secMeta)
 	e.U32(dumpVersion)
 	e.Int(len(r.ring))
-	e.I64(r.cfg.Every)
+	e.I64(r.every)
 	e.I64(r.kfEvery)
 	e.I64(cycle)
 	e.String(reason)

@@ -9,8 +9,14 @@
 // exactly by restoring the newest keyframe at or before it and re-executing
 // the deterministic engine forward.
 //
-// Concurrency and determinism model: like the serve collector, the
-// recorder registers one *serial* kernel phase that runs behind the merge
+// The recorder judges nothing itself: it subscribes to the network's
+// health sampler (internal/telemetry/sampler), keeps the newest sample as
+// the dump's attribution material, logs the sampler's detector
+// transitions, and queues a dump on every healthy->unhealthy one — so a
+// dump always carries exactly what /healthz judged, at the same cadence.
+//
+// Concurrency and determinism model: like the sampler, the recorder
+// registers one *serial* kernel phase that runs behind the merge
 // barriers, single-threaded with respect to all simulator state — so the
 // ring contents, keyframes, and detector-triggered dumps are byte-identical
 // at any -shards setting, and the kernel's batching Step path runs the
@@ -29,17 +35,12 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/health"
+	"repro/internal/telemetry/sampler"
 )
 
 // DefaultWindow is the default ring capacity in cycles.
 const DefaultWindow = 4096
-
-// DefaultEvery is the default health-sampling cadence in cycles, matching
-// the serve collector so the embedded monitor replicates the live
-// detectors' judgments exactly.
-const DefaultEvery = 256
 
 // DefaultKeyframes is how many keyframes the recorder retains: the window
 // spans two keyframe intervals, so three keyframes guarantee one at or
@@ -59,19 +60,11 @@ type Config struct {
 	// Window is the ring capacity in cycles (default DefaultWindow).
 	Window int
 
-	// Every is the health-sampling cadence in cycles (default
-	// DefaultEvery). Matching the serve collector's interval makes the
-	// embedded monitor a byte-exact replica of the live detectors.
-	Every int64
-
 	// Dir is where dumps are written (default ".").
 	Dir string
 
 	// Keyframes is how many keyframes to retain (default DefaultKeyframes).
 	Keyframes int
-
-	// Health configures the embedded detectors (zero fields default).
-	Health health.Config
 
 	// ConfigHash fingerprints the run configuration; it is stamped on the
 	// dump container and every keyframe so cross-configuration replay is
@@ -91,9 +84,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
-	}
-	if c.Every <= 0 {
-		c.Every = DefaultEvery
 	}
 	if c.Dir == "" {
 		c.Dir = "."
@@ -192,13 +182,13 @@ type dumpReq struct {
 	done   chan DumpResult
 }
 
-// Recorder owns the ring, the keyframes, the embedded health monitor, and
-// the dump triggers. All fields below the mutex are written only by the
-// serial phase (or by Attach, before the first cycle).
+// Recorder owns the ring, the keyframes, and the dump triggers. The
+// fields above the request queue are written only inside serial kernel
+// phases (or by Attach, before the first cycle).
 type Recorder struct {
-	n   *network.Network
-	cfg Config
-	mon *health.Monitor
+	n     *network.Network
+	cfg   Config
+	every int64 // the sampler's cadence, stamped on every dump
 
 	ring  []Record
 	next  int // ring slot the next record lands in
@@ -208,11 +198,6 @@ type Recorder struct {
 	keyframes []Keyframe // oldest first
 	kfEvery   int64
 	kfErr     error // first keyframe failure; disables further attempts
-
-	// Health-sampling scratch, reused across samples.
-	waitBuf  []health.VCWait
-	prevFlit []int64
-	loadBuf  []health.LinkLoad
 
 	last TriggerSample // newest sample's attribution material (reused buffers)
 
@@ -224,10 +209,11 @@ type Recorder struct {
 	autoDumps int
 	dumpSeq   int
 
-	// SLO burn dumps requested by the latency observatory's phase (which
-	// runs earlier in the same cycle); written by this phase, where a
-	// fresh keyframe is safe.
-	sloPending []string
+	// Dump reasons queued by detector transitions (the sampler's phase)
+	// and SLO burns (the latency observatory's phase), both of which run
+	// earlier in the same cycle; written by the ring phase after the
+	// cycle's record, where a fresh keyframe is safe.
+	autoPending []string
 
 	// Asynchronous dump requests (SIGQUIT handler, /debug/flightrec).
 	// hasPending keeps the per-cycle fast path to one atomic load.
@@ -240,39 +226,32 @@ type Recorder struct {
 	dumpErr error
 }
 
-// Attach registers the flight-recorder phase on the network's kernel and
-// returns the recorder. The network must have a telemetry probe (the
-// counter fabric the deltas difference) and must not have run yet. The
-// phase is serial, so it composes with any -shards or -batch-epochs
-// setting without perturbing results.
-func Attach(n *network.Network, cfg Config) (*Recorder, error) {
-	if n.Probe() == nil {
-		return nil, fmt.Errorf("flightrec: network has no telemetry probe; enable telemetry to record it")
-	}
+// Attach subscribes a recorder to the sampler and registers the
+// recorder's ring phase on the sampled network's kernel, after the
+// sampler's. The sampler guarantees the telemetry probe the deltas
+// difference; the network must not have run yet. The phase is serial,
+// so it composes with any -shards or -batch-epochs setting without
+// perturbing results.
+func Attach(smp *sampler.Sampler, cfg Config) *Recorder {
+	n := smp.Network()
 	cfg = cfg.withDefaults()
 	r := &Recorder{
-		n:    n,
-		cfg:  cfg,
-		mon:  health.New(cfg.Health),
-		ring: make([]Record, cfg.Window),
+		n:     n,
+		cfg:   cfg,
+		every: smp.Every(),
+		ring:  make([]Record, cfg.Window),
 	}
 	r.kfEvery = int64(cfg.Window / 2)
 	if r.kfEvery < 1 {
 		r.kfEvery = 1
 	}
 	r.keyframes = make([]Keyframe, 0, cfg.Keyframes)
+	smp.Subscribe(r.onSample)
 	n.Probe().SetEventSink(r)
 	n.Kernel().AddPhase("flightrec", r.phase)
 	n.Kernel().SetCrashHook(r.onCrash)
-	return r, nil
+	return r
 }
-
-// Config reports the recorder's effective (defaulted) configuration.
-func (r *Recorder) Config() Config { return r.cfg }
-
-// Monitor exposes the embedded health monitor for tests that cross-check
-// it against the live serve detectors. Read it between Run calls only.
-func (r *Recorder) Monitor() *health.Monitor { return r.mon }
 
 // Dumps reports the dump files written so far.
 func (r *Recorder) Dumps() []string {
@@ -303,19 +282,54 @@ func (r *Recorder) OnLinkDead(index int, now int64) {
 // OnSLOBurn implements the latency observatory's BurnSink: an SLO
 // burn-rate transition lands in the health event log (so nocpost
 // verdicts show it alongside the detector transitions) and a burning
-// transition schedules a dump for this cycle's recorder phase. The
+// transition queues a dump for this cycle's recorder phase. The
 // observatory's evaluation phase runs earlier in the same serial cycle,
 // so the dump's ring and fresh keyframe include the burn cycle itself.
-// Burn dumps share the detector dumps' per-run cap.
 func (r *Recorder) OnSLOBurn(now int64, flow string, ev health.Event) {
+	r.logHealth(ev)
+	if !ev.Healthy {
+		r.queueDump("slo-burn-" + flow)
+	}
+}
+
+// onSample keeps the newest sample's attribution material for the next
+// dump, logs the detector transitions it caused, and queues one dump,
+// named for the first detector to trip, when any of them went unhealthy.
+func (r *Recorder) onSample(s *sampler.Sample) {
+	r.last.Cycle = s.Cycle
+	r.last.BufOcc = s.BufOcc
+	r.last.Generated = s.GeneratedPackets
+	r.last.EjectedFlits = s.EjectedFlits
+	r.last.DeadLinks = s.DeadLinks
+	r.last.Waiting = append(r.last.Waiting[:0], s.Waiting...)
+	r.last.HotLinks = append(r.last.HotLinks[:0], s.HotLinks...)
+
+	reason := ""
+	for _, ev := range s.Events {
+		r.logHealth(ev)
+		if !ev.Healthy && reason == "" {
+			reason = "detector-" + ev.Detector
+		}
+	}
+	if reason != "" {
+		r.queueDump(reason)
+	}
+}
+
+func (r *Recorder) logHealth(ev health.Event) {
 	if len(r.healthLog) >= maxEventLog {
 		r.healthDrops++
-	} else {
-		r.healthLog = append(r.healthLog, ev)
+		return
 	}
-	if !ev.Healthy && r.autoDumps < maxAutoDumps {
+	r.healthLog = append(r.healthLog, ev)
+}
+
+// queueDump schedules an automatic dump for this cycle's ring phase.
+// Detector and SLO-burn dumps share one per-run cap.
+func (r *Recorder) queueDump(reason string) {
+	if r.autoDumps < maxAutoDumps {
 		r.autoDumps++
-		r.sloPending = append(r.sloPending, "slo-burn-"+flow)
+		r.autoPending = append(r.autoPending, reason)
 	}
 }
 
@@ -354,23 +368,17 @@ func (r *Recorder) TriggerDump(reason string) (string, error) {
 
 // phase is the per-cycle serial recorder body.
 func (r *Recorder) phase(now sim.Cycle) {
-	tnow := int64(now)
-	cycle := tnow + 1 // completed cycles once this cycle's phases finish
+	cycle := int64(now) + 1 // completed cycles once this cycle's phases finish
 
 	r.record(cycle)
 
 	if r.kfErr == nil && cycle%r.kfEvery == 0 {
 		r.keyframe(cycle)
 	}
-	if tnow%r.cfg.Every == 0 {
-		r.sample(tnow, cycle)
+	for _, reason := range r.autoPending {
+		r.dump(cycle, reason, true)
 	}
-	if len(r.sloPending) > 0 {
-		for _, reason := range r.sloPending {
-			r.dump(cycle, reason, true)
-		}
-		r.sloPending = r.sloPending[:0]
-	}
+	r.autoPending = r.autoPending[:0]
 	if r.hasPending.Load() {
 		r.drainRequests(cycle)
 	}
@@ -458,118 +466,6 @@ func (r *Recorder) keyframe(cycle int64) {
 		r.keyframes = r.keyframes[:len(r.keyframes)-1]
 	}
 	r.keyframes = append(r.keyframes, Keyframe{Cycle: cycle, Data: data})
-}
-
-// minWaitAge mirrors the serve collector's reporting threshold so the
-// embedded monitor sees the identical waiting set.
-func (r *Recorder) minWaitAge() int64 {
-	hc := r.mon.Config()
-	min := hc.StarveAge
-	if hc.DeadlockWindow < min {
-		min = hc.DeadlockWindow
-	}
-	if min > 4 {
-		min /= 2
-	}
-	return min
-}
-
-// sample feeds the embedded health monitor with the same observation the
-// serve collector builds, captures the attribution material, and dumps on
-// any healthy->unhealthy transition.
-func (r *Recorder) sample(tnow, cycle int64) {
-	p := r.n.Probe()
-	rec := r.n.Recorder()
-
-	inFlight := int64(r.n.LinksInFlight())
-	bufOcc := int64(r.n.Occupancy()) - inFlight
-
-	r.waitBuf = r.n.AppendWaitingVCs(tnow, r.minWaitAge(), r.waitBuf[:0])
-	hot := r.hotLinks(p)
-
-	s := health.Sample{
-		Cycle:            tnow,
-		GeneratedPackets: rec.Generated,
-		EjectedFlits:     p.TotalEjectedFlits(),
-		BufOcc:           bufOcc + inFlight,
-		Waiting:          r.waitBuf,
-		HotLinks:         hot,
-		DeadLinks:        p.DeadLinks,
-	}
-	events := r.mon.Observe(s)
-
-	r.last.Cycle = tnow
-	r.last.BufOcc = s.BufOcc
-	r.last.Generated = s.GeneratedPackets
-	r.last.EjectedFlits = s.EjectedFlits
-	r.last.DeadLinks = s.DeadLinks
-	r.last.Waiting = append(r.last.Waiting[:0], r.waitBuf...)
-	r.last.HotLinks = append(r.last.HotLinks[:0], hot...)
-
-	fire := false
-	for _, ev := range events {
-		if len(r.healthLog) >= maxEventLog {
-			r.healthDrops++
-		} else {
-			r.healthLog = append(r.healthLog, ev)
-		}
-		if !ev.Healthy {
-			fire = true
-		}
-	}
-	if fire && r.autoDumps < maxAutoDumps {
-		r.autoDumps++
-		reason := "detector"
-		for _, ev := range events {
-			if !ev.Healthy {
-				reason = "detector-" + ev.Detector
-				break
-			}
-		}
-		r.dump(cycle, reason, true)
-	}
-}
-
-// hotLinks computes the busiest channels of the window just ended, exactly
-// as the serve collector does, so congestion attributions match.
-func (r *Recorder) hotLinks(p *telemetry.Probe) []health.LinkLoad {
-	if len(r.prevFlit) < len(p.Links) {
-		r.prevFlit = append(r.prevFlit, make([]int64, len(p.Links)-len(r.prevFlit))...)
-	}
-	loads := r.loadBuf[:0]
-	for i, lp := range p.Links {
-		if lp == nil {
-			continue
-		}
-		delta := lp.Flits - r.prevFlit[i]
-		r.prevFlit[i] = lp.Flits
-		if delta > 0 {
-			loads = append(loads, health.LinkLoad{
-				Index: lp.Index, From: lp.From, To: lp.To,
-				Dir: lp.Dir.String(), Flits: delta,
-			})
-		}
-	}
-	// Hottest first, ties by index (insertion sort: the slice is small and
-	// mostly sorted across windows, and this avoids sort.Slice's closure
-	// allocation on the steady-state path).
-	for i := 1; i < len(loads); i++ {
-		for j := i; j > 0 && hotter(loads[j], loads[j-1]); j-- {
-			loads[j], loads[j-1] = loads[j-1], loads[j]
-		}
-	}
-	r.loadBuf = loads
-	if len(loads) > 8 {
-		loads = loads[:8]
-	}
-	return loads
-}
-
-func hotter(a, b health.LinkLoad) bool {
-	if a.Flits != b.Flits {
-		return a.Flits > b.Flits
-	}
-	return a.Index < b.Index
 }
 
 // drainRequests serves queued asynchronous dump requests in-phase, where

@@ -13,6 +13,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/health"
+	"repro/internal/telemetry/sampler"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -43,6 +44,17 @@ func newRecordedNet(t testing.TB, rate float64, stopAt, seed int64) *network.Net
 	return n
 }
 
+// attach builds the network's health sampler from sc and subscribes a
+// recorder configured by cfg to it.
+func attach(t testing.TB, n *network.Network, sc sampler.Config, cfg Config) (*sampler.Sampler, *Recorder) {
+	t.Helper()
+	smp, err := sampler.Attach(n, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return smp, Attach(smp, cfg)
+}
+
 // dumpNow requests a dump, runs one cycle so the serial phase drains the
 // request, and returns the parsed dump.
 func dumpNow(t testing.TB, n *network.Network, rec *Recorder, reason string) *Dump {
@@ -69,9 +81,11 @@ func TestAttachRequiresProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Attach(n, Config{}); err == nil ||
+	// The recorder attaches behind the health sampler, which refuses a
+	// network without the probe the ring's deltas difference.
+	if _, err := sampler.Attach(n, sampler.Config{}); err == nil ||
 		!strings.Contains(err.Error(), "no telemetry probe") {
-		t.Fatalf("Attach without probe: err = %v, want probe error", err)
+		t.Fatalf("sampler.Attach without probe: err = %v, want probe error", err)
 	}
 }
 
@@ -80,10 +94,7 @@ func TestAttachRequiresProbe(t *testing.T) {
 // newest-first-evicted cycle range ending at the trigger.
 func TestRingWrapsContiguous(t *testing.T) {
 	n := newRecordedNet(t, 0.3, 0, 1)
-	rec, err := Attach(n, Config{Window: 128, Dir: t.TempDir(), ConfigHash: 0xfeed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{}, Config{Window: 128, Dir: t.TempDir(), ConfigHash: 0xfeed})
 	n.Run(500)
 	dp := dumpNow(t, n, rec, "wrap")
 
@@ -131,13 +142,10 @@ func TestRingWrapsContiguous(t *testing.T) {
 func TestDumpRoundTrip(t *testing.T) {
 	n := newRecordedNet(t, 0.3, 0, 2)
 	spec := []byte(`{"kind":"run","k":4}`)
-	rec, err := Attach(n, Config{
-		Window: 256, Every: 64, Dir: t.TempDir(),
+	_, rec := attach(t, n, sampler.Config{Every: 64}, Config{
+		Window: 256, Dir: t.TempDir(),
 		ConfigHash: 0xabcdef, SpecJSON: spec, SpecKind: "run",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n.Run(400)
 	dp := dumpNow(t, n, rec, "round-trip")
 
@@ -180,10 +188,7 @@ func TestDumpRoundTrip(t *testing.T) {
 // Keyframes checkpoints, in ascending cycle order, on the kfEvery cadence.
 func TestKeyframeRotation(t *testing.T) {
 	n := newRecordedNet(t, 0.3, 0, 3)
-	rec, err := Attach(n, Config{Window: 128, Dir: t.TempDir()}) // kfEvery 64
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{}, Config{Window: 128, Dir: t.TempDir()}) // kfEvery 64
 	n.Run(500)
 	dp := dumpNow(t, n, rec, "rotate")
 
@@ -233,10 +238,7 @@ func TestKeyframeErrorDegradesGracefully(t *testing.T) {
 	n := newRecordedNet(t, 0.3, 0, 4)
 	// A bare ClientFunc is not a StatefulClient, so SaveCheckpoint refuses.
 	n.AttachClient(0, network.ClientFunc(func(now int64, p *network.Port) {}))
-	rec, err := Attach(n, Config{Window: 64, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{}, Config{Window: 64, Dir: t.TempDir()})
 	n.Run(200)
 	dp := dumpNow(t, n, rec, "degraded")
 
@@ -255,10 +257,7 @@ func TestKeyframeErrorDegradesGracefully(t *testing.T) {
 // loudly (the container is CRC-protected per section).
 func TestParseDumpRejectsCorruption(t *testing.T) {
 	n := newRecordedNet(t, 0.3, 0, 5)
-	rec, err := Attach(n, Config{Window: 64, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{}, Config{Window: 64, Dir: t.TempDir()})
 	n.Run(100)
 	done := rec.RequestDump("corrupt")
 	n.Run(1)
@@ -285,10 +284,7 @@ func TestParseDumpRejectsCorruption(t *testing.T) {
 func TestDumpFileNaming(t *testing.T) {
 	dir := t.TempDir()
 	n := newRecordedNet(t, 0.3, 0, 6)
-	rec, err := Attach(n, Config{Window: 64, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{}, Config{Window: 64, Dir: dir})
 	n.Run(50)
 	done := rec.RequestDump("SIG quit!")
 	n.Run(1)
@@ -323,13 +319,7 @@ func stallTile(n *network.Network, tile int) {
 func TestAutoDumpOnDeadlock(t *testing.T) {
 	dir := t.TempDir()
 	n := newRecordedNet(t, 0.3, 300, 5)
-	rec, err := Attach(n, Config{
-		Window: 4096, Every: 64, Dir: dir,
-		Health: health.Config{DeadlockWindow: 256},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	smp, rec := attach(t, n, sampler.Config{Every: 64, Health: health.Config{DeadlockWindow: 256}}, Config{Window: 4096, Dir: dir})
 	n.Run(100)
 	stallTile(n, 5)
 	n.Run(3000)
@@ -384,9 +374,9 @@ func TestAutoDumpOnDeadlock(t *testing.T) {
 		t.Fatalf("recomputed attribution differs from live:\n  live: %q\n  post: %q", live.Detail, got)
 	}
 
-	// The embedded monitor agrees with its own log.
+	// The sampler's monitor agrees with the recorder's log.
 	var verdict health.Verdict
-	for _, v := range rec.Monitor().Verdicts() {
+	for _, v := range smp.Monitor().Verdicts() {
 		if v.Detector == health.DetectorDeadlock {
 			verdict = v
 		}
@@ -401,13 +391,7 @@ func TestAutoDumpOnDeadlock(t *testing.T) {
 func TestAutoDumpOnStarvation(t *testing.T) {
 	dir := t.TempDir()
 	n := newRecordedNet(t, 0.25, 0, 6)
-	rec, err := Attach(n, Config{
-		Window: 4096, Every: 64, Dir: dir,
-		Health: health.Config{StarveAge: 256, DeadlockWindow: 1 << 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{Every: 64, Health: health.Config{StarveAge: 256, DeadlockWindow: 1 << 30}}, Config{Window: 4096, Dir: dir})
 	n.Run(200)
 	if n.Router(5).Occupancy() == 0 {
 		t.Fatal("router 5 empty at stall time; scenario is vacuous")
@@ -449,18 +433,12 @@ func TestAutoDumpOnStarvation(t *testing.T) {
 func TestAutoDumpOnCongestionCollapse(t *testing.T) {
 	dir := t.TempDir()
 	n := newRecordedNet(t, 0.5, 0, 7)
-	rec, err := Attach(n, Config{
-		Window: 4096, Every: 256, Dir: dir,
-		Health: health.Config{
-			CollapseWindows:   2,
-			CollapseTolerance: 0.05,
-			DeadlockWindow:    1 << 30,
-			StarveAge:         1 << 30,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{Every: 256, Health: health.Config{
+		CollapseWindows:   2,
+		CollapseTolerance: 0.05,
+		DeadlockWindow:    1 << 30,
+		StarveAge:         1 << 30,
+	}}, Config{Window: 4096, Dir: dir})
 	n.Run(512)
 	stallTile(n, 5)
 	n.Run(256)
@@ -498,10 +476,7 @@ func TestAutoDumpOnCongestionCollapse(t *testing.T) {
 func TestHealthyRunWritesNoDumps(t *testing.T) {
 	dir := t.TempDir()
 	n := newRecordedNet(t, 0.2, 0, 8)
-	rec, err := Attach(n, Config{Window: 512, Every: 64, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{Every: 64}, Config{Window: 512, Dir: dir})
 	n.Run(4096)
 	if dumps := rec.Dumps(); len(dumps) != 0 {
 		t.Fatalf("healthy run wrote dumps: %v", dumps)
@@ -524,10 +499,7 @@ func TestHealthyRunWritesNoDumps(t *testing.T) {
 func TestCrashDump(t *testing.T) {
 	dir := t.TempDir()
 	n := newRecordedNet(t, 0.3, 0, 9)
-	rec, err := Attach(n, Config{Window: 64, Dir: dir}) // kfEvery 32
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{}, Config{Window: 64, Dir: dir}) // kfEvery 32
 	n.Kernel().AddPhase("boom", func(now sim.Cycle) {
 		if now == 100 {
 			panic("injected test crash")

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry/sampler"
 )
 
 // FuzzParseDump throws arbitrary bytes at the dump parser nocpost opens
@@ -21,10 +23,7 @@ import (
 func FuzzParseDump(f *testing.F) {
 	n := newRecordedNet(f, 0.3, 0, 2)
 	dir := f.TempDir()
-	rec, err := Attach(n, Config{Window: 16, Every: 8, Keyframes: 1, Dir: dir, SpecJSON: []byte(`{"kind":"run","k":4}`), SpecKind: "run"})
-	if err != nil {
-		f.Fatal(err)
-	}
+	_, rec := attach(f, n, sampler.Config{Every: 8}, Config{Window: 16, Keyframes: 1, Dir: dir, SpecJSON: []byte(`{"kind":"run","k":4}`), SpecKind: "run"})
 	n.Run(150)
 	dumpNow(f, n, rec, "fuzz")
 	paths, err := filepath.Glob(filepath.Join(dir, "*.frec"))
@@ -115,10 +114,7 @@ func reseal(data []byte) []byte {
 // that skips a cycle and keyframes out of order.
 func TestParseDumpRejectsDisorder(t *testing.T) {
 	n := newRecordedNet(t, 0.3, 0, 2)
-	rec, err := Attach(n, Config{Window: 16, Every: 8, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rec := attach(t, n, sampler.Config{Every: 8}, Config{Window: 16, Dir: t.TempDir()})
 	n.Run(150)
 	if _, err := ParseDump(rec.encode(150, "intact")); err != nil {
 		t.Fatalf("intact dump: %v", err)

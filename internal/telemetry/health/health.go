@@ -1,6 +1,6 @@
 // Package health runs online anomaly detectors over cycle-sampled
-// observations of a running network. It is the judgment layer of the live
-// observability service (internal/telemetry/serve): the serve collector
+// observations of a running network. It is the judgment layer of the
+// observability stack: the health sampler (internal/telemetry/sampler)
 // hands it one Sample per window and it maintains three detectors, each
 // with root-cause attribution:
 //
@@ -139,7 +139,7 @@ type Sample struct {
 	Waiting []VCWait
 
 	// HotLinks are the busiest channels of the window just ended, hottest
-	// first (ties by index), as precomputed by the collector. The slice is
+	// first (ties by index), as precomputed by the sampler. The slice is
 	// borrowed: Observe may read it during the call but copies anything it
 	// keeps, so callers can reuse the buffer across samples.
 	HotLinks []LinkLoad
@@ -203,6 +203,19 @@ type Monitor struct {
 	cgDetail     string
 	fallStartCyc int64
 	fallStartHot []LinkLoad
+}
+
+// MinWaitAge is the head-of-line age past which a VC counts as waiting in
+// a Sample: old enough for both the starvation and deadlock thresholds of
+// cfg (zero fields default), scaled down so attribution has material
+// before the detectors fire.
+func MinWaitAge(cfg Config) int64 {
+	cfg = cfg.withDefaults()
+	age := min(cfg.StarveAge, cfg.DeadlockWindow)
+	if age > 4 {
+		age /= 2
+	}
+	return age
 }
 
 // New returns a monitor with the given thresholds (zero fields default).

@@ -288,3 +288,23 @@ func TestWaitCycleNoCycle(t *testing.T) {
 		t.Fatalf("found a cycle in an acyclic chain: %v", cyc)
 	}
 }
+
+// TestMinWaitAge pins the waiting-set threshold: half the smaller of the
+// starvation watermark and the deadlock window (defaults applied), unhalved
+// once it is 4 cycles or less.
+func TestMinWaitAge(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want int64
+	}{
+		{Config{}, DefaultStarveAge / 2},
+		{Config{StarveAge: 200}, 100},
+		{Config{DeadlockWindow: 64}, 32},
+		{Config{StarveAge: 256, DeadlockWindow: 1 << 30}, 128},
+		{Config{StarveAge: 3}, 3},
+	} {
+		if got := MinWaitAge(tc.cfg); got != tc.want {
+			t.Errorf("MinWaitAge(%+v) = %d, want %d", tc.cfg, got, tc.want)
+		}
+	}
+}

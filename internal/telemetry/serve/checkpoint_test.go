@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"repro/internal/telemetry/sampler"
 )
 
 // TestCheckpointStalenessDegradesHealthz drives a served network with
@@ -14,10 +16,7 @@ import (
 func TestCheckpointStalenessDegradesHealthz(t *testing.T) {
 	n := newServedNet(t, 0.1, 1<<30, 3)
 	n.NoteCheckpointInterval(100)
-	col, err := AttachCollector(n, Config{Every: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := AttachCollector(sampled(t, n, sampler.Config{Every: 64}), Config{})
 	srv, err := StartWith(col, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +82,7 @@ func TestCheckpointStalenessDegradesHealthz(t *testing.T) {
 // checkpoint fields and that an unconfigured network never reports stale.
 func TestSnapshotReportsCheckpointAge(t *testing.T) {
 	n := newServedNet(t, 0.1, 1<<30, 4)
-	col, err := AttachCollector(n, Config{Every: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := AttachCollector(sampled(t, n, sampler.Config{Every: 64}), Config{})
 	n.Run(300)
 	snap := col.Latest()
 	if snap == nil {

@@ -8,26 +8,25 @@ import (
 
 	"repro/internal/route"
 	"repro/internal/telemetry/health"
+	"repro/internal/telemetry/sampler"
 )
 
 // These are the golden detector scenarios: deliberately broken networks
 // where a detector must fire with correct attribution, and a healthy
 // network where every detector must stay silent.
 
-func deadlockedCollector(t *testing.T) (*Collector, func() *http.Response, func()) {
+func deadlockedCollector(t *testing.T) (*Collector, *health.Monitor, func() *http.Response, func()) {
 	t.Helper()
 	// Finite traffic, then wedge every input controller of tile 5 before
 	// the flits drain: whatever is buffered there (and whatever waits on
 	// its credits upstream) can never move, and once the rest of the
 	// network empties, ejections cease with occupancy pinned above zero.
 	n := newServedNet(t, 0.3, 300, 5)
-	col, err := AttachCollector(n, Config{
+	smp := sampled(t, n, sampler.Config{
 		Every:  64,
 		Health: health.Config{DeadlockWindow: 256},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := AttachCollector(smp, Config{})
 	srv, err := StartWith(col, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -47,13 +46,12 @@ func deadlockedCollector(t *testing.T) (*Collector, func() *http.Response, func(
 		}
 		return resp
 	}
-	return col, get, func() { srv.Close() }
+	return col, smp.Monitor(), get, func() { srv.Close() }
 }
 
 func TestGoldenDeadlockFiresWithAttribution(t *testing.T) {
-	col, _, stop := deadlockedCollector(t)
+	col, mon, _, stop := deadlockedCollector(t)
 	defer stop()
-	mon := col.Monitor()
 	if mon.Healthy() {
 		t.Fatal("monitor healthy despite a wedged router and frozen occupancy")
 	}
@@ -79,7 +77,7 @@ func TestGoldenDeadlockFiresWithAttribution(t *testing.T) {
 }
 
 func TestGoldenDeadlockHealthzReturns503(t *testing.T) {
-	_, get, stop := deadlockedCollector(t)
+	_, _, get, stop := deadlockedCollector(t)
 	defer stop()
 	resp := get()
 	defer resp.Body.Close()
@@ -116,15 +114,13 @@ func TestGoldenStarvationFiresWhileOthersProgress(t *testing.T) {
 	// buffered flits age past the watermark while the rest of the network
 	// keeps delivering, so starvation (not deadlock) is the right call.
 	n := newServedNet(t, 0.25, 0, 6)
-	col, err := AttachCollector(n, Config{
+	smp := sampled(t, n, sampler.Config{
 		Every: 64,
 		// The deadlock window is kept far out so any misattribution of
 		// this scenario as a deadlock would fail the test below.
 		Health: health.Config{StarveAge: 256, DeadlockWindow: 1 << 30},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	AttachCollector(smp, Config{})
 	n.Run(200)
 	if n.Router(5).Occupancy() == 0 {
 		t.Fatal("router 5 empty at stall time; scenario is vacuous")
@@ -134,7 +130,7 @@ func TestGoldenStarvationFiresWhileOthersProgress(t *testing.T) {
 	}
 	n.Run(1500)
 
-	mon := col.Monitor()
+	mon := smp.Monitor()
 	var st, dl health.Verdict
 	for _, v := range mon.Verdicts() {
 		switch v.Detector {
@@ -161,7 +157,7 @@ func TestGoldenCongestionCollapsePastSaturation(t *testing.T) {
 	// window while the generators keep offering — the post-saturation
 	// collapse signature.
 	n := newServedNet(t, 0.5, 0, 7)
-	col, err := AttachCollector(n, Config{
+	smp := sampled(t, n, sampler.Config{
 		Every: 256,
 		Health: health.Config{
 			CollapseWindows:   2,
@@ -172,9 +168,7 @@ func TestGoldenCongestionCollapsePastSaturation(t *testing.T) {
 			StarveAge:      1 << 30,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	AttachCollector(smp, Config{})
 	dirs := []route.Dir{route.North, route.East, route.South, route.West}
 	stall := func(tile int) {
 		for _, d := range dirs {
@@ -189,7 +183,7 @@ func TestGoldenCongestionCollapsePastSaturation(t *testing.T) {
 	n.Run(256) // sample at 1024: both stalls biting, fall #2 -> fire
 
 	var cg health.Verdict
-	for _, v := range col.Monitor().Verdicts() {
+	for _, v := range smp.Monitor().Verdicts() {
 		if v.Detector == health.DetectorCongestion {
 			cg = v
 		}
@@ -209,15 +203,13 @@ func TestGoldenHealthyRunStaysSilent(t *testing.T) {
 	// A comfortable load on a fault-free network: every detector must
 	// hold healthy across the whole run.
 	n := newServedNet(t, 0.2, 0, 8)
-	col, err := AttachCollector(n, Config{Every: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	smp := sampled(t, n, sampler.Config{Every: 64})
+	col := AttachCollector(smp, Config{})
 	for i := 0; i < 8; i++ {
 		n.Run(512)
-		if !col.Monitor().Healthy() {
+		if !smp.Monitor().Healthy() {
 			t.Fatalf("detector fired on a healthy run at cycle ~%d: %+v",
-				(i+1)*512, col.Monitor().Verdicts())
+				(i+1)*512, smp.Monitor().Verdicts())
 		}
 	}
 	snap := col.Latest()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/telemetry/sampler"
 )
 
 // artifactGet exercises the process-global artifact cache with a
@@ -113,7 +114,7 @@ func TestWriteArtifactPromParsesStrict(t *testing.T) {
 // strict parse — the whole response is one valid exposition.
 func TestMetricsEndpointIncludesRuntimeRows(t *testing.T) {
 	n := newServedNet(t, 0.3, 0, 11)
-	srv, err := Start(n, Config{Every: 64}, "127.0.0.1:0")
+	srv, err := Start(sampled(t, n, sampler.Config{Every: 64}), Config{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,19 +2,20 @@
 // telemetry probe of a running network at cycle boundaries and serves the
 // copies over an embedded HTTP server — /metrics (Prometheus text
 // exposition), /snapshot (full JSON including the k×k heatmap), /healthz
-// (online detector verdicts from internal/telemetry/health), and /events
-// (SSE stream of health transitions and sampled rows).
+// (the health sampler's detector verdicts), and /events (SSE stream of
+// health transitions and sampled rows).
 //
-// Concurrency model: the collector registers one *serial* simulation
-// phase (like the clients phase), so under -shards it runs on the
-// barrier side of the worker pool — single-threaded with respect to all
-// simulator state, and byte-identical for any shard count. Each sample it
+// Concurrency model: the collector is a subscriber of the network's
+// health sampler (internal/telemetry/sampler), whose phase is *serial*
+// (like the clients phase), so under -shards it runs on the barrier side
+// of the worker pool — single-threaded with respect to all simulator
+// state, and byte-identical for any shard count. Each sample it
 // value-copies every counter it reads into a mutex-guarded set of reused
 // buffers; the immutable Snapshot handed to readers is deep-copied from
 // those buffers lazily — on the first Latest call after the sample, or
 // in-phase when a mirror or SSE subscriber needs every sample — so HTTP
 // handlers never touch simulator state and the steady-state sampling
-// path allocates nothing. When serve is not attached, no phase is
+// path allocates nothing. When serve is not attached, nothing is
 // registered and the cycle loop keeps its 0 allocs/cycle fast path.
 package serve
 
@@ -22,57 +23,31 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/network"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/health"
 	"repro/internal/telemetry/latency"
+	"repro/internal/telemetry/sampler"
 )
 
-// Config parameterizes the collector.
+// Config parameterizes the collector. The snapshot cadence and the
+// detector thresholds are the health sampler's.
 type Config struct {
-	// Every is the snapshot interval in cycles (default 256).
-	Every int64
-
-	// Health configures the online detectors (zero fields default).
-	Health health.Config
-
-	// SeriesTail bounds how many trailing series rows each snapshot
-	// carries (default 64; requires the probe's series to be enabled).
-	SeriesTail int
-
-	// HotLinks is how many per-window busiest channels to attribute
-	// (default 8).
-	HotLinks int
-
 	// Flows is the per-flow latency observatory to publish, when one is
 	// attached to the same network: snapshots carry its top flows and
 	// burning SLO rows, and an SLO burn degrades /healthz with the
 	// observatory's attribution. Attach the observatory before the
-	// collector so each sample sees the cycle's fresh verdicts.
+	// sampler so each sample sees the cycle's fresh verdicts.
 	Flows *latency.Observatory
 }
 
-// DefaultEvery is the default snapshot interval in cycles.
-const DefaultEvery = 256
-
-func (c Config) withDefaults() Config {
-	if c.Every <= 0 {
-		c.Every = DefaultEvery
-	}
-	if c.SeriesTail <= 0 {
-		c.SeriesTail = 64
-	}
-	if c.HotLinks <= 0 {
-		c.HotLinks = 8
-	}
-	return c
-}
+// seriesTail bounds how many trailing series rows each snapshot carries
+// (the probe's series must be enabled for there to be any).
+const seriesTail = 64
 
 // ExportedQuantiles are the latency quantiles every snapshot (and the
 // Prometheus summary rendering) carries.
@@ -99,22 +74,11 @@ type LatencySnap struct {
 }
 
 // LatencyFrom copies a histogram's headline figures and the exported
-// quantiles. This is the single code path behind both /snapshot and the
-// /metrics summary rendering, so the property test that compares exported
-// quantiles against Hist.Quantile covers what the endpoints serve.
+// quantiles. It shares latencyInto, the code path behind both /snapshot
+// and the /metrics summary rendering, so the property test that compares
+// exported quantiles against Hist.Quantile covers what the endpoints serve.
 func LatencyFrom(name string, class int, h *stats.Hist) LatencySnap {
-	ls := LatencySnap{Name: name, Class: class}
-	if h == nil {
-		return ls
-	}
-	ls.Count = h.Count()
-	ls.Sum = h.Sum()
-	ls.Mean = h.Mean()
-	ls.Overflowed = h.Overflowed()
-	for _, q := range ExportedQuantiles {
-		ls.Quantiles = append(ls.Quantiles, Quantile{Q: q, V: h.Quantile(q)})
-	}
-	return ls
+	return latencyInto(nil, name, class, h)[0]
 }
 
 // Snapshot is one published copy of the network's observable state. All
@@ -178,16 +142,12 @@ type Snapshot struct {
 	Series []telemetry.SeriesRow `json:"series,omitempty"`
 }
 
-// Collector owns the serial snapshot phase and the published snapshot.
+// Collector turns the health sampler's samples into published snapshots.
 type Collector struct {
 	n   *network.Network
 	cfg Config
-	mon *health.Monitor
 
 	// Serial-phase scratch, reused across samples.
-	waitBuf    []health.VCWait
-	prevFlit   []int64
-	loadBuf    []health.LinkLoad
 	classBuf   []int
 	classNames map[int]string
 
@@ -206,29 +166,19 @@ type Collector struct {
 	mirrorErr error
 }
 
-// AttachCollector registers the snapshot phase on the network's kernel
-// and returns the collector. The network must have a telemetry probe (the
-// counter fabric the snapshots copy) and must not have started running
-// samples yet. The phase is serial, so it composes with any -shards
-// setting without gating the simulation back to one shard.
-func AttachCollector(n *network.Network, cfg Config) (*Collector, error) {
-	if n.Probe() == nil {
-		return nil, fmt.Errorf("serve: network has no telemetry probe; enable telemetry to serve it")
-	}
-	cfg = cfg.withDefaults()
+// AttachCollector subscribes a collector to the sampler and returns it;
+// the collector publishes one snapshot per sample. Attach before the
+// network's first cycle.
+func AttachCollector(smp *sampler.Sampler, cfg Config) *Collector {
 	c := &Collector{
-		n:          n,
+		n:          smp.Network(),
 		cfg:        cfg,
-		mon:        health.New(cfg.Health),
 		classNames: make(map[int]string),
 		subs:       make(map[*Subscriber]struct{}),
 	}
-	n.Kernel().AddPhase("serve", c.phase)
-	return c, nil
+	smp.Subscribe(c.sample)
+	return c
 }
-
-// Config reports the collector's effective (defaulted) configuration.
-func (c *Collector) Config() Config { return c.cfg }
 
 // Latest returns the most recently published snapshot (nil before the
 // first sample). The snapshot is immutable; callers may hold it as long
@@ -285,11 +235,6 @@ func (s *Snapshot) clone() *Snapshot {
 	return &out
 }
 
-// Monitor exposes the health monitor for tests that drive the collector
-// synchronously. The monitor is only written by the serial phase; read it
-// between Run calls.
-func (c *Collector) Monitor() *health.Monitor { return c.mon }
-
 // SetMirror directs a copy of every published snapshot, JSON-encoded one
 // per line, to w. The determinism suite compares these byte streams
 // across shard counts. Must be set before the simulation runs.
@@ -341,54 +286,15 @@ func (c *Collector) Unsubscribe(sub *Subscriber) {
 	c.mu.Unlock()
 }
 
-// phase is the serial snapshot phase body.
-func (c *Collector) phase(now sim.Cycle) {
-	if int64(now)%c.cfg.Every != 0 {
-		return
-	}
-	c.sample(int64(now))
-}
-
-// minWaitAge is the head-of-line age past which the collector reports a
-// VC as waiting: old enough for both detectors' thresholds, scaled down
-// so attribution has material before the detectors fire.
-func (c *Collector) minWaitAge() int64 {
-	hc := c.mon.Config()
-	min := hc.StarveAge
-	if hc.DeadlockWindow < min {
-		min = hc.DeadlockWindow
-	}
-	if min > 4 {
-		min /= 2
-	}
-	return min
-}
-
-// sample observes the network (serially, inside the phase), feeds the
-// health monitor, and records the sample into the reused raw buffers.
-// The published immutable Snapshot is only materialised when someone is
-// actually watching (Latest, a mirror, or SSE subscribers), keeping the
-// steady-state sampling path free of per-sample allocation.
-func (c *Collector) sample(now int64) {
+// sample records one health sample (serially, inside the sampler's phase)
+// into the reused raw buffers. The published immutable Snapshot is only
+// materialised when someone is actually watching (Latest, a mirror, or
+// SSE subscribers), keeping the steady-state sampling path free of
+// per-sample allocation.
+func (c *Collector) sample(s *sampler.Sample) {
 	p := c.n.Probe()
 	rec := c.n.Recorder()
-
-	inFlight := int64(c.n.LinksInFlight())
-	bufOcc := int64(c.n.Occupancy()) - inFlight
-
-	c.waitBuf = c.n.AppendWaitingVCs(now, c.minWaitAge(), c.waitBuf[:0])
-	hot := c.hotLinks(p)
-
-	s := health.Sample{
-		Cycle:            now,
-		GeneratedPackets: rec.Generated,
-		EjectedFlits:     p.TotalEjectedFlits(),
-		BufOcc:           bufOcc + inFlight,
-		Waiting:          c.waitBuf,
-		HotLinks:         hot,
-		DeadLinks:        p.DeadLinks,
-	}
-	events := c.mon.Observe(s)
+	now := s.Cycle
 
 	lastCkpt, haveCkpt := c.n.LastCheckpoint()
 	ckptEvery := c.n.CheckpointInterval()
@@ -403,24 +309,24 @@ func (c *Collector) sample(now int64) {
 	c.mu.Lock()
 	snap := &c.raw
 	snap.Cycle = now
-	snap.Healthy = c.mon.Healthy() && !ckptStale
-	snap.Health = c.mon.AppendVerdicts(snap.Health[:0])
+	snap.Healthy = s.Healthy && !ckptStale
+	snap.Health = append(snap.Health[:0], s.Verdicts...)
 	snap.Generated = rec.Generated
 	snap.InjectedPackets = rec.InjectedPackets
 	snap.DeliveredPackets = rec.DeliveredPackets
 	snap.DeliveredFlits = rec.DeliveredFlits
 	snap.Throughput = rec.ThroughputFlitsPerCycle(now)
-	snap.BufOcc = bufOcc
-	snap.LinkInFlight = inFlight
+	snap.BufOcc = s.BufOcc - s.LinkInFlight
+	snap.LinkInFlight = s.LinkInFlight
 	snap.DeadLinks = p.DeadLinks
 	snap.FaultsApplied = p.FaultsApplied
 	snap.OverUnityLinks = p.OverUnityLinks(now)
 	snap.RouteTableHits, snap.RouteTableMisses = c.n.RouteTableStats()
 	snap.Routers = p.SnapshotRouters(snap.Routers)
 	snap.Links = p.SnapshotLinks(snap.Links, now)
-	snap.HotLinks = append(snap.HotLinks[:0], hot...)
+	snap.HotLinks = append(snap.HotLinks[:0], s.HotLinks...)
 	snap.Heatmap = p.AppendHeatmapGrid(snap.Heatmap, now)
-	snap.Series = p.SnapshotSeriesTail(snap.Series, c.cfg.SeriesTail)
+	snap.Series = p.SnapshotSeriesTail(snap.Series, seriesTail)
 	snap.LastCheckpointCycle = lastCkpt
 	snap.CheckpointAge = ckptAge
 	snap.CheckpointEvery = ckptEvery
@@ -476,7 +382,7 @@ func (c *Collector) sample(now int64) {
 		}
 	}
 	if out != nil {
-		c.broadcast(out, events)
+		c.broadcast(out, s.Events)
 	}
 }
 
@@ -491,9 +397,9 @@ func (c *Collector) className(class int) string {
 	return name
 }
 
-// latencyInto appends LatencyFrom(name, class, h) to dst, reusing the
-// Quantiles buffer left in the slot by an earlier sample when dst's
-// capacity holds one.
+// latencyInto appends the summary of h to dst, reusing the Quantiles
+// buffer left in the slot by an earlier sample when dst's capacity holds
+// one.
 func latencyInto(dst []LatencySnap, name string, class int, h *stats.Hist) []LatencySnap {
 	var q []Quantile
 	if n := len(dst); n < cap(dst) {
@@ -510,40 +416,6 @@ func latencyInto(dst []LatencySnap, name string, class int, h *stats.Hist) []Lat
 		}
 	}
 	return append(dst, ls)
-}
-
-// hotLinks computes the busiest channels of the window just ended from
-// the per-link flit deltas, hottest first (ties by index). The result
-// aliases a reused buffer, valid until the next call.
-func (c *Collector) hotLinks(p *telemetry.Probe) []health.LinkLoad {
-	if len(c.prevFlit) < len(p.Links) {
-		c.prevFlit = append(c.prevFlit, make([]int64, len(p.Links)-len(c.prevFlit))...)
-	}
-	loads := c.loadBuf[:0]
-	for i, lp := range p.Links {
-		if lp == nil {
-			continue
-		}
-		delta := lp.Flits - c.prevFlit[i]
-		c.prevFlit[i] = lp.Flits
-		if delta > 0 {
-			loads = append(loads, health.LinkLoad{
-				Index: lp.Index, From: lp.From, To: lp.To,
-				Dir: lp.Dir.String(), Flits: delta,
-			})
-		}
-	}
-	sort.Slice(loads, func(i, j int) bool {
-		if loads[i].Flits != loads[j].Flits {
-			return loads[i].Flits > loads[j].Flits
-		}
-		return loads[i].Index < loads[j].Index
-	})
-	c.loadBuf = loads
-	if len(loads) > c.cfg.HotLinks {
-		loads = loads[:c.cfg.HotLinks]
-	}
-	return loads
 }
 
 // sampleRow is the compact per-sample SSE payload.

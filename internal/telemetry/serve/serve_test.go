@@ -18,6 +18,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/sampler"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -52,6 +53,19 @@ func newServedNet(t testing.TB, rate float64, stopAt, seed int64, opts ...func(*
 	return n
 }
 
+// sampled attaches the network's health sampler, which every collector
+// subscribes to.
+func sampled(t testing.TB, n *network.Network, cfg sampler.Config) *sampler.Sampler {
+	t.Helper()
+	smp, err := sampler.Attach(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return smp
+}
+
+// TestAttachCollectorRequiresProbe: a collector subscribes to the health
+// sampler, which refuses a network without the probe snapshots copy.
 func TestAttachCollectorRequiresProbe(t *testing.T) {
 	topo, err := topology.NewFoldedTorus(4, 4)
 	if err != nil {
@@ -61,18 +75,15 @@ func TestAttachCollectorRequiresProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AttachCollector(n, Config{}); err == nil ||
+	if _, err := sampler.Attach(n, sampler.Config{}); err == nil ||
 		!strings.Contains(err.Error(), "no telemetry probe") {
-		t.Fatalf("AttachCollector without probe: err = %v, want probe error", err)
+		t.Fatalf("sampler.Attach without probe: err = %v, want probe error", err)
 	}
 }
 
 func TestCollectorPublishesImmutableSnapshots(t *testing.T) {
 	n := newServedNet(t, 0.3, 0, 2)
-	col, err := AttachCollector(n, Config{Every: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := AttachCollector(sampled(t, n, sampler.Config{Every: 64}), Config{})
 	if col.Latest() != nil {
 		t.Fatal("snapshot published before the first cycle")
 	}
@@ -124,7 +135,7 @@ func TestCollectorPublishesImmutableSnapshots(t *testing.T) {
 
 func TestEndpoints(t *testing.T) {
 	n := newServedNet(t, 0.3, 0, 3)
-	srv, err := Start(n, Config{Every: 64}, "127.0.0.1:0")
+	srv, err := Start(sampled(t, n, sampler.Config{Every: 64}), Config{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +307,7 @@ func TestRouteTableCountersAfterLinkKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Attach()
-	col, err := AttachCollector(n, Config{Every: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := AttachCollector(sampled(t, n, sampler.Config{Every: 64}), Config{})
 	n.Run(1024)
 	if n.FaultMap().Empty() {
 		t.Fatal("link kill was never detected; the faulted route path is untested")
@@ -340,7 +348,7 @@ func readAll(t *testing.T, resp *http.Response) string {
 
 func TestEventsSSEStream(t *testing.T) {
 	n := newServedNet(t, 0.3, 0, 4)
-	srv, err := Start(n, Config{Every: 64}, "127.0.0.1:0")
+	srv, err := Start(sampled(t, n, sampler.Config{Every: 64}), Config{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/network"
+	"repro/internal/telemetry/sampler"
 )
 
 // Server is the embedded HTTP front of a Collector: it binds a listener,
@@ -46,15 +46,11 @@ func (s *Server) SetDumper(d DumpTrigger) {
 // the stalled-reader test can shrink it.
 var sseHeartbeat = 15 * time.Second
 
-// Start attaches a collector to the network and serves it on addr
+// Start subscribes a collector to the sampler and serves it on addr
 // (":8080", "127.0.0.1:0", ...). The listener is bound before Start
 // returns, so Addr() reports the resolved ephemeral port immediately.
-func Start(n *network.Network, cfg Config, addr string) (*Server, error) {
-	col, err := AttachCollector(n, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return StartWith(col, addr)
+func Start(smp *sampler.Sampler, cfg Config, addr string) (*Server, error) {
+	return StartWith(AttachCollector(smp, cfg), addr)
 }
 
 // StartWith serves an existing collector (for tests that need the
@@ -83,8 +79,8 @@ func (s *Server) Collector() *Collector { return s.col }
 // Addr reports the bound listen address (with the resolved port).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close shuts the HTTP server down. The collector's phase stays
-// registered (it publishes to nobody); the simulation is unaffected.
+// Close shuts the HTTP server down. The collector stays subscribed to
+// the sampler (it publishes to nobody); the simulation is unaffected.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry/sampler"
 )
 
 // The SSE hardening contract: a stalled or slow /events client can never
@@ -20,10 +22,7 @@ import (
 // its bound, and every frame beyond it must be counted as dropped.
 func TestStalledSubscriberNeverBlocksPublisher(t *testing.T) {
 	n := newServedNet(t, 0.3, 0, 9)
-	col, err := AttachCollector(n, Config{Every: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := AttachCollector(sampled(t, n, sampler.Config{Every: 64}), Config{})
 	sub := col.Subscribe()
 	defer col.Unsubscribe(sub)
 
@@ -75,7 +74,7 @@ func TestEventsHeartbeat(t *testing.T) {
 	defer func() { sseHeartbeat = old }()
 
 	n := newServedNet(t, 0.3, 0, 10)
-	srv, err := Start(n, Config{Every: 64}, "127.0.0.1:0")
+	srv, err := Start(sampled(t, n, sampler.Config{Every: 64}), Config{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +116,7 @@ func TestEventsHeartbeat(t *testing.T) {
 // sees a comment reporting how many frames it missed.
 func TestEventsReportsDroppedFrames(t *testing.T) {
 	n := newServedNet(t, 0.3, 0, 12)
-	col, err := AttachCollector(n, Config{Every: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := AttachCollector(sampled(t, n, sampler.Config{Every: 64}), Config{})
 	sub := col.Subscribe()
 	defer col.Unsubscribe(sub)
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -17,7 +18,14 @@ import (
 // with '#' comments and blank lines ignored. Events need not be sorted;
 // ParseTrace sorts them by cycle (stable, preserving same-cycle order).
 
-// ParseTrace reads a trace.
+// MaxTraceBytes caps one trace event's payload: 1 MiB is 32768 32-byte
+// flits, far above any packet the generators build, and a replayed event
+// allocates its payload whole.
+const MaxTraceBytes = 1 << 20
+
+// ParseTrace reads a trace. It rejects, naming the line, any event whose
+// payload exceeds MaxTraceBytes or whose cycle leaves no room for the
+// replay horizon one cycle past it.
 func ParseTrace(r io.Reader) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(r)
@@ -36,6 +44,9 @@ func ParseTrace(r io.Reader) ([]Event, error) {
 		if _, err := fmt.Sscanf(fields[0], "%d", &e.Cycle); err != nil || e.Cycle < 0 {
 			return nil, fmt.Errorf("traffic: trace line %d: bad cycle %q", lineNo, fields[0])
 		}
+		if e.Cycle == math.MaxInt64 {
+			return nil, fmt.Errorf("traffic: trace line %d: cycle %d overflows the replay horizon", lineNo, e.Cycle)
+		}
 		if _, err := fmt.Sscanf(fields[1], "%d", &e.Src); err != nil || e.Src < 0 {
 			return nil, fmt.Errorf("traffic: trace line %d: bad src %q", lineNo, fields[1])
 		}
@@ -44,6 +55,9 @@ func ParseTrace(r io.Reader) ([]Event, error) {
 		}
 		if _, err := fmt.Sscanf(fields[3], "%d", &e.Bytes); err != nil || e.Bytes < 0 {
 			return nil, fmt.Errorf("traffic: trace line %d: bad bytes %q", lineNo, fields[3])
+		}
+		if e.Bytes > MaxTraceBytes {
+			return nil, fmt.Errorf("traffic: trace line %d: %d bytes exceeds the %d-byte event cap", lineNo, e.Bytes, MaxTraceBytes)
 		}
 		if len(fields) == 5 {
 			if _, err := fmt.Sscanf(fields[4], "%d", &e.Class); err != nil {

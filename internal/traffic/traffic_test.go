@@ -283,9 +283,13 @@ func TestParseTraceCommentsAndErrors(t *testing.T) {
 		"3 1 2 64 0 9\n",
 		"-1 1 2 64\n",
 		"3 1 2 sixty\n",
+		"0 0 1 1099511627776\n",        // a 1 TiB payload would be allocated whole
+		"9223372036854775807 0 1 32\n", // horizon = cycle+1 would wrap
 	} {
 		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
 			t.Errorf("bad trace %q accepted", bad)
+		} else if !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("bad trace %q: error %q does not name the line", bad, err)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
+	"repro/internal/telemetry/sampler"
 )
 
 // The post-mortem suite gates the flight recorder's central promise:
@@ -45,13 +46,14 @@ func recordedRun(t *testing.T, shards, batch int) *flightrec.Dump {
 	}
 	var rec *flightrec.Recorder
 	p.OnNetwork = func(n *network.Network) error {
-		r, err := flightrec.Attach(n, flightrec.Config{
-			Window: 512, Dir: dir,
-			ConfigHash: hash, SpecJSON: spec, SpecKind: "run",
-		})
+		smp, err := sampler.Attach(n, sampler.Config{})
 		if err != nil {
 			return err
 		}
+		r := flightrec.Attach(smp, flightrec.Config{
+			Window: 512, Dir: dir,
+			ConfigHash: hash, SpecJSON: spec, SpecKind: "run",
+		})
 		rec = r
 		n.Kernel().AddPhase("trigger", func(now sim.Cycle) {
 			if now == 1700 {
