@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test vet race ci fuzz bench clean
 
@@ -20,10 +21,12 @@ vet:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# ci is the gate: everything compiles, vets clean, passes under the race
-# detector (which includes the cross-shard determinism suite exercising
-# the lockstep worker pool), and the hot-path benchmarks stay within 50%
-# of the committed BENCH_cycles.json snapshot with no new allocations.
+# ci is the gate: every Go file is gofmt-clean (perfbench's build tree
+# under .bench_build/ is skipped), everything compiles, vets clean,
+# passes under the race detector (which includes the cross-shard
+# determinism suite exercising the lockstep worker pool), and the
+# hot-path benchmarks stay within 50% of the committed BENCH_cycles.json
+# snapshot with no new allocations.
 # The loose margin absorbs machine-to-machine noise on a short benchtime;
 # `make bench` is the precise record. The telemetry layer, the health
 # detectors and the one sampler that runs them, the live observability
@@ -71,6 +74,8 @@ race:
 # cost it replaces, and the SweepThroughput pair gates points/sec
 # downward so the warm-fork amortization can't silently rot.
 ci:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	  if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) vet ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/sampler ./internal/telemetry/serve ./internal/telemetry/flightrec ./internal/telemetry/latency ./cmd/internal/obs

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/cmd/internal/obs"
@@ -172,23 +171,6 @@ func main() {
 	p.WarmupCycles = *warmup
 	p.MeasureCycles = *measure
 	p.Seed = *seed
-	// The power meter withdraws sharding and checkpoints (network
-	// Capabilities), and flight-recorder keyframes are checkpoints, so a
-	// run asking for any of them trades the energy lines.
-	var meterOff []string
-	if *shards != 1 {
-		meterOff = append(meterOff, "-shards")
-	}
-	if checkpointing {
-		meterOff = append(meterOff, "-checkpoint-every/-resume")
-	}
-	if obsFlags.FlightRec {
-		meterOff = append(meterOff, "-flightrec")
-	}
-	p.Metered = len(meterOff) == 0
-	if !p.Metered {
-		fmt.Fprintf(os.Stderr, "nocsim: note: the power meter is off under %s (energy lines omitted)\n", strings.Join(meterOff, ", "))
-	}
 	p.CheckpointEvery = *ckptEvery
 	p.CheckpointDir = *ckptDir
 	p.Resume = *resume
@@ -367,7 +349,7 @@ func runTrace(p core.RunParams, path string, extraOut *string) error {
 		*extraOut = fmt.Sprintf("%s|%d|%d", path, len(events), horizon)
 	}
 	build := func() (*network.Network, error) {
-		n, _, err := core.BuildNetwork(p)
+		n, err := core.BuildNetwork(p)
 		if err != nil {
 			return nil, err
 		}

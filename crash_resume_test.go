@@ -22,7 +22,7 @@ import (
 
 // campaignArgs are the shared flags for all three runs: the reference run
 // checkpoints too (into its own directory), so every run has the same
-// configuration hash and the same meter-off accounting.
+// configuration hash.
 func campaignArgs(dir, metricsOut string) []string {
 	return []string{
 		"-k", "4", "-rate", "0.2", "-mtbf", "3000", "-watchdog", "64",

@@ -87,14 +87,13 @@ func TestShardedGoldenSweep(t *testing.T) {
 	}
 }
 
-// TestShardedGoldenExperiments reruns the pinned E1 (baseline), E4
-// (mesh-vs-torus), and E20 (chaos campaign — extremely sensitive to
-// simulation order) quick tables with sharding on.
+// TestShardedGoldenExperiments reruns the pinned goldenExperiments quick
+// tables with sharding on.
 func TestShardedGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded golden experiments are not -short")
 	}
-	for _, id := range []string{"E1", "E4", "E20"} {
+	for _, id := range goldenExperiments {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			want := readGolden(t, fmt.Sprintf("golden_%s_quick.txt", strings.ToLower(id)))
@@ -139,7 +138,7 @@ func TestBatchingGolden(t *testing.T) {
 						t.Errorf("batch=%d: sweep diverged from sequential golden\n--- want ---\n%s--- got ---\n%s",
 							batch, want, got)
 					}
-					for _, id := range []string{"E1", "E4", "E20"} {
+					for _, id := range goldenExperiments {
 						want := readGolden(t, fmt.Sprintf("golden_%s_quick.txt", strings.ToLower(id)))
 						e, err := core.ByID(id)
 						if err != nil {

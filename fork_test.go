@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -60,12 +61,12 @@ func TestForkedGoldenSweep(t *testing.T) {
 
 // forkResultRow formats the measurement outputs of one RunResult for
 // byte comparison (Params carries func fields, so struct equality is
-// unavailable).
+// unavailable). The energies go in as their exact bits.
 func forkResultRow(r core.RunResult) string {
-	return fmt.Sprintf("%.4f,%.4f,%d,%d,%d,%.4f,%.6f,%.6f,%d,%d,seed=%d",
+	return fmt.Sprintf("%.4f,%.4f,%d,%d,%d,%.4f,%.6f,%.6f,%d,%d,seed=%d,energy=%x/%x",
 		r.AcceptedFlits, r.AvgLatency, r.P50Latency, r.P99Latency, r.MaxLatency,
 		r.AvgNetLat, r.LinkUtilMean, r.LinkUtilMax, r.DeliveredPackets,
-		r.DroppedPackets, r.Params.Seed)
+		r.DroppedPackets, r.Params.Seed, math.Float64bits(r.HopEnergyJ), math.Float64bits(r.WireEnergyJ))
 }
 
 func forkResultRows(rs []core.RunResult) string {

@@ -134,15 +134,21 @@ func TestGoldenTelemetry(t *testing.T) {
 	checkGolden(t, "golden_telemetry_trace.json", trace.String())
 }
 
-// TestGoldenExperiments pins the E1, E4, and E20 quick-mode tables: the
-// baseline network, the mesh-vs-torus load sweep, and the chaos campaign
-// (whose fault detection cycles and reroute counts are extremely sensitive
-// to any change in simulation order).
+// goldenExperiments lists the experiments whose quick-mode tables are
+// pinned in testdata/golden_<id>_quick.txt and replayed by the sharded,
+// batching and resumed suites: the baseline network (E1), the
+// mesh-vs-torus load sweep (E4), the chaos campaign (E20, whose fault
+// detection cycles and reroute counts are extremely sensitive to any
+// change in simulation order), and the three tables that report simulated
+// energy (E3, E5, E14).
+var goldenExperiments = []string{"E1", "E4", "E20", "E3", "E5", "E14"}
+
+// TestGoldenExperiments pins the goldenExperiments quick-mode tables.
 func TestGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden experiments are not -short")
 	}
-	for _, id := range []string{"E1", "E4", "E20"} {
+	for _, id := range goldenExperiments {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, err := core.ByID(id)

@@ -37,8 +37,9 @@ import (
 // Version is the current container format version. Readers reject files
 // with a different version outright; state layouts inside sections are
 // versioned with the container. Version 2 added the per-flit hop count
-// (flow observatory) to the flit wire layout.
-const Version = 2
+// (flow observatory) to the flit wire layout; version 3 added each
+// link's active-bit counter (energy accounting) to the link layout.
+const Version = 3
 
 // magic identifies a checkpoint file. The trailing byte doubles as a
 // format epoch so even the magic check catches a layout change.

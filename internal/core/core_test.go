@@ -248,7 +248,6 @@ func TestRunReplicatedRefusals(t *testing.T) {
 	for _, mod := range []func(*RunParams){
 		func(p *RunParams) { p.Deflect = true },
 		func(p *RunParams) { p.PhysWires = true },
-		func(p *RunParams) { p.Metered = true },
 	} {
 		p := DefaultRunParams()
 		mod(&p)

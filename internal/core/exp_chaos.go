@@ -199,7 +199,7 @@ func RunCampaign(p CampaignParams) (CampaignResult, error) {
 	var inj *fault.Injector
 	var led *campaignLedger
 	build := func() (*network.Network, error) {
-		n, _, err := BuildNetwork(p.Run)
+		n, err := BuildNetwork(p.Run)
 		if err != nil {
 			return nil, err
 		}

@@ -92,7 +92,6 @@ func E5FlowControl(quick bool) (*Table, error) {
 		p.Topology = "mesh" // elastic links need acyclic channels; keep all variants comparable
 		p.Rate = rate
 		p.FlitsPerPacket = 1 // single-flit packets for apples-to-apples
-		p.Metered = true
 		if quick {
 			p.WarmupCycles, p.MeasureCycles = 500, 1500
 		}

@@ -204,25 +204,28 @@ func E14Interface(quick bool) (*Table, error) {
 		fmt.Sprintf("%v (short @%d, long @%d)", shortAt < longAt, shortAt, longAt))
 
 	// Size-field power gating: wire energy scales with the size field.
-	small, err := meteredSingleFlit(2) // 16-bit payload
+	// Every flit also drives the control overhead, so the model's ratio
+	// is a full flit's bits over the small payload plus overhead.
+	const smallBytes = 2 // 16-bit payload
+	small, err := singleFlitWireEnergy(smallBytes)
 	if err != nil {
 		return nil, err
 	}
-	large, err := meteredSingleFlit(32) // 256-bit payload
+	large, err := singleFlitWireEnergy(flit.DataBytes) // 256-bit payload
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("wire energy 256b vs 16b payload", "~4.9x (300/61 incl. overhead)",
+	smallBits := 8*smallBytes + flit.OverheadBits
+	t.AddRow("wire energy 256b vs 16b payload",
+		fmt.Sprintf("%.1fx (%d/%d incl. overhead)", float64(flit.TotalBits)/float64(smallBits), flit.TotalBits, smallBits),
 		fmt.Sprintf("%.1fx", large/small))
 	return t, nil
 }
 
-// meteredSingleFlit sends one single-flit packet with the given payload
-// bytes across two hops and reports the wire energy.
-func meteredSingleFlit(payloadBytes int) (float64, error) {
-	p := DefaultRunParams()
-	p.Metered = true
-	n, meter, err := BuildNetwork(p)
+// singleFlitWireEnergy sends one single-flit packet with the given
+// payload bytes across two hops and reports the wire energy.
+func singleFlitWireEnergy(payloadBytes int) (float64, error) {
+	n, err := BuildNetwork(DefaultRunParams())
 	if err != nil {
 		return 0, err
 	}
@@ -231,5 +234,6 @@ func meteredSingleFlit(payloadBytes int) (float64, error) {
 		return 0, err
 	}
 	n.Drain(1000)
-	return meter.WireEnergyJ, nil
+	_, wireJ := PaperPowerModel().ActivityEnergy(n.Activity())
+	return wireJ, nil
 }

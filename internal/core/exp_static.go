@@ -118,7 +118,6 @@ func E3Power(quick bool) (*Table, error) {
 		p := DefaultRunParams()
 		p.Topology = topoName
 		p.Rate = 0.05
-		p.Metered = true
 		if quick {
 			p.MeasureCycles = 1500
 		}

@@ -169,7 +169,7 @@ func (s SimSpec) Rebuild() (*network.Network, error) {
 	}
 	p := s.Params()
 	stopAt := p.WarmupCycles + p.MeasureCycles
-	n, _, err := BuildNetwork(p)
+	n, err := BuildNetwork(p)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild spec (k=%d, num_vcs=%d, buf_flits=%d): %w", s.K, s.NumVCs, s.BufFlits, err)
 	}

@@ -103,7 +103,7 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 		}
 		n.Drain(drain)
 		countCycles(n.Kernel().Now() - start)
-		res := collectResult(n, nil, p, topo)
+		res := collectResult(n, p, topo)
 		res.Params.Seed = replicaSeed(p.Seed, r)
 		out = append(out, res)
 	}

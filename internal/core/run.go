@@ -114,8 +114,7 @@ type RunParams struct {
 	MeasureCycles int64
 	DrainBudget   int64
 
-	Seed    int64
-	Metered bool
+	Seed int64
 
 	// Fault-tolerance options (§2.5 and the runtime fault subsystem).
 	// Watchdog arms per-link credit-starvation detection with the given
@@ -264,19 +263,17 @@ func sharedRouteTable(name string, k int, topo topology.Topology) (*route.Table,
 
 // BuildNetwork assembles the network for the given parameters, without
 // clients attached.
-func BuildNetwork(p RunParams) (*network.Network, *power.Meter, error) {
+func BuildNetwork(p RunParams) (*network.Network, error) {
 	cfg, err := networkConfig(p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n, err := network.New(cfg)
-	return n, cfg.Meter, err
+	return network.New(cfg)
 }
 
 // networkConfig derives the network configuration for p: the shared
-// topology, adjacency and route table, the router template, a fresh power
-// meter for metered runs, and the package shard and batching defaults
-// resolved.
+// topology, adjacency and route table, the router template, and the
+// package shard and batching defaults resolved.
 func networkConfig(p RunParams) (network.Config, error) {
 	topo, err := sharedTopology(p.Topology, p.K)
 	if err != nil {
@@ -300,10 +297,6 @@ func networkConfig(p RunParams) (network.Config, error) {
 	rc.Mode = p.Mode
 	rc.NonSpeculative = p.NonSpeculative
 	rc.CutThrough = p.CutThrough
-	var meter *power.Meter
-	if p.Metered {
-		meter = power.NewMeter(PaperPowerModel())
-	}
 	sh := p.Shards
 	if sh == 0 {
 		sh = Shards()
@@ -326,7 +319,6 @@ func networkConfig(p RunParams) (network.Config, error) {
 		Deflect:      p.Deflect,
 		ElasticLinks: p.ElasticLinks,
 		Adaptive:     p.Adaptive,
-		Meter:        meter,
 		Warmup:       p.WarmupCycles,
 		Seed:         p.Seed,
 		Watchdog:     p.Watchdog,
@@ -365,8 +357,9 @@ func attachRunClients(n *network.Network, p RunParams, stopAt int64) ([]*traffic
 	return gens, nil
 }
 
-// collectResult reads the measurement window out of a drained network.
-func collectResult(n *network.Network, meter *power.Meter, p RunParams, topo topology.Topology) RunResult {
+// collectResult reads the measurement window out of a drained network,
+// and the whole run's energy out of its activity counters.
+func collectResult(n *network.Network, p RunParams, topo topology.Topology) RunResult {
 	rec := n.Recorder()
 	res := RunResult{
 		Params:           p,
@@ -386,12 +379,9 @@ func collectResult(n *network.Network, meter *power.Meter, p RunParams, topo top
 			res.DroppedPackets += r.Stats.DroppedPackets
 		}
 	}
-	if meter != nil {
-		res.HopEnergyJ = meter.HopEnergyJ
-		res.WireEnergyJ = meter.WireEnergyJ
-		if rec.DeliveredFlits > 0 {
-			res.EnergyPerFlit = meter.TotalJ() / float64(rec.DeliveredFlits)
-		}
+	res.HopEnergyJ, res.WireEnergyJ = PaperPowerModel().ActivityEnergy(n.Activity())
+	if rec.DeliveredFlits > 0 {
+		res.EnergyPerFlit = (res.HopEnergyJ + res.WireEnergyJ) / float64(rec.DeliveredFlits)
 	}
 	return res
 }
@@ -437,7 +427,7 @@ func Run(p RunParams) (RunResult, error) {
 	}
 	n.Drain(drain)
 	countCycles(n.Kernel().Now())
-	return collectResult(n, cfg.Meter, p, topo), nil
+	return collectResult(n, p, topo), nil
 }
 
 func linkUtilMean(n *network.Network) float64 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
-	"repro/internal/power"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -37,8 +36,11 @@ type Link struct {
 	// used for energy accounting.
 	LengthPitches float64
 
-	// Meter, when non-nil, accrues wire energy per traversal.
-	Meter *power.Meter
+	// ActiveBits counts the wire bits driven by every flit sent: its
+	// payload lanes plus the control overhead (§2.1's Size field keeps
+	// the unused lanes quiet). ActiveBits × LengthPitches is the link's
+	// share of the §3.1 wire-energy distance term.
+	ActiveBits int64
 
 	// Util counts occupied cycles; Util.Rate() is the §4.4 duty factor.
 	Util stats.Counter
@@ -88,7 +90,6 @@ type Config struct {
 	SerdesCycles  int     // cycles per flit on the wires (default 1)
 	LengthPitches float64 // physical length
 	Phys          *Phys   // physical layer; nil for an ideal link
-	Meter         *power.Meter
 
 	// Elastic turns the wire into an elastic channel: its LatencyCycles
 	// repeater stages buffer flits with hop-by-hop backpressure, and the
@@ -112,7 +113,6 @@ func New(cfg Config) *Link {
 		Phys:          cfg.Phys,
 		SerdesCycles:  cfg.SerdesCycles,
 		LengthPitches: cfg.LengthPitches,
-		Meter:         cfg.Meter,
 	}
 	if cfg.Elastic {
 		l.elastic = true
@@ -190,11 +190,9 @@ func (l *Link) Send(f *flit.Flit) error {
 		return err
 	}
 	l.busy = l.SerdesCycles
+	l.ActiveBits += int64(f.PayloadBits() + flit.OverheadBits)
 	if l.probe != nil {
 		l.probe.OnSend(f.Type.IsHead())
-	}
-	if l.Meter != nil {
-		l.Meter.AddWire(f.PayloadBits(), flit.OverheadBits, l.LengthPitches)
 	}
 	return nil
 }
@@ -319,9 +317,9 @@ func (l *Link) DeliverElastic(accept func(f *flit.Flit) bool) *flit.Flit {
 
 // Reset empties the link for a fresh run in place: in-flight flits are
 // recycled into the pool, the credit channel and pending-credit queue are
-// cleared, the utilization counter rewinds, and fault state (down flag,
-// loss counters) is erased. Configuration — latency, serdes, elasticity,
-// probe, pool — is kept.
+// cleared, the utilization and active-bit counters rewind, and fault
+// state (down flag, loss counters) is erased. Configuration — latency,
+// serdes, elasticity, probe, pool — is kept.
 func (l *Link) Reset() {
 	for i := range l.pipe.slots {
 		if s := &l.pipe.slots[i]; s.full && l.pool != nil {
@@ -332,6 +330,7 @@ func (l *Link) Reset() {
 	l.credits.Reset()
 	l.busy = 0
 	l.Util.Reset()
+	l.ActiveBits = 0
 	l.pendingCredits = l.pendingCredits[:0]
 	l.creditHead = 0
 	for i := range l.stages {

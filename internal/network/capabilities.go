@@ -19,7 +19,6 @@ type Capabilities struct {
 var (
 	errDeflect = errors.New("network: deflection routers are a separate router type, outside the worklists, checkpoints and Reset")
 	errPhys    = errors.New("network: the physical wire layer draws the shared kernel RNG in link order, and its hard faults, steering and transient probability are outside link state")
-	errMeter   = errors.New("network: the power meter is one shared accumulator, summed in scan order and outside checkpoints and Reset")
 	errTracing = errors.New("network: lifecycle tracing logs events in one global order")
 	errProbe   = errors.New("network: telemetry probes keep per-component counters that Reset does not cover")
 	errWatch   = errors.New("network: credit watchdogs count starvation on every link every cycle")
@@ -47,7 +46,6 @@ func CapabilitiesOf(cfg Config) Capabilities {
 	}{
 		{cfg.Deflect, errDeflect, gating | capCheckpoint | capReset},
 		{cfg.PhysWires, errPhys, capSharding | capLinkGating | capCheckpoint | capReset},
-		{cfg.Meter != nil, errMeter, capSharding | gating | capCheckpoint | capReset},
 		{tracing, errTracing, capSharding | gating},
 		{cfg.Probe != nil, errProbe, capReset},
 		{cfg.Watchdog > 0, errWatch, capLinkGating},

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/flit"
-	"repro/internal/power"
 	"repro/internal/router"
 	"repro/internal/telemetry"
 )
@@ -18,7 +17,6 @@ import (
 // the shard count, the worklist gating and batching, SaveCheckpoint, and
 // Reset.
 func TestCapabilities(t *testing.T) {
-	all := Capabilities{Sharding: errMeter, PortGating: errMeter, LinkGating: errMeter, Checkpoint: errMeter, Reset: errMeter}
 	for _, tc := range []struct {
 		name string
 		wrap bool
@@ -35,7 +33,6 @@ func TestCapabilities(t *testing.T) {
 			Capabilities{PortGating: errDeflect, LinkGating: errDeflect, Checkpoint: errDeflect, Reset: errDeflect}},
 		{"phys-wires", true, func(c *Config) { c.PhysWires = true },
 			Capabilities{Sharding: errPhys, LinkGating: errPhys, Checkpoint: errPhys, Reset: errPhys}},
-		{"meter", true, func(c *Config) { c.Meter = power.NewMeter(power.DefaultModel(0)) }, all},
 		{"probe-counters", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{}) },
 			Capabilities{Reset: errProbe}},
 		{"probe-series", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{SampleEvery: 10}) },

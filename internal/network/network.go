@@ -8,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flit"
 	"repro/internal/link"
-	"repro/internal/power"
 	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -56,7 +55,6 @@ type Config struct {
 	// (no deflection, elastic links, or adaptive routing).
 	Watchdog int
 
-	Meter  *power.Meter
 	Warmup int64
 	Seed   int64
 
@@ -315,12 +313,11 @@ func New(cfg Config) (*Network, error) {
 	}
 	for tile := 0; tile < tiles; tile++ {
 		if cfg.Deflect {
-			d := router.NewDeflect(tile, n.preferredDir, cfg.Meter)
+			d := router.NewDeflect(tile, n.preferredDir)
 			n.defls = append(n.defls, d)
 		} else {
 			rc := n.cfg.Router
 			rc.ID = tile
-			rc.Meter = cfg.Meter
 			r, err := router.New(rc)
 			if err != nil {
 				return nil, err
@@ -348,7 +345,6 @@ func New(cfg Config) (*Network, error) {
 			SerdesCycles:  cfg.SerdesCycles,
 			LengthPitches: tl.Length,
 			Phys:          phys,
-			Meter:         cfg.Meter,
 			Elastic:       cfg.ElasticLinks,
 		})
 		n.links = append(n.links, linkEntry{l: l, from: tl.From, to: tl.To, dir: tl.Dir})
@@ -801,6 +797,25 @@ func (n *Network) MaxLinkUtilization() float64 {
 		}
 	}
 	return best
+}
+
+// Activity reports the counts the §3.1 energy model multiplies out
+// (power.Model.ActivityEnergy): hops, the router traversals counted so
+// far, and bitPitches, every link's active bits times its length in tile
+// pitches. The counters are integers owned by their components and
+// summed in fixed router and link order, so the totals are the same at
+// any shard count and across Reset, Fork and resume.
+func (n *Network) Activity() (hops int64, bitPitches float64) {
+	for _, r := range n.routers {
+		hops += r.Stats.SwitchMoves + r.Stats.BypassMoves
+	}
+	for _, d := range n.defls {
+		hops += d.Stats.Moves
+	}
+	for _, le := range n.links {
+		bitPitches += float64(le.l.ActiveBits) * le.l.LengthPitches
+	}
+	return hops, bitPitches
 }
 
 // Heatmap renders the die as ASCII with one cell per physical tile

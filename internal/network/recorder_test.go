@@ -100,8 +100,8 @@ func TestRecorderJitterSingleSample(t *testing.T) {
 func TestRecorderMeasurementWindow(t *testing.T) {
 	r := NewRecorder(100)
 	r.MeasureUntil = 200
-	r.packetDone(tailFlit(10, 11, 0, 0), 3, 50)  // before window
-	r.packetDone(tailFlit(90, 91, 0, 0), 3, 150) // inside (delivery cycle governs)
+	r.packetDone(tailFlit(10, 11, 0, 0), 3, 50)    // before window
+	r.packetDone(tailFlit(90, 91, 0, 0), 3, 150)   // inside (delivery cycle governs)
 	r.packetDone(tailFlit(150, 151, 0, 0), 3, 250) // after window
 	if r.WindowFlits != 3 {
 		t.Errorf("WindowFlits = %d, want 3 (only the in-window delivery)", r.WindowFlits)

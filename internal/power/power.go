@@ -14,8 +14,13 @@
 // is "small, less than 15%," and is outweighed by its doubled bisection
 // bandwidth. Comparison reproduces that argument with both the paper's
 // closed-form hop/distance approximations and exact expectations computed
-// from the topology, and Meter accumulates the same decomposition from
-// live simulation.
+// from the topology.
+//
+// A simulation keeps no energy accumulator. The model is linear, so a
+// run's energy follows from counts its components keep as integers:
+// router traversals (the H term) and each link's active wire bits,
+// weighted by the link's length when read (the D term, per bit driven).
+// ActivityEnergy does that multiply.
 package power
 
 import (
@@ -66,11 +71,12 @@ func (m Model) FlitEnergy(hops float64, distPitches float64) float64 {
 	return hops*m.EHopPerFlit + distPitches*m.TilePitchMM*m.wirePerFlitMM()
 }
 
-// FlitEnergyBits is FlitEnergy for a flit with only bits of its data field
-// active (the Size field gates the unused lanes, §2.1).
-func (m Model) FlitEnergyBits(hops float64, distPitches float64, bits int) float64 {
-	wire := m.EWirePerBitMM * float64(bits) * distPitches * m.TilePitchMM
-	return hops*m.EHopPerFlit + wire
+// ActivityEnergy converts a run's activity counts into joules: hops
+// router traversals, and bitPitches active wire bits times the length in
+// tile pitches of the link each crossed. Lanes beyond a flit's Size field
+// stay quiet (§2.1), so bitPitches counts only the bits actually driven.
+func (m Model) ActivityEnergy(hops int64, bitPitches float64) (hopJ, wireJ float64) {
+	return float64(hops) * m.EHopPerFlit, m.EWirePerBitMM * bitPitches * m.TilePitchMM
 }
 
 // TopologyEnergy holds the per-flit energy of one topology under uniform
@@ -146,59 +152,6 @@ func (m Model) ComparePaper(k int, torusWirePerHop float64) Comparison {
 	me := m.PaperMesh(k)
 	te := m.PaperTorus(k, torusWirePerHop)
 	return Comparison{Mesh: me, Torus: te, TorusOverhead: te.TotalJ/me.TotalJ - 1}
-}
-
-// Meter accumulates energy from a live simulation. Router and link hooks
-// call the Add methods; the decomposition mirrors the analytic model so
-// simulated and analytic energies are directly comparable.
-type Meter struct {
-	model Model
-
-	HopEnergyJ  float64
-	WireEnergyJ float64
-	Flits       int64
-	FlitPitches float64 // flit·tile-pitches of wire traversed
-}
-
-// NewMeter returns a meter over the given model.
-func NewMeter(m Model) *Meter { return &Meter{model: m} }
-
-// Model reports the meter's coefficients.
-func (mt *Meter) Model() Model { return mt.model }
-
-// AddHop records one flit traversing one router.
-func (mt *Meter) AddHop() {
-	mt.HopEnergyJ += mt.model.EHopPerFlit
-	mt.Flits++
-}
-
-// AddWire records a flit with the given active payload bits crossing a
-// link of the given length in tile pitches. Control overhead bits always
-// toggle; payload lanes beyond the Size field stay quiet (§2.1).
-func (mt *Meter) AddWire(payloadBits int, overheadBits int, lengthPitches float64) {
-	bits := payloadBits + overheadBits
-	if bits > mt.model.FlitBits {
-		bits = mt.model.FlitBits
-	}
-	mt.WireEnergyJ += mt.model.EWirePerBitMM * float64(bits) * lengthPitches * mt.model.TilePitchMM
-	mt.FlitPitches += lengthPitches
-}
-
-// TotalJ reports accumulated energy.
-func (mt *Meter) TotalJ() float64 { return mt.HopEnergyJ + mt.WireEnergyJ }
-
-// PerFlitJ reports mean energy per router traversal... per flit-hop is not
-// meaningful alone, so it reports total energy divided by flit-hops.
-func (mt *Meter) PerFlitJ() float64 {
-	if mt.Flits == 0 {
-		return 0
-	}
-	return mt.TotalJ() / float64(mt.Flits)
-}
-
-// Reset clears the accumulators.
-func (mt *Meter) Reset() {
-	mt.HopEnergyJ, mt.WireEnergyJ, mt.Flits, mt.FlitPitches = 0, 0, 0, 0
 }
 
 // String renders the comparison.

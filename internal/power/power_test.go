@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/circuits"
+	"repro/internal/flit"
 	"repro/internal/topology"
 )
 
@@ -105,45 +106,29 @@ func TestFlitEnergyBitsGating(t *testing.T) {
 	// The Size field keeps unused lanes quiet: a 16-bit flit must burn far
 	// less wire energy than a 256-bit one over the same path.
 	m := paperModel()
-	full := m.FlitEnergyBits(2, 3, 300)
-	small := m.FlitEnergyBits(2, 3, 16)
-	if small >= full {
-		t.Fatal("size gating has no effect")
-	}
-	wireFull := full - m.FlitEnergyBits(2, 0, 300)
-	wireSmall := small - m.FlitEnergyBits(2, 0, 16)
+	_, wireFull := m.ActivityEnergy(2, 300*3)
+	_, wireSmall := m.ActivityEnergy(2, 16*3)
 	if r := wireFull / wireSmall; math.Abs(r-300.0/16.0) > 1e-9 {
 		t.Fatalf("wire energy ratio = %v, want %v", r, 300.0/16.0)
 	}
 }
 
-func TestMeterMatchesAnalytic(t *testing.T) {
+// TestActivityEnergyMatchesFlitEnergy: one full-width flit crossing 2
+// routers and 3 tile pitches of wire costs what the analytic model says.
+func TestActivityEnergyMatchesFlitEnergy(t *testing.T) {
 	m := paperModel()
-	mt := NewMeter(m)
-	// Simulate one full-width flit crossing 2 routers and 3 pitches.
-	mt.AddHop()
-	mt.AddHop()
-	mt.AddWire(256, 44, 3)
-	want := m.FlitEnergy(2, 3)
-	if math.Abs(mt.TotalJ()-want) > 1e-18 {
-		t.Fatalf("meter total = %v, analytic = %v", mt.TotalJ(), want)
-	}
-	if mt.PerFlitJ() != mt.TotalJ()/2 {
-		t.Fatalf("per-flit accounting wrong")
-	}
-	mt.Reset()
-	if mt.TotalJ() != 0 || mt.Flits != 0 || mt.FlitPitches != 0 {
-		t.Fatal("reset incomplete")
+	hopJ, wireJ := m.ActivityEnergy(2, float64(m.FlitBits)*3)
+	if want := m.FlitEnergy(2, 3); math.Abs(hopJ+wireJ-want) > 1e-18 {
+		t.Fatalf("activity energy = %v, analytic = %v", hopJ+wireJ, want)
 	}
 }
 
-func TestMeterClampsBits(t *testing.T) {
-	m := paperModel()
-	mt := NewMeter(m)
-	mt.AddWire(10000, 10000, 1) // absurd bit count clamps to flit width
-	want := m.EWirePerBitMM * float64(m.FlitBits) * m.TilePitchMM
-	if math.Abs(mt.WireEnergyJ-want) > 1e-18 {
-		t.Fatalf("clamp failed: %v vs %v", mt.WireEnergyJ, want)
+// TestFlitFitsModelWidth: the widest flit drives every data lane plus the
+// control overhead, and that must fit the model's flit width, or counting
+// a link's active bits would charge more than a full-width flit.
+func TestFlitFitsModelWidth(t *testing.T) {
+	if bits, width := flit.DataBits+flit.OverheadBits, paperModel().FlitBits; bits > width {
+		t.Fatalf("a full flit drives %d bits, the model's flit is %d wide", bits, width)
 	}
 }
 
@@ -151,12 +136,5 @@ func TestComparisonString(t *testing.T) {
 	c, _ := paperModel().CompareExact(4)
 	if !strings.Contains(c.String(), "torus overhead") {
 		t.Fatalf("string: %s", c.String())
-	}
-}
-
-func TestMeterModelAccessor(t *testing.T) {
-	m := paperModel()
-	if NewMeter(m).Model() != m {
-		t.Fatal("meter model accessor mismatch")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/flit"
-	"repro/internal/power"
 	"repro/internal/route"
 )
 
@@ -25,7 +24,6 @@ type DeflectRouter struct {
 	// RouteFunc reports the preferred output direction from this tile
 	// toward dst (never Local unless dst is this tile).
 	routeFunc func(tile, dst int) route.Dir
-	meter     *power.Meter
 
 	inputs  [NumPorts]*flit.Flit
 	outLink [NumPorts]linkSender
@@ -49,8 +47,8 @@ type DeflectStats struct {
 }
 
 // NewDeflect returns a deflection router for the given tile.
-func NewDeflect(id int, routeFunc func(tile, dst int) route.Dir, meter *power.Meter) *DeflectRouter {
-	return &DeflectRouter{id: id, routeFunc: routeFunc, meter: meter}
+func NewDeflect(id int, routeFunc func(tile, dst int) route.Dir) *DeflectRouter {
+	return &DeflectRouter{id: id, routeFunc: routeFunc}
 }
 
 // ID reports the tile id.
@@ -142,9 +140,6 @@ func (r *DeflectRouter) Arbitrate(now int64) {
 		taken[out] = true
 		r.inputs[pi] = nil
 		r.Stats.Moves++
-		if r.meter != nil {
-			r.meter.AddHop()
-		}
 		if route.Dir(out) == route.Local {
 			r.ejectQ = append(r.ejectQ, f)
 			r.Stats.Ejected++

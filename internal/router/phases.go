@@ -123,9 +123,6 @@ func (r *Router) moveReserved(now int64) {
 		if r.probe != nil {
 			r.probe.BypassMoves++
 		}
-		if r.cfg.Meter != nil {
-			r.cfg.Meter.AddHop()
-		}
 	}
 }
 
@@ -334,9 +331,6 @@ func (r *Router) moveFlit(pi, vi int, now int64) {
 		if f.Type.IsHead() {
 			r.probe.Trace(telemetry.EvXbar, now, f.PacketID, int32(r.cfg.ID), int32(f.VC))
 		}
-	}
-	if r.cfg.Meter != nil {
-		r.cfg.Meter.AddHop()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/link"
-	"repro/internal/power"
 	"repro/internal/route"
 	"repro/internal/telemetry"
 )
@@ -95,9 +94,6 @@ type Config struct {
 	// *pair* of VCs, one in each class, so any nonempty mask remains
 	// routable across datelines. Requires an even NumVCs.
 	DatelineVCs bool
-
-	// Meter, when non-nil, accrues per-hop controller energy.
-	Meter *power.Meter
 }
 
 // DefaultConfig returns the paper's router parameters.
@@ -240,18 +236,18 @@ type outputController struct {
 	// credits is inline (not a heap slice) so the per-flit credit
 	// take/return touches the same cache lines as the masks beside it;
 	// only the first cfg.NumVCs entries are live.
-	credits  [flit.NumVCs]int32
-	link     *link.Link // nil for the local port
+	credits [flit.NumVCs]int32
+	link    *link.Link // nil for the local port
 	// entryFree caches link.EntryAlwaysFree(): when true, link arbitration
 	// skips the CanSend pointer chase (link → pipe → slots) because the
 	// delivery phase provably left the input register empty this cycle.
 	entryFree bool
-	staging  [NumPorts]*flit.Flit
-	bypass   []*flit.Flit // reserved flits awaiting their slot
-	vcOwner  []uint64     // packetID+1 holding each downstream VC; 0 = free
-	arb      rrArbiter
-	table    *ResTable
-	dateline bool // this link crosses a torus ring's dateline
+	staging   [NumPorts]*flit.Flit
+	bypass    []*flit.Flit // reserved flits awaiting their slot
+	vcOwner   []uint64     // packetID+1 holding each downstream VC; 0 = free
+	arb       rrArbiter
+	table     *ResTable
+	dateline  bool // this link crosses a torus ring's dateline
 }
 
 // addCredit restores one downstream credit on VC v.

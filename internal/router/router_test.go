@@ -353,7 +353,7 @@ func TestDeflectOldestFirst(t *testing.T) {
 		}
 		return route.East
 	}
-	r := NewDeflect(0, routeFunc, nil)
+	r := NewDeflect(0, routeFunc)
 	east := link.New(link.Config{Name: "e"})
 	north := link.New(link.Config{Name: "n"})
 	r.SetOutLink(route.East, east)
@@ -383,7 +383,7 @@ func TestDeflectEjectsAtDestination(t *testing.T) {
 		}
 		return route.East
 	}
-	r := NewDeflect(7, routeFunc, nil)
+	r := NewDeflect(7, routeFunc)
 	f := &flit.Flit{Type: flit.HeadTail, Dst: 7, PacketID: 3}
 	r.AcceptFlit(f, route.West)
 	r.Arbitrate(0)
@@ -399,7 +399,7 @@ func TestDeflectEjectsAtDestination(t *testing.T) {
 func TestDeflectLocalWaitsWhenFull(t *testing.T) {
 	// With no output links attached, an injected packet must wait (no
 	// panic), and CanInject stays false.
-	r := NewDeflect(0, func(tile, dst int) route.Dir { return route.East }, nil)
+	r := NewDeflect(0, func(tile, dst int) route.Dir { return route.East })
 	f := &flit.Flit{Type: flit.HeadTail, Dst: 1, PacketID: 1}
 	if !r.CanInject() {
 		t.Fatal("fresh deflect router not injectable")
@@ -412,7 +412,7 @@ func TestDeflectLocalWaitsWhenFull(t *testing.T) {
 }
 
 func TestDeflectRejectsMultiFlit(t *testing.T) {
-	r := NewDeflect(0, func(int, int) route.Dir { return route.East }, nil)
+	r := NewDeflect(0, func(int, int) route.Dir { return route.East })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("multi-flit flit accepted by deflection router")

@@ -265,8 +265,8 @@ func TestOverUnityClampAndSurfacing(t *testing.T) {
 	p := New(Config{})
 	good := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0)
 	bad := p.RegisterLink(1, 1, 2, route.East, 2, 0, 0)
-	good.Flits = 50   // serdes 1 over 100 cycles: duty 0.5
-	bad.Flits = 80    // serdes 2 over 100 cycles: raw duty 1.6
+	good.Flits = 50 // serdes 1 over 100 cycles: duty 0.5
+	bad.Flits = 80  // serdes 2 over 100 cycles: raw duty 1.6
 	p.Elapsed = 100
 
 	if got := good.Util(100); got != 0.5 {

@@ -32,15 +32,15 @@ func resumeAt(t *testing.T, frac float64, fn func()) {
 // at 25/50/75% of every run's horizon and resumes under shard counts
 // {1, 2, N}. To bound runtime the fraction x shard-count matrix is paired
 // diagonally (every fraction and every shard count appears; not every
-// combination), rotated per experiment so the pairs differ across
-// E1/E4/E20.
+// combination), rotated per experiment so the pairs differ across the
+// goldenExperiments.
 func TestResumedGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resumed golden experiments are not -short")
 	}
 	fracs := []float64{0.25, 0.50, 0.75}
 	shardList := append([]int{1}, shardCounts()...)
-	for ei, id := range []string{"E1", "E4", "E20"} {
+	for ei, id := range goldenExperiments {
 		id, ei := id, ei
 		t.Run(id, func(t *testing.T) {
 			want := readGolden(t, fmt.Sprintf("golden_%s_quick.txt", strings.ToLower(id)))
