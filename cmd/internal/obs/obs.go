@@ -124,11 +124,12 @@ type Stack struct {
 // (default sampler.DefaultEvery), whenever -serve or -flightrec needs
 // one; the live service's collector (-serve); and the flight recorder
 // (-flightrec) with its crash hook, a SIGQUIT handler for dump-on-demand,
-// and /debug/flightrec when the live service is up. kind, p and extra
-// identify the run for flight-recorder replay, exactly as core stamps
-// its own checkpoints (core.SpecForRun, core.ConfigHash). Call it before
-// the network's first cycle, and Close the stack when the run ends.
-func (f *Flags) Attach(n *network.Network, kind string, p core.RunParams, extra string) (*Stack, error) {
+// and /debug/flightrec when the live service is up. id is the identity
+// core hands the run's OnNetwork hook; the recorder stamps its JSON and
+// hash on dumps and keyframes, exactly as core stamps its own
+// checkpoints. Call it before the network's first cycle, and Close the
+// stack when the run ends.
+func (f *Flags) Attach(n *network.Network, id core.SimSpec) (*Stack, error) {
 	s := &Stack{f: f, probe: n.Probe()}
 	if f.Flows != "" {
 		o, err := latency.Attach(n, latency.Config{Flows: f.Flows, SLO: f.SLO})
@@ -151,7 +152,11 @@ func (f *Flags) Attach(n *network.Network, kind string, p core.RunParams, extra 
 		fmt.Fprintf(os.Stderr, "serving live observability on http://%s\n", s.srv.Addr())
 	}
 	if f.FlightRec {
-		spec, err := core.SpecForRun(kind, p).JSON()
+		spec, err := id.JSON()
+		var hash uint64
+		if err == nil {
+			hash, err = id.Hash()
+		}
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -159,9 +164,9 @@ func (f *Flags) Attach(n *network.Network, kind string, p core.RunParams, extra 
 		s.rec = flightrec.Attach(smp, flightrec.Config{
 			Window:     f.FlightRecCycles,
 			Dir:        f.FlightRecDir,
-			ConfigHash: core.ConfigHash(kind, p, extra),
+			ConfigHash: hash,
 			SpecJSON:   spec,
-			SpecKind:   kind,
+			SpecKind:   id.Kind,
 		})
 		if s.srv != nil {
 			s.srv.SetDumper(s.rec)

@@ -109,7 +109,7 @@ func TestAttachSharesOneCadence(t *testing.T) {
 		g.StopAt = 300
 		n.AttachClient(tile, g)
 	}
-	stack, err := f.Attach(n, "run", core.DefaultRunParams(), "")
+	stack, err := f.Attach(n, core.DefaultRunParams().SimSpec("run", ""))
 	if err != nil {
 		t.Fatal(err)
 	}

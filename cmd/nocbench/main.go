@@ -133,8 +133,8 @@ func main() {
 		inst.Rate = 0.3
 		inst.Probe = obsFlags.NewProbe()
 		var stack *obs.Stack
-		inst.OnNetwork = func(n *network.Network) (err error) {
-			stack, err = obsFlags.Attach(n, "run", inst, "")
+		inst.OnNetwork = func(n *network.Network, id core.SimSpec) (err error) {
+			stack, err = obsFlags.Attach(n, id)
 			return err
 		}
 		if _, err := core.Run(inst); err != nil {

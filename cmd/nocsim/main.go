@@ -83,38 +83,13 @@ func main() {
 		fatal(fmt.Errorf("-mtbf must be >= 0 cycles; got %g", *mtbf))
 	}
 	campaign := *faults != "" || *mtbf > 0
-	switch *topoName {
-	case "torus":
-		if *k < 3 {
-			fatal(fmt.Errorf("-topo torus needs -k >= 3 (radix-2 torus rings are not modelled); got %d", *k))
-		}
-	case "mesh":
-		if *k < 2 {
-			fatal(fmt.Errorf("-topo mesh needs -k >= 2; got %d", *k))
-		}
-	default:
-		fatal(fmt.Errorf("unknown -topo %q (torus or mesh)", *topoName))
-	}
-	if *rate <= 0 || *rate > 1 {
-		fatal(fmt.Errorf("-rate must be in (0, 1] flits/cycle/node; got %g", *rate))
-	}
-	if *flits < 1 {
-		fatal(fmt.Errorf("-flits must be >= 1; got %d", *flits))
-	}
-	if *vcs < 1 || *vcs > 8 {
-		fatal(fmt.Errorf("-vcs must be 1..8 (the VC id field is 3 bits); got %d", *vcs))
-	}
-	if *buf < 1 {
-		fatal(fmt.Errorf("-buf must be >= 1 flit per VC; got %d", *buf))
-	}
-	if *serdes < 1 {
-		fatal(fmt.Errorf("-serdes must be >= 1 link cycles per flit; got %d", *serdes))
+	// The spec reads zero VCs, buffers or serdes cycles as "the default";
+	// on the command line a zero is a mistake, not that request.
+	if *vcs < 1 || *buf < 1 || *serdes < 1 {
+		fatal(fmt.Errorf("-vcs, -buf and -serdes must be >= 1; got %d, %d, %d", *vcs, *buf, *serdes))
 	}
 	if *shards < 0 {
 		fatal(fmt.Errorf("-shards must be >= 0 (0 = GOMAXPROCS); got %d", *shards))
-	}
-	if *warmup < 0 || *measure < 1 {
-		fatal(fmt.Errorf("need -warmup >= 0 and -measure >= 1; got %d, %d", *warmup, *measure))
 	}
 	if (*mode == "drop" || *mode == "deflect") && *flits != 1 {
 		fatal(fmt.Errorf("-mode %s carries single-flit packets only; use -flits 1, not %d", *mode, *flits))
@@ -193,6 +168,11 @@ func main() {
 		fatal(fmt.Errorf("unknown -mode %q (vc, drop, deflect, elastic, vct)", *mode))
 	}
 	p.Adaptive = *adaptive
+	// The spec's one range check covers radix per topology, rate, packet
+	// length and windows; the checks above are the command line's own.
+	if err := p.Validate(); err != nil {
+		fatal(err)
+	}
 
 	// -heatmap reads the telemetry layer's counters, so it implies a
 	// (counters-only) probe even without -metrics.
@@ -202,13 +182,10 @@ func main() {
 	}
 	// The observability stack (-flows, -serve, -flightrec) attaches to the
 	// run's network just before the first cycle. The flight recorder
-	// stamps dumps and keyframes with the run's identity (spec JSON +
-	// config hash), which the campaign and trace paths refine below before
-	// the network is built.
-	frKind, frExtra := "run", ""
+	// stamps dumps and keyframes with the identity the run hands the hook.
 	var stack *obs.Stack
-	p.OnNetwork = func(n *network.Network) (err error) {
-		stack, err = obsFlags.Attach(n, frKind, p, frExtra)
+	p.OnNetwork = func(n *network.Network, id core.SimSpec) (err error) {
+		stack, err = obsFlags.Attach(n, id)
 		return err
 	}
 	defer func() { stack.Close() }()
@@ -219,12 +196,6 @@ func main() {
 	defer stopProf()
 
 	if campaign {
-		// Mirror runCampaign's parameter edits and core.RunCampaign's hash
-		// inputs here so the flight recorder's spec and config hash match
-		// the run that is actually executed.
-		p.Watchdog = *watchdog
-		frKind = "campaign"
-		frExtra = fmt.Sprintf("%s|%v|%d", *faults, *mtbf, p.WarmupCycles+p.MeasureCycles)
 		if err := runCampaign(p, *faults, *mtbf, *watchdog); err != nil {
 			fatal(err)
 		}
@@ -235,9 +206,7 @@ func main() {
 	}
 
 	if *trace != "" {
-		p.WarmupCycles = 0 // runTrace measures the replay in full
-		frKind = "trace"
-		if err := runTrace(p, *trace, &frExtra); err != nil {
+		if err := runTrace(p, *trace); err != nil {
 			fatal(err)
 		}
 		if err := stack.Emit(os.Stdout, *heatmap); err != nil {
@@ -325,10 +294,8 @@ func runCampaign(p core.RunParams, spec string, mtbf float64, watchdog int) erro
 }
 
 // runTrace replays a trace file through the configured network and prints
-// delivery statistics. The trace's identity is written through extraOut
-// before the network is built so the flight recorder's config hash matches
-// the one core.RunToHorizon stamps on checkpoints.
-func runTrace(p core.RunParams, path string, extraOut *string) error {
+// delivery statistics.
+func runTrace(p core.RunParams, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -345,9 +312,9 @@ func runTrace(p core.RunParams, path string, extraOut *string) error {
 			horizon = e.Cycle
 		}
 	}
-	if extraOut != nil {
-		*extraOut = fmt.Sprintf("%s|%d|%d", path, len(events), horizon)
-	}
+	// The trace file's identity rides in the config hash so a resume
+	// against a different trace is rejected, not silently merged.
+	id := p.SimSpec("trace", fmt.Sprintf("%s|%d|%d", path, len(events), horizon))
 	build := func() (*network.Network, error) {
 		n, err := core.BuildNetwork(p)
 		if err != nil {
@@ -362,7 +329,7 @@ func runTrace(p core.RunParams, path string, extraOut *string) error {
 			n.AttachClient(tile, src)
 		}
 		if p.OnNetwork != nil {
-			if err := p.OnNetwork(n); err != nil {
+			if err := p.OnNetwork(n, id); err != nil {
 				return nil, err
 			}
 		}
@@ -372,10 +339,7 @@ func runTrace(p core.RunParams, path string, extraOut *string) error {
 	if err != nil {
 		return err
 	}
-	// The trace file's identity rides in the config hash so a resume
-	// against a different trace is rejected, not silently merged.
-	n, err = core.RunToHorizon(n, p, horizon+1, "trace",
-		fmt.Sprintf("%s|%d|%d", path, len(events), horizon), build)
+	n, err = core.RunToHorizon(n, p, horizon+1, id, build)
 	if err != nil {
 		return err
 	}

@@ -67,6 +67,19 @@ func main() {
 		os.Exit(1)
 	}
 
+	base := core.DefaultRunParams()
+	base.Topology = *topoName
+	base.K = *k
+	base.Pattern = *pattern
+	base.FlitsPerPacket = *flits
+	base.WarmupCycles = *warmup
+	base.MeasureCycles = *measure
+	base.Seed = *seed
+	base.BatchEpochs = *batch
+	base.CheckpointEvery = *ckptEvery
+	base.CheckpointDir = *ckptDir
+	base.Resume = *resume
+
 	var rates []float64
 	for _, s := range strings.Split(*rateList, ",") {
 		s = strings.TrimSpace(s)
@@ -74,8 +87,14 @@ func main() {
 			continue
 		}
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 || v > 1.0 {
-			fmt.Fprintf(os.Stderr, "nocsweep: bad rate %q (need 0 < rate <= 1.0 flits/node/cycle)\n", s)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "nocsweep: bad rate %q\n", s)
+			os.Exit(1)
+		}
+		point := base
+		point.Rate = v
+		if err := point.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "nocsweep:", err)
 			os.Exit(1)
 		}
 		rates = append(rates, v)
@@ -93,18 +112,6 @@ func main() {
 	defer stopProf()
 
 	start := time.Now()
-	base := core.DefaultRunParams()
-	base.Topology = *topoName
-	base.K = *k
-	base.Pattern = *pattern
-	base.FlitsPerPacket = *flits
-	base.WarmupCycles = *warmup
-	base.MeasureCycles = *measure
-	base.Seed = *seed
-	base.BatchEpochs = *batch
-	base.CheckpointEvery = *ckptEvery
-	base.CheckpointDir = *ckptDir
-	base.Resume = *resume
 
 	var points []core.SweepPoint
 	if *replicas > 1 {
@@ -166,8 +173,8 @@ func main() {
 		// The instrumentation run is throwaway: never checkpoint it.
 		inst.CheckpointEvery, inst.CheckpointDir, inst.Resume = 0, "", false
 		var stack *obs.Stack
-		inst.OnNetwork = func(n *network.Network) (err error) {
-			stack, err = obsFlags.Attach(n, "run", inst, "")
+		inst.OnNetwork = func(n *network.Network, id core.SimSpec) (err error) {
+			stack, err = obsFlags.Attach(n, id)
 			return err
 		}
 		if _, err := core.Run(inst); err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/network"
@@ -25,7 +24,18 @@ const arenaMaxPerKey = 32
 
 var arena struct {
 	sync.Mutex
-	pools map[string][]*network.Network
+	pools map[arenaKey][]*network.Network
+}
+
+// arenaKey is a poolable network's shape: the NetShape it was built from
+// and the resolved shard/batching layout (kernel.Reset preserves the
+// shard structure, so differently sharded networks must not share a
+// pool). Seed, warmup, rate, and checkpoint policy are per-run state that
+// network.Reset re-establishes. Features that withdraw Reset never reach
+// a key: arenaRefusal turns those runs away first.
+type arenaKey struct {
+	NetShape
+	shards, batch int
 }
 
 // arenaRefusal reports why a run's network may not come from (and return
@@ -41,19 +51,6 @@ func arenaRefusal(p RunParams, cfg network.Config) error {
 	return nil
 }
 
-// arenaKey fingerprints every parameter that shapes a poolable network's
-// allocation: topology, radix, router geometry, link models, and the
-// resolved shard/batching layout (kernel.Reset preserves the shard
-// structure, so differently sharded networks must not share a pool).
-// Seed, warmup, rate, and checkpoint policy are per-run state that
-// network.Reset re-establishes. Features that withdraw Reset are absent:
-// arenaRefusal turns those runs away before any key is formed.
-func arenaKey(p RunParams, cfg network.Config) string {
-	return fmt.Sprintf("%s|k=%d|vc=%d|buf=%d|mode=%d|ct=%v|ns=%v|serdes=%d|elastic=%v|adaptive=%v|wd=%d|ecc=%v|sh=%d|be=%d",
-		p.Topology, p.K, p.NumVCs, p.BufFlits, p.Mode, p.CutThrough, p.NonSpeculative,
-		p.SerdesCycles, p.ElasticLinks, p.Adaptive, p.Watchdog, p.ECC, cfg.Shards, cfg.BatchEpochs)
-}
-
 // acquireNetwork returns a client-less network built from cfg (p's
 // networkConfig) — re-initialized in place from the arena when one of the
 // right shape is idle, freshly built otherwise — together with a release
@@ -65,7 +62,7 @@ func acquireNetwork(p RunParams, cfg network.Config) (*network.Network, func(), 
 		n, err := network.New(cfg)
 		return n, func() {}, err
 	}
-	key := arenaKey(p, cfg)
+	key := arenaKey{p.NetShape, cfg.Shards, cfg.BatchEpochs}
 	arena.Lock()
 	pool := arena.pools[key]
 	var n *network.Network
@@ -86,7 +83,7 @@ func acquireNetwork(p RunParams, cfg network.Config) (*network.Network, func(), 
 	return n, func() {
 		arena.Lock()
 		if arena.pools == nil {
-			arena.pools = make(map[string][]*network.Network)
+			arena.pools = make(map[arenaKey][]*network.Network)
 		}
 		if len(arena.pools[key]) < arenaMaxPerKey {
 			arena.pools[key] = append(arena.pools[key], n)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"math"
 	"path/filepath"
@@ -15,9 +14,9 @@ import (
 )
 
 // This file wires the checkpoint subsystem into the experiment layer:
-// a per-run configuration hash guarding against cross-configuration
-// resume, the end-of-cycle checkpointer phase that writes durable
-// snapshots, the disk resume path, and an in-memory save/rebuild/restore
+// the end-of-cycle checkpointer phase that writes durable snapshots
+// stamped with the run's SimSpec.Hash, the disk resume path that refuses
+// a snapshot of a different run, and an in-memory save/rebuild/restore
 // test mode (SetResumeAt) the determinism suite uses to prove that every
 // experiment's outputs are identical whether or not the run was
 // interrupted.
@@ -25,24 +24,6 @@ import (
 // keepCheckpoints is how many snapshot files Prune retains per directory:
 // the newest plus fallbacks in case the newest is torn by a crash.
 const keepCheckpoints = 3
-
-// configHash fingerprints the semantically relevant parameters of a run.
-// Shard count, epoch batching, observability attachments, and the
-// checkpoint flags themselves are excluded: results are byte-identical
-// across those, so a snapshot may be resumed under a different shard
-// count or without the original -serve. kind separates client arrangements (plain run vs
-// campaign) that share a RunParams; extra folds in campaign-only state.
-func configHash(kind string, p RunParams, extra string) uint64 {
-	c := p
-	c.Probe = nil
-	c.OnNetwork = nil
-	c.Shards = 0
-	c.BatchEpochs = 0
-	c.CheckpointEvery, c.CheckpointDir, c.Resume = 0, "", false
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%+v|probe=%v|%s", kind, c, p.Probe != nil, extra)
-	return h.Sum64()
-}
 
 // checkpointer is the end-of-cycle snapshot phase. It runs as the last
 // serial phase of the kernel schedule, behind every merge barrier, where
@@ -127,11 +108,15 @@ func ForkAtFrac() float64 {
 // cycles under the checkpoint/resume policy in p (see runToHorizon). It
 // is the entry point for command-line tools with bespoke client
 // arrangements — e.g. nocsim's trace replay — whose state is not
-// described by RunParams alone; kind and extra fold the extra identity
-// (such as the trace file) into the configuration hash. rebuild may be
+// described by RunParams alone; id carries that identity (such as the
+// trace file, in id.Extra) into the configuration hash. rebuild may be
 // nil when the in-memory resume test mode is not wanted.
-func RunToHorizon(n *network.Network, p RunParams, stopAt int64, kind, extra string, rebuild func() (*network.Network, error)) (*network.Network, error) {
-	return runToHorizon(n, p, stopAt, configHash(kind, p, extra), rebuild, nil)
+func RunToHorizon(n *network.Network, p RunParams, stopAt int64, id SimSpec, rebuild func() (*network.Network, error)) (*network.Network, error) {
+	hash, err := id.Hash()
+	if err != nil {
+		return nil, err
+	}
+	return runToHorizon(n, p, stopAt, hash, rebuild, nil)
 }
 
 // runToHorizon advances n to stopAt completed cycles, applying the

@@ -261,7 +261,7 @@ func TestRunReplicatedRefusals(t *testing.T) {
 		}
 	}
 	p := DefaultRunParams()
-	p.OnNetwork = func(*network.Network) error { return nil }
+	p.OnNetwork = func(*network.Network, SimSpec) error { return nil }
 	if _, err := RunReplicated(p, 2); err == nil || !strings.Contains(err.Error(), "OnNetwork") {
 		t.Errorf("RunReplicated with an OnNetwork hook: err = %v, want the hook refusal", err)
 	}

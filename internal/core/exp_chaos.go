@@ -193,6 +193,12 @@ func RunCampaign(p CampaignParams) (CampaignResult, error) {
 		return CampaignResult{}, err
 	}
 
+	id := p.Run.SimSpec("campaign", fmt.Sprintf("%s|%v|%d", p.Spec, p.MTBF, p.Cycles))
+	hash, err := id.Hash()
+	if err != nil {
+		return CampaignResult{}, err
+	}
+
 	// build assembles a complete campaign instance — network, injector,
 	// ledger, clients — so a resume can reconstruct structure from the
 	// configuration and then overlay the snapshot's dynamic state.
@@ -214,10 +220,7 @@ func RunCampaign(p CampaignParams) (CampaignResult, error) {
 		ledger := newCampaignLedger()
 		topo := n.Topology()
 		tiles := topo.NumTiles()
-		mask := flit.VCMask(0xFF)
-		if p.Run.NumVCs > 0 && p.Run.NumVCs < 8 {
-			mask = flit.VCMask((1 << p.Run.NumVCs) - 1)
-		}
+		mask := p.Run.vcMask()
 		for tile := 0; tile < tiles; tile++ {
 			src := sim.NewCountedSource(p.Run.Seed + int64(tile))
 			n.AttachClient(tile, &chaosClient{
@@ -228,7 +231,7 @@ func RunCampaign(p CampaignParams) (CampaignResult, error) {
 		n.AddCheckpointExtra("faultinj", fresh)
 		n.AddCheckpointExtra("ledger", ledger)
 		if p.Run.OnNetwork != nil {
-			if err := p.Run.OnNetwork(n); err != nil {
+			if err := p.Run.OnNetwork(n, id); err != nil {
 				return nil, err
 			}
 		}
@@ -240,16 +243,11 @@ func RunCampaign(p CampaignParams) (CampaignResult, error) {
 		return CampaignResult{}, err
 	}
 	tiles := n.Topology().NumTiles()
-	hash := configHash("campaign", p.Run, fmt.Sprintf("%s|%v|%d", p.Spec, p.MTBF, p.Cycles))
 	n, err = runToHorizon(n, p.Run, p.Cycles, hash, build, nil)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	drain := p.Run.DrainBudget
-	if drain <= 0 {
-		drain = 50000
-	}
-	n.Drain(drain)
+	n.Drain(p.Run.drainBudget())
 	countCycles(n.Kernel().Now())
 
 	res := CampaignResult{Params: p}

@@ -35,7 +35,7 @@ func E15Registers(quick bool) (*Table, error) {
 	rc := router.DefaultConfig(0)
 	rc.ReservedVC = 7
 	rc.ResPeriod = period
-	n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 51})
+	n, err := network.New(withPackageLayout(network.Config{Topo: topo, Router: rc, Seed: 51}))
 	if err != nil {
 		return nil, err
 	}

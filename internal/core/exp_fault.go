@@ -49,10 +49,10 @@ func E11Fault(quick bool) (*Table, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		n, err := network.New(network.Config{
+		n, err := network.New(withPackageLayout(network.Config{
 			Topo: topo, Router: router.DefaultConfig(0),
 			PhysWires: true, SpareWires: 1, Seed: 21,
-		})
+		}))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -117,10 +117,10 @@ func E11Fault(quick bool) (*Table, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		n, err := network.New(network.Config{
+		n, err := network.New(withPackageLayout(network.Config{
 			Topo: topo, Router: router.DefaultConfig(0),
 			PhysWires: true, TransientProb: 0.05, ECC: ecc, Seed: 23,
-		})
+		}))
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -173,10 +173,10 @@ func E11Fault(quick bool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := network.New(network.Config{
+	n, err := network.New(withPackageLayout(network.Config{
 		Topo: topo, Router: router.DefaultConfig(0),
 		PhysWires: true, TransientProb: 0.03, Seed: 25,
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

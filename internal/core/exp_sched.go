@@ -49,7 +49,7 @@ func E7LogicalWire(quick bool) (*Table, error) {
 		}
 		rc := router.DefaultConfig(0)
 		rc.PriorityVCs = flit.MaskFor(7) // wire updates ride a priority VC
-		n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 3})
+		n, err := network.New(withPackageLayout(network.Config{Topo: topo, Router: rc, Seed: 3}))
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +107,7 @@ func E8Reservation(quick bool) (*Table, error) {
 		rc := router.DefaultConfig(0)
 		rc.ReservedVC = 7
 		rc.ResPeriod = period
-		n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 5})
+		n, err := network.New(withPackageLayout(network.Config{Topo: topo, Router: rc, Seed: 5}))
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ func E14Interface(quick bool) (*Table, error) {
 		return nil, err
 	}
 	rc := router.DefaultConfig(0)
-	n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 9})
+	n, err := network.New(withPackageLayout(network.Config{Topo: topo, Router: rc, Seed: 9}))
 	if err != nil {
 		return nil, err
 	}

@@ -56,17 +56,20 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 	if err := arenaRefusal(p, cfg); err != nil {
 		return nil, fmt.Errorf("core: configuration cannot warm-fork: %w", err)
 	}
-	stopAt := p.WarmupCycles + p.MeasureCycles
+	id := p.SimSpec("run", "")
+	hash, err := id.Hash()
+	if err != nil {
+		return nil, err
+	}
 	n, release, err := acquireNetwork(p, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	gens, err := attachRunClients(n, p, stopAt)
+	gens, err := attachRunClients(n, p, id)
 	if err != nil {
 		return nil, err
 	}
-	hash := configHash("run", p, "")
 	if p.WarmupCycles > 0 {
 		n.Run(p.WarmupCycles)
 		countCycles(p.WarmupCycles)
@@ -76,17 +79,14 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 		return nil, err
 	}
 	topo := n.Topology()
-	drain := p.DrainBudget
-	if drain <= 0 {
-		drain = 50000
-	}
+	stopAt := p.WarmupCycles + p.MeasureCycles
 	out := make([]RunResult, 0, replicas)
 	for r := 0; r < replicas; r++ {
 		if r > 0 {
 			if err := n.Reset(p.Seed, p.WarmupCycles); err != nil {
 				return nil, err
 			}
-			if gens, err = attachRunClients(n, p, stopAt); err != nil {
+			if gens, err = attachRunClients(n, p, id); err != nil {
 				return nil, err
 			}
 			if err := n.Fork(snap, hash); err != nil {
@@ -101,7 +101,7 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 		if remaining := stopAt - start; remaining > 0 {
 			n.Run(remaining)
 		}
-		n.Drain(drain)
+		n.Drain(p.drainBudget())
 		countCycles(n.Kernel().Now() - start)
 		res := collectResult(n, p, topo)
 		res.Params.Seed = replicaSeed(p.Seed, r)

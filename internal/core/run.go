@@ -91,38 +91,117 @@ func ResetSimulatedCycles() { atomic.StoreInt64(&simulatedCycles, 0) }
 
 func countCycles(n int64) { atomic.AddInt64(&simulatedCycles, n) }
 
-// RunParams describes one simulation measurement.
-type RunParams struct {
-	Topology string // "torus" or "mesh"
-	K        int    // radix (K x K tiles)
+// Spec is the one list of run parameters that shape simulation state:
+// two runs with equal Specs (and the same client arrangement and probe
+// layout, see SimSpec) evolve identically. It serializes into
+// flight-recorder dumps, and its JSON is what the configuration hash
+// fingerprints, so a field added here is covered by replay, resume and
+// the hash at once.
+type Spec struct {
+	NetShape
 
-	Pattern        string  // traffic pattern name
-	Rate           float64 // offered flits/cycle/node
-	FlitsPerPacket int
+	Pattern        string  `json:"pattern"`          // traffic pattern name
+	Rate           float64 `json:"rate"`             // offered flits/cycle/node
+	FlitsPerPacket int     `json:"flits_per_packet"` // packet length
 
-	NumVCs         int
-	BufFlits       int
-	Mode           router.Mode
-	Deflect        bool
-	ElasticLinks   bool
-	Adaptive       bool
-	CutThrough     bool
-	NonSpeculative bool
-	SerdesCycles   int
+	WarmupCycles  int64 `json:"warmup_cycles"`
+	MeasureCycles int64 `json:"measure_cycles"`
 
-	WarmupCycles  int64
-	MeasureCycles int64
-	DrainBudget   int64
+	Seed int64 `json:"seed"`
+}
 
-	Seed int64
+// NetShape is the part of a Spec that network.New allocates from; the
+// seed and warmup, which network.Reset re-establishes, stay in Spec.
+// The network arena pools networks by its value.
+type NetShape struct {
+	Topology string `json:"topology"` // "torus" or "mesh"
+	K        int    `json:"k"`        // radix (K x K tiles)
+
+	NumVCs         int         `json:"num_vcs"`   // 0 selects the router default
+	BufFlits       int         `json:"buf_flits"` // 0 selects the router default
+	Mode           router.Mode `json:"mode"`
+	Deflect        bool        `json:"deflect,omitempty"`
+	ElasticLinks   bool        `json:"elastic_links,omitempty"`
+	Adaptive       bool        `json:"adaptive,omitempty"`
+	CutThrough     bool        `json:"cut_through,omitempty"`
+	NonSpeculative bool        `json:"non_speculative,omitempty"`
+	SerdesCycles   int         `json:"serdes_cycles,omitempty"`
 
 	// Fault-tolerance options (§2.5 and the runtime fault subsystem).
 	// Watchdog arms per-link credit-starvation detection with the given
 	// threshold; PhysWires enables bit-level wire modelling (required for
 	// transient flip injection); ECC protects each link with SECDED.
-	Watchdog  int
-	PhysWires bool
-	ECC       bool
+	Watchdog  int  `json:"watchdog,omitempty"`
+	PhysWires bool `json:"phys_wires,omitempty"`
+	ECC       bool `json:"ecc,omitempty"`
+}
+
+// maxSpecK bounds the radix a spec may request. Rebuild builds k²
+// routers from it, so a corrupt or hostile dump must not pick k freely;
+// 128 (16384 tiles) is four times the largest die any experiment builds.
+const maxSpecK = 128
+
+// maxSpecFlits caps a packet at the largest payload a trace file may
+// carry (traffic.MaxTraceBytes, 32768 flits): the generators allocate
+// one packet's payload per send.
+const maxSpecFlits = traffic.MaxTraceBytes / flit.DataBytes
+
+// Validate range-checks each field on its own: a radix the topology
+// supports (torus k >= 3, mesh k >= 2, both at most maxSpecK), a finite
+// rate in [0, 1], flits_per_packet in [1, maxSpecFlits], a known router
+// mode, at most flit.NumVCs virtual channels, a measurement window of at
+// least one cycle (the accepted rate divides by it), and no negative
+// window or count. Rules that combine fields (drop mode with multi-flit
+// packets, adaptive routing on a torus, the buffer-slot cap) stay with
+// network.New, which enforces them for every caller.
+func (s Spec) Validate() error {
+	minK := 3
+	switch s.Topology {
+	case "torus":
+	case "mesh":
+		minK = 2
+	default:
+		return fmt.Errorf("core: spec topology %q (torus or mesh)", s.Topology)
+	}
+	switch {
+	case s.K < minK || s.K > maxSpecK:
+		return fmt.Errorf("core: spec radix k=%d outside [%d, %d] for a %s", s.K, minK, maxSpecK, s.Topology)
+	case s.NumVCs < 0 || s.NumVCs > flit.NumVCs:
+		return fmt.Errorf("core: spec num_vcs=%d outside [0, %d]", s.NumVCs, flit.NumVCs)
+	case s.BufFlits < 0:
+		return fmt.Errorf("core: spec has negative buf_flits (%d)", s.BufFlits)
+	case !(s.Rate >= 0 && s.Rate <= 1): // also rejects NaN
+		return fmt.Errorf("core: spec rate %g outside [0, 1] flits/cycle/node", s.Rate)
+	case s.FlitsPerPacket < 1 || s.FlitsPerPacket > maxSpecFlits:
+		return fmt.Errorf("core: spec flits_per_packet=%d outside [1, %d]", s.FlitsPerPacket, maxSpecFlits)
+	case s.Mode != router.ModeVC && s.Mode != router.ModeDrop:
+		return fmt.Errorf("core: spec mode %d is not a router mode", s.Mode)
+	case s.WarmupCycles < 0 || s.MeasureCycles < 1:
+		return fmt.Errorf("core: spec needs warmup_cycles >= 0 and measure_cycles >= 1; got %d, %d", s.WarmupCycles, s.MeasureCycles)
+	case s.SerdesCycles < 0 || s.Watchdog < 0:
+		return fmt.Errorf("core: spec has negative serdes_cycles (%d) or watchdog (%d)", s.SerdesCycles, s.Watchdog)
+	}
+	return nil
+}
+
+// vcMask is the VC mask the Bernoulli sources inject on: the first
+// NumVCs channels (all eight when NumVCs is 0 or 8).
+func (s NetShape) vcMask() flit.VCMask {
+	if s.NumVCs > 0 && s.NumVCs < 8 {
+		return flit.VCMask((1 << s.NumVCs) - 1)
+	}
+	return flit.VCMask(0xFF)
+}
+
+// RunParams describes one simulation measurement: the Spec that shapes
+// its state, and per-run knobs that leave results byte-identical.
+type RunParams struct {
+	Spec
+
+	// DrainBudget bounds the drain tail after the measurement horizon
+	// (0 selects defaultDrainBudget). The drain runs after the last
+	// checkpoint, so the budget is not part of the run's identity.
+	DrainBudget int64
 
 	// Probe, when non-nil, attaches the telemetry layer to the network
 	// built for this run. The same probe must not be shared across
@@ -145,9 +224,10 @@ type RunParams struct {
 	// OnNetwork, when non-nil, runs after the network is built and the
 	// clients attached, before the first cycle — the attachment point for
 	// the live observability service (telemetry/serve) and other
-	// pre-run instrumentation. Like Probe, it must not be shared across
-	// concurrent runs.
-	OnNetwork func(*network.Network) error
+	// pre-run instrumentation. It receives the run's SimSpec, the
+	// identity the run stamps on its checkpoints. Like Probe, it must
+	// not be shared across concurrent runs.
+	OnNetwork func(*network.Network, SimSpec) error
 
 	// Crash-safe checkpointing (checkpoint.go). CheckpointEvery > 0 with
 	// a CheckpointDir writes a durable snapshot of the full simulation
@@ -161,22 +241,30 @@ type RunParams struct {
 	Resume          bool
 }
 
+// defaultDrainBudget is the drain tail when RunParams.DrainBudget is 0:
+// at saturation the sources have stopped, so the network always empties
+// well within it.
+const defaultDrainBudget = 50000
+
+func (p RunParams) drainBudget() int64 {
+	if p.DrainBudget > 0 {
+		return p.DrainBudget
+	}
+	return defaultDrainBudget
+}
+
 // DefaultRunParams returns the paper's baseline configuration under
 // uniform random traffic.
 func DefaultRunParams() RunParams {
-	return RunParams{
-		Topology:       "torus",
-		K:              4,
+	return RunParams{Spec: Spec{
+		NetShape:       NetShape{Topology: "torus", K: 4, NumVCs: 8, BufFlits: 4},
 		Pattern:        "uniform",
 		Rate:           0.1,
 		FlitsPerPacket: 1,
-		NumVCs:         8,
-		BufFlits:       4,
 		WarmupCycles:   1000,
 		MeasureCycles:  4000,
-		DrainBudget:    50000,
 		Seed:           1,
-	}
+	}}
 }
 
 // RunResult is the measured outcome of one run.
@@ -297,24 +385,13 @@ func networkConfig(p RunParams) (network.Config, error) {
 	rc.Mode = p.Mode
 	rc.NonSpeculative = p.NonSpeculative
 	rc.CutThrough = p.CutThrough
-	sh := p.Shards
-	if sh == 0 {
-		sh = Shards()
-	}
-	if sh < 0 {
-		sh = 0 // explicit GOMAXPROCS request -> network auto
-	}
-	be := p.BatchEpochs
-	if be == 0 {
-		be = BatchEpochs()
-	}
-	return network.Config{
+	return withPackageLayout(network.Config{
 		Topo:         topo,
 		Adjacency:    adj,
 		RouteTable:   table,
 		Router:       rc,
-		Shards:       sh,
-		BatchEpochs:  be,
+		Shards:       p.Shards,
+		BatchEpochs:  p.BatchEpochs,
 		SerdesCycles: p.SerdesCycles,
 		Deflect:      p.Deflect,
 		ElasticLinks: p.ElasticLinks,
@@ -325,23 +402,40 @@ func networkConfig(p RunParams) (network.Config, error) {
 		PhysWires:    p.PhysWires,
 		ECC:          p.ECC,
 		Probe:        p.Probe,
-	}, nil
+	}), nil
+}
+
+// withPackageLayout resolves cfg's shard count and batching cap against
+// the package defaults, in RunParams' convention: 0 defers to SetShards
+// and SetBatchEpochs, and a negative shard count is an explicit
+// GOMAXPROCS request (network.Config's 0). Every network this package
+// builds goes through it, the experiments' hand-assembled configs too.
+func withPackageLayout(cfg network.Config) network.Config {
+	if cfg.Shards == 0 {
+		cfg.Shards = Shards()
+	}
+	if cfg.Shards < 0 {
+		cfg.Shards = 0
+	}
+	if cfg.BatchEpochs == 0 {
+		cfg.BatchEpochs = BatchEpochs()
+	}
+	return cfg
 }
 
 // attachRunClients attaches the Bernoulli generators for one measurement
 // run to an already-built (or arena-reset) network, sets the measurement
-// window, and runs the OnNetwork hook. The generators are returned in
-// tile order so warm-fork replication can reseed them in place.
-func attachRunClients(n *network.Network, p RunParams, stopAt int64) ([]*traffic.Generator, error) {
+// window, and runs the OnNetwork hook with the run's identity id. The
+// generators are returned in tile order so warm-fork replication can
+// reseed them in place.
+func attachRunClients(n *network.Network, p RunParams, id SimSpec) ([]*traffic.Generator, error) {
 	pattern, err := traffic.ByName(p.Pattern, p.K, p.K)
 	if err != nil {
 		return nil, err
 	}
+	stopAt := p.WarmupCycles + p.MeasureCycles
 	n.Recorder().MeasureUntil = stopAt
-	mask := flit.VCMask(0xFF)
-	if p.NumVCs > 0 && p.NumVCs < 8 {
-		mask = flit.VCMask((1 << p.NumVCs) - 1)
-	}
+	mask := p.vcMask()
 	gens := make([]*traffic.Generator, n.Topology().NumTiles())
 	for tile := range gens {
 		g := traffic.NewGenerator(tile, pattern, p.Rate, p.FlitsPerPacket, mask, p.Seed)
@@ -350,7 +444,7 @@ func attachRunClients(n *network.Network, p RunParams, stopAt int64) ([]*traffic
 		gens[tile] = g
 	}
 	if p.OnNetwork != nil {
-		if err := p.OnNetwork(n); err != nil {
+		if err := p.OnNetwork(n, id); err != nil {
 			return nil, err
 		}
 	}
@@ -390,9 +484,13 @@ func collectResult(n *network.Network, p RunParams, topo topology.Topology) RunR
 // offered rate, a warmup, a measurement window, and a drain tail so
 // measured packets complete.
 func Run(p RunParams) (RunResult, error) {
-	stopAt := p.WarmupCycles + p.MeasureCycles
+	id := p.SimSpec("run", "")
+	hash, err := id.Hash()
+	if err != nil {
+		return RunResult{}, err
+	}
 	attach := func(n *network.Network) error {
-		_, err := attachRunClients(n, p, stopAt)
+		_, err := attachRunClients(n, p, id)
 		return err
 	}
 	cfg, err := networkConfig(p)
@@ -408,7 +506,7 @@ func Run(p RunParams) (RunResult, error) {
 		return RunResult{}, err
 	}
 	topo := n.Topology()
-	n, err = runToHorizon(n, p, stopAt, configHash("run", p, ""),
+	n, err = runToHorizon(n, p, p.WarmupCycles+p.MeasureCycles, hash,
 		func() (*network.Network, error) {
 			n2, err := network.New(cfg)
 			if err == nil {
@@ -419,13 +517,8 @@ func Run(p RunParams) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	// Drain so that in-flight measured packets finish. At saturation the
-	// sources have stopped, so the network always empties.
-	drain := p.DrainBudget
-	if drain <= 0 {
-		drain = 50000
-	}
-	n.Drain(drain)
+	// Drain so that in-flight measured packets finish.
+	n.Drain(p.drainBudget())
 	countCycles(n.Kernel().Now())
 	return collectResult(n, p, topo), nil
 }

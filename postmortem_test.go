@@ -39,20 +39,23 @@ func recordedRun(t *testing.T, shards, batch int) *flightrec.Dump {
 	p.Shards = shards
 	p.BatchEpochs = batch
 
-	hash := core.ConfigHash("run", p, "")
-	spec, err := core.SpecForRun("run", p).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rec *flightrec.Recorder
-	p.OnNetwork = func(n *network.Network) error {
+	p.OnNetwork = func(n *network.Network, id core.SimSpec) error {
+		hash, err := id.Hash()
+		if err != nil {
+			return err
+		}
+		spec, err := id.JSON()
+		if err != nil {
+			return err
+		}
 		smp, err := sampler.Attach(n, sampler.Config{})
 		if err != nil {
 			return err
 		}
 		r := flightrec.Attach(smp, flightrec.Config{
 			Window: 512, Dir: dir,
-			ConfigHash: hash, SpecJSON: spec, SpecKind: "run",
+			ConfigHash: hash, SpecJSON: spec, SpecKind: id.Kind,
 		})
 		rec = r
 		n.Kernel().AddPhase("trigger", func(now sim.Cycle) {
