@@ -98,12 +98,16 @@ ci:
 # fuzz gives the fault-campaign parser, the checkpoint decoder, the
 # offset-keyed route table (checked against route.Compute), the
 # flight-recorder dump spec parser, the flight-recorder dump parser, the
-# trace-file parser, the -slo objective parser, and the strict Prometheus
-# text scraper a short randomized budget each (go test accepts one -fuzz
+# trace-file parser, the -slo objective parser, the strict Prometheus
+# text scraper, and router restore (fuzzed section bytes must fail to
+# decode or leave a router that survives a cycle with its invariants
+# intact) a short randomized budget each (go test accepts one -fuzz
 # target per invocation, hence one line each); the corpus seeds in the
 # fuzz_test.go files always run under plain test. FuzzParseDump's seed is a real dump
 # carrying a ~165 KB keyframe, so its minimizer is capped at 50 runs per
 # input: the default 60 s per input would spend the whole budget there.
+# FuzzRouterRestore's seed is a real mid-run router payload and gets the
+# same cap for the same reason.
 fuzz:
 	$(GO) test ./internal/fault -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzParse -fuzztime=10s
@@ -113,6 +117,7 @@ fuzz:
 	$(GO) test ./internal/traffic -run='^$$' -fuzz='^FuzzParseTrace$$' -fuzztime=10s
 	$(GO) test ./internal/telemetry/latency -run='^$$' -fuzz='^FuzzParseSLO$$' -fuzztime=10s
 	$(GO) test ./internal/telemetry/serve -run='^$$' -fuzz='^FuzzParseText$$' -fuzztime=10s
+	$(GO) test ./internal/router -run='^$$' -fuzz='^FuzzRouterRestore$$' -fuzztime=10s -fuzzminimizetime=50x
 
 # bench is the regression harness: the cycle-loop microbenchmarks run
 # long enough for stable ns/op and allocs/op, the E-suite benchmarks run

@@ -59,7 +59,7 @@ func TestPhysECCCorrectsSingleHardFault(t *testing.T) {
 // accepting flits and credits (the sender cannot tell) but delivers
 // nothing, counting the losses in both directions.
 func TestLinkDownDropsTraffic(t *testing.T) {
-	l := New(Config{Name: "t", LatencyCycles: 1})
+	l := New(Config{LatencyCycles: 1})
 	if l.Down() {
 		t.Fatal("new link reports down")
 	}
@@ -100,7 +100,7 @@ func TestLinkDownDropsTraffic(t *testing.T) {
 // TestElasticLinkDownDropsHead: the elastic variant drains its head stage
 // into the void while down, so in-flight flits are lost one per cycle.
 func TestElasticLinkDownDropsHead(t *testing.T) {
-	l := New(Config{Name: "e", LatencyCycles: 2, Elastic: true})
+	l := New(Config{LatencyCycles: 2, Elastic: true})
 	if err := l.Send(&flit.Flit{Type: flit.Head}); err != nil {
 		t.Fatal(err)
 	}

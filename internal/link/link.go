@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
+	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -15,7 +16,10 @@ import (
 // piggybacked on flits travelling in the reverse direction"; the model
 // carries them on a dedicated reverse pipe with the same latency).
 type Link struct {
-	Name string
+	// From and Dir name the channel in error messages: the sending tile
+	// and the direction the channel leaves it by.
+	From int
+	Dir  route.Dir
 
 	// pipe and credits are inline values, not pointers: the per-cycle
 	// Deliver/CanSend path reads their occupancy counters from the Link's
@@ -83,13 +87,12 @@ type Link struct {
 	FaultLostCredits int64
 }
 
-// Config parameterizes NewLink.
+// Config parameterizes New and NewAll. It holds only what every link of
+// a die shares; the per-channel fields From, Dir, LengthPitches and Phys
+// are set on each returned link.
 type Config struct {
-	Name          string
-	LatencyCycles int     // wire traversal latency (default 1)
-	SerdesCycles  int     // cycles per flit on the wires (default 1)
-	LengthPitches float64 // physical length
-	Phys          *Phys   // physical layer; nil for an ideal link
+	LatencyCycles int // wire traversal latency (default 1)
+	SerdesCycles  int // cycles per flit on the wires (default 1)
 
 	// Elastic turns the wire into an elastic channel: its LatencyCycles
 	// repeater stages buffer flits with hop-by-hop backpressure, and the
@@ -98,27 +101,36 @@ type Config struct {
 	Elastic bool
 }
 
-// New returns a link from the configuration.
-func New(cfg Config) *Link {
-	if cfg.LatencyCycles < 1 {
-		cfg.LatencyCycles = 1
-	}
-	if cfg.SerdesCycles < 1 {
-		cfg.SerdesCycles = 1
-	}
-	l := &Link{
-		Name:          cfg.Name,
-		pipe:          *NewPipe[*flit.Flit](cfg.LatencyCycles),
-		credits:       *NewPipe[int](cfg.LatencyCycles),
-		Phys:          cfg.Phys,
-		SerdesCycles:  cfg.SerdesCycles,
-		LengthPitches: cfg.LengthPitches,
-	}
+// New returns a link from the configuration: a one-link NewAll.
+func New(cfg Config) *Link { return &NewAll(cfg, 1)[0] }
+
+// NewAll returns count links built from cfg. Their flit pipes, credit
+// pipes and elastic stages are carved from one slab per kind, each slice
+// cut with a full slice expression so no link's slots can run into the
+// next link's. Each link starts ideal (nil Phys) with zero length; the
+// caller sets From, Dir, LengthPitches and Phys per channel.
+func NewAll(cfg Config, count int) []Link {
+	lat := max(cfg.LatencyCycles, 1)
+	serdes := max(cfg.SerdesCycles, 1)
+	ls := make([]Link, count)
+	flitSlots := make([]slot[*flit.Flit], count*lat)
+	creditSlots := make([]slot[int], count*lat)
+	var stages []*flit.Flit
 	if cfg.Elastic {
-		l.elastic = true
-		l.stages = make([]*flit.Flit, cfg.LatencyCycles)
+		stages = make([]*flit.Flit, count*lat)
 	}
-	return l
+	for i := range ls {
+		lo, hi := i*lat, (i+1)*lat
+		l := &ls[i]
+		l.pipe.slots = flitSlots[lo:hi:hi]
+		l.credits.slots = creditSlots[lo:hi:hi]
+		l.SerdesCycles = serdes
+		if cfg.Elastic {
+			l.elastic = true
+			l.stages = stages[lo:hi:hi]
+		}
+	}
+	return ls
 }
 
 // Elastic reports whether the link is an elastic channel.
@@ -182,7 +194,7 @@ func (l *Link) CanSend() bool {
 // Send places a flit onto the link. The caller must have checked CanSend.
 func (l *Link) Send(f *flit.Flit) error {
 	if !l.CanSend() {
-		return fmt.Errorf("link %s: send while busy", l.Name)
+		return fmt.Errorf("link %d-%v: send while busy", l.From, l.Dir)
 	}
 	if l.elastic {
 		l.stages[len(l.stages)-1] = f
@@ -284,7 +296,7 @@ func (l *Link) physCopy(src *flit.Flit) *flit.Flit {
 // the delivery phase instead of Deliver.
 func (l *Link) DeliverElastic(accept func(f *flit.Flit) bool) *flit.Flit {
 	if !l.elastic {
-		panic(fmt.Sprintf("link %s: DeliverElastic on a non-elastic link", l.Name))
+		panic(fmt.Sprintf("link %d-%v: DeliverElastic on a non-elastic link", l.From, l.Dir))
 	}
 	if l.busy > 0 {
 		l.busy--

@@ -3,15 +3,17 @@ package link
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/flit"
+	"repro/internal/route"
 )
 
 func TestPipeLatency(t *testing.T) {
 	for _, lat := range []int{1, 2, 5} {
-		p := NewPipe[int](lat)
+		p := &New(Config{LatencyCycles: lat}).credits
 		if p.Latency() != lat {
 			t.Fatalf("latency = %d", p.Latency())
 		}
@@ -35,7 +37,7 @@ func TestPipeLatency(t *testing.T) {
 }
 
 func TestPipeOnePerCycle(t *testing.T) {
-	p := NewPipe[int](2)
+	p := &New(Config{LatencyCycles: 2}).credits
 	if err := p.Send(1); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestPipeOnePerCycle(t *testing.T) {
 }
 
 func TestPipeBackToBackThroughput(t *testing.T) {
-	p := NewPipe[int](3)
+	p := &New(Config{LatencyCycles: 3}).credits
 	sent, recv := 0, 0
 	for cycle := 0; cycle < 100; cycle++ {
 		if _, ok := p.Shift(); ok {
@@ -249,7 +251,7 @@ func TestPhysECCMasksTransients(t *testing.T) {
 func TestLinkSerdesOccupancy(t *testing.T) {
 	// A link with SerdesCycles=4 (e.g. 64-bit wires carrying 256-bit
 	// flits, §3.3) accepts one flit per 4 cycles.
-	l := New(Config{Name: "test", SerdesCycles: 4})
+	l := New(Config{SerdesCycles: 4})
 	f := &flit.Flit{Type: flit.HeadTail}
 	if !l.CanSend() {
 		t.Fatal("fresh link not sendable")
@@ -273,7 +275,7 @@ func TestLinkSerdesOccupancy(t *testing.T) {
 }
 
 func TestLinkDeliverAndCredits(t *testing.T) {
-	l := New(Config{Name: "t", LatencyCycles: 1})
+	l := New(Config{LatencyCycles: 1})
 	f := &flit.Flit{Type: flit.HeadTail, Data: []byte{1, 2}}
 	if err := l.Send(f); err != nil {
 		t.Fatal(err)
@@ -302,7 +304,8 @@ func TestLinkDeliverAndCredits(t *testing.T) {
 func TestLinkAppliesPhys(t *testing.T) {
 	phys := NewPhys(16, 1, nil)
 	_ = phys.InjectHardFault(0)
-	l := New(Config{Name: "t", Phys: phys})
+	l := New(Config{})
+	l.Phys = phys
 	f := &flit.Flit{Type: flit.HeadTail, Data: []byte{0xFF, 0xFF}}
 	if err := l.Send(f); err != nil {
 		t.Fatal(err)
@@ -318,11 +321,17 @@ func TestLinkAppliesPhys(t *testing.T) {
 
 func TestLinkSendWhileBusyFails(t *testing.T) {
 	l := New(Config{SerdesCycles: 2})
+	l.From, l.Dir = 5, route.East
 	if err := l.Send(&flit.Flit{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Send(&flit.Flit{}); err == nil {
+	err := l.Send(&flit.Flit{})
+	if err == nil {
 		t.Fatal("send while busy accepted")
+	}
+	// The link is named by its sending tile and direction.
+	if !strings.Contains(err.Error(), "link 5-E") {
+		t.Fatalf("error %q does not name link 5-E", err)
 	}
 }
 

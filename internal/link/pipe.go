@@ -9,7 +9,8 @@ import "fmt"
 
 // Pipe is a fixed-latency pipeline: a value sent on cycle t emerges from
 // Shift on cycle t+latency. At most one value may enter per cycle, which is
-// the single-word-per-cycle discipline of a clocked channel.
+// the single-word-per-cycle discipline of a clocked channel. A link's two
+// pipes get their slots from NewAll's slabs.
 type Pipe[T any] struct {
 	slots []slot[T]
 	count int // occupied slots, maintained so InFlight/Empty are O(1)
@@ -18,14 +19,6 @@ type Pipe[T any] struct {
 type slot[T any] struct {
 	v    T
 	full bool
-}
-
-// NewPipe returns a pipe with the given latency in cycles (minimum 1).
-func NewPipe[T any](latency int) *Pipe[T] {
-	if latency < 1 {
-		latency = 1
-	}
-	return &Pipe[T]{slots: make([]slot[T], latency)}
 }
 
 // Latency reports the pipe latency in cycles.

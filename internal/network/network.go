@@ -1,6 +1,7 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -127,9 +128,12 @@ type linkEntry struct {
 // Network is a complete on-chip interconnection network plus the client
 // logic attached to its tiles.
 type Network struct {
-	cfg     Config
-	topo    topology.Topology
-	kernel  *sim.Kernel
+	cfg    Config
+	topo   topology.Topology
+	kernel *sim.Kernel
+	// routers, linkEntry.l and ports point into one slab each (router.NewAll,
+	// link.NewAll, one []Port), built by New. They stay pointer slices so
+	// r := n.routers[t] names the router instead of copying it.
 	routers []*router.Router
 	defls   []*router.DeflectRouter
 	links   []linkEntry
@@ -311,43 +315,52 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Topo.Wrap() && !cfg.Deflect && cfg.Router.Mode == router.ModeVC {
 		n.cfg.Router.DatelineVCs = true
 	}
-	for tile := 0; tile < tiles; tile++ {
-		if cfg.Deflect {
-			d := router.NewDeflect(tile, n.preferredDir)
-			n.defls = append(n.defls, d)
-		} else {
-			rc := n.cfg.Router
-			rc.ID = tile
-			r, err := router.New(rc)
-			if err != nil {
-				return nil, err
+	// The route functions below are method values taken once: evaluating
+	// one per tile would allocate a closure per tile.
+	if cfg.Deflect {
+		pref := n.preferredDir
+		n.defls = make([]*router.DeflectRouter, tiles)
+		for tile := range n.defls {
+			n.defls[tile] = router.NewDeflect(tile, pref)
+		}
+	} else {
+		rc := n.cfg.Router
+		rc.ID = 0
+		rs, err := router.NewAll(rc, tiles)
+		if err != nil {
+			return nil, err
+		}
+		var adaptive func(tile, dst int) []route.Dir
+		if rc.Adaptive {
+			adaptive = n.westFirstCandidates
+		}
+		n.routers = make([]*router.Router, tiles)
+		for tile := range rs {
+			if adaptive != nil {
+				rs[tile].SetAdaptiveRoute(adaptive)
 			}
-			if rc.Adaptive {
-				r.SetAdaptiveRoute(n.westFirstCandidates)
-			}
-			n.routers = append(n.routers, r)
+			n.routers[tile] = &rs[tile]
 		}
 	}
 	adjacency := cfg.Adjacency
 	if adjacency == nil {
 		adjacency = topology.Links(cfg.Topo)
 	}
-	for _, tl := range adjacency {
-		var phys *link.Phys
+	links := link.NewAll(link.Config{
+		LatencyCycles: cfg.LinkLatency,
+		SerdesCycles:  cfg.SerdesCycles,
+		Elastic:       cfg.ElasticLinks,
+	}, len(adjacency))
+	n.links = make([]linkEntry, len(adjacency))
+	for i, tl := range adjacency {
+		l := &links[i]
+		l.From, l.Dir, l.LengthPitches = tl.From, tl.Dir, tl.Length
 		if cfg.PhysWires {
-			phys = link.NewPhys(flit.DataBits, cfg.SpareWires, n.kernel.RNG())
-			phys.TransientProb = cfg.TransientProb
-			phys.ECC = cfg.ECC
+			l.Phys = link.NewPhys(flit.DataBits, cfg.SpareWires, n.kernel.RNG())
+			l.Phys.TransientProb = cfg.TransientProb
+			l.Phys.ECC = cfg.ECC
 		}
-		l := link.New(link.Config{
-			Name:          fmt.Sprintf("%d-%v", tl.From, tl.Dir),
-			LatencyCycles: cfg.LinkLatency,
-			SerdesCycles:  cfg.SerdesCycles,
-			LengthPitches: tl.Length,
-			Phys:          phys,
-			Elastic:       cfg.ElasticLinks,
-		})
-		n.links = append(n.links, linkEntry{l: l, from: tl.From, to: tl.To, dir: tl.Dir})
+		n.links[i] = linkEntry{l: l, from: tl.From, to: tl.To, dir: tl.Dir}
 		if cfg.Deflect {
 			n.defls[tl.From].SetOutLink(tl.Dir, l)
 		} else {
@@ -400,21 +413,16 @@ func New(cfg Config) (*Network, error) {
 			le.l.SetProbe(n.probe.RegisterLink(i, le.from, le.to, le.dir, cfg.SerdesCycles, px, py))
 		}
 	}
-	for tile := 0; tile < tiles; tile++ {
+	ports := make([]Port, tiles)
+	n.ports = make([]*Port, tiles)
+	for tile := range ports {
 		sh := n.shards[n.shardOf[tile]]
-		p := &Port{tile: tile, net: n, shard: sh, pool: &sh.pool}
+		p := &ports[tile]
+		p.tile, p.net, p.shard, p.pool = tile, n, sh, &sh.pool
 		if n.probe != nil {
 			p.probe = n.probe.Routers[tile]
 		}
-		tile := tile
-		if cfg.Deflect {
-			p.canInject = func(int) bool { return n.defls[tile].CanInject() }
-			p.accept = func(f *flit.Flit) { n.defls[tile].AcceptFlit(f, route.Local) }
-		} else {
-			p.canInject = func(vc int) bool { return n.routers[tile].CanInject(vc) }
-			p.accept = func(f *flit.Flit) { n.acceptAt(tile, f, route.Local) }
-		}
-		n.ports = append(n.ports, p)
+		n.ports[tile] = p
 	}
 	n.registerPhases()
 	return n, nil
@@ -444,28 +452,25 @@ func isDateline(topo topology.Topology, tl topology.Link) bool {
 // adaptively among the remaining productive directions. The turn model
 // breaks every cycle in the mesh channel-dependency graph, so adaptive
 // routing stays deadlock-free (Glass & Ni's turn model, applying the
-// paper's §3 call to explore routing alternatives).
+// paper's §3 call to explore routing alternatives). The list depends only
+// on the signs of the offsets, so it is one of westFirstSets' shared
+// lists (nil when dst is tile) and routing a head flit allocates nothing.
 func (n *Network) westFirstCandidates(tile, dst int) []route.Dir {
 	kx, _ := n.topo.Radix()
-	x, y := tile%kx, tile/kx
-	dx, dy := dst%kx-x, dst/kx-y
-	if dx == 0 && dy == 0 {
-		return nil
-	}
-	if dx < 0 {
-		return []route.Dir{route.West}
-	}
-	var out []route.Dir
-	if dx > 0 {
-		out = append(out, route.East)
-	}
-	if dy > 0 {
-		out = append(out, route.North)
-	}
-	if dy < 0 {
-		out = append(out, route.South)
-	}
-	return out
+	sx := cmp.Compare(dst%kx, tile%kx)
+	sy := cmp.Compare(dst/kx, tile/kx)
+	return westFirstSets[sx+1][sy+1]
+}
+
+// westFirstSets lists the west-first candidates by the signs of the x and
+// y offsets (each shifted by one to index from 0), east before north
+// before south; the adaptive router breaks credit ties toward the earlier
+// candidate, so the order is part of the deterministic result. Callers
+// must not modify the lists.
+var westFirstSets = [3][3][]route.Dir{
+	{{route.West}, {route.West}, {route.West}},
+	{{route.South}, nil, {route.North}},
+	{{route.East, route.South}, {route.East}, {route.East, route.North}},
 }
 
 // preferredDir is the per-cycle dimension-order preference used by

@@ -612,6 +612,69 @@ func TestAdaptiveMeshDelivery(t *testing.T) {
 	}
 }
 
+// TestAdaptiveMeshFewVCs runs adaptive routing with fewer VCs than the
+// flit format's eight: the credit scan that picks the least-congested
+// candidate must stop at the router's own VC count.
+func TestAdaptiveMeshFewVCs(t *testing.T) {
+	rc := router.DefaultConfig(0)
+	rc.NumVCs = 4
+	n := build(t, Config{Topo: mesh4(t), Router: rc, Adaptive: true, Seed: 53})
+	topo := n.Topology()
+	delivered := 0
+	for tile := 0; tile < topo.NumTiles(); tile++ {
+		n.AttachClient(tile, ClientFunc(func(now int64, p *Port) {
+			delivered += len(p.Deliveries())
+		}))
+	}
+	sent := 0
+	for round := 0; round < 10; round++ {
+		for src := 0; src < topo.NumTiles(); src++ {
+			dst := (src*3 + round + 1) % topo.NumTiles()
+			if dst == src {
+				continue
+			}
+			if _, err := n.Port(src).Send(dst, make([]byte, 64), flit.VCMask(0x0F), 0); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+	}
+	if !n.Drain(60000) {
+		t.Fatalf("4-VC adaptive mesh did not drain (occupancy %d)", n.Occupancy())
+	}
+	if delivered != sent {
+		t.Fatalf("delivered %d of %d", delivered, sent)
+	}
+}
+
+// TestNewAllocationsFixed pins slab construction: routers, VC buffers,
+// links and ports each come from a fixed number of allocations, so
+// building a 32x32 die costs exactly as many as an 8x8 one. Adjacency and
+// route table are shared, as sweeps and arenas share them.
+func TestNewAllocationsFixed(t *testing.T) {
+	allocs := func(k int) float64 {
+		topo, err := topology.NewFoldedTorus(k, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1,
+			Adjacency:  topology.Links(topo),
+			RouteTable: route.BuildTable(topo, topo.NumTiles()),
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(8), allocs(32)
+	if small != large {
+		t.Fatalf("network.New allocates %.0f times at 8x8 but %.0f at 32x32; want the same count at every die size", small, large)
+	}
+	t.Logf("network.New: %.0f allocations at 8x8 and at 32x32", small)
+}
+
 func TestAdaptiveRejectedOnTorus(t *testing.T) {
 	if _, err := New(Config{Topo: torus4(t), Router: router.DefaultConfig(0), Adaptive: true}); err == nil {
 		t.Fatal("adaptive routing on a torus accepted (turn model does not cover wraps)")

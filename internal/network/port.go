@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
+	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/telemetry"
 )
@@ -69,9 +70,6 @@ type Port struct {
 	shard *shardState
 	pool  *flit.Pool
 
-	canInject func(vc int) bool
-	accept    func(f *flit.Flit)
-
 	// probe is the tile's telemetry probe (shared with the tile's router);
 	// nil is the disabled fast path.
 	probe *telemetry.RouterProbe
@@ -113,6 +111,24 @@ type Port struct {
 
 // Tile reports the port's tile id.
 func (p *Port) Tile() int { return p.tile }
+
+// canInject reports whether the tile's router can take a flit on the
+// given virtual channel this cycle: the per-VC ready signal of §2.1.
+func (p *Port) canInject(vc int) bool {
+	if p.net.cfg.Deflect {
+		return p.net.defls[p.tile].CanInject()
+	}
+	return p.net.routers[p.tile].CanInject(vc)
+}
+
+// accept drives a flit into the tile's router through its local input.
+func (p *Port) accept(f *flit.Flit) {
+	if p.net.cfg.Deflect {
+		p.net.defls[p.tile].AcceptFlit(f, route.Local)
+		return
+	}
+	p.net.acceptAt(p.tile, f, route.Local)
+}
 
 // injWork reports packets queued or in progress at the injection side —
 // the condition for staying on the shard's pump worklist.
@@ -181,8 +197,8 @@ func (p *Port) putInjection(in *injection) {
 // packets, and reassembly partials — recycle into the pool (flits already
 // injected live in routers and links, which recycle their own); delivery
 // objects drain back into the free list, loopbacks are dropped, and
-// worklist membership clears. The tile, network, shard, probe, and
-// injection callbacks are configuration and are kept.
+// worklist membership clears. The tile, network, shard and probe are
+// configuration and are kept.
 func (p *Port) reset() {
 	drop := func(in *injection) {
 		for _, f := range in.flits[in.next:] {

@@ -141,6 +141,16 @@ func (n *Network) initShards() {
 		}
 		n.shards[s] = sh
 	}
+	// Size each shard's link list first and carve the lists from one
+	// slab, so the partition costs the same allocations at any die size.
+	owned := make([]int, count)
+	for i := range n.links {
+		owned[n.shardOf[n.links[i].to]]++
+	}
+	slab := make([]shardLink, len(n.links))
+	for s, sh := range n.shards {
+		sh.links, slab = slab[:0:owned[s]], slab[owned[s]:]
+	}
 	for i := range n.links {
 		le := &n.links[i]
 		owner := n.shardOf[le.to]

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+
 	"repro/internal/checkpoint"
 	"repro/internal/flit"
 	"repro/internal/route"
@@ -75,11 +77,17 @@ func (r *Router) SaveState(e *checkpoint.Encoder) {
 // RestoreState restores a router saved with SaveState into a router built
 // from the same configuration. Buffered flits are drawn from pool, and
 // the incremental occupancy count is recomputed from the restored
-// structures.
+// structures. State a live router never reaches fails the decoder with
+// the router, port and VC named (see invalidVC and invalidStaged), so a
+// hostile or corrupt checkpoint is an error, not a panic a cycle later.
 func (r *Router) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 	for pi := range r.inputs {
 		ic := &r.inputs[pi]
 		ic.arb.next = d.Int()
+		if d.Err() == nil && (ic.arb.next < 0 || ic.arb.next >= ic.arb.n) {
+			d.Fail("router %d: input %v: VC arbiter pointer %d outside [0,%d)", r.cfg.ID, route.Dir(pi), ic.arb.next, ic.arb.n)
+			return
+		}
 		n := d.Count(1)
 		if n != len(ic.vcs) {
 			if d.Err() == nil {
@@ -102,11 +110,22 @@ func (r *Router) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 			st.pktID = d.U64()
 			st.pktSrc = d.Int()
 			st.pktDst = d.Int()
+			if d.Err() != nil {
+				return
+			}
+			if msg := r.invalidVC(st, v); msg != "" {
+				d.Fail("router %d: input %v VC %d: %s", r.cfg.ID, route.Dir(pi), v, msg)
+				return
+			}
 		}
 	}
 	for oi := range r.outputs {
 		oc := &r.outputs[oi]
 		oc.arb.next = d.Int()
+		if d.Err() == nil && (oc.arb.next < 0 || oc.arb.next >= oc.arb.n) {
+			d.Fail("router %d: output %v: port arbiter pointer %d outside [0,%d)", r.cfg.ID, route.Dir(oi), oc.arb.next, oc.arb.n)
+			return
+		}
 		for i := range oc.staging {
 			oc.staging[i] = nil
 			if d.Bool() {
@@ -114,6 +133,13 @@ func (r *Router) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 			}
 		}
 		oc.bypass = flit.RestoreFlits(d, oc.bypass[:0], pool)
+		if d.Err() != nil {
+			return
+		}
+		if msg := r.invalidStaged(oc); msg != "" {
+			d.Fail("router %d: output %v: %s", r.cfg.ID, route.Dir(oi), msg)
+			return
+		}
 		nc := d.Count(8)
 		if nc != r.cfg.NumVCs {
 			if d.Err() == nil {
@@ -165,4 +191,50 @@ func (r *Router) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 		r.occ = r.OccupancyRecount()
 		r.rebuildMasks()
 	}
+}
+
+// invalidVC describes why restored input VC v (st) holds state a live
+// router never reaches, or returns "". Each case would break the next
+// cycle: more flits than the VC's BufFlits+1 slots (the +1 is
+// AbandonInput's abort tail), a flit filed under another VC (its credit
+// would return on the wrong VC), an output port or downstream VC that
+// indexes past the output controllers or credit counters, or an unrouted
+// VC whose front flit is not a head, which RouteCompute rejects.
+func (r *Router) invalidVC(st *vcState, v int) string {
+	if n := st.bufLen(); n > r.cfg.BufFlits+1 {
+		return fmt.Sprintf("holds %d flits, more than its %d slots", n, r.cfg.BufFlits+1)
+	}
+	for _, f := range st.buf[st.head:] {
+		if f.VC != v {
+			return fmt.Sprintf("holds a flit of VC %d", f.VC)
+		}
+	}
+	if st.outPort >= NumPorts {
+		return fmt.Sprintf("output port %d outside [0,%d)", st.outPort, NumPorts)
+	}
+	if st.outVC < -1 || st.outVC >= r.cfg.NumVCs {
+		return fmt.Sprintf("output VC %d outside [-1,%d)", st.outVC, r.cfg.NumVCs)
+	}
+	if !st.routed && st.bufLen() > 0 && !st.front().Type.IsHead() {
+		return fmt.Sprintf("unrouted with a %v flit at its front", st.front().Type)
+	}
+	return ""
+}
+
+// invalidStaged describes why a restored output controller's staged or
+// bypassed flits could not have come from a live router, or returns "":
+// every flit there has already been given a VC in [0, NumVCs), and
+// sending a tail on another VC would index past the VC-owner words.
+func (r *Router) invalidStaged(oc *outputController) string {
+	for i, f := range oc.staging {
+		if f != nil && (f.VC < 0 || f.VC >= r.cfg.NumVCs) {
+			return fmt.Sprintf("flit staged from input %v on VC %d outside [0,%d)", route.Dir(i), f.VC, r.cfg.NumVCs)
+		}
+	}
+	for _, f := range oc.bypass {
+		if f.VC < 0 || f.VC >= r.cfg.NumVCs {
+			return fmt.Sprintf("bypassed flit on VC %d outside [0,%d)", f.VC, r.cfg.NumVCs)
+		}
+	}
+	return ""
 }

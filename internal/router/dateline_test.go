@@ -152,7 +152,8 @@ func TestWrappedBitMaintenance(t *testing.T) {
 	// A flit crossing a dateline link gets Wrapped set; turning into the
 	// other dimension clears it.
 	r := datelineRouter(t)
-	out := link.New(link.Config{Name: "e"})
+	out := link.New(link.Config{})
+	out.Dir = route.East
 	r.SetOutLink(route.East, out, 4)
 	r.SetDateline(route.East, true)
 	var w route.Word

@@ -31,7 +31,8 @@ func TestRouterConservationProperty(t *testing.T) {
 		dirs := []route.Dir{route.North, route.East, route.South, route.West}
 		outs := map[route.Dir]*link.Link{}
 		for _, d := range dirs {
-			l := link.New(link.Config{Name: d.String()})
+			l := link.New(link.Config{})
+			l.Dir = d
 			outs[d] = l
 			r.SetOutLink(d, l, cfg.BufFlits)
 		}

@@ -7,7 +7,8 @@ import "fmt"
 // reserved slot carries that flow's flit through the link bypass without
 // arbitration. Unreserved slots (and, when WorkConserving is set, reserved
 // slots with no waiting reserved flit) are arbitrated among dynamic
-// traffic.
+// traffic. NewAll builds one per output port, its slots carved from a
+// slab.
 type ResTable struct {
 	period int
 	flows  []int // flow id per slot; 0 = unreserved
@@ -17,14 +18,6 @@ type ResTable struct {
 	// traffic arbitrates for the cycles on each link that are not
 	// pre-reserved"); work conservation is the ablation.
 	WorkConserving bool
-}
-
-// NewResTable returns a table with the given period in cycles.
-func NewResTable(period int) *ResTable {
-	if period < 1 {
-		period = 1
-	}
-	return &ResTable{period: period, flows: make([]int, period)}
 }
 
 // Period reports the table length.

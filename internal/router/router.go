@@ -279,8 +279,9 @@ type Stats struct {
 }
 
 // Router is the paper's virtual-channel router. The input and output
-// controllers are stored by value so one router's hot state is a handful
-// of contiguous allocations rather than a pointer web — at 4096 tiles the
+// controllers are stored by value, and NewAll carves every router's
+// per-VC state from shared slabs, so a die's hot state is a few
+// contiguous arrays rather than a pointer web — at 4096 tiles the
 // difference is whether the per-cycle scan stays in cache.
 type Router struct {
 	cfg     Config
@@ -385,8 +386,23 @@ func (r *Router) Describe() string {
 	return sb.String()
 }
 
-// New returns a router with the given configuration.
+// New returns a router with the given configuration: a one-router NewAll.
 func New(cfg Config) (*Router, error) {
+	rs, err := NewAll(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &rs[0], nil
+}
+
+// NewAll returns count routers built from cfg, with IDs cfg.ID,
+// cfg.ID+1, and so on. Their VC states, VC buffer slots, downstream
+// VC-owner words and reservation tables are carved from one slab each,
+// so a die of any size costs the same few allocations. Every carved
+// slice is cut with a full slice expression (s[lo:lo:hi]): VC buffers,
+// abort tails and checkpoint restore all append, and an append past a
+// slice's capacity must reallocate, not run on into the next VC's slots.
+func NewAll(cfg Config, count int) ([]Router, error) {
 	if cfg.NumVCs < 1 || cfg.NumVCs > flit.NumVCs {
 		return nil, fmt.Errorf("router: NumVCs %d outside [1,%d]", cfg.NumVCs, flit.NumVCs)
 	}
@@ -402,28 +418,45 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ResPeriod < 1 {
 		cfg.ResPeriod = 1
 	}
-	r := &Router{cfg: cfg}
-	dirs := []route.Dir{route.North, route.East, route.South, route.West, route.Local}
-	for _, d := range dirs {
-		ic := &r.inputs[portIndex(d)]
-		ic.dir = d
-		ic.arb = rrArbiter{n: cfg.NumVCs}
-		ic.vcs = make([]vcState, cfg.NumVCs)
-		for v := range ic.vcs {
-			// +1: AbandonInput may append an abort tail to a full buffer.
-			ic.vcs[v] = vcState{outVC: -1, buf: make([]*flit.Flit, 0, cfg.BufFlits+1)}
+	nvc, period := cfg.NumVCs, cfg.ResPeriod
+	depth := cfg.BufFlits + 1 // +1: AbandonInput may append an abort tail to a full buffer.
+	rs := make([]Router, count)
+	states := make([]vcState, count*NumPorts*nvc)
+	slots := make([]*flit.Flit, len(states)*depth)
+	owners := make([]uint64, len(states))
+	tables := make([]ResTable, count*NumPorts)
+	flows := make([]int, len(tables)*period)
+	for i := range rs {
+		r := &rs[i]
+		r.cfg = cfg
+		r.cfg.ID = cfg.ID + i
+		r.setVCMasks()
+		for p := 0; p < NumPorts; p++ {
+			k := (i*NumPorts + p) * nvc // this port's first VC in the slabs
+			ic := &r.inputs[p]
+			ic.dir = route.Dir(p)
+			ic.arb = rrArbiter{n: nvc}
+			ic.vcs = states[k : k+nvc : k+nvc]
+			for v := range ic.vcs {
+				s := (k + v) * depth
+				ic.vcs[v] = vcState{outVC: -1, buf: slots[s : s : s+depth]}
+			}
+			oc := &r.outputs[p]
+			oc.dir = route.Dir(p)
+			oc.arb = rrArbiter{n: NumPorts}
+			oc.vcOwner = owners[k : k+nvc : k+nvc]
+			t, f := &tables[i*NumPorts+p], (i*NumPorts+p)*period
+			*t = ResTable{period: period, flows: flows[f : f+period : f+period], WorkConserving: cfg.WorkConserving}
+			oc.table = t
 		}
-		oc := &r.outputs[portIndex(d)]
-		oc.dir = d
-		oc.arb = rrArbiter{n: NumPorts}
-		oc.vcOwner = make([]uint64, cfg.NumVCs)
-		oc.table = NewResTable(cfg.ResPeriod)
-		oc.table.WorkConserving = cfg.WorkConserving
 	}
-	pairs := cfg.NumVCs
-	if cfg.DatelineVCs {
-		pairs = cfg.NumVCs / 2
-	}
+	return rs, nil
+}
+
+// setVCMasks precomputes the VC-mask constants from the configuration.
+func (r *Router) setVCMasks() {
+	cfg := &r.cfg
+	pairs := r.vcPairs()
 	r.pairSelMask = 1<<uint(pairs) - 1
 	if cfg.ReservedVC >= 0 {
 		r.inReservedMask = 1 << uint(cfg.ReservedVC)
@@ -437,7 +470,6 @@ func New(cfg Config) (*Router, error) {
 			r.prioMask |= 1 << uint(v)
 		}
 	}
-	return r, nil
 }
 
 // ID reports the router's tile id.
@@ -577,7 +609,7 @@ func (r *Router) adaptiveChoice(f *flit.Flit) route.Dir {
 	for _, d := range candidates {
 		oc := &r.outputs[portIndex(d)]
 		total := 0
-		for v, c := range oc.credits {
+		for v, c := range oc.credits[:r.cfg.NumVCs] {
 			if oc.vcOwner[v] == 0 {
 				total += int(c)
 			}

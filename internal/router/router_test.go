@@ -89,7 +89,13 @@ func TestRRArbiterSkipsIdle(t *testing.T) {
 }
 
 func TestResTable(t *testing.T) {
-	tb := NewResTable(8)
+	cfg := DefaultConfig(0)
+	cfg.ResPeriod = 8
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := r.Reservations(route.East)
 	if tb.Period() != 8 || tb.Reserved() {
 		t.Fatal("fresh table state wrong")
 	}
@@ -160,7 +166,7 @@ func TestRouteComputeTurns(t *testing.T) {
 
 func TestCreditAccounting(t *testing.T) {
 	r, _ := New(DefaultConfig(0))
-	out := link.New(link.Config{Name: "out"})
+	out := link.New(link.Config{})
 	r.SetOutLink(route.East, out, 4)
 	if got := r.CreditCount(route.East, 0); got != 4 {
 		t.Fatalf("initial credits = %d", got)
@@ -203,7 +209,7 @@ func TestCreditBackpressureStopsFlow(t *testing.T) {
 	cfg := DefaultConfig(0)
 	cfg.BufFlits = 2
 	r, _ := New(cfg)
-	out := link.New(link.Config{Name: "out"})
+	out := link.New(link.Config{})
 	r.SetOutLink(route.East, out, 2) // downstream has 2 slots
 	var w route.Word
 	w, _ = w.Push(route.Left)
@@ -241,7 +247,7 @@ func TestVCAllocationExclusive(t *testing.T) {
 	// packet's tail departs.
 	cfg := DefaultConfig(0)
 	r, _ := New(cfg)
-	out := link.New(link.Config{Name: "out"})
+	out := link.New(link.Config{})
 	r.SetOutLink(route.East, out, 4)
 
 	var wWest route.Word // arriving from west heading east: straight
@@ -315,7 +321,7 @@ func TestNonSpeculativeAddsACycle(t *testing.T) {
 		cfg := DefaultConfig(0)
 		cfg.NonSpeculative = nonspec
 		r, _ := New(cfg)
-		out := link.New(link.Config{Name: "out"})
+		out := link.New(link.Config{})
 		r.SetOutLink(route.East, out, 4)
 		var w route.Word
 		w, _ = w.Push(route.Straight)
@@ -354,8 +360,8 @@ func TestDeflectOldestFirst(t *testing.T) {
 		return route.East
 	}
 	r := NewDeflect(0, routeFunc)
-	east := link.New(link.Config{Name: "e"})
-	north := link.New(link.Config{Name: "n"})
+	east := link.New(link.Config{})
+	north := link.New(link.Config{})
 	r.SetOutLink(route.East, east)
 	r.SetOutLink(route.North, north)
 	old := &flit.Flit{Type: flit.HeadTail, Dst: 9, Birth: 1, PacketID: 1}
@@ -427,7 +433,7 @@ func TestCutThroughHeadWaitsForFullBuffer(t *testing.T) {
 	cfg := DefaultConfig(0)
 	cfg.CutThrough = true
 	r, _ := New(cfg)
-	out := link.New(link.Config{Name: "out"})
+	out := link.New(link.Config{})
 	r.SetOutLink(route.East, out, 4)
 	// Burn 2 credits so only 2 remain.
 	r.outputs[portIndex(route.East)].credits[0] = 2
@@ -477,5 +483,46 @@ func TestDescribeStructure(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Describe missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestVCBufferAppendStaysInItsSlots appends one flit past the capacity of
+// slab-carved VC buffers and checks the neighbouring VC's slots are
+// unchanged: within one input port, across ports, and across routers.
+// NewAll cuts each buffer with a full slice expression; without the
+// capacity bound the append would write into the next buffer's slots.
+func TestVCBufferAppendStaysInItsSlots(t *testing.T) {
+	cfg := DefaultConfig(0)
+	rs, err := NewAll(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := cfg.NumVCs - 1
+	for _, tc := range []struct {
+		name      string
+		full, nbr *vcState
+	}{
+		{"next-vc", &rs[0].inputs[route.North].vcs[0], &rs[0].inputs[route.North].vcs[1]},
+		{"next-port", &rs[0].inputs[route.North].vcs[last], &rs[0].inputs[route.East].vcs[0]},
+		{"next-router", &rs[0].inputs[route.Local].vcs[last], &rs[1].inputs[route.North].vcs[0]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			depth := cfg.BufFlits + 1
+			if got := cap(tc.full.buf); got != depth {
+				t.Errorf("VC buffer capacity %d, want BufFlits+1 = %d", got, depth)
+			}
+			nbr := packet(1, 0, 1, route.Straight)[0]
+			tc.nbr.pushBack(nbr)
+			for _, f := range packet(2, 0, depth+1, route.Straight) {
+				tc.full.pushBack(f)
+			}
+			if tc.full.bufLen() != depth+1 {
+				t.Fatalf("overfilled VC holds %d flits, want %d", tc.full.bufLen(), depth+1)
+			}
+			if tc.nbr.bufLen() != 1 || tc.nbr.front() != nbr {
+				t.Fatalf("appending past a VC's capacity overwrote the neighbouring VC: its front is packet %d seq %d, want packet %d",
+					tc.nbr.front().PacketID, tc.nbr.front().Seq, nbr.PacketID)
+			}
+		})
 	}
 }

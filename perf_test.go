@@ -43,18 +43,39 @@ func buildLoadedNet(t testing.TB, stopAt int64, extra func(*network.Config)) *ne
 // engine: after warmup, the five-phase cycle loop allocates (almost)
 // nothing — flits come from the network's pool, credit and delivery
 // slices are reused, and payloads live in per-generator scratch buffers.
-// The seed engine allocated ~106 objects per cycle on this workload.
+// The seed engine allocated ~106 objects per cycle on the torus workload.
+// The adaptive mesh routes every head flit through the west-first
+// candidate function, which must not allocate either.
 func TestCycleLoopAllocFree(t *testing.T) {
-	n := buildLoadedNet(t, 0, nil)
-	n.Run(2000) // warm the pool and buffers
-	const cyclesPerRun = 200
-	allocs := testing.AllocsPerRun(5, func() {
-		n.Run(cyclesPerRun)
-	})
-	perCycle := allocs / cyclesPerRun
-	if perCycle > 1 {
-		t.Fatalf("steady-state cycle loop allocates %.2f objects/cycle, want ~0", perCycle)
+	check := func(t *testing.T, n *network.Network) {
+		t.Helper()
+		n.Run(2000) // warm the pool and buffers
+		const cyclesPerRun = 200
+		allocs := testing.AllocsPerRun(5, func() {
+			n.Run(cyclesPerRun)
+		})
+		perCycle := allocs / cyclesPerRun
+		if perCycle > 1 {
+			t.Fatalf("steady-state cycle loop allocates %.2f objects/cycle, want ~0", perCycle)
+		}
 	}
+	t.Run("torus4x4", func(t *testing.T) {
+		check(t, buildLoadedNet(t, 0, nil))
+	})
+	t.Run("adaptive-mesh8x8", func(t *testing.T) {
+		topo, err := topology.NewMesh(8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Adaptive: true, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tile := 0; tile < topo.NumTiles(); tile++ {
+			n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: topo.NumTiles()}, 0.2, 2, flit.VCMask(0xFF), 1))
+		}
+		check(t, n)
+	})
 }
 
 // TestIdleRegionCost gates the quiescence-aware scan on the 4096-tile
