@@ -67,14 +67,17 @@ race:
 # and must stay byte-identical to the straight-through goldens, and the
 # crash-resume smoke SIGKILLs a real nocsim mid-campaign, tears the
 # newest checkpoint file, and diffs the resumed run's report and metrics
-# CSV against an uninterrupted reference. The campaign engine is gated
-# the same two ways: the fork/replication determinism suite (forked
-# sweeps byte-match the straight-through goldens, replica 0 byte-matches
-# a plain run) runs under the race detector, and the campaign benchmarks
-# ride the benchjson gate — SweepPointReuse must hold its 0 allocs/op
-# (and 0 B/op) pooled re-init, NetworkBuild4096 records the cold-build
-# cost it replaces, and the SweepThroughput pair gates points/sec
-# downward so the warm-fork amortization can't silently rot.
+# CSV against an uninterrupted reference; the resumed golden sweep also
+# crosses shard counts with epoch batching (its line is the
+# 'TestResumedGolden' pattern). The campaign engine is gated the same two
+# ways: the replication determinism suite (replica 0 byte-matches a
+# plain run and the golden sweep, replicas forked into freshly built
+# networks agree across shard counts and batching, and a repeated run
+# byte-matches the first) runs under the race detector, and the campaign
+# benchmarks ride the benchjson gate — NetworkBuild4096 gates the
+# allocs/op of the build every run, replica and resume pays, and the
+# SweepThroughput pair gates points/sec downward so the warm-fork
+# amortization can't silently rot.
 ci:
 	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
 	  if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
@@ -89,9 +92,9 @@ ci:
 	$(GO) test -race -run 'TestSLOBurnSmoke|TestSLOFlagValidation|TestFlowLatencyReconciliation|TestFlowLatencyCheckpointRoundTrip' .
 	$(GO) test -race -run 'TestResumedGolden|TestCrashResume' .
 	$(GO) test -race -run 'TestFlightRecSmoke|TestFlightRecReconstructionExact' .
-	$(GO) test -race -run 'TestForkedGoldenSweep|TestReplicatedRunDeterminism|TestReplicatedSweepMatchesRuns|TestArenaReuseDeterminism' .
+	$(GO) test -race -run 'TestForkedGoldenSweep|TestReplicatedRunDeterminism|TestReplicatedSweepMatchesRuns|TestRepeatedRunDeterminism' .
 	{ $(GO) test -run '^$$' -bench 'NetworkCycle$$|NetworkCycleServeOff$$|NetworkCycleServeOn$$|NetworkCycleFlightRecOff$$|NetworkCycleFlightRecOn$$|NetworkCycleLatencyObsOff$$|NetworkCycleLatencyObsOn$$|NetworkCycle64$$|NetworkCycle4096$$|NetworkCycleIdle4096$$|RouteCompute' -benchtime 200ms -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$|SweepPointReuse$$' -benchtime 20x -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$' -benchtime 20x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'SweepThroughput' -benchtime 1x . ; } \
 		| $(GO) run ./cmd/benchjson -against BENCH_cycles.json -max-regress 50
 
@@ -134,17 +137,16 @@ fuzz:
 # benchmarks are recorded at GOMAXPROCS=1 (barrier overhead, no speedup
 # possible) and GOMAXPROCS=8 (the parallel case), keyed by the -procs
 # suffix benchjson parses into each row. The campaign-engine rows record
-# the amortized sweep machinery: NetworkBuild4096 (cold 4096-tile build),
-# SweepPointReuse (pooled in-place Reset, must stay 0 allocs/op), and the
-# SweepThroughput warm/cold pair whose points/sec ratio is the warm-fork
-# amortization factor. The final step re-runs the
+# the sweep machinery: NetworkBuild4096 (the 4096-tile build every run
+# pays) and the SweepThroughput warm/cold pair whose points/sec ratio is
+# the warm-fork amortization factor. The final step re-runs the
 # 4096-tile benchmark under the CPU profiler so every refresh leaves a
 # bench_cycle4096.prof artifact (`go tool pprof bench_cycle4096.prof`)
 # beside the JSON for digging into cycle-loop regressions.
 bench:
 	{ GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'NetworkCycle|RouteCompute|ECCRoundTrip|PacketSegmentation' -benchtime 1s -benchmem . ; \
 	  GOMAXPROCS=8 $(GO) test -run '^$$' -bench 'NetworkCycle64' -benchtime 1s -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$|SweepPointReuse$$' -benchtime 50x -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$' -benchtime 50x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'SweepThroughput' -benchtime 1x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkE[0-9]' -benchtime 1x -benchmem . ; } | $(GO) run ./cmd/benchjson -o BENCH_cycles.json
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'NetworkCycle4096$$' -benchtime 200ms -cpuprofile bench_cycle4096.prof .

@@ -4,26 +4,23 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/flit"
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // Campaign-engine benchmarks: what a sweep point costs to set up and run.
-// BenchmarkNetworkBuild4096 is the price of a cold construction at the
-// 4096-tile scale; BenchmarkSweepPointReuse is the pooled alternative — an
-// in-place Reset of an already-built network, which must stay at 0
-// allocs/op (gated in `make ci` via benchjson, same as the cycle loop).
-// The SweepThroughput pair records campaign throughput in measurements per
-// second with and without warm forks, so BENCH_cycles.json carries the
-// amortization factor the campaign engine was built for.
+// BenchmarkNetworkBuild4096 is the price of a construction at the
+// 4096-tile scale, which every run, replica and resume pays; benchjson
+// gates its allocs/op in `make ci`, so per-tile allocation cannot come
+// back unnoticed. The SweepThroughput pair records campaign throughput in
+// measurements per second with and without warm forks, so
+// BENCH_cycles.json carries the amortization factor the campaign engine
+// was built for.
 
-// BenchmarkNetworkBuild4096 measures the full cold build of a 64x64
+// BenchmarkNetworkBuild4096 measures the full build of a 64x64
 // (4096-tile) folded torus: topology, routers, links, ports, shard
-// partition, phase schedule. This is the per-point cost the arena pool
-// deletes; BenchmarkSweepPointReuse is the replacement.
+// partition, phase schedule.
 func BenchmarkNetworkBuild4096(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -37,39 +34,6 @@ func BenchmarkNetworkBuild4096(b *testing.B) {
 		}
 		if n.Kernel().Now() != 0 {
 			b.Fatal("fresh network not at cycle 0")
-		}
-	}
-}
-
-// BenchmarkSweepPointReuse measures the pooled re-initialization path: an
-// in-place Reset of a built, traffic-warmed 16x16 network — exactly what
-// the core arena does between sweep points. The contract is steady-state
-// 0 allocs/op: every buffer, worklist, and histogram is recycled, never
-// reallocated. The first Reset after live traffic is taken before the
-// timer so the loop measures the steady state, and `make ci` gates the
-// alloc count through benchjson (an allocation appearing in a previously
-// allocation-free benchmark fails outright).
-func BenchmarkSweepPointReuse(b *testing.B) {
-	topo, err := topology.NewFoldedTorus(16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for tile := 0; tile < topo.NumTiles(); tile++ {
-		n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: topo.NumTiles()}, 0.3, 2, flit.VCMask(0xFF), 1))
-	}
-	n.Run(2000) // leave real in-flight state for the first Reset to recycle
-	if err := n.Reset(1, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.Reset(1, 0); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -100,7 +64,6 @@ const sweepBenchReplicas = 8
 // as "points/sec" — the campaign engine's headline metric, regression-
 // gated by benchjson alongside ns/op.
 func BenchmarkSweepThroughput(b *testing.B) {
-	core.DrainArena()
 	p := sweepBenchParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,7 +85,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 // list). The warm/cold points-per-second ratio in BENCH_cycles.json is
 // the recorded amortization factor.
 func BenchmarkSweepThroughputCold(b *testing.B) {
-	core.DrainArena()
 	p := sweepBenchParams()
 	rates := make([]float64, 0, len(sweepBenchRates)*sweepBenchReplicas)
 	for _, r := range sweepBenchRates {

@@ -175,7 +175,7 @@ func compare(path string, results []Result, maxPct float64) (regressions int, er
 			regressions++
 		}
 		if strings.Contains(r.Name, "Serve") || strings.Contains(r.Name, "FlightRec") ||
-			strings.Contains(r.Name, "LatencyObs") || strings.Contains(r.Name, "SweepPointReuse") {
+			strings.Contains(r.Name, "LatencyObs") {
 			byteLimit := int64(float64(old.BytesPerOp) * (1 + maxPct/100))
 			if r.BytesPerOp > byteLimit {
 				fmt.Fprintf(os.Stderr, "benchjson: REGRESSION %s-%d: %d B/op vs baseline %d\n",
@@ -184,8 +184,7 @@ func compare(path string, results []Result, maxPct float64) (regressions int, er
 			}
 		}
 		// Campaign throughput gates downward: points/sec below the
-		// baseline by more than maxPct means warm forks or arena reuse
-		// stopped paying.
+		// baseline by more than maxPct means warm forks stopped paying.
 		if old.PointsPerSec > 0 && r.PointsPerSec > 0 {
 			floor := old.PointsPerSec * (1 - maxPct/100)
 			if r.PointsPerSec < floor {

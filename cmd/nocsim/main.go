@@ -61,6 +61,13 @@ func main() {
 	flag.Parse()
 
 	if *layout {
+		// The spec's radix range check bounds the k×k layout grid and
+		// Analyze's all-pairs walk, as it bounds every run.
+		s := core.DefaultRunParams().Spec
+		s.Topology, s.K = *topoName, *k
+		if err := s.Validate(); err != nil {
+			fatal(err)
+		}
 		topo, err := core.BuildTopology(*topoName, *k)
 		if err != nil {
 			fatal(err)

@@ -35,10 +35,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// One tile has no destination to pick, and nocsim -trace refuses any
+	// event above the trace format's payload cap.
+	if *k < 2 {
+		fatal(fmt.Errorf("-k must be >= 2; got %d", *k))
+	}
+	if *nbytes < 0 || *nbytes > traffic.MaxTraceBytes {
+		fatal(fmt.Errorf("-bytes must be in [0, %d]; got %d", traffic.MaxTraceBytes, *nbytes))
+	}
 	p, err := traffic.ByName(*pattern, *k, *k)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	tiles := *k * *k
@@ -58,7 +65,11 @@ func main() {
 		}
 	}
 	if err := traffic.WriteTrace(os.Stdout, events); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		fatal(err)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "tracegen:", err)
+	os.Exit(1)
 }

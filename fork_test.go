@@ -9,55 +9,11 @@ import (
 	"repro/internal/core"
 )
 
-// The warm-fork determinism suite extends the resume contract to the
-// in-memory campaign engine: a run forked mid-flight — snapshotted to a
-// byte buffer, its network Reset in place, fresh clients attached, and
-// the snapshot restored with Network.Fork — must reproduce the
-// committed straight-through goldens byte for byte, at any shard count
-// and epoch-batching setting. This is a strictly stronger claim than
-// resume (which restores into a *newly built* network): the fork path
-// additionally proves that arena Reset returns a used network to a
-// state indistinguishable from freshly constructed.
-
-// forkAt arranges for fn to run with the in-memory fork point set,
-// restoring the straight-through default afterwards.
-func forkAt(t *testing.T, frac float64, fn func()) {
-	t.Helper()
-	core.SetForkAt(frac)
-	defer core.SetForkAt(0)
-	fn()
-}
-
-// TestForkedGoldenSweep forks the golden load-latency sweep mid-point
-// across the shards {1, 2, N} × batching {off, default} grid, with the
-// fork fraction rotating through 25/50/75% so every fraction, shard
-// count, and batching setting is exercised. Every cell must reproduce
-// the committed sequential golden bytes.
-func TestForkedGoldenSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("forked golden sweeps are not -short")
-	}
-	want := readGolden(t, "golden_sweep_seed1.csv")
-	fracs := []float64{0.25, 0.50, 0.75}
-	shardList := append([]int{1}, shardCounts()...)
-	for si, shards := range shardList {
-		for bi, batch := range []int{-1, 0} { // off, network default
-			frac := fracs[(si*2+bi)%len(fracs)]
-			name := fmt.Sprintf("shards%d/batch%d/frac%.0f", shards, batch, 100*frac)
-			t.Run(name, func(t *testing.T) {
-				forkAt(t, frac, func() {
-					withShards(t, shards, func() {
-						withBatching(t, batch, func() {
-							if got := goldenSweepCSV(t, 1); got != want {
-								t.Errorf("forked sweep diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
-							}
-						})
-					})
-				})
-			})
-		}
-	}
-}
+// The warm-fork determinism suite: RunReplicated snapshots one warmup in
+// memory and Forks it into a freshly built network per replica, and
+// replica 0 must reproduce an uninterrupted Run byte for byte, at any
+// shard count and epoch-batching setting. The mid-run snapshot, rebuild
+// and restore of the golden sweep itself is TestResumedGoldenSweep's grid.
 
 // forkResultRow formats the measurement outputs of one RunResult for
 // byte comparison (Params carries func fields, so struct equality is
@@ -131,6 +87,50 @@ func TestReplicatedRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestForkedGoldenSweep runs the golden load-latency sweep through the
+// warm-fork engine across the shards {1, 2, N} × batching {off, default}
+// grid. In every cell replica 0 of each point, which runs on past the
+// warmup snapshot, must reproduce the committed sequential golden bytes,
+// and replica 1, Forked from that snapshot into a freshly built network,
+// must match the sequential unbatched cell byte for byte.
+func TestForkedGoldenSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forked golden sweeps are not -short")
+	}
+	want := readGolden(t, "golden_sweep_seed1.csv")
+	var wantForked string
+	shardList := append([]int{1}, shardCounts()...)
+	for _, shards := range shardList {
+		for _, batch := range []int{-1, 0} { // off, network default
+			t.Run(fmt.Sprintf("shards%d/batch%d", shards, batch), func(t *testing.T) {
+				withShards(t, shards, func() {
+					withBatching(t, batch, func() {
+						pts, err := core.SweepReplicated(goldenSweepBase(1), goldenSweepRates, 2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var straight, forked strings.Builder
+						straight.WriteString(goldenSweepHeader)
+						for _, pt := range pts {
+							writeGoldenSweepRow(&straight, pt.Rate, pt.Replicas[0])
+							forked.WriteString(forkResultRow(pt.Replicas[1]))
+							forked.WriteByte('\n')
+						}
+						if got := straight.String(); got != want {
+							t.Errorf("replica 0 diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
+						}
+						if wantForked == "" {
+							wantForked = forked.String()
+						} else if got := forked.String(); got != wantForked {
+							t.Errorf("forked replica diverged from the sequential unbatched fork\n--- want ---\n%s--- got ---\n%s", wantForked, got)
+						}
+					})
+				})
+			})
+		}
+	}
+}
+
 // TestReplicatedSweepMatchesRuns checks the sweep wrapper agrees with
 // point-by-point RunReplicated calls.
 func TestReplicatedSweepMatchesRuns(t *testing.T) {
@@ -158,20 +158,18 @@ func TestReplicatedSweepMatchesRuns(t *testing.T) {
 	}
 }
 
-// TestArenaReuseDeterminism pins the arena Reset ≡ New invariant at the
-// Run level: the second and third Run of a configuration execute on a
-// pooled network re-initialized in place, interleaved with a different
-// rate to dirty the pool, and every repetition must reproduce the first
-// (fresh-build) result byte for byte.
-func TestArenaReuseDeterminism(t *testing.T) {
-	core.DrainArena()
+// TestRepeatedRunDeterminism: runs in one process share only the
+// artifact cache (topology, adjacency and route table), so repeating a
+// Run, with a saturating run of the same shape in between, must
+// reproduce the first result byte for byte.
+func TestRepeatedRunDeterminism(t *testing.T) {
 	p := replicateParams()
 	first, err := core.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := p
-	other.Rate = 0.6 // drive the pooled network near saturation between runs
+	other.Rate = 0.6 // drive a network of the same shape near saturation between runs
 	if _, err := core.Run(other); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +179,7 @@ func TestArenaReuseDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		if forkResultRow(got) != forkResultRow(first) {
-			t.Errorf("reuse %d: pooled run diverged from fresh build\n want %s\n got  %s",
+			t.Errorf("repeat %d: run diverged from the first\n want %s\n got  %s",
 				i+1, forkResultRow(first), forkResultRow(got))
 		}
 	}

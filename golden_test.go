@@ -26,25 +26,40 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from the current engine")
 
-// goldenSweepCSV renders a load-latency sweep in cmd/nocsweep's CSV format.
-func goldenSweepCSV(t *testing.T, seed int64) string {
-	t.Helper()
+// goldenSweepRates are the offered loads of the golden sweep.
+var goldenSweepRates = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+
+// goldenSweepBase is the golden sweep's configuration for one seed.
+func goldenSweepBase(seed int64) core.RunParams {
 	base := core.DefaultRunParams()
 	base.WarmupCycles = 500
 	base.MeasureCycles = 1500
 	base.FlitsPerPacket = 2
 	base.Seed = seed
-	points, err := core.Sweep(base, []float64{0.1, 0.3, 0.5, 0.7, 0.9})
+	return base
+}
+
+// goldenSweepHeader and writeGoldenSweepRow render sweep points in
+// cmd/nocsweep's CSV format.
+const goldenSweepHeader = "offered,accepted,avg_latency,p50,p99,max,util_mean,util_max\n"
+
+func writeGoldenSweepRow(sb *strings.Builder, rate float64, r core.RunResult) {
+	fmt.Fprintf(sb, "%.3f,%.4f,%.2f,%d,%d,%d,%.4f,%.4f\n",
+		rate, r.AcceptedFlits, r.AvgLatency, r.P50Latency, r.P99Latency,
+		r.MaxLatency, r.LinkUtilMean, r.LinkUtilMax)
+}
+
+// goldenSweepCSV renders a load-latency sweep in cmd/nocsweep's CSV format.
+func goldenSweepCSV(t *testing.T, seed int64) string {
+	t.Helper()
+	points, err := core.Sweep(goldenSweepBase(seed), goldenSweepRates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	sb.WriteString("offered,accepted,avg_latency,p50,p99,max,util_mean,util_max\n")
+	sb.WriteString(goldenSweepHeader)
 	for _, pt := range points {
-		r := pt.Result
-		fmt.Fprintf(&sb, "%.3f,%.4f,%.2f,%d,%d,%d,%.4f,%.4f\n",
-			pt.Rate, r.AcceptedFlits, r.AvgLatency, r.P50Latency, r.P99Latency,
-			r.MaxLatency, r.LinkUtilMean, r.LinkUtilMax)
+		writeGoldenSweepRow(&sb, pt.Rate, pt.Result)
 	}
 	return sb.String()
 }

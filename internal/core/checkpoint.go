@@ -79,31 +79,6 @@ func ResumeAtFrac() float64 {
 	return math.Float64frombits(atomic.LoadUint64(&resumeAtBits))
 }
 
-// forkAtBits holds the SetForkAt fraction (math.Float64bits), atomic for
-// the same reason as resumeAtBits.
-var forkAtBits uint64
-
-// SetForkAt enables (frac in (0, 1)) or disables (0) the in-memory warm
-// fork test mode: every subsequent Run executes to frac × horizon, takes
-// an in-memory snapshot, Resets the same network in place, re-attaches
-// fresh clients, restores the snapshot via Fork, and continues — so the
-// determinism suite can assert that a warm-forked run reproduces the
-// uninterrupted run's outputs byte for byte. Runs whose network cannot
-// be reset (network.Capabilities.Reset) fall back to running straight
-// through, as do runs with disk checkpointing or the SetResumeAt mode
-// active.
-func SetForkAt(frac float64) {
-	if frac < 0 || frac >= 1 {
-		frac = 0
-	}
-	atomic.StoreUint64(&forkAtBits, math.Float64bits(frac))
-}
-
-// ForkAtFrac reports the SetForkAt fraction (0 = disabled).
-func ForkAtFrac() float64 {
-	return math.Float64frombits(atomic.LoadUint64(&forkAtBits))
-}
-
 // RunToHorizon advances a caller-assembled network to stopAt completed
 // cycles under the checkpoint/resume policy in p (see runToHorizon). It
 // is the entry point for command-line tools with bespoke client
@@ -116,7 +91,7 @@ func RunToHorizon(n *network.Network, p RunParams, stopAt int64, id SimSpec, reb
 	if err != nil {
 		return nil, err
 	}
-	return runToHorizon(n, p, stopAt, hash, rebuild, nil)
+	return runToHorizon(n, p, stopAt, hash, rebuild)
 }
 
 // runToHorizon advances n to stopAt completed cycles, applying the
@@ -126,17 +101,11 @@ func RunToHorizon(n *network.Network, p RunParams, stopAt int64, id SimSpec, reb
 //     (start from scratch when the directory has none);
 //   - CheckpointEvery: register the durable snapshot phase;
 //   - SetResumeAt test mode (when rebuild is non-nil and disk
-//     checkpointing is off): snapshot mid-run, rebuild, restore, continue;
-//   - SetForkAt test mode (when reattach is non-nil, the network is
-//     resettable, and neither disk checkpointing nor SetResumeAt is
-//     active): snapshot mid-run in memory, Reset the same network in
-//     place, reattach fresh clients, Fork the snapshot back, continue.
+//     checkpointing is off): snapshot mid-run, rebuild, restore, continue.
 //
-// reattach re-attaches a run's clients to a freshly Reset network; nil
-// disables the fork test mode for callers with bespoke client
-// arrangements. It returns the network that reached the horizon — the
-// original, or the rebuilt one in SetResumeAt mode.
-func runToHorizon(n *network.Network, p RunParams, stopAt int64, hash uint64, rebuild func() (*network.Network, error), reattach func(*network.Network) error) (*network.Network, error) {
+// It returns the network that reached the horizon — the original, or the
+// rebuilt one in SetResumeAt mode.
+func runToHorizon(n *network.Network, p RunParams, stopAt int64, hash uint64, rebuild func() (*network.Network, error)) (*network.Network, error) {
 	if p.Resume && p.CheckpointDir != "" {
 		f, path, skipped, err := checkpoint.LoadLatestReport(p.CheckpointDir)
 		for _, s := range skipped {
@@ -178,25 +147,6 @@ func runToHorizon(n *network.Network, p RunParams, stopAt int64, hash uint64, re
 					return nil, err
 				}
 				n = fresh
-			}
-		}
-	}
-	if frac := ForkAtFrac(); frac > 0 && reattach != nil && ck == nil && ResumeAtFrac() == 0 &&
-		n.Kernel().Now() == 0 && n.Capabilities().Reset == nil {
-		if mid := int64(frac * float64(stopAt)); mid > 0 && mid < stopAt {
-			n.Run(mid)
-			// A snapshot failure (unsupported attachment) falls through to
-			// running straight on, mirroring SetResumeAt.
-			if snap, err := n.Snapshot(hash); err == nil {
-				if err := n.Reset(p.Seed, p.WarmupCycles); err != nil {
-					return nil, err
-				}
-				if err := reattach(n); err != nil {
-					return nil, err
-				}
-				if err := n.Fork(snap, hash); err != nil {
-					return nil, err
-				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/telemetry"
 )
 
 func TestAllExperimentsRunQuick(t *testing.T) {
@@ -241,9 +242,9 @@ func TestRunElasticMode(t *testing.T) {
 	}
 }
 
-// TestRunReplicatedRefusals: a run whose network cannot Reset, or one
-// with an OnNetwork hook, cannot warm-fork, and the error carries the
-// reason: the capability record's, or core's own hook rule.
+// TestRunReplicatedRefusals: a run whose network cannot checkpoint, or
+// one with a probe or an OnNetwork hook, cannot warm-fork, and the error
+// carries the reason: the capability record's, or core's own rule.
 func TestRunReplicatedRefusals(t *testing.T) {
 	for _, mod := range []func(*RunParams){
 		func(p *RunParams) { p.Deflect = true },
@@ -255,14 +256,22 @@ func TestRunReplicatedRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := network.CapabilitiesOf(cfg).Reset
+		want := network.CapabilitiesOf(cfg).Checkpoint
 		if _, err := RunReplicated(p, 2); want == nil || !errors.Is(err, want) {
 			t.Errorf("RunReplicated err = %v, want one wrapping %v", err, want)
 		}
 	}
-	p := DefaultRunParams()
-	p.OnNetwork = func(*network.Network, SimSpec) error { return nil }
-	if _, err := RunReplicated(p, 2); err == nil || !strings.Contains(err.Error(), "OnNetwork") {
-		t.Errorf("RunReplicated with an OnNetwork hook: err = %v, want the hook refusal", err)
+	for _, tc := range []struct {
+		name, want string
+		mod        func(*RunParams)
+	}{
+		{"probe", "probe", func(p *RunParams) { p.Probe = telemetry.New(telemetry.Config{}) }},
+		{"hook", "OnNetwork", func(p *RunParams) { p.OnNetwork = func(*network.Network, SimSpec) error { return nil } }},
+	} {
+		p := DefaultRunParams()
+		tc.mod(&p)
+		if _, err := RunReplicated(p, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunReplicated with a %s: err = %v, want the refusal naming %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -243,7 +243,7 @@ func RunCampaign(p CampaignParams) (CampaignResult, error) {
 		return CampaignResult{}, err
 	}
 	tiles := n.Topology().NumTiles()
-	n, err = runToHorizon(n, p.Run, p.Cycles, hash, build, nil)
+	n, err = runToHorizon(n, p.Run, p.Cycles, hash, build)
 	if err != nil {
 		return CampaignResult{}, err
 	}

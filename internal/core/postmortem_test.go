@@ -82,19 +82,16 @@ func mustHash(t *testing.T, s SimSpec) uint64 {
 }
 
 // TestSpecIsTheRunDescription pins Spec as the one list of state-shaping
-// fields: setting any leaf field (through the embedded NetShape) moves
-// SimSpec.Hash and survives the dump round trip through ParseSpec; the
-// kind, the extra identity and an attached probe move the hash too; and
-// no per-run knob outside Spec does.
+// fields: setting any field moves SimSpec.Hash and survives the dump
+// round trip through ParseSpec; the kind, the extra identity and an
+// attached probe move the hash too; and no per-run knob outside Spec
+// does.
 func TestSpecIsTheRunDescription(t *testing.T) {
 	base := DefaultRunParams()
 	baseHash := mustHash(t, base.SimSpec("run", ""))
 	// A valid value other than the default, for each string field.
 	altString := map[string]string{"torus": "mesh", "uniform": "transpose"}
 	for _, sf := range reflect.VisibleFields(reflect.TypeOf(Spec{})) {
-		if sf.Anonymous {
-			continue
-		}
 		p := DefaultRunParams()
 		f := reflect.ValueOf(&p.Spec).Elem().FieldByIndex(sf.Index)
 		switch f.Kind() {
@@ -165,6 +162,16 @@ func TestSpecIsTheRunDescription(t *testing.T) {
 		if mustHash(t, p.SimSpec("run", "")) != baseHash {
 			t.Errorf("%s: a byte-identical knob moved the hash", knob.name)
 		}
+	}
+}
+
+// TestDefaultSpecHashIsStable pins the configuration hash of the default
+// run. Checkpoints and flight-recorder dumps carry this hash, so a change
+// to Spec's JSON (a renamed, reordered or retagged field) would make every
+// file written before it refuse to resume or replay.
+func TestDefaultSpecHashIsStable(t *testing.T) {
+	if got, want := mustHash(t, DefaultRunParams().SimSpec("run", "")), uint64(0x988d6c7096306ad1); got != want {
+		t.Errorf("DefaultRunParams().SimSpec(\"run\", \"\").Hash() = %#x, want %#x", got, want)
 	}
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 
+	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // This file is the warm-fork campaign engine. A measurement campaign
@@ -13,11 +16,11 @@ import (
 // shares the identical deterministic warmup (same network, same warmup
 // seed). Instead of paying warmup × replicas, RunReplicated runs the
 // warmup once, snapshots the network in memory (no file, no CRC
-// sidecar, no fsync), and forks each replica from the snapshot: Reset
-// the arena network in place, restore the snapshot, reseed the
-// generators onto the replica's stream, and run only the measurement
-// window. Replica 0 keeps the warmup generators' streams, so its result
-// is byte-identical to an uninterrupted Run of the same parameters.
+// sidecar, no fsync), and forks each replica from the snapshot: build a
+// fresh network, restore the snapshot, reseed the generators onto the
+// replica's stream, and run only the measurement window. Replica 0 keeps
+// the warmup generators' streams, so its result is byte-identical to an
+// uninterrupted Run of the same parameters.
 
 // replicaSeed derives replica r's measurement-traffic seed from the
 // run's base seed. Replica 0 is the base stream itself (continuing the
@@ -35,9 +38,9 @@ func replicaSeed(seed int64, r int) int64 {
 // byte; replicas 1..n-1 draw independent measurement traffic from
 // replicaSeed streams. replicas <= 1 delegates to Run. Disk
 // checkpointing fields are not supported (the engine is in-memory by
-// design), and configurations the arena refuses (arenaRefusal: the
-// network's Capabilities.Reset, or an OnNetwork hook) return an error
-// wrapping the reason.
+// design). Configurations that cannot fork return an error wrapping the
+// reason: the network's Capabilities.Checkpoint, since Fork restores a
+// snapshot, or a probe or OnNetwork hook, which observe one network.
 func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 	if replicas <= 1 {
 		res, err := Run(p)
@@ -53,20 +56,32 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := arenaRefusal(p, cfg); err != nil {
-		return nil, fmt.Errorf("core: configuration cannot warm-fork: %w", err)
+	var refusal error
+	switch caps := network.CapabilitiesOf(cfg); {
+	case caps.Checkpoint != nil:
+		refusal = caps.Checkpoint
+	case p.Probe != nil:
+		refusal = errors.New("telemetry probes observe one network")
+	case p.OnNetwork != nil:
+		refusal = errors.New("OnNetwork hooks attach per-run state")
+	}
+	if refusal != nil {
+		return nil, fmt.Errorf("core: configuration cannot warm-fork: %w", refusal)
 	}
 	id := p.SimSpec("run", "")
 	hash, err := id.Hash()
 	if err != nil {
 		return nil, err
 	}
-	n, release, err := acquireNetwork(p, cfg)
-	if err != nil {
-		return nil, err
+	build := func() (*network.Network, []*traffic.Generator, error) {
+		n, err := network.New(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		gens, err := attachRunClients(n, p, id)
+		return n, gens, err
 	}
-	defer release()
-	gens, err := attachRunClients(n, p, id)
+	n, _, err := build()
 	if err != nil {
 		return nil, err
 	}
@@ -83,10 +98,8 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 	out := make([]RunResult, 0, replicas)
 	for r := 0; r < replicas; r++ {
 		if r > 0 {
-			if err := n.Reset(p.Seed, p.WarmupCycles); err != nil {
-				return nil, err
-			}
-			if gens, err = attachRunClients(n, p, id); err != nil {
+			var gens []*traffic.Generator
+			if n, gens, err = build(); err != nil {
 				return nil, err
 			}
 			if err := n.Fork(snap, hash); err != nil {
@@ -159,8 +172,8 @@ func (pt ReplicatedPoint) Mean() RunResult {
 }
 
 // SweepReplicated runs a replicated measurement at every rate. Points
-// run concurrently on the SetParallelism worker pool, each on its own
-// arena network; within a point the replicas fork serially from the
+// run concurrently on the SetParallelism worker pool, each building its
+// own networks; within a point the replicas fork serially from the
 // shared warmup snapshot. With replicas <= 1 each point is a plain Run
 // (and disk checkpointing, if configured, applies as in Sweep).
 func SweepReplicated(base RunParams, rates []float64, replicas int) ([]ReplicatedPoint, error) {

@@ -83,7 +83,7 @@ func BatchEpochs() int { return int(atomic.LoadInt64(&batchEpochs)) }
 var simulatedCycles int64
 
 // SimulatedCycles reports the total kernel cycles executed by this
-// package's runners since process start (or the last Reset).
+// package's runners since process start (or ResetSimulatedCycles).
 func SimulatedCycles() int64 { return atomic.LoadInt64(&simulatedCycles) }
 
 // ResetSimulatedCycles zeroes the simulated-cycle counter.
@@ -98,22 +98,6 @@ func countCycles(n int64) { atomic.AddInt64(&simulatedCycles, n) }
 // fingerprints, so a field added here is covered by replay, resume and
 // the hash at once.
 type Spec struct {
-	NetShape
-
-	Pattern        string  `json:"pattern"`          // traffic pattern name
-	Rate           float64 `json:"rate"`             // offered flits/cycle/node
-	FlitsPerPacket int     `json:"flits_per_packet"` // packet length
-
-	WarmupCycles  int64 `json:"warmup_cycles"`
-	MeasureCycles int64 `json:"measure_cycles"`
-
-	Seed int64 `json:"seed"`
-}
-
-// NetShape is the part of a Spec that network.New allocates from; the
-// seed and warmup, which network.Reset re-establishes, stay in Spec.
-// The network arena pools networks by its value.
-type NetShape struct {
 	Topology string `json:"topology"` // "torus" or "mesh"
 	K        int    `json:"k"`        // radix (K x K tiles)
 
@@ -134,6 +118,15 @@ type NetShape struct {
 	Watchdog  int  `json:"watchdog,omitempty"`
 	PhysWires bool `json:"phys_wires,omitempty"`
 	ECC       bool `json:"ecc,omitempty"`
+
+	Pattern        string  `json:"pattern"`          // traffic pattern name
+	Rate           float64 `json:"rate"`             // offered flits/cycle/node
+	FlitsPerPacket int     `json:"flits_per_packet"` // packet length
+
+	WarmupCycles  int64 `json:"warmup_cycles"`
+	MeasureCycles int64 `json:"measure_cycles"`
+
+	Seed int64 `json:"seed"`
 }
 
 // maxSpecK bounds the radix a spec may request. Rebuild builds k²
@@ -186,7 +179,7 @@ func (s Spec) Validate() error {
 
 // vcMask is the VC mask the Bernoulli sources inject on: the first
 // NumVCs channels (all eight when NumVCs is 0 or 8).
-func (s NetShape) vcMask() flit.VCMask {
+func (s Spec) vcMask() flit.VCMask {
 	if s.NumVCs > 0 && s.NumVCs < 8 {
 		return flit.VCMask((1 << s.NumVCs) - 1)
 	}
@@ -257,7 +250,10 @@ func (p RunParams) drainBudget() int64 {
 // uniform random traffic.
 func DefaultRunParams() RunParams {
 	return RunParams{Spec: Spec{
-		NetShape:       NetShape{Topology: "torus", K: 4, NumVCs: 8, BufFlits: 4},
+		Topology:       "torus",
+		K:              4,
+		NumVCs:         8,
+		BufFlits:       4,
 		Pattern:        "uniform",
 		Rate:           0.1,
 		FlitsPerPacket: 1,
@@ -424,10 +420,10 @@ func withPackageLayout(cfg network.Config) network.Config {
 }
 
 // attachRunClients attaches the Bernoulli generators for one measurement
-// run to an already-built (or arena-reset) network, sets the measurement
-// window, and runs the OnNetwork hook with the run's identity id. The
-// generators are returned in tile order so warm-fork replication can
-// reseed them in place.
+// run to a freshly built network, sets the measurement window, and runs
+// the OnNetwork hook with the run's identity id. The generators are
+// returned in tile order so warm-fork replication can reseed them in
+// place.
 func attachRunClients(n *network.Network, p RunParams, id SimSpec) ([]*traffic.Generator, error) {
 	pattern, err := traffic.ByName(p.Pattern, p.K, p.K)
 	if err != nil {
@@ -489,31 +485,23 @@ func Run(p RunParams) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	attach := func(n *network.Network) error {
-		_, err := attachRunClients(n, p, id)
-		return err
-	}
 	cfg, err := networkConfig(p)
 	if err != nil {
 		return RunResult{}, err
 	}
-	n, release, err := acquireNetwork(p, cfg)
+	build := func() (*network.Network, error) {
+		n, err := network.New(cfg)
+		if err == nil {
+			_, err = attachRunClients(n, p, id)
+		}
+		return n, err
+	}
+	n, err := build()
 	if err != nil {
 		return RunResult{}, err
 	}
-	defer release()
-	if err := attach(n); err != nil {
-		return RunResult{}, err
-	}
 	topo := n.Topology()
-	n, err = runToHorizon(n, p, p.WarmupCycles+p.MeasureCycles, hash,
-		func() (*network.Network, error) {
-			n2, err := network.New(cfg)
-			if err == nil {
-				err = attach(n2)
-			}
-			return n2, err
-		}, attach)
+	n, err = runToHorizon(n, p, p.WarmupCycles+p.MeasureCycles, hash, build)
 	if err != nil {
 		return RunResult{}, err
 	}

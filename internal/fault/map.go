@@ -40,14 +40,6 @@ func (m *Map) MarkDown(from int, d route.Dir, now int64) bool {
 	return true
 }
 
-// Reset forgets every declaration, in place and without allocating, so a
-// pooled network reuses the map across runs. The fail-stop "grow only"
-// contract holds within a run; Reset marks the boundary between runs.
-func (m *Map) Reset() {
-	clear(m.down)
-	m.version = 0
-}
-
 // IsDown reports whether the channel leaving tile from in direction d has
 // been declared dead. Its signature matches the blocked predicate of
 // topology.ShortestAvoiding.

@@ -60,8 +60,8 @@ type Link struct {
 	creditBuf []int
 
 	// pool, when non-nil, receives flits the link destroys (dead-channel
-	// drops) or replaces (physical-layer copies), so a pooled network's
-	// flit accounting stays balanced.
+	// drops) or replaces (physical-layer copies), so the flit pool's
+	// accounting stays balanced.
 	pool *flit.Pool
 
 	// probe, when non-nil, accrues the channel's telemetry counters
@@ -325,37 +325,6 @@ func (l *Link) DeliverElastic(accept func(f *flit.Flit) bool) *flit.Flit {
 		out = l.physCopy(out)
 	}
 	return out
-}
-
-// Reset empties the link for a fresh run in place: in-flight flits are
-// recycled into the pool, the credit channel and pending-credit queue are
-// cleared, the utilization and active-bit counters rewind, and fault
-// state (down flag, loss counters) is erased. Configuration — latency,
-// serdes, elasticity, probe, pool — is kept.
-func (l *Link) Reset() {
-	for i := range l.pipe.slots {
-		if s := &l.pipe.slots[i]; s.full && l.pool != nil {
-			l.pool.Put(s.v)
-		}
-	}
-	l.pipe.Reset()
-	l.credits.Reset()
-	l.busy = 0
-	l.Util.Reset()
-	l.ActiveBits = 0
-	l.pendingCredits = l.pendingCredits[:0]
-	l.creditHead = 0
-	for i := range l.stages {
-		if l.stages[i] != nil {
-			if l.pool != nil {
-				l.pool.Put(l.stages[i])
-			}
-			l.stages[i] = nil
-		}
-	}
-	l.down = false
-	l.FaultLostFlits = 0
-	l.FaultLostCredits = 0
 }
 
 // InFlight reports the number of flits inside the link.

@@ -59,20 +59,6 @@ func (p *Pipe[T]) Shift() (T, bool) {
 	return out.v, out.full
 }
 
-// Reset empties the pipe in place, dropping any in-flight values. The
-// caller owns whatever cleanup those values need (e.g. recycling flits)
-// and must drain or enumerate them first if so.
-func (p *Pipe[T]) Reset() {
-	if p.count == 0 {
-		return
-	}
-	var zero slot[T]
-	for i := range p.slots {
-		p.slots[i] = zero
-	}
-	p.count = 0
-}
-
 // InFlight reports how many values are currently inside the pipe.
 func (p *Pipe[T]) InFlight() int { return p.count }
 

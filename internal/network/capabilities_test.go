@@ -1,9 +1,7 @@
 package network
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/flit"
@@ -14,8 +12,7 @@ import (
 // TestCapabilities pins the capability matrix: for every configuration
 // flavour, built on a 4x4 at Shards 4, each field of the record is nil or
 // its named reason, and the engine's observed behaviour agrees with it —
-// the shard count, the worklist gating and batching, SaveCheckpoint, and
-// Reset.
+// the shard count, the worklist gating and batching, and SaveCheckpoint.
 func TestCapabilities(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -30,19 +27,17 @@ func TestCapabilities(t *testing.T) {
 		{"elastic-mesh", false, func(c *Config) { c.ElasticLinks = true }, Capabilities{}},
 		{"watchdog", true, func(c *Config) { c.Watchdog = 40 }, Capabilities{LinkGating: errWatch}},
 		{"deflect", true, func(c *Config) { c.Deflect = true },
-			Capabilities{PortGating: errDeflect, LinkGating: errDeflect, Checkpoint: errDeflect, Reset: errDeflect}},
+			Capabilities{PortGating: errDeflect, LinkGating: errDeflect, Checkpoint: errDeflect}},
 		{"phys-wires", true, func(c *Config) { c.PhysWires = true },
-			Capabilities{Sharding: errPhys, LinkGating: errPhys, Checkpoint: errPhys, Reset: errPhys}},
-		{"probe-counters", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{}) },
-			Capabilities{Reset: errProbe}},
-		{"probe-series", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{SampleEvery: 10}) },
-			Capabilities{Reset: errProbe}},
+			Capabilities{Sharding: errPhys, LinkGating: errPhys, Checkpoint: errPhys}},
+		{"probe-counters", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{}) }, Capabilities{}},
+		{"probe-series", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{SampleEvery: 10}) }, Capabilities{}},
 		{"probe-tracing", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{Trace: true}) },
-			Capabilities{Sharding: errTracing, PortGating: errTracing, LinkGating: errTracing, Reset: errProbe}},
+			Capabilities{Sharding: errTracing, PortGating: errTracing, LinkGating: errTracing}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := buildShardNet(t, 4, tc.wrap, tc.mod)
-			caps := n.Capabilities()
+			caps := n.caps
 			if caps != tc.want {
 				t.Fatalf("capabilities = %+v, want %+v", caps, tc.want)
 			}
@@ -74,9 +69,6 @@ func TestCapabilities(t *testing.T) {
 			if _, err := n.SaveCheckpoint(0, 0); !errors.Is(err, caps.Checkpoint) {
 				t.Errorf("SaveCheckpoint = %v, want %v", err, caps.Checkpoint)
 			}
-			if err := n.Reset(1, 0); !errors.Is(err, caps.Reset) {
-				t.Errorf("Reset = %v, want %v", err, caps.Reset)
-			}
 		})
 	}
 	if got := buildShardNet(t, 64, true, nil).Shards(); got != 16 {
@@ -84,99 +76,5 @@ func TestCapabilities(t *testing.T) {
 	}
 	if got := buildShardNet(t, 0, true, nil).Shards(); got < 1 || got > 16 {
 		t.Errorf("Shards=0 (auto) -> %d, want within [1,16]", got)
-	}
-}
-
-// TestResetMatchesNew holds Reset ≡ New on the full simulation state: for
-// every Reset-capable flavour, a network that ran traffic and was Reset
-// must snapshot byte-identically to a fresh build with the same seed and
-// warmup, and stay identical when both then run the same traffic.
-func TestResetMatchesNew(t *testing.T) {
-	const seed, warmup = 5, 20
-	// drive attaches deterministic clients and runs the network.
-	plain := func(maxFlit int) func(t *testing.T, n *Network, cycles int64) {
-		return func(t *testing.T, n *Network, cycles int64) {
-			attachShardClients(n, maxFlit, cycles)
-			n.Run(cycles)
-		}
-	}
-	for _, tc := range []struct {
-		name  string
-		wrap  bool
-		mod   func(*Config)
-		drive func(t *testing.T, n *Network, cycles int64)
-	}{
-		{"torus", true, nil, plain(3)},
-		{"drop", true, func(c *Config) { c.Router.Mode = router.ModeDrop }, plain(1)},
-		{"cut-through", true, func(c *Config) { c.Router.CutThrough = true }, plain(2)},
-		{"adaptive-mesh", false, func(c *Config) { c.Adaptive = true }, plain(2)},
-		{"elastic-mesh", false, func(c *Config) { c.ElasticLinks = true }, plain(2)},
-		{"watchdog-link-down", true, func(c *Config) { c.Watchdog = 40 },
-			func(t *testing.T, n *Network, cycles int64) {
-				attachShardClients(n, 2, cycles)
-				n.Run(50)
-				n.SetLinkDown(3, true)
-				n.Run(cycles - 50)
-				if n.FaultMap().Len() == 0 {
-					t.Fatal("watchdog never declared the forced-down link dead")
-				}
-			}},
-		{"reserved-flow", true, func(c *Config) { c.Router.ReservedVC, c.Router.ResPeriod = 7, 8 },
-			func(t *testing.T, n *Network, cycles int64) {
-				const flow, src, dst = 1, 0, 10
-				if _, err := n.ReserveFlow(src, dst, flow, 0); err != nil {
-					t.Fatal(err)
-				}
-				attachShardClients(n, 2, cycles)
-				n.AttachClient(src, ClientFunc(func(now int64, p *Port) {
-					p.Deliveries()
-					if now%8 == 0 {
-						if _, err := p.SendReserved(dst, []byte{byte(now)}, flow); err != nil {
-							t.Errorf("reserved send: %v", err)
-						}
-					}
-				}))
-				n.Run(cycles)
-			}},
-	} {
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
-				reused := buildShardNet(t, shards, tc.wrap, tc.mod)
-				tc.drive(t, reused, 400)
-				if err := reused.Reset(seed, warmup); err != nil {
-					t.Fatal(err)
-				}
-				fresh := buildShardNet(t, shards, tc.wrap, func(c *Config) {
-					if tc.mod != nil {
-						tc.mod(c)
-					}
-					c.Seed, c.Warmup = seed, warmup
-				})
-				sameSnapshot(t, "after Reset", reused, fresh)
-				for _, n := range []*Network{reused, fresh} {
-					tc.drive(t, n, 300)
-					for tile := 0; tile < n.Topology().NumTiles(); tile++ {
-						n.AttachClient(tile, nil)
-					}
-				}
-				sameSnapshot(t, "after 300 cycles", reused, fresh)
-			})
-		}
-	}
-}
-
-// sameSnapshot requires two networks to serialise to identical bytes.
-func sameSnapshot(t *testing.T, when string, a, b *Network) {
-	t.Helper()
-	sa, err := a.Snapshot(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := b.Snapshot(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sa, sb) {
-		t.Fatalf("%s: Reset network's snapshot (%d bytes) differs from a fresh build's (%d bytes)", when, len(sa), len(sb))
 	}
 }

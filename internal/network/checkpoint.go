@@ -169,8 +169,8 @@ func (n *Network) Snapshot(configHash uint64) ([]byte, error) {
 }
 
 // Fork restores a Snapshot image into this network, which must be
-// freshly built — or Reset — from the same configuration with the same
-// clients attached and the same extras registered. Execution continues
+// freshly built from the same configuration with the same clients
+// attached and the same extras registered. Execution continues
 // from the image's cycle with the identical RNG stream position, so a
 // forked run is byte-identical to one that never snapshotted until the
 // caller diverges it (e.g. by reseeding its traffic generators).

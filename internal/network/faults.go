@@ -167,7 +167,7 @@ func (n *Network) reroutePending() {
 // RouteTableStats reports route lookups served from the route table
 // versus route.Compute runs: table misses (routes longer than a Word
 // holds) plus every route taken while the fault map is nonempty.
-// Operational metrics only: they count from the last build or Reset, so
+// Operational metrics only: they count from the network's build, so
 // they are excluded from snapshots and must never feed deterministic
 // outputs.
 func (n *Network) RouteTableStats() (hits, misses int64) {

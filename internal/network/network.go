@@ -68,10 +68,10 @@ type Config struct {
 	// RouteTable is the fault-free source-route table for this topology
 	// (route.BuildTable), shared read-only across every network built
 	// over the same geometry — sweep points, parallel ForEach workers,
-	// pooled arenas. Nil makes New build one; Reset keeps it. Every
-	// fault-free route is served from it, with route.Compute only for its
-	// misses. The table must have been built for exactly Topo's geometry;
-	// a mismatched table mis-routes silently.
+	// warm-fork replicas. Nil makes New build one. Every fault-free route
+	// is served from it, with route.Compute only for its misses. The
+	// table must have been built for exactly Topo's geometry; a
+	// mismatched table mis-routes silently.
 	RouteTable *route.Table
 
 	// Adjacency, when non-nil, is topology.Links(Topo) precomputed and
@@ -184,7 +184,7 @@ type Network struct {
 	// are then a pure function of the topology). routeHits / routeMisses
 	// count lookups it served versus route.Compute runs. They are
 	// operational metrics, not simulation state: they count from the
-	// last build or Reset, are excluded from checkpoints, and never feed
+	// network's build, are excluded from checkpoints, and never feed
 	// deterministic outputs.
 	routeTable  *route.Table
 	routeHits   int64
@@ -207,7 +207,7 @@ type Network struct {
 
 	// pktObs, when non-nil, receives every delivered non-loopback packet
 	// at the eject barrier, in tile (= sequential-schedule) order. It is a
-	// per-run attachment like the checkpoint extras; Reset detaches it.
+	// per-run attachment like the checkpoint extras.
 	// obsScratch is the reused observation record so the hook stays
 	// allocation-free.
 	pktObs     PacketObserver
@@ -553,10 +553,6 @@ func (n *Network) registerPhases() {
 			n.probe.AddSample(int64(now), bufOcc, inFlight)
 		})
 	}
-	// The schedule above is the network's own; phases other layers append
-	// afterwards (checkpointing, serve collectors, flight recorders, fault
-	// injectors) are per-run attachments that Reset truncates away.
-	k.MarkPhases()
 }
 
 // batchEligible is the quiescence probe for epoch batching: it approves
@@ -809,7 +805,7 @@ func (n *Network) MaxLinkUtilization() float64 {
 // far, and bitPitches, every link's active bits times its length in tile
 // pitches. The counters are integers owned by their components and
 // summed in fixed router and link order, so the totals are the same at
-// any shard count and across Reset, Fork and resume.
+// any shard count and across Fork and resume.
 func (n *Network) Activity() (hops int64, bitPitches float64) {
 	for _, r := range n.routers {
 		hops += r.Stats.SwitchMoves + r.Stats.BypassMoves

@@ -650,7 +650,7 @@ func TestAdaptiveMeshFewVCs(t *testing.T) {
 // TestNewAllocationsFixed pins slab construction: routers, VC buffers,
 // links and ports each come from a fixed number of allocations, so
 // building a 32x32 die costs exactly as many as an 8x8 one. Adjacency and
-// route table are shared, as sweeps and arenas share them.
+// route table are shared, as sweeps and warm-fork replicas share them.
 func TestNewAllocationsFixed(t *testing.T) {
 	allocs := func(k int) float64 {
 		topo, err := topology.NewFoldedTorus(k, k)

@@ -192,63 +192,6 @@ func (p *Port) putInjection(in *injection) {
 	p.freeInj = append(p.freeInj, in)
 }
 
-// reset returns the port to its just-built state in place. Flits the
-// port still owns — the un-injected tails of queued and in-progress
-// packets, and reassembly partials — recycle into the pool (flits already
-// injected live in routers and links, which recycle their own); delivery
-// objects drain back into the free list, loopbacks are dropped, and
-// worklist membership clears. The tile, network, shard and probe are
-// configuration and are kept.
-func (p *Port) reset() {
-	drop := func(in *injection) {
-		for _, f := range in.flits[in.next:] {
-			p.pool.Put(f)
-		}
-		p.putInjection(in)
-	}
-	for i, in := range p.pending {
-		drop(in)
-		p.pending[i] = nil
-	}
-	p.pending = p.pending[:0]
-	for i, in := range p.reserved {
-		drop(in)
-		p.reserved[i] = nil
-	}
-	p.reserved = p.reserved[:0]
-	for v, in := range p.active {
-		if in != nil {
-			drop(in)
-			p.active[v] = nil
-		}
-	}
-	p.activeCount = 0
-	p.onPump = false
-	p.onLoop = false
-	for i := range p.partials {
-		if p.partials[i].id != 0 {
-			p.releasePartial(&p.partials[i])
-		}
-	}
-	for i, d := range p.rx {
-		p.putDelivery(d)
-		p.rx[i] = nil
-	}
-	p.rx = p.rx[:0]
-	for i, d := range p.lent {
-		p.putDelivery(d)
-		p.lent[i] = nil
-	}
-	p.lent = p.lent[:0]
-	for i, d := range p.loopback {
-		p.putDelivery(d)
-		p.loopback[i] = nil
-	}
-	p.loopback = p.loopback[:0]
-	p.loopAt = p.loopAt[:0]
-	p.BlockedReserved = 0
-}
-
 // Send queues a packet for injection and returns its id. The virtual
 // channel is chosen from mask at injection time; class sets the
 // arbitration priority among this tile's own packets (higher wins, and the

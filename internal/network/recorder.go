@@ -61,26 +61,6 @@ func NewRecorder(warmup int64) *Recorder {
 	}
 }
 
-// Reset rewinds the recorder to measurement-empty with a new warmup
-// horizon, reusing the histogram allocations. Per-class and per-flow maps
-// are cleared rather than kept: a stale class from a previous run would
-// otherwise leak into this run's Classes enumeration.
-func (r *Recorder) Reset(warmup int64) {
-	r.WarmupCycles = warmup
-	r.MeasureUntil = 0
-	r.WindowFlits = 0
-	r.PacketLatency.Reset()
-	r.NetworkLatency.Reset()
-	r.Generated = 0
-	r.InjectedPackets = 0
-	r.DeliveredPackets = 0
-	r.DeliveredFlits = 0
-	r.measuredFlits = 0
-	r.measureFrom = 0
-	clear(r.perClass)
-	clear(r.perFlow)
-}
-
 // packetDone records a fully delivered packet whose tail arrived at cycle
 // now. tail is the tail flit (carrying birth/inject stamps and class/flow).
 func (r *Recorder) packetDone(tail *flit.Flit, flits int, now int64) {

@@ -38,17 +38,6 @@ func (t *ResTable) Reserve(phase int, flow int) error {
 	return nil
 }
 
-// Reset releases every reservation, keeping the period and the
-// work-conservation policy. Flow schedules are per-run state: a pooled
-// router starts its next run with an empty table and the new run's
-// ReserveFlow calls rebook it.
-func (t *ResTable) Reset() {
-	for i := range t.flows {
-		t.flows[i] = 0
-	}
-	t.anyRes = false
-}
-
 // FlowAt reports the flow holding the slot for the given cycle (0 if none).
 func (t *ResTable) FlowAt(now int64) int {
 	return t.flows[int(((now%int64(t.period))+int64(t.period))%int64(t.period))]

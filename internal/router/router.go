@@ -331,8 +331,8 @@ type Router struct {
 	occ int
 
 	// pool, when non-nil, receives flits the router destroys (drop-mode
-	// and fault discards) and supplies synthetic abort tails, keeping a
-	// pooled network's flit accounting balanced.
+	// and fault discards) and supplies synthetic abort tails, keeping the
+	// flit pool's accounting balanced.
 	pool *flit.Pool
 
 	// probe, when non-nil, receives telemetry events from the router

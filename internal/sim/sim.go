@@ -53,12 +53,6 @@ type Kernel struct {
 	// crashHook, when set, observes a panic unwinding Run/RunUntil before
 	// it propagates (SetCrashHook).
 	crashHook func(now Cycle, recovered any)
-
-	// phaseMark is the schedule length recorded by MarkPhases: the
-	// network's own phases. Reset truncates anything appended after it
-	// (checkpointers, collectors, injectors) so a pooled kernel starts its
-	// next run with exactly the built schedule.
-	phaseMark int
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -100,32 +94,6 @@ func (k *Kernel) AddPhase(name string, fn PhaseFunc) {
 		panic(fmt.Sprintf("sim: nil phase %q", name))
 	}
 	k.phases = append(k.phases, phase{name: name, fn: fn})
-}
-
-// MarkPhases records the current schedule as the kernel's baseline: a
-// later Reset truncates every phase added after this call. The network
-// calls it once, after registering its own phases, so per-run extras
-// (checkpoint writers, serve collectors, fault injectors) appended later
-// do not survive into a pooled re-initialization.
-func (k *Kernel) MarkPhases() { k.phaseMark = len(k.phases) }
-
-// Reset rewinds the kernel for a fresh run on the same schedule: the
-// clock returns to cycle 0, the random source is reseeded (draw count
-// zero), phases appended after MarkPhases are dropped, and any crash
-// hook is detached. Sharding and batching configuration are kept — they
-// were set while the baseline schedule was registered. Must be called
-// between cycles.
-func (k *Kernel) Reset(seed int64) {
-	if k.phaseMark > 0 && len(k.phases) > k.phaseMark {
-		for i := k.phaseMark; i < len(k.phases); i++ {
-			k.phases[i] = phase{}
-		}
-		k.phases = k.phases[:k.phaseMark]
-	}
-	k.now = 0
-	k.seed = seed
-	k.src.Seed(seed)
-	k.crashHook = nil
 }
 
 // Step executes one full cycle: every phase once, in order. Sharded

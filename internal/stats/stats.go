@@ -110,9 +110,6 @@ func (s *Summary) Merge(other *Summary) {
 	s.n, s.mean, s.m2 = n, mean, m2
 }
 
-// Reset discards all samples.
-func (s *Summary) Reset() { *s = Summary{} }
-
 // String formats the summary for reports.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
@@ -235,15 +232,6 @@ func (h *Hist) Median() int64 { return h.Quantile(0.5) }
 // P99 is Quantile(0.99).
 func (h *Hist) P99() int64 { return h.Quantile(0.99) }
 
-// Reset discards all samples but keeps the bucket bound.
-func (h *Hist) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.overflow = h.overflow[:0]
-	h.n, h.sum = 0, 0
-}
-
 // String formats the histogram headline numbers.
 func (h *Hist) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f p50=%d p99=%d max=%d",
@@ -282,6 +270,3 @@ func (c *Counter) Rate() float64 {
 	}
 	return float64(c.events) / float64(c.cycles)
 }
-
-// Reset discards the window.
-func (c *Counter) Reset() { *c = Counter{} }

@@ -145,16 +145,6 @@ func TestHistNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestHistReset(t *testing.T) {
-	h := NewHist(4)
-	h.Add(2)
-	h.Add(9)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatalf("reset incomplete: %v", h.String())
-	}
-}
-
 // Property: for any sample set, Quantile is monotone in q and brackets
 // min/max.
 func TestHistQuantileMonotoneProperty(t *testing.T) {
@@ -215,10 +205,6 @@ func TestCounterRate(t *testing.T) {
 	c.AddEvents(5)
 	if !almostEqual(c.Rate(), 1.0, 1e-12) {
 		t.Errorf("rate after AddEvents = %v, want 1.0", c.Rate())
-	}
-	c.Reset()
-	if c.Events() != 0 || c.Cycles() != 0 {
-		t.Errorf("reset incomplete")
 	}
 }
 
@@ -304,7 +290,7 @@ func TestHistBoundaryValueLandsInOverflow(t *testing.T) {
 // surface: the flag is off while every sample fits the exact buckets,
 // flips on the first boundary-value sample, quantiles at the boundary
 // stay exact (the documented contract: overflow values are retained
-// individually, never clamped), and Reset clears the flag.
+// individually, never clamped).
 func TestHistOverflowedFlag(t *testing.T) {
 	h := NewHist(8)
 	for v := int64(0); v < 8; v++ {
@@ -328,12 +314,5 @@ func TestHistOverflowedFlag(t *testing.T) {
 	// rank 9 of 10 is the smaller overflow value, not the maximum.
 	if got := h.Quantile(0.9); got != 8 {
 		t.Errorf("Quantile(0.9) = %d, want 8 (first overflow rank)", got)
-	}
-	h.Reset()
-	if h.Overflowed() {
-		t.Error("Overflowed() survives Reset")
-	}
-	if h.Count() != 0 {
-		t.Errorf("Count() = %d after Reset", h.Count())
 	}
 }

@@ -108,8 +108,7 @@ type Snapshot struct {
 	// Word, and every route is computed once a link is dead.
 	// Deterministic within an uninterrupted run — the lookup totals are a
 	// pure function of the traffic — but they count from the network's
-	// last build or Reset, so these are operational figures, never
-	// checkpointed.
+	// build, so these are operational figures, never checkpointed.
 	RouteTableHits   int64 `json:"route_table_hits"`
 	RouteTableMisses int64 `json:"route_table_misses"`
 

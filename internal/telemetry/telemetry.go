@@ -169,7 +169,7 @@ type Probe struct {
 	// Route-table accounting, mirrored from the network after each Run:
 	// lookups served from the route table versus route.Compute
 	// invocations. These are operational metrics — they count from the
-	// network's last build or Reset, not from cycle 0 of a restored run —
+	// network's build, not from cycle 0 of a restored run —
 	// so they are excluded from SaveState and must never feed
 	// deterministic outputs.
 	RouteTableHits   int64

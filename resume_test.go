@@ -106,18 +106,33 @@ func TestResumedBatchingGolden(t *testing.T) {
 	}
 }
 
-// TestResumedGoldenSweep interrupts the golden load-latency sweep
-// mid-point and requires the committed CSV bytes.
+// TestResumedGoldenSweep interrupts every point of the golden
+// load-latency sweep mid-run across the shards {1, 2, N} × batching
+// {off, default} grid, with the fraction rotating through 25/50/75% so
+// every fraction, shard count and batching setting is exercised. Every
+// cell must reproduce the committed sequential golden bytes.
 func TestResumedGoldenSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resumed golden sweeps are not -short")
 	}
 	want := readGolden(t, "golden_sweep_seed1.csv")
-	for _, frac := range []float64{0.25, 0.75} {
-		resumeAt(t, frac, func() {
-			if got := goldenSweepCSV(t, 1); got != want {
-				t.Errorf("resume at %.0f%%: sweep diverged from straight-through golden", 100*frac)
-			}
-		})
+	fracs := []float64{0.25, 0.50, 0.75}
+	shardList := append([]int{1}, shardCounts()...)
+	for si, shards := range shardList {
+		for bi, batch := range []int{-1, 0} { // off, network default
+			frac := fracs[(si*2+bi)%len(fracs)]
+			name := fmt.Sprintf("shards%d/batch%d/frac%.0f", shards, batch, 100*frac)
+			t.Run(name, func(t *testing.T) {
+				resumeAt(t, frac, func() {
+					withShards(t, shards, func() {
+						withBatching(t, batch, func() {
+							if got := goldenSweepCSV(t, 1); got != want {
+								t.Errorf("resumed sweep diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
+							}
+						})
+					})
+				})
+			})
+		}
 	}
 }

@@ -2,6 +2,8 @@ package noc
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -165,12 +167,18 @@ func TestServeSmokeFlagValidation(t *testing.T) {
 		{"metrics-out without metrics", []string{"-metrics-out", "m.csv"}, "-metrics-out requires -metrics"},
 		{"tracefile-out without metrics", []string{"-tracefile-out", "t.json"}, "-tracefile-out requires -metrics"},
 		{"negative metrics-every", []string{"-metrics", "-metrics-every", "-5"}, "-metrics-every must be >= 0"},
+		{"print-layout radix out of range", []string{"-print-layout", "-k", "129"}, "radix k=129 outside [3, 128]"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(bin, tc.args...).CombinedOutput()
-			if err == nil {
-				t.Fatalf("nocsim %v exited 0; want validation failure", tc.args)
+			// Validation must fail at once; the timeout stops an unchecked
+			// radix from running the layout's all-pairs analysis for minutes.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("nocsim %v: err = %v; want exit status 1 from validation\n%s", tc.args, err, out)
 			}
 			if !strings.Contains(string(out), tc.want) {
 				t.Fatalf("nocsim %v output lacks %q:\n%s", tc.args, tc.want, out)
