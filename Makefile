@@ -49,7 +49,7 @@ race:
 # the burn must leave a flight-recorder dump, and nocpost's verdict on
 # that dump must replay the transition; the reconciliation and
 # checkpoint suites hold the per-flow decomposition exact and
-# byte-stable across shard counts, epoch batching, and resume.
+# byte-stable across shard counts and resume.
 # The benchjson gate covers the ServeOff/On pair so the serve-off loop
 # keeps its zero-allocation fast path (bytes/op gates too on Serve rows),
 # the FlightRecOff/On pair so a build without -flightrec keeps the
@@ -68,11 +68,11 @@ race:
 # crash-resume smoke SIGKILLs a real nocsim mid-campaign, tears the
 # newest checkpoint file, and diffs the resumed run's report and metrics
 # CSV against an uninterrupted reference; the resumed golden sweep also
-# crosses shard counts with epoch batching (its line is the
+# interrupts every sweep point at each shard count (its line is the
 # 'TestResumedGolden' pattern). The campaign engine is gated the same two
 # ways: the replication determinism suite (replica 0 byte-matches a
 # plain run and the golden sweep, replicas forked into freshly built
-# networks agree across shard counts and batching, and a repeated run
+# networks agree across shard counts, and a repeated run
 # byte-matches the first) runs under the race detector, and the campaign
 # benchmarks ride the benchjson gate — NetworkBuild4096 gates the
 # allocs/op of the build every run, replica and resume pays, and the
@@ -132,11 +132,10 @@ fuzz:
 # NetworkCycleFlightRecOff/FlightRecOn (the flight-recorder pair: health
 # sampler plus ring phase), the 64x64-die pair
 # NetworkCycle4096/NetworkCycleIdle4096, and the NetworkCycle64Shards{2,4,8}
-# lockstep worker-pool runs plus their NoBatch twins (epoch batching
-# disabled, isolating the quiescence fast-forward win); the shard
-# benchmarks are recorded at GOMAXPROCS=1 (barrier overhead, no speedup
-# possible) and GOMAXPROCS=8 (the parallel case), keyed by the -procs
-# suffix benchjson parses into each row. The campaign-engine rows record
+# lockstep worker-pool runs; the shard benchmarks are recorded at
+# GOMAXPROCS=1 (barrier overhead, no speedup possible) and GOMAXPROCS=8
+# (the parallel case), keyed by the -procs suffix benchjson parses into
+# each row. The campaign-engine rows record
 # the sweep machinery: NetworkBuild4096 (the 4096-tile build every run
 # pays) and the SweepThroughput warm/cold pair whose points/sec ratio is
 # the warm-fork amortization factor. The final step re-runs the

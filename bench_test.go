@@ -344,25 +344,13 @@ func BenchmarkNetworkCycle64Shards2(b *testing.B) { benchCycle64(b, 2) }
 func BenchmarkNetworkCycle64Shards4(b *testing.B) { benchCycle64(b, 4) }
 func BenchmarkNetworkCycle64Shards8(b *testing.B) { benchCycle64(b, 8) }
 
-// The NoBatch variants run the identical sharded workload with epoch
-// batching disabled (Config.BatchEpochs < 0), recording what the
-// quiescence fast-forward is worth on top of plain sharding. The default
-// rows above run with batching on (the default).
-func BenchmarkNetworkCycle64Shards2NoBatch(b *testing.B) { benchCycle64NoBatch(b, 2) }
-func BenchmarkNetworkCycle64Shards4NoBatch(b *testing.B) { benchCycle64NoBatch(b, 4) }
-func BenchmarkNetworkCycle64Shards8NoBatch(b *testing.B) { benchCycle64NoBatch(b, 8) }
-
-func benchCycle64(b *testing.B, shards int) { benchCycle64Batch(b, shards, 0) }
-
-func benchCycle64NoBatch(b *testing.B, shards int) { benchCycle64Batch(b, shards, -1) }
-
-func benchCycle64Batch(b *testing.B, shards, batch int) {
+func benchCycle64(b *testing.B, shards int) {
 	b.Helper()
 	topo, err := topology.NewFoldedTorus(8, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: shards, BatchEpochs: batch})
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}

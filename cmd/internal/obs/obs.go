@@ -86,6 +86,9 @@ func (f *Flags) Validate() error {
 	if f.FlightRecCycles < 0 {
 		return fmt.Errorf("-flightrec-cycles must be >= 0 (got %d)", f.FlightRecCycles)
 	}
+	if f.FlightRecCycles > flightrec.MaxWindow {
+		return fmt.Errorf("-flightrec-cycles must be <= %d (got %d)", flightrec.MaxWindow, f.FlightRecCycles)
+	}
 	if f.FlightRecDir != "" && !f.FlightRec {
 		return fmt.Errorf("-flightrec-dir requires -flightrec")
 	}

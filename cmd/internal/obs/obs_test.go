@@ -42,6 +42,8 @@ func TestValidate(t *testing.T) {
 		{"flightrec-cycles without flightrec", Flags{FlightRecCycles: 8192}, "-flightrec-cycles requires -flightrec"},
 		{"flightrec-dir without flightrec", Flags{FlightRecDir: "dumps"}, "-flightrec-dir requires -flightrec"},
 		{"negative flightrec-cycles", Flags{FlightRec: true, FlightRecCycles: -1}, "-flightrec-cycles must be >= 0"},
+		{"max flightrec-cycles", Flags{FlightRec: true, FlightRecCycles: flightrec.MaxWindow}, ""},
+		{"oversized flightrec-cycles", Flags{FlightRec: true, FlightRecCycles: 2000000000000000000}, "-flightrec-cycles must be <= 1048576"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,8 +28,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "shorter measurement windows")
 		markdown = flag.Bool("markdown", false, "emit Markdown tables")
 		par      = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "intra-cycle shards per simulation, identical results (0 = GOMAXPROCS, 1 = sequential); composes with -parallel")
-		batch    = flag.Int("batch-epochs", 0, "max cycles folded into one barrier epoch while near-quiescent, sharded runs only (0 = default 64, -1 disables); identical results")
+		shards   = flag.Int("shards", 1, "intra-cycle shards per simulation, identical results (1 = sequential); composes with -parallel")
 
 		ckptEvery = flag.Int64("checkpoint-every", 0, "unsupported here: nocbench checkpoints at experiment granularity")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for the experiment progress file (completed tables are cached)")
@@ -42,12 +41,11 @@ func main() {
 		os.Exit(1)
 	}
 	core.SetParallelism(*par)
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "nocbench: -shards must be >= 0 (0 = GOMAXPROCS); got %d\n", *shards)
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "nocbench: -shards must be >= 1; got %d\n", *shards)
 		os.Exit(1)
 	}
 	core.SetShards(*shards)
-	core.SetBatchEpochs(*batch)
 	if *ckptEvery != 0 {
 		fmt.Fprintln(os.Stderr, "nocbench: -checkpoint-every is not supported: experiments own their"+
 			" measurement windows, so nocbench checkpoints at experiment granularity"+

@@ -76,7 +76,7 @@ commands:
   diff       event deltas between two recorded cycles (-from A -to B)
   waitgraph  render the waiting-VC wait-for graph as it forms
              (-cycle C, -every N, -age MIN)
-  links      per-link traffic timelines across the window (-top N, -step S)
+  links      per-link traffic timelines across the window (-top N, -buckets B)
   verdict    recompute root-cause attribution and cross-check it against
              the live detectors' recorded judgment
 

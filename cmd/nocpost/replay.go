@@ -322,6 +322,9 @@ func cmdLinks(args []string) error {
 	top := fs.Int("top", 8, "how many of the busiest links to render")
 	buckets := fs.Int("buckets", 64, "timeline resolution in buckets")
 	fs.Parse(args)
+	if *top < 0 {
+		return fmt.Errorf("-top must be >= 0; got %d", *top)
+	}
 	dp, err := loadDumpArg(fs)
 	if err != nil {
 		return err
@@ -357,14 +360,16 @@ func cmdLinks(args []string) error {
 	fmt.Printf("  %-22s %s %7d flits\n", "all links (ring)", sparkline(agg), sumOf(agg))
 
 	// Per-link lanes need replay: step through the interval bucket by
-	// bucket differencing the per-link cumulative counters.
+	// bucket differencing the per-link cumulative counters. A dump that
+	// cannot be replayed (no spec, or a campaign or trace run, which
+	// Rebuild refuses) keeps the ring lane, as diff keeps its totals.
 	rp, err := newReplayer(dp)
+	if err == nil {
+		err = rp.seek(a)
+	}
 	if err != nil {
 		fmt.Printf("  (per-link lanes unavailable: %v)\n", err)
 		return nil
-	}
-	if err := rp.seek(a); err != nil {
-		return err
 	}
 	nLinks := len(rp.n.Probe().Links)
 	prev := make([]int64, nLinks)

@@ -50,8 +50,7 @@ func main() {
 		faults   = flag.String("faults", "", "fault campaign spec, e.g. 'kill,link=9,at=500;stall,tile=6,port=W,at=800,until=1100'")
 		mtbf     = flag.Float64("mtbf", 0, "mean cycles between stochastic faults (0 disables)")
 		watchdog = flag.Int("watchdog", 64, "credit-starvation watchdog threshold, cycles (campaign runs)")
-		shards   = flag.Int("shards", 1, "intra-cycle shards: routers simulated in parallel, identical results (0 = GOMAXPROCS, 1 = sequential)")
-		batch    = flag.Int("batch-epochs", 0, "max cycles folded into one barrier epoch while near-quiescent, sharded runs only (0 = default 64, -1 disables); identical results")
+		shards   = flag.Int("shards", 1, "intra-cycle shards: routers simulated in parallel, identical results (1 = sequential)")
 
 		ckptEvery = flag.Int64("checkpoint-every", 0, "write a crash-safe checkpoint every N cycles (0 disables; needs -checkpoint-dir)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for checkpoint files (ckpt-*.noc + MANIFEST)")
@@ -95,8 +94,8 @@ func main() {
 	if *vcs < 1 || *buf < 1 || *serdes < 1 {
 		fatal(fmt.Errorf("-vcs, -buf and -serdes must be >= 1; got %d, %d, %d", *vcs, *buf, *serdes))
 	}
-	if *shards < 0 {
-		fatal(fmt.Errorf("-shards must be >= 0 (0 = GOMAXPROCS); got %d", *shards))
+	if *shards < 1 {
+		fatal(fmt.Errorf("-shards must be >= 1; got %d", *shards))
 	}
 	if (*mode == "drop" || *mode == "deflect") && *flits != 1 {
 		fatal(fmt.Errorf("-mode %s carries single-flit packets only; use -flits 1, not %d", *mode, *flits))
@@ -157,10 +156,6 @@ func main() {
 	p.CheckpointDir = *ckptDir
 	p.Resume = *resume
 	p.Shards = *shards
-	if *shards == 0 {
-		p.Shards = -1 // core: explicit GOMAXPROCS request
-	}
-	p.BatchEpochs = *batch
 	switch *mode {
 	case "vc":
 	case "drop":

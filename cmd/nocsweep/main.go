@@ -30,8 +30,7 @@ func main() {
 		measure  = flag.Int64("measure", 4000, "measurement cycles")
 		seed     = flag.Int64("seed", 1, "random seed")
 		par      = flag.Int("parallel", 0, "concurrent sweep points (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "intra-cycle shards per simulation, identical results (0 = GOMAXPROCS, 1 = sequential); composes with -parallel")
-		batch    = flag.Int("batch-epochs", 0, "max cycles folded into one barrier epoch while near-quiescent, sharded runs only (0 = default 64, -1 disables); identical results")
+		shards   = flag.Int("shards", 1, "intra-cycle shards per simulation, identical results (1 = sequential); composes with -parallel")
 		replicas = flag.Int("replicas", 1, "measurement replicas per point, warm-forked from one shared warmup (replica seeds derive from -seed; 1 = single measurement)")
 
 		ckptEvery = flag.Int64("checkpoint-every", 0, "checkpoint every sweep point every N cycles (0 disables; needs -checkpoint-dir)")
@@ -45,8 +44,8 @@ func main() {
 		os.Exit(1)
 	}
 	core.SetParallelism(*par)
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "nocsweep: -shards must be >= 0 (0 = GOMAXPROCS); got %d\n", *shards)
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "nocsweep: -shards must be >= 1; got %d\n", *shards)
 		os.Exit(1)
 	}
 	core.SetShards(*shards)
@@ -75,7 +74,6 @@ func main() {
 	base.WarmupCycles = *warmup
 	base.MeasureCycles = *measure
 	base.Seed = *seed
-	base.BatchEpochs = *batch
 	base.CheckpointEvery = *ckptEvery
 	base.CheckpointDir = *ckptDir
 	base.Resume = *resume

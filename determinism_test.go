@@ -45,15 +45,6 @@ func withShards(t *testing.T, n int, fn func()) {
 	fn()
 }
 
-// withBatching runs fn with the package-default epoch-batching cap set to
-// n (negative = off), restoring the network default afterwards.
-func withBatching(t *testing.T, n int, fn func()) {
-	t.Helper()
-	core.SetBatchEpochs(n)
-	defer core.SetBatchEpochs(0)
-	fn()
-}
-
 // readGolden loads a committed golden file (written by the sequential
 // engine).
 func readGolden(t *testing.T, name string) string {
@@ -117,61 +108,19 @@ func TestShardedGoldenExperiments(t *testing.T) {
 	}
 }
 
-// TestBatchingGolden reruns the golden outputs at shard count 2 with
-// epoch batching explicitly off and with a deliberately tiny epoch cap
-// (3 cycles, so epoch boundaries land everywhere relative to sampling
-// and drain horizons): the observable bytes must match the committed
-// sequential goldens either way. Every other sharded suite runs the
-// default cap (64), so together the matrix covers batching
-// {off, tiny, default} × shards {1, 2, N}.
-func TestBatchingGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("batching goldens are not -short")
-	}
-	for _, batch := range []int{-1, 3} {
-		batch := batch
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			withBatching(t, batch, func() {
-				withShards(t, 2, func() {
-					want := readGolden(t, "golden_sweep_seed1.csv")
-					if got := goldenSweepCSV(t, 1); got != want {
-						t.Errorf("batch=%d: sweep diverged from sequential golden\n--- want ---\n%s--- got ---\n%s",
-							batch, want, got)
-					}
-					for _, id := range goldenExperiments {
-						want := readGolden(t, fmt.Sprintf("golden_%s_quick.txt", strings.ToLower(id)))
-						e, err := core.ByID(id)
-						if err != nil {
-							t.Fatal(err)
-						}
-						tbl, err := e.Run(true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := tbl.Format(); got != want {
-							t.Errorf("batch=%d: %s table diverged from sequential golden\n--- want ---\n%s--- got ---\n%s",
-								batch, id, want, got)
-						}
-					}
-				})
-			})
-		})
-	}
-}
-
 // TestShardedTelemetryCSV compares the telemetry metrics export (counters,
 // per-VC occupancy, link totals, sampled series) of a sharded run against
 // the sequential run. Lifecycle tracing forces one shard, so this uses a
 // sampling-only probe — the sharded telemetry configuration.
 func TestShardedTelemetryCSV(t *testing.T) {
-	run := func(shards, batch int) (string, int) {
+	run := func(shards int) (string, int) {
 		probe := telemetry.New(telemetry.Config{SampleEvery: 20})
 		topo, err := topology.NewFoldedTorus(4, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n, err := network.New(network.Config{
-			Topo: topo, Router: router.DefaultConfig(0), Seed: 5, Probe: probe, Shards: shards, BatchEpochs: batch,
+			Topo: topo, Router: router.DefaultConfig(0), Seed: 5, Probe: probe, Shards: shards,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -191,24 +140,17 @@ func TestShardedTelemetryCSV(t *testing.T) {
 		}
 		return csv.String(), n.Shards()
 	}
-	want, seq := run(1, 0)
+	want, seq := run(1)
 	if seq != 1 {
 		t.Fatalf("sequential run reports %d shards", seq)
 	}
 	for _, shards := range shardCounts() {
-		got, eff := run(shards, 0)
+		got, eff := run(shards)
 		if eff != shards {
 			t.Fatalf("network reports %d effective shards, want %d", eff, shards)
 		}
 		if got != want {
 			t.Errorf("shards=%d: telemetry CSV diverged from sequential", shards)
-		}
-	}
-	// Telemetry sampling must land on identical cycle boundaries whether
-	// epochs are batched by the default cap (above), disabled, or tiny.
-	for _, batch := range []int{-1, 3} {
-		if got, _ := run(2, batch); got != want {
-			t.Errorf("batch=%d: telemetry CSV diverged from sequential", batch)
 		}
 	}
 }

@@ -15,17 +15,16 @@ import (
 )
 
 // buildFlowNet is the reconciliation workload: the 16-tile baseline under
-// 25% uniform load with a 100-cycle warmup, shards and epoch batching as
-// requested, and the per-flow observatory attached.
-func buildFlowNet(t *testing.T, shards, batch int, mode, slo string) (*network.Network, *latency.Observatory) {
+// 25% uniform load with a 100-cycle warmup, at the requested shard count,
+// with the per-flow observatory attached.
+func buildFlowNet(t *testing.T, shards int, mode, slo string) (*network.Network, *latency.Observatory) {
 	t.Helper()
 	topo, err := topology.NewFoldedTorus(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, err := network.New(network.Config{
-		Topo: topo, Router: router.DefaultConfig(0), Seed: 11, Warmup: 100,
-		Shards: shards, BatchEpochs: batch,
+		Topo: topo, Router: router.DefaultConfig(0), Seed: 11, Warmup: 100, Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,36 +41,17 @@ func buildFlowNet(t *testing.T, shards, batch int, mode, slo string) (*network.N
 	return n, o
 }
 
-// flowMatrix is the shard × batching cross product the per-flow suite
-// runs: sequential, two shards, and the machine's width, each with epoch
-// batching on (default) and off.
-func flowMatrix() []struct{ shards, batch int } {
-	counts := append([]int{1, 2}, shardCounts()...)
-	seen := map[int]bool{}
-	var m []struct{ shards, batch int }
-	for _, s := range counts {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		m = append(m, struct{ shards, batch int }{s, 0})  // batching default (on when sharded)
-		m = append(m, struct{ shards, batch int }{s, -1}) // batching off
-	}
-	return m
-}
-
 // TestFlowLatencyReconciliation pins the observatory's accounting
-// contract at every shard count and batching setting: the per-flow sums
+// contract at shard counts {1, 2, N}: the per-flow sums
 // reconcile exactly with the run recorder's packet-latency histogram
 // (same warmup gate, same loopback exclusion), and the full per-flow CSV
 // is byte-identical to the sequential run's — the decomposition is not
 // merely consistent, it is deterministic.
 func TestFlowLatencyReconciliation(t *testing.T) {
 	var want string
-	for _, cfg := range flowMatrix() {
-		cfg := cfg
-		t.Run(fmt.Sprintf("shards%d_batch%d", cfg.shards, cfg.batch), func(t *testing.T) {
-			n, o := buildFlowNet(t, cfg.shards, cfg.batch, latency.FlowPair, "p99<=40")
+	for _, shards := range append([]int{1}, shardCounts()...) {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			n, o := buildFlowNet(t, shards, latency.FlowPair, "p99<=40")
 			n.Run(800)
 			if !n.Drain(100000) {
 				t.Fatalf("network did not drain (occupancy %d)", n.Occupancy())
@@ -97,8 +77,7 @@ func TestFlowLatencyReconciliation(t *testing.T) {
 					t.Fatalf("CSV lacks the section header:\n%s", want[:80])
 				}
 			} else if got := csv.String(); got != want {
-				t.Errorf("per-flow CSV diverged from the sequential run at shards=%d batch=%d",
-					cfg.shards, cfg.batch)
+				t.Errorf("per-flow CSV diverged from the sequential run at shards=%d", shards)
 			}
 		})
 	}
@@ -108,13 +87,12 @@ func TestFlowLatencyReconciliation(t *testing.T) {
 // restores the snapshot into a freshly built network with the
 // observatory re-attached, and requires the resumed run's per-flow CSV —
 // and a second full checkpoint — to byte-match the straight-through
-// run's, across the same shard × batching matrix.
+// run's, at the same shard counts.
 func TestFlowLatencyCheckpointRoundTrip(t *testing.T) {
 	const hash = 77
-	for _, cfg := range flowMatrix() {
-		cfg := cfg
-		t.Run(fmt.Sprintf("shards%d_batch%d", cfg.shards, cfg.batch), func(t *testing.T) {
-			ref, refObs := buildFlowNet(t, cfg.shards, cfg.batch, latency.FlowPair, "p99<=40")
+	for _, shards := range append([]int{1}, shardCounts()...) {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			ref, refObs := buildFlowNet(t, shards, latency.FlowPair, "p99<=40")
 			ref.Run(400)
 			snap, err := ref.SaveCheckpoint(hash, 400)
 			if err != nil {
@@ -134,7 +112,7 @@ func TestFlowLatencyCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, resObs := buildFlowNet(t, cfg.shards, cfg.batch, latency.FlowPair, "p99<=40")
+			res, resObs := buildFlowNet(t, shards, latency.FlowPair, "p99<=40")
 			if err := res.RestoreCheckpoint(f); err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +141,7 @@ func TestFlowLatencyCheckpointRoundTrip(t *testing.T) {
 // different observatory configuration to fail loudly instead of
 // silently misaccounting.
 func TestFlowLatencyCheckpointConfigGuard(t *testing.T) {
-	n, _ := buildFlowNet(t, 1, 0, latency.FlowPair, "p99<=40")
+	n, _ := buildFlowNet(t, 1, latency.FlowPair, "p99<=40")
 	n.Run(300)
 	snap, err := n.SaveCheckpoint(1, 300)
 	if err != nil {
@@ -173,7 +151,7 @@ func TestFlowLatencyCheckpointConfigGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, _ := buildFlowNet(t, 1, 0, latency.FlowSrcRow, "p99<=40")
+	other, _ := buildFlowNet(t, 1, latency.FlowSrcRow, "p99<=40")
 	if err := other.RestoreCheckpoint(f); err == nil {
 		t.Error("restore into a different flow mode succeeded")
 	}
@@ -181,7 +159,7 @@ func TestFlowLatencyCheckpointConfigGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffSLO, _ := buildFlowNet(t, 1, 0, latency.FlowPair, "p50<=40")
+	diffSLO, _ := buildFlowNet(t, 1, latency.FlowPair, "p50<=40")
 	if err := diffSLO.RestoreCheckpoint(f2); err == nil {
 		t.Error("restore under different objectives succeeded")
 	}

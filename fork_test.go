@@ -12,7 +12,7 @@ import (
 // The warm-fork determinism suite: RunReplicated snapshots one warmup in
 // memory and Forks it into a freshly built network per replica, and
 // replica 0 must reproduce an uninterrupted Run byte for byte, at any
-// shard count and epoch-batching setting. The mid-run snapshot, rebuild
+// shard count. The mid-run snapshot, rebuild
 // and restore of the golden sweep itself is TestResumedGoldenSweep's grid.
 
 // forkResultRow formats the measurement outputs of one RunResult for
@@ -88,11 +88,11 @@ func TestReplicatedRunDeterminism(t *testing.T) {
 }
 
 // TestForkedGoldenSweep runs the golden load-latency sweep through the
-// warm-fork engine across the shards {1, 2, N} × batching {off, default}
-// grid. In every cell replica 0 of each point, which runs on past the
-// warmup snapshot, must reproduce the committed sequential golden bytes,
-// and replica 1, Forked from that snapshot into a freshly built network,
-// must match the sequential unbatched cell byte for byte.
+// warm-fork engine at shard counts {1, 2, N}. At every shard count
+// replica 0 of each point, which runs on past the warmup snapshot, must
+// reproduce the committed sequential golden bytes, and replica 1, Forked
+// from that snapshot into a freshly built network, must match the
+// sequential run's replica 1 byte for byte.
 func TestForkedGoldenSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forked golden sweeps are not -short")
@@ -101,33 +101,29 @@ func TestForkedGoldenSweep(t *testing.T) {
 	var wantForked string
 	shardList := append([]int{1}, shardCounts()...)
 	for _, shards := range shardList {
-		for _, batch := range []int{-1, 0} { // off, network default
-			t.Run(fmt.Sprintf("shards%d/batch%d", shards, batch), func(t *testing.T) {
-				withShards(t, shards, func() {
-					withBatching(t, batch, func() {
-						pts, err := core.SweepReplicated(goldenSweepBase(1), goldenSweepRates, 2)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var straight, forked strings.Builder
-						straight.WriteString(goldenSweepHeader)
-						for _, pt := range pts {
-							writeGoldenSweepRow(&straight, pt.Rate, pt.Replicas[0])
-							forked.WriteString(forkResultRow(pt.Replicas[1]))
-							forked.WriteByte('\n')
-						}
-						if got := straight.String(); got != want {
-							t.Errorf("replica 0 diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
-						}
-						if wantForked == "" {
-							wantForked = forked.String()
-						} else if got := forked.String(); got != wantForked {
-							t.Errorf("forked replica diverged from the sequential unbatched fork\n--- want ---\n%s--- got ---\n%s", wantForked, got)
-						}
-					})
-				})
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			withShards(t, shards, func() {
+				pts, err := core.SweepReplicated(goldenSweepBase(1), goldenSweepRates, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var straight, forked strings.Builder
+				straight.WriteString(goldenSweepHeader)
+				for _, pt := range pts {
+					writeGoldenSweepRow(&straight, pt.Rate, pt.Replicas[0])
+					forked.WriteString(forkResultRow(pt.Replicas[1]))
+					forked.WriteByte('\n')
+				}
+				if got := straight.String(); got != want {
+					t.Errorf("replica 0 diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
+				}
+				if wantForked == "" {
+					wantForked = forked.String()
+				} else if got := forked.String(); got != wantForked {
+					t.Errorf("forked replica diverged from the sequential fork\n--- want ---\n%s--- got ---\n%s", wantForked, got)
+				}
 			})
-		}
+		})
 	}
 }
 

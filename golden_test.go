@@ -150,8 +150,8 @@ func TestGoldenTelemetry(t *testing.T) {
 }
 
 // goldenExperiments lists the experiments whose quick-mode tables are
-// pinned in testdata/golden_<id>_quick.txt and replayed by the sharded,
-// batching and resumed suites: the baseline network (E1), the
+// pinned in testdata/golden_<id>_quick.txt and replayed by the sharded
+// and resumed suites: the baseline network (E1), the
 // mesh-vs-torus load sweep (E4), the chaos campaign (E20, whose fault
 // detection cycles and reroute counts are extremely sensitive to any
 // change in simulation order), and the three tables that report simulated

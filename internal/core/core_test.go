@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -244,7 +245,8 @@ func TestRunElasticMode(t *testing.T) {
 
 // TestRunReplicatedRefusals: a run whose network cannot checkpoint, or
 // one with a probe or an OnNetwork hook, cannot warm-fork, and the error
-// carries the reason: the capability record's, or core's own rule.
+// carries the reason: the capability record's, or core's own rule. A
+// replica count past MaxReplicas is refused too.
 func TestRunReplicatedRefusals(t *testing.T) {
 	for _, mod := range []func(*RunParams){
 		func(p *RunParams) { p.Deflect = true },
@@ -272,6 +274,14 @@ func TestRunReplicatedRefusals(t *testing.T) {
 		tc.mod(&p)
 		if _, err := RunReplicated(p, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("RunReplicated with a %s: err = %v, want the refusal naming %q", tc.name, err, tc.want)
+		}
+	}
+	// The replica count sizes the result slice up front, so a count past
+	// MaxReplicas fails before anything runs instead of panicking in make
+	// or exhausting memory.
+	for _, n := range []int{MaxReplicas + 1, math.MaxInt} {
+		if _, err := RunReplicated(DefaultRunParams(), n); err == nil || !strings.Contains(err.Error(), "replicas") {
+			t.Errorf("RunReplicated(p, %d) err = %v, want the replica cap", n, err)
 		}
 	}
 }

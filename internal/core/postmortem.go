@@ -19,7 +19,7 @@ import (
 
 // SimSpec is the serializable identity of a run: its Spec, the client
 // arrangement, the probe layout, and any identity the Spec cannot carry.
-// Shard count, batching, drain budget, checkpoint cadence and
+// Shard count, drain budget, checkpoint cadence and
 // observability hooks are byte-identical knobs, so they are absent and a
 // replay or resume may pick its own. The probe fields are present because
 // an attached probe is itself checkpointed state: a keyframe restores into

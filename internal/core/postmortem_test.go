@@ -39,6 +39,9 @@ func TestParseSpecRejectsHostileSizes(t *testing.T) {
 		{validSpec("torus", 4, `,"flits_per_packet":32769`), "flits_per_packet"},
 		{validSpec("torus", 4, `,"mode":99`), "mode"},
 		{validSpec("torus", 4, `,"measure_cycles":-5`), "measure_cycles"},
+		// The window's end wraps negative: the generators' StopAt and the
+		// run horizon would follow, and the run would do nothing.
+		{validSpec("torus", 4, `,"warmup_cycles":10,"measure_cycles":9223372036854775807`), "warmup_cycles + measure_cycles"},
 	} {
 		_, err := ParseSpec([]byte(tc.spec))
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
@@ -150,7 +153,6 @@ func TestSpecIsTheRunDescription(t *testing.T) {
 		set  func(*RunParams)
 	}{
 		{"Shards", func(p *RunParams) { p.Shards = 3 }},
-		{"BatchEpochs", func(p *RunParams) { p.BatchEpochs = -1 }},
 		{"DrainBudget", func(p *RunParams) { p.DrainBudget = 7 }},
 		{"OnNetwork", func(p *RunParams) { p.OnNetwork = func(*network.Network, SimSpec) error { return nil } }},
 		{"CheckpointEvery", func(p *RunParams) { p.CheckpointEvery = 100 }},

@@ -32,16 +32,24 @@ func replicaSeed(seed int64, r int) int64 {
 	return seed ^ (int64(r) * 0x7F4A7C159E3779B9)
 }
 
+// MaxReplicas bounds RunReplicated's replica count, which sizes its
+// result slice before the first replica runs.
+const MaxReplicas = 1 << 16
+
 // RunReplicated executes one warmup and replicas measurement windows of
 // the configuration, forking each replica from an in-memory snapshot
 // taken at the end of warmup. Replica 0 reproduces Run(p) byte for
 // byte; replicas 1..n-1 draw independent measurement traffic from
-// replicaSeed streams. replicas <= 1 delegates to Run. Disk
-// checkpointing fields are not supported (the engine is in-memory by
-// design). Configurations that cannot fork return an error wrapping the
-// reason: the network's Capabilities.Checkpoint, since Fork restores a
-// snapshot, or a probe or OnNetwork hook, which observe one network.
+// replicaSeed streams. replicas <= 1 delegates to Run, and more than
+// MaxReplicas is an error. Disk checkpointing fields are not supported
+// (the engine is in-memory by design). Configurations that cannot fork
+// return an error wrapping the reason: the network's
+// Capabilities.Checkpoint, since Fork restores a snapshot, or a probe or
+// OnNetwork hook, which observe one network.
 func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
+	if replicas > MaxReplicas {
+		return nil, fmt.Errorf("core: %d replicas exceeds the cap of %d", replicas, MaxReplicas)
+	}
 	if replicas <= 1 {
 		res, err := Run(p)
 		if err != nil {

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync/atomic"
 
@@ -50,32 +51,16 @@ func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
 var shards int64 = 1
 
 // SetShards sets the default intra-cycle shard count for subsequently
-// built networks. 0 selects GOMAXPROCS, 1 restores the sequential loop;
-// n < 0 is clamped to 1.
+// built networks: n > 1 runs n shards, and n <= 1 the sequential loop.
 func SetShards(n int) {
-	if n < 0 {
+	if n < 1 {
 		n = 1
 	}
 	atomic.StoreInt64(&shards, int64(n))
 }
 
-// Shards reports the default intra-cycle shard count (0 = GOMAXPROCS).
+// Shards reports the default intra-cycle shard count (1 = sequential).
 func Shards() int { return int(atomic.LoadInt64(&shards)) }
-
-// batchEpochs is the default epoch-batching cap for networks built by
-// this package: 0 defers to the network default
-// (network.DefaultBatchEpochs), negative disables batching.
-var batchEpochs int64
-
-// SetBatchEpochs sets the default epoch-batching cap for subsequently
-// built networks (see network.Config.BatchEpochs). 0 restores the
-// network default; n < 0 disables batching. Batching only engages on
-// sharded runs and never changes results.
-func SetBatchEpochs(n int) { atomic.StoreInt64(&batchEpochs, int64(n)) }
-
-// BatchEpochs reports the default epoch-batching cap (0 = network
-// default, negative = off).
-func BatchEpochs() int { return int(atomic.LoadInt64(&batchEpochs)) }
 
 // simulatedCycles accumulates the kernel cycles executed by Run and
 // RunCampaign across all goroutines, so the CLIs can report simulated
@@ -139,14 +124,15 @@ const maxSpecK = 128
 // one packet's payload per send.
 const maxSpecFlits = traffic.MaxTraceBytes / flit.DataBytes
 
-// Validate range-checks each field on its own: a radix the topology
-// supports (torus k >= 3, mesh k >= 2, both at most maxSpecK), a finite
-// rate in [0, 1], flits_per_packet in [1, maxSpecFlits], a known router
-// mode, at most flit.NumVCs virtual channels, a measurement window of at
-// least one cycle (the accepted rate divides by it), and no negative
-// window or count. Rules that combine fields (drop mode with multi-flit
-// packets, adaptive routing on a torus, the buffer-slot cap) stay with
-// network.New, which enforces them for every caller.
+// Validate range-checks the spec: a radix the topology supports (torus
+// k >= 3, mesh k >= 2, both at most maxSpecK), a finite rate in [0, 1],
+// flits_per_packet in [1, maxSpecFlits], a known router mode, at most
+// flit.NumVCs virtual channels, a measurement window of at least one
+// cycle (the accepted rate divides by it) whose end, warmup plus measure,
+// fits an int64, and no negative window or count. Rules that combine
+// other fields (drop mode with multi-flit packets, adaptive routing on a
+// torus, the buffer-slot cap) stay with network.New, which enforces them
+// for every caller.
 func (s Spec) Validate() error {
 	minK := 3
 	switch s.Topology {
@@ -171,6 +157,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("core: spec mode %d is not a router mode", s.Mode)
 	case s.WarmupCycles < 0 || s.MeasureCycles < 1:
 		return fmt.Errorf("core: spec needs warmup_cycles >= 0 and measure_cycles >= 1; got %d, %d", s.WarmupCycles, s.MeasureCycles)
+	case s.MeasureCycles > math.MaxInt64-s.WarmupCycles:
+		return fmt.Errorf("core: spec window warmup_cycles + measure_cycles (%d + %d) overflows int64", s.WarmupCycles, s.MeasureCycles)
 	case s.SerdesCycles < 0 || s.Watchdog < 0:
 		return fmt.Errorf("core: spec has negative serdes_cycles (%d) or watchdog (%d)", s.SerdesCycles, s.Watchdog)
 	}
@@ -203,16 +191,9 @@ type RunParams struct {
 
 	// Shards is the intra-cycle shard count for this run's network
 	// (network.Config.Shards): 0 defers to the package default
-	// (SetShards), negative means GOMAXPROCS explicitly. Results are
-	// byte-identical at any shard count.
+	// (SetShards), a negative count or 1 runs the sequential loop.
+	// Results are byte-identical at any shard count.
 	Shards int
-
-	// BatchEpochs caps how many cycles a sharded run folds into one
-	// barrier epoch while the network is near-quiescent
-	// (network.Config.BatchEpochs): 0 defers to the package default
-	// (SetBatchEpochs), negative disables batching. Results are
-	// byte-identical at any setting.
-	BatchEpochs int
 
 	// OnNetwork, when non-nil, runs after the network is built and the
 	// clients attached, before the first cycle — the attachment point for
@@ -357,7 +338,7 @@ func BuildNetwork(p RunParams) (*network.Network, error) {
 
 // networkConfig derives the network configuration for p: the shared
 // topology, adjacency and route table, the router template, and the
-// package shard and batching defaults resolved.
+// package shard default resolved.
 func networkConfig(p RunParams) (network.Config, error) {
 	topo, err := sharedTopology(p.Topology, p.K)
 	if err != nil {
@@ -387,7 +368,6 @@ func networkConfig(p RunParams) (network.Config, error) {
 		RouteTable:   table,
 		Router:       rc,
 		Shards:       p.Shards,
-		BatchEpochs:  p.BatchEpochs,
 		SerdesCycles: p.SerdesCycles,
 		Deflect:      p.Deflect,
 		ElasticLinks: p.ElasticLinks,
@@ -401,20 +381,13 @@ func networkConfig(p RunParams) (network.Config, error) {
 	}), nil
 }
 
-// withPackageLayout resolves cfg's shard count and batching cap against
-// the package defaults, in RunParams' convention: 0 defers to SetShards
-// and SetBatchEpochs, and a negative shard count is an explicit
-// GOMAXPROCS request (network.Config's 0). Every network this package
-// builds goes through it, the experiments' hand-assembled configs too.
+// withPackageLayout resolves cfg's shard count against the package
+// default, in RunParams' convention: 0 defers to SetShards. Every network
+// this package builds goes through it, the experiments' hand-assembled
+// configs too.
 func withPackageLayout(cfg network.Config) network.Config {
 	if cfg.Shards == 0 {
 		cfg.Shards = Shards()
-	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
-	}
-	if cfg.BatchEpochs == 0 {
-		cfg.BatchEpochs = BatchEpochs()
 	}
 	return cfg
 }

@@ -5,12 +5,12 @@ import "errors"
 // Capabilities records which engine features a configuration supports:
 // each field is nil when the feature is available, or the reason it is
 // not. CapabilitiesOf is the one place these rules are decided; New
-// stores the record, and the shard count, worklist gating, epoch
-// batching, checkpoints, and core's warm forks read it.
+// stores the record, and the shard count, worklist gating, checkpoints,
+// and core's warm forks read it.
 type Capabilities struct {
 	Sharding   error // intra-cycle sharding (when set, the network runs one shard)
 	PortGating error // pump/loopback port worklists and the active-list eject walk
-	LinkGating error // per-shard link worklists, and the epoch batching they drive
+	LinkGating error // per-shard link worklists
 	Checkpoint error // SaveCheckpoint, RestoreCheckpoint, Snapshot and Fork
 }
 

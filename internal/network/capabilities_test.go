@@ -12,7 +12,7 @@ import (
 // TestCapabilities pins the capability matrix: for every configuration
 // flavour, built on a 4x4 at Shards 4, each field of the record is nil or
 // its named reason, and the engine's observed behaviour agrees with it —
-// the shard count, the worklist gating and batching, and SaveCheckpoint.
+// the shard count, the worklist gating, and SaveCheckpoint.
 func TestCapabilities(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -59,13 +59,6 @@ func TestCapabilities(t *testing.T) {
 			if swept := !n.ports[0].onPump; swept != (caps.PortGating == nil) {
 				t.Errorf("drained port swept off the pump worklist %v with PortGating = %v", swept, caps.PortGating)
 			}
-			wantBatch := 0
-			if caps.Sharding == nil && caps.LinkGating == nil {
-				wantBatch = DefaultBatchEpochs
-			}
-			if got := n.Kernel().Batching(); got != wantBatch {
-				t.Errorf("batching %d, want %d (Sharding = %v, LinkGating = %v)", got, wantBatch, caps.Sharding, caps.LinkGating)
-			}
 			if _, err := n.SaveCheckpoint(0, 0); !errors.Is(err, caps.Checkpoint) {
 				t.Errorf("SaveCheckpoint = %v, want %v", err, caps.Checkpoint)
 			}
@@ -74,7 +67,7 @@ func TestCapabilities(t *testing.T) {
 	if got := buildShardNet(t, 64, true, nil).Shards(); got != 16 {
 		t.Errorf("Shards=64 on 16 tiles -> %d, want clamp to 16", got)
 	}
-	if got := buildShardNet(t, 0, true, nil).Shards(); got < 1 || got > 16 {
-		t.Errorf("Shards=0 (auto) -> %d, want within [1,16]", got)
+	if got := buildShardNet(t, 0, true, nil).Shards(); got != 1 {
+		t.Errorf("Shards=0 -> %d, want the sequential loop", got)
 	}
 }

@@ -83,29 +83,11 @@ type Config struct {
 	// Shards is the intra-cycle parallelism: tiles and links are
 	// partitioned into this many contiguous shards and each kernel phase
 	// runs concurrently across them, with byte-identical results to the
-	// sequential loop (see shard.go). 0 (the zero value) selects
-	// GOMAXPROCS; 1 is the classic sequential loop. Configurations whose
+	// sequential loop (see shard.go). 1 or less (the zero value included)
+	// is the classic sequential loop. Configurations whose
 	// Capabilities.Sharding is set run one shard.
 	Shards int
-
-	// BatchEpochs bounds quiescence-aware epoch batching on sharded runs
-	// (Shards > 1): when the network-wide active work drops below a
-	// threshold, up to this many cycles are folded into one barrier epoch
-	// and run inline on worker 0, eliminating up to 2×phases barrier
-	// crossings per folded cycle. Results are byte-identical either way
-	// (sim.Kernel.SetBatching). 0 selects DefaultBatchEpochs; negative
-	// disables batching; ignored on the sequential path and on
-	// configurations whose Capabilities.LinkGating is set.
-	BatchEpochs int
 }
-
-// DefaultBatchEpochs is the epoch cap used when Config.BatchEpochs is 0.
-// It bounds how long worker 0 runs the quiescent network serially before
-// the eligibility probe is consulted against fresh worklists at a real
-// barrier — long enough to amortize the barrier away on idle stretches,
-// short enough that a traffic burst returns to lockstep execution within
-// a rounding error of wall-clock time.
-const DefaultBatchEpochs = 64
 
 // maxBufferSlots caps the flit slots in a network's VC buffers, so a
 // hostile depth fails New instead of exhausting memory. The largest die a
@@ -169,10 +151,6 @@ type Network struct {
 	// serial client phase walks attached clients in tile order without
 	// scanning every tile.
 	clientTiles []int
-
-	// batchThresh is the active-work ceiling under which sharded runs may
-	// fold cycles into batched epochs (batchEligible).
-	batchThresh int
 
 	// probe is the telemetry root (nil when disabled); traceLinks caches
 	// whether lifecycle tracing is live so the deliver loop pays one
@@ -387,10 +365,6 @@ func New(cfg Config) (*Network, error) {
 			n.inLinkIdx[le.to*router.NumPorts+int(le.dir.Opposite())] = int32(i)
 		}
 	}
-	n.batchThresh = tiles / 64
-	if n.batchThresh < 8 {
-		n.batchThresh = 8
-	}
 	for _, r := range n.routers {
 		r.SetPool(&n.shards[n.shardOf[r.ID()]].pool)
 	}
@@ -519,20 +493,6 @@ func (n *Network) registerPhases() {
 		n.wdCredit = make([]bool, len(n.links))
 		n.kernel.AddPhase("watchdog", n.watchdogTick)
 	}
-	// Quiescence-aware epoch batching: on sharded runs, fold cycles into
-	// single-barrier epochs while the worklists show too little active
-	// work to be worth fanning out. The kernel's Step path executes the
-	// same phase schedule inline, so results — including serial-phase
-	// timing (telemetry samples, serve snapshots, checkpoints) — are
-	// byte-identical; only the barrier count changes. Requires the gated
-	// worklists: they are the quiescence signal.
-	if len(n.shards) > 1 && n.caps.LinkGating == nil && n.cfg.BatchEpochs >= 0 {
-		epochs := n.cfg.BatchEpochs
-		if epochs == 0 {
-			epochs = DefaultBatchEpochs
-		}
-		k.SetBatching(epochs, n.batchEligible)
-	}
 	// The sampling phase exists only when a probe asked for a series, so a
 	// probe-less (or counters-only) network's cycle loop is untouched.
 	if n.probe != nil && n.probe.SampleEvery() > 0 {
@@ -553,22 +513,6 @@ func (n *Network) registerPhases() {
 			n.probe.AddSample(int64(now), bufOcc, inFlight)
 		})
 	}
-}
-
-// batchEligible is the quiescence probe for epoch batching: it approves
-// folding cycles onto one worker while the total active work (routers
-// plus links on the per-shard worklists) is below the threshold where
-// fan-out overhead dominates the work itself. Consulted by worker 0 at
-// cycle boundaries, where the worklists are quiescent state.
-func (n *Network) batchEligible() bool {
-	total := 0
-	for _, s := range n.shards {
-		total += len(s.active) + len(s.activeLinks)
-		if total > n.batchThresh {
-			return false
-		}
-	}
-	return true
 }
 
 // AttachClient installs (or, with a nil client, removes) the client logic

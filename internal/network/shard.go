@@ -2,7 +2,6 @@ package network
 
 import (
 	"math/bits"
-	"runtime"
 
 	"repro/internal/flit"
 	"repro/internal/route"
@@ -119,14 +118,11 @@ type shardState struct {
 
 // initShards partitions the tiles into contiguous ranges, one per shard,
 // and assigns each link to the shard of its receiving tile. The count is
-// Config.Shards (0 selects GOMAXPROCS) clamped to [1, tiles], or one when
-// the configuration withdraws sharding (Capabilities.Sharding).
+// Config.Shards clamped to [1, tiles], or one when the configuration
+// withdraws sharding (Capabilities.Sharding).
 func (n *Network) initShards() {
 	tiles := n.topo.NumTiles()
 	count := n.cfg.Shards
-	if count == 0 {
-		count = runtime.GOMAXPROCS(0)
-	}
 	if count < 1 || n.caps.Sharding != nil {
 		count = 1
 	}

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -45,6 +46,16 @@ func buildShardNet(t *testing.T, shards int, wrap bool, mod func(*Config)) *Netw
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestZeroShardsIsSequential: a Config that leaves Shards at its zero
+// value runs the sequential loop whatever GOMAXPROCS is, so a default
+// build on a multi-CPU host pays no barriers.
+func TestZeroShardsIsSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if got := buildShardNet(t, 0, true, nil).Shards(); got != 1 {
+		t.Errorf("Shards=0 at GOMAXPROCS=2 runs %d shards, want 1", got)
+	}
 }
 
 // attachShardClients wires a deterministic, loopback-including workload:

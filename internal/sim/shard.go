@@ -147,36 +147,6 @@ func (k *Kernel) AddShardedPhase(name string, shard ShardFunc, merge PhaseFunc) 
 	k.phases = append(k.phases, phase{name: name, shard: shard, merge: merge})
 }
 
-// SetBatching configures quiescence-aware epoch batching for the parallel
-// runner. At each cycle boundary worker 0 consults ok(); while it reports
-// the simulation quiescent (no cross-shard work worth parallelizing),
-// up to max cycles are folded into a single barrier epoch and executed
-// inline on worker 0 via the sequential Step path. By the AddShardedPhase
-// contract — sequential execution of the shard bodies in shard order is
-// equivalent to any concurrent execution — the state at the next barrier
-// is byte-identical to lockstep execution, and because Step runs the full
-// phase schedule for every folded cycle, serial phases (telemetry
-// sampling, serve snapshots, the checkpoint phase) still land on their
-// exact cycle boundaries. max caps how far a quiescent network can run
-// between stop-condition checks, bounding Drain/RunUntil overshoot in
-// wall-clock terms only; cond is still evaluated between every cycle.
-// max <= 0 or ok == nil disables batching.
-func (k *Kernel) SetBatching(max int, ok func() bool) {
-	if max < 0 {
-		max = 0
-	}
-	k.batchMax = max
-	k.batchOK = ok
-}
-
-// Batching reports the configured maximum epoch length (0 = disabled).
-func (k *Kernel) Batching() int {
-	if k.batchOK == nil {
-		return 0
-	}
-	return k.batchMax
-}
-
 // shardRun is the shared state of one parallel Run/RunUntil call.
 type shardRun struct {
 	k      *Kernel
@@ -242,28 +212,15 @@ func (c *shardRun) worker(id int) {
 }
 
 // decide is worker 0's cycle-boundary bookkeeping: evaluate the stop
-// condition (exactly once per boundary, same as the sequential path),
-// check the cycle budget, and — when epoch batching is configured and the
-// quiescence probe approves — fold up to batchMax cycles into this
-// barrier interval via the sequential Step path while the rest of the
-// pool waits at the barrier. Falling out of the fold loop (epoch cap hit
-// or quiescence lost) hands the next cycle back to the lockstep workers.
+// condition (exactly once per boundary, same as the sequential path) and
+// check the cycle budget.
 func (c *shardRun) decide() {
-	for folded := 0; ; folded++ {
-		if c.cond != nil && c.cond() {
-			c.stop, c.done = true, true
-			return
-		}
-		if c.iter >= c.budget {
-			c.stop = true
-			c.done = c.cond == nil
-			return
-		}
-		if c.k.batchMax <= 0 || c.k.batchOK == nil ||
-			folded >= c.k.batchMax || !c.k.batchOK() {
-			return
-		}
-		c.k.Step()
-		c.iter++
+	if c.cond != nil && c.cond() {
+		c.stop, c.done = true, true
+		return
+	}
+	if c.iter >= c.budget {
+		c.stop = true
+		c.done = c.cond == nil
 	}
 }

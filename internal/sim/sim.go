@@ -45,11 +45,6 @@ type Kernel struct {
 	// the sequential path (see shard.go).
 	shards int
 
-	// batchMax/batchOK configure quiescence-aware epoch batching for the
-	// parallel runner (SetBatching, see shard.go).
-	batchMax int
-	batchOK  func() bool
-
 	// crashHook, when set, observes a panic unwinding Run/RunUntil before
 	// it propagates (SetCrashHook).
 	crashHook func(now Cycle, recovered any)

@@ -19,8 +19,7 @@
 // registers one *serial* kernel phase that runs behind the merge
 // barriers, single-threaded with respect to all simulator state — so the
 // ring contents, keyframes, and detector-triggered dumps are byte-identical
-// at any -shards setting, and the kernel's batching Step path runs the
-// phase on every folded cycle so epoch batching changes nothing either.
+// at any -shards setting.
 // When the recorder is not attached no phase exists and the cycle loop
 // keeps its 0 allocs/op fast path; attached, the steady-state phase writes
 // into preallocated buffers and allocates nothing per cycle (keyframe
@@ -42,6 +41,10 @@ import (
 // DefaultWindow is the default ring capacity in cycles.
 const DefaultWindow = 4096
 
+// MaxWindow caps the ring capacity a caller may request: at 88 bytes a
+// Record, the ring stays under 100 MB.
+const MaxWindow = 1 << 20
+
 // DefaultKeyframes is how many keyframes the recorder retains: the window
 // spans two keyframe intervals, so three keyframes guarantee one at or
 // before every recorded cycle.
@@ -57,7 +60,8 @@ const maxEventLog = 256
 
 // Config parameterizes a Recorder.
 type Config struct {
-	// Window is the ring capacity in cycles (default DefaultWindow).
+	// Window is the ring capacity in cycles (default DefaultWindow, at
+	// most MaxWindow).
 	Window int
 
 	// Dir is where dumps are written (default ".").
@@ -230,8 +234,7 @@ type Recorder struct {
 // recorder's ring phase on the sampled network's kernel, after the
 // sampler's. The sampler guarantees the telemetry probe the deltas
 // difference; the network must not have run yet. The phase is serial,
-// so it composes with any -shards or -batch-epochs setting without
-// perturbing results.
+// so it composes with any -shards setting without perturbing results.
 func Attach(smp *sampler.Sampler, cfg Config) *Recorder {
 	n := smp.Network()
 	cfg = cfg.withDefaults()

@@ -31,8 +31,7 @@
 // The decomposition reconciles exactly with the run recorder: both
 // gate on birth ≥ warmup and both observe packets at the deterministic
 // eject-merge barrier, so Σ_flows(count, Σtotal) equals the recorder's
-// PacketLatency (count, sum) byte-for-byte at any shard count and with
-// epoch batching on or off.
+// PacketLatency (count, sum) byte-for-byte at any shard count.
 //
 // On top of the per-flow state sits an SLO engine (slo.go): latency
 // objectives like "p99<=40" evaluated on a fixed cadence with

@@ -15,7 +15,7 @@
 //
 // The phase runs behind the merge barriers, single-threaded with respect
 // to all simulator state, so samples are byte-identical for any -shards
-// or -batch-epochs setting. The steady-state sampling path allocates
+// setting. The steady-state sampling path allocates
 // nothing: every buffer is reused across samples.
 package sampler
 

@@ -22,11 +22,11 @@ import (
 // any recorded cycle is reconstructable EXACTLY — restore the newest
 // keyframe at or before it, re-execute the deterministic engine forward,
 // and the resulting state is byte-identical to a straight-through run —
-// regardless of the shard count or epoch batching the original run used.
+// regardless of the shard count the original run used.
 
 // recordedRun executes core.Run with a flight recorder attached and a dump
 // requested near the end of the horizon, returning the parsed dump.
-func recordedRun(t *testing.T, shards, batch int) *flightrec.Dump {
+func recordedRun(t *testing.T, shards int) *flightrec.Dump {
 	t.Helper()
 	dir := t.TempDir()
 	p := core.DefaultRunParams()
@@ -37,7 +37,6 @@ func recordedRun(t *testing.T, shards, batch int) *flightrec.Dump {
 	p.Seed = 9
 	p.Probe = telemetry.New(telemetry.Config{})
 	p.Shards = shards
-	p.BatchEpochs = batch
 
 	var rec *flightrec.Recorder
 	p.OnNetwork = func(n *network.Network, id core.SimSpec) error {
@@ -139,20 +138,16 @@ func straightThrough(t *testing.T, dp *flightrec.Dump, cycle int64) []byte {
 
 // TestFlightRecReconstructionExact is the acceptance gate: keyframe +
 // delta replay byte-matches the straight-through state at several shard
-// counts, with epoch batching on and off, at a keyframe-aligned cycle, an
+// counts, at a keyframe-aligned cycle, an
 // unaligned one, and one older than every retained keyframe (the
 // rebuild-from-zero fallback).
 func TestFlightRecReconstructionExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay exactness sweep is not -short")
 	}
-	for _, tc := range []struct {
-		shards, batch int
-	}{
-		{1, 0}, {2, 0}, {3, 0}, {2, -1},
-	} {
-		t.Run(fmt.Sprintf("shards=%d,batch=%d", tc.shards, tc.batch), func(t *testing.T) {
-			dp := recordedRun(t, tc.shards, tc.batch)
+	for _, shards := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dp := recordedRun(t, shards)
 			if len(dp.Keyframes) == 0 {
 				t.Fatalf("dump has no keyframes (err %q)", dp.KeyframeErr)
 			}
@@ -180,7 +175,7 @@ func TestFlightRecReconstructionExact(t *testing.T) {
 // way `nocpost state` does: the instantaneous occupancy the original run
 // recorded at a cycle equals the occupancy of the reconstructed state.
 func TestFlightRecRingMatchesReplay(t *testing.T) {
-	dp := recordedRun(t, 2, 0)
+	dp := recordedRun(t, 2)
 	spec, err := core.ParseSpec(dp.SpecJSON)
 	if err != nil {
 		t.Fatal(err)
@@ -295,5 +290,19 @@ func TestFlightRecSmoke(t *testing.T) {
 	}
 	if !strings.Contains(vs, "t5:") {
 		t.Errorf("verdict does not attribute tile 5:\n%s", vs)
+	}
+
+	// A campaign cannot be rebuilt from its spec, so links renders the
+	// ring lane and notes that per-link lanes need replay.
+	links, err := exec.Command(nocpost, "links", dump).CombinedOutput()
+	if err != nil {
+		t.Fatalf("nocpost links: %v\n%s", err, links)
+	}
+	if !strings.Contains(string(links), "all links (ring)") || !strings.Contains(string(links), "(per-link lanes unavailable:") {
+		t.Errorf("nocpost links lacks the ring lane or the unavailable note:\n%s", links)
+	}
+	bad, err := exec.Command(nocpost, "links", "-top", "-1", dump).CombinedOutput()
+	if err == nil || !strings.Contains(string(bad), "-top must be >= 0") {
+		t.Errorf("nocpost links -top -1: err = %v, want a failure naming -top:\n%s", err, bad)
 	}
 }

@@ -69,70 +69,28 @@ func TestResumedGoldenExperiments(t *testing.T) {
 	}
 }
 
-// TestResumedBatchingGolden interrupts E1 mid-run with sharding and a
-// tiny epoch cap (3 cycles): the checkpoint must land on the exact
-// requested cycle even when that cycle falls mid-epoch (the fold loop
-// re-checks the budget between folded cycles, so a snapshot horizon
-// never overshoots), and the resumed run must still reproduce the
-// committed golden bytes. The resumes under the default cap are covered
-// by TestResumedGoldenExperiments, where sharded runs batch by default.
-func TestResumedBatchingGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("resumed batching goldens are not -short")
-	}
-	want := readGolden(t, "golden_e1_quick.txt")
-	for _, frac := range []float64{0.37, 0.50} {
-		frac := frac
-		t.Run(fmt.Sprintf("frac%.0f", 100*frac), func(t *testing.T) {
-			resumeAt(t, frac, func() {
-				withBatching(t, 3, func() {
-					withShards(t, 2, func() {
-						e, err := core.ByID("E1")
-						if err != nil {
-							t.Fatal(err)
-						}
-						tbl, err := e.Run(true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := tbl.Format(); got != want {
-							t.Errorf("resume at %.0f%% with tiny epochs diverged from golden\n--- want ---\n%s--- got ---\n%s",
-								100*frac, want, got)
-						}
-					})
-				})
-			})
-		})
-	}
-}
-
 // TestResumedGoldenSweep interrupts every point of the golden
-// load-latency sweep mid-run across the shards {1, 2, N} × batching
-// {off, default} grid, with the fraction rotating through 25/50/75% so
-// every fraction, shard count and batching setting is exercised. Every
-// cell must reproduce the committed sequential golden bytes.
+// load-latency sweep mid-run at shard counts {1, 2, N}, with the fraction
+// rotating through 25/75/50% so every fraction and shard count is
+// exercised. Every run must reproduce the committed sequential golden
+// bytes.
 func TestResumedGoldenSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resumed golden sweeps are not -short")
 	}
 	want := readGolden(t, "golden_sweep_seed1.csv")
-	fracs := []float64{0.25, 0.50, 0.75}
+	fracs := []float64{0.25, 0.75, 0.50}
 	shardList := append([]int{1}, shardCounts()...)
 	for si, shards := range shardList {
-		for bi, batch := range []int{-1, 0} { // off, network default
-			frac := fracs[(si*2+bi)%len(fracs)]
-			name := fmt.Sprintf("shards%d/batch%d/frac%.0f", shards, batch, 100*frac)
-			t.Run(name, func(t *testing.T) {
-				resumeAt(t, frac, func() {
-					withShards(t, shards, func() {
-						withBatching(t, batch, func() {
-							if got := goldenSweepCSV(t, 1); got != want {
-								t.Errorf("resumed sweep diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
-							}
-						})
-					})
+		frac := fracs[si%len(fracs)]
+		t.Run(fmt.Sprintf("shards%d/frac%.0f", shards, 100*frac), func(t *testing.T) {
+			resumeAt(t, frac, func() {
+				withShards(t, shards, func() {
+					if got := goldenSweepCSV(t, 1); got != want {
+						t.Errorf("resumed sweep diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
+					}
 				})
 			})
-		}
+		})
 	}
 }

@@ -168,6 +168,8 @@ func TestServeSmokeFlagValidation(t *testing.T) {
 		{"tracefile-out without metrics", []string{"-tracefile-out", "t.json"}, "-tracefile-out requires -metrics"},
 		{"negative metrics-every", []string{"-metrics", "-metrics-every", "-5"}, "-metrics-every must be >= 0"},
 		{"print-layout radix out of range", []string{"-print-layout", "-k", "129"}, "radix k=129 outside [3, 128]"},
+		{"zero shards", []string{"-shards", "0"}, "-shards must be >= 1"},
+		{"measurement window overflows", []string{"-warmup", "10", "-measure", "9223372036854775807"}, "warmup_cycles + measure_cycles"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
