@@ -79,6 +79,15 @@ func (r *replayer) restore(cycle int64) error {
 	return nil
 }
 
+// inWindow refuses a -cycle past the dump's recorded window, toward which
+// replay would otherwise re-execute the engine without bound.
+func inWindow(dp *flightrec.Dump, cycle int64) error {
+	if cycle > dp.LastCycle() {
+		return fmt.Errorf("-cycle %d is past the dump's recorded window, cycles %d..%d", cycle, dp.FirstCycle(), dp.LastCycle())
+	}
+	return nil
+}
+
 // baseCycle reports where a seek to `cycle` starts re-execution from.
 func (r *replayer) baseCycle(cycle int64) int64 {
 	if kf := r.dp.KeyframeBefore(cycle); kf != nil {
@@ -101,6 +110,9 @@ func cmdState(args []string) error {
 	c := *cycle
 	if c < 0 {
 		c = dp.Cycle
+	}
+	if err := inWindow(dp, c); err != nil {
+		return err
 	}
 	rp, err := newReplayer(dp)
 	if err != nil {
@@ -219,6 +231,9 @@ func cmdWaitgraph(args []string) error {
 		if c == 0 {
 			c = dp.LastCycle() - 1
 		}
+	}
+	if err := inWindow(dp, c); err != nil {
+		return err
 	}
 	step := *every
 	if step <= 0 {

@@ -164,3 +164,53 @@ func TestFlowLatencyCheckpointConfigGuard(t *testing.T) {
 		t.Error("restore under different objectives succeeded")
 	}
 }
+
+// TestFlowObservatoryShardInvariant runs a srcrow observatory with an SLO
+// on a busy 8×8 torus and requires the same snapshot bytes, the
+// observatory's exemplar rings included, at every shard count. Several
+// packets of one source row arrive in the same cycle at different tiles,
+// and the tight target makes most of them exemplars, so the rings record
+// the observer's delivery order.
+func TestFlowObservatoryShardInvariant(t *testing.T) {
+	const hash = 77
+	run := func(shards int) ([]byte, [][]uint64) {
+		topo, err := topology.NewFoldedTorus(8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := network.New(network.Config{
+			Topo: topo, Router: router.DefaultConfig(0), Seed: 11, Warmup: 100, Shards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tile := 0; tile < topo.NumTiles(); tile++ {
+			n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: 64}, 0.3, 2, flit.VCMask(0xFF), 1))
+		}
+		o, err := latency.Attach(n, latency.Config{Flows: latency.FlowSrcRow, SLO: "p99<=12"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(1500)
+		snap, err := n.Snapshot(hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ex [][]uint64
+		for fi := 0; fi < o.NumFlows(); fi++ {
+			ex = append(ex, o.Exemplars(fi))
+		}
+		return snap, ex
+	}
+	wantSnap, wantEx := run(1)
+	for _, shards := range shardCounts() {
+		gotSnap, gotEx := run(shards)
+		if fmt.Sprint(gotEx) != fmt.Sprint(wantEx) {
+			t.Errorf("shards=%d: exemplar rings %v, sequential run %v", shards, gotEx, wantEx)
+		}
+		if string(gotSnap) != string(wantSnap) {
+			t.Errorf("shards=%d: snapshot bytes diverge from the sequential run (%d vs %d bytes)",
+				shards, len(gotSnap), len(wantSnap))
+		}
+	}
+}

@@ -96,10 +96,10 @@ func (n *Network) SaveCheckpoint(configHash uint64, cycle int64) ([]byte, error)
 	if err := n.checkpointable(); err != nil {
 		return nil, err
 	}
-	// Gated links freeze their utilization windows while off the
-	// worklists; catch every counter up so the serialised Util state is
-	// byte-identical to an ungated (or differently sharded) run's. The
-	// probe mirror keeps the serialised route-table counters current.
+	// Links freeze their utilization windows while off the worklists;
+	// catch every counter up so the serialised Util state is the same at
+	// any shard count and any worklist history. The probe mirror keeps
+	// the serialised route-table counters current.
 	n.finalizeUtil()
 	n.observeProbe()
 	b := checkpoint.NewBuilder(configHash, cycle)
@@ -334,15 +334,14 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 			n.activate(r.ID())
 		}
 	}
-	if n.caps.LinkGating == nil {
-		// Re-anchor the gated utilization clock at the checkpoint cycle and
-		// enlist every link restored with flits or credits still in flight.
-		n.utilTicks = f.Cycle
-		for i := range n.links {
-			n.links[i].tickedTo = f.Cycle
-			if !n.links[i].l.Idle() {
-				n.activateLink(int32(i), f.Cycle)
-			}
+	// Re-anchor the link worklists' utilization clock at the checkpoint
+	// cycle and enlist every link restored with flits or credits still in
+	// flight.
+	n.utilTicks = f.Cycle
+	for i := range n.links {
+		n.links[i].tickedTo = f.Cycle
+		if !n.links[i].l.Idle() {
+			n.activateLink(int32(i))
 		}
 	}
 	n.NoteCheckpoint(f.Cycle)

@@ -79,6 +79,44 @@ func buildCkptNet(t *testing.T, shards, watchdog int) *Network {
 	return n
 }
 
+// TestForkMatchesStraightRun snapshots a run at cycle w, forks the image
+// into a freshly built network, and requires the fork's snapshot after
+// w+m cycles to match the straight run's byte for byte, at shards 1 and
+// 2. A Fork that skipped its restore would start the fork from cycle 0.
+func TestForkMatchesStraightRun(t *testing.T) {
+	const hash, w, m = 99, 250, 350
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ref := buildCkptNet(t, shards, 0)
+			ref.Run(w)
+			img, err := ref.Snapshot(hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Run(m)
+			want, err := ref.Snapshot(hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fork := buildCkptNet(t, shards, 0)
+			if err := fork.Fork(img, hash); err != nil {
+				t.Fatal(err)
+			}
+			fork.Run(m)
+			if now := fork.Kernel().Now(); now != w+m {
+				t.Errorf("fork ends at cycle %d, want %d", now, w+m)
+			}
+			got, err := fork.Snapshot(hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("forked run diverges from the straight run (snapshot %d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
 // TestCheckpointRoundTrip saves mid-run, restores into a fresh network,
 // and requires the resumed run's state — as witnessed by a second
 // checkpoint — to be byte-identical to the uninterrupted run's.

@@ -19,14 +19,17 @@ import (
 // link but no credit returned; at the threshold the link is declared dead.
 // A credit arrival or an idle (demand-free) cycle resets the counter, so a
 // heavily loaded but healthy link never trips the watchdog as long as its
-// credits keep circulating.
+// credits keep circulating. Delivery sets wdCredit[i] when a credit
+// arrives on link i; this phase reads and clears it every cycle.
 func (n *Network) watchdogTick(now sim.Cycle) {
 	for i := range n.links {
 		le := &n.links[i]
+		credited := n.wdCredit[i]
+		n.wdCredit[i] = false
 		if n.faultMap.IsDown(le.from, le.dir) {
 			continue
 		}
-		if n.wdCredit[i] || !n.routers[le.from].HasDemand(le.dir) {
+		if credited || !n.routers[le.from].HasDemand(le.dir) {
 			n.wdStarve[i] = 0
 			continue
 		}
@@ -38,6 +41,9 @@ func (n *Network) watchdogTick(now sim.Cycle) {
 	for _, r := range n.routers {
 		if r.HasDeadOutput() {
 			r.FaultSweep(now)
+			// Wake the links the sweep credited: a router it emptied leaves
+			// its worklist before switcharb would read its credited mask.
+			n.wakeCredited(r.ID(), r.CreditedInputs())
 		}
 	}
 }

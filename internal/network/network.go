@@ -95,7 +95,7 @@ type Config struct {
 const maxBufferSlots = 1 << 24
 
 // linkEntry couples a link to its position in the topology. tickedTo is
-// the utilization-window high-water mark for the link-gating fast path
+// the utilization-window high-water mark for the link worklists
 // (shard.go): while a link is off its shard's worklist its Util counter
 // stops ticking, and tickedTo records the utilTicks value its window was
 // frozen at so activation or a Util read can catch it up exactly.
@@ -137,8 +137,8 @@ type Network struct {
 	shardOf []int
 	onList  []bool
 
-	// Link gating state (shard.go), kept when caps.LinkGating is nil:
-	// linkOn dedupes link worklist membership; outLinkIdx / inLinkIdx map
+	// Link worklist state (shard.go): linkOn dedupes link worklist
+	// membership; outLinkIdx / inLinkIdx map
 	// tile×port to the link a send or credit wakes; utilTicks counts
 	// completed delivery phases, the reference clock for frozen Util
 	// windows.
@@ -184,8 +184,9 @@ type Network struct {
 	ckptEvery     int64
 
 	// pktObs, when non-nil, receives every delivered non-loopback packet
-	// at the eject barrier, in tile (= sequential-schedule) order. It is a
-	// per-run attachment like the checkpoint extras.
+	// at the eject barrier, in tile (= sequential-schedule) order for any
+	// shard count (ejectMerge sorts). It is a per-run attachment like the
+	// checkpoint extras.
 	// obsScratch is the reused observation record so the hook stays
 	// allocation-free.
 	pktObs     PacketObserver
@@ -350,20 +351,18 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	n.initShards()
-	// Quiescence gating: worklist-driven delivery, eject, and pump scans.
-	if n.caps.LinkGating == nil {
-		n.linkOn = make([]bool, len(n.links))
-		n.outLinkIdx = make([]int32, tiles*router.NumPorts)
-		n.inLinkIdx = make([]int32, tiles*router.NumPorts)
-		for i := range n.outLinkIdx {
-			n.outLinkIdx[i] = -1
-			n.inLinkIdx[i] = -1
-		}
-		for i := range n.links {
-			le := &n.links[i]
-			n.outLinkIdx[le.from*router.NumPorts+int(le.dir)] = int32(i)
-			n.inLinkIdx[le.to*router.NumPorts+int(le.dir.Opposite())] = int32(i)
-		}
+	// Link worklists: membership bits and the tile×port -> link maps.
+	n.linkOn = make([]bool, len(n.links))
+	n.outLinkIdx = make([]int32, tiles*router.NumPorts)
+	n.inLinkIdx = make([]int32, tiles*router.NumPorts)
+	for i := range n.outLinkIdx {
+		n.outLinkIdx[i] = -1
+		n.inLinkIdx[i] = -1
+	}
+	for i := range n.links {
+		le := &n.links[i]
+		n.outLinkIdx[le.from*router.NumPorts+int(le.dir)] = int32(i)
+		n.inLinkIdx[le.to*router.NumPorts+int(le.dir.Opposite())] = int32(i)
 	}
 	for _, r := range n.routers {
 		r.SetPool(&n.shards[n.shardOf[r.ID()]].pool)
@@ -476,14 +475,9 @@ func (n *Network) registerPhases() {
 	// computation and both arbitrations are state no-ops (the round-robin
 	// arbiters only advance on a grant) and quiescent regions cost nothing.
 	k.AddShardedPhase("route", n.routeShard, nil)
-	// Under link gating linkarb needs a merge to apply cross-shard link
-	// activations (a send whose receiving tile lives in another shard);
-	// without gating the merge (and its extra barrier) is omitted.
-	var lam sim.PhaseFunc
-	if n.caps.LinkGating == nil {
-		lam = n.linkarbMerge
-	}
-	k.AddShardedPhase("linkarb", n.linkarbShard, lam)
+	// linkarb's merge applies cross-shard link activations (a send whose
+	// receiving tile lives in another shard).
+	k.AddShardedPhase("linkarb", n.linkarbShard, n.linkarbMerge)
 	k.AddShardedPhase("switcharb", n.switcharbShard, nil)
 	k.AddShardedPhase("eject", n.ejectShard, n.ejectMerge)
 	k.AddPhase("clients", n.clientsTick)
@@ -580,23 +574,17 @@ func (n *Network) observeProbe() {
 }
 
 // Occupancy reports flits buffered anywhere in the network (routers and
-// links). Under gating this is O(active components): every router holding
-// a flit is on its shard's worklist (acceptance activates, the route
-// sweep only drops empty routers), and every link with a flit in flight
-// is on its link worklist (sends activate, the delivery sweep only drops
-// idle links).
+// links) in O(active components): every VC router holding a flit is on
+// its shard's worklist (acceptance activates, the route sweep only drops
+// empty routers), and every link with a flit in flight is on its link
+// worklist (sends activate, the delivery sweep only drops idle links).
+// Deflection routers keep no worklist and are summed in full.
 func (n *Network) Occupancy() int {
 	total := 0
-	if n.caps.LinkGating == nil {
-		for _, s := range n.shards {
-			for _, t := range s.active {
-				total += n.routers[t].Occupancy()
-			}
+	for _, s := range n.shards {
+		for _, t := range s.active {
+			total += n.routers[t].Occupancy()
 		}
-		return total + n.LinksInFlight()
-	}
-	for _, r := range n.routers {
-		total += r.Occupancy()
 	}
 	for _, d := range n.defls {
 		total += d.Occupancy()
@@ -604,20 +592,13 @@ func (n *Network) Occupancy() int {
 	return total + n.LinksInFlight()
 }
 
-// LinksInFlight reports flits in flight on the wires, O(active links)
-// under gating.
+// LinksInFlight reports flits in flight on the wires, O(active links).
 func (n *Network) LinksInFlight() int {
 	total := 0
-	if n.caps.LinkGating == nil {
-		for _, s := range n.shards {
-			for _, li := range s.activeLinks {
-				total += n.links[li].l.InFlight()
-			}
+	for _, s := range n.shards {
+		for _, li := range s.activeLinks {
+			total += n.links[li].l.InFlight()
 		}
-		return total
-	}
-	for i := range n.links {
-		total += n.links[i].l.InFlight()
 	}
 	return total
 }
@@ -630,22 +611,14 @@ func (n *Network) Drain(budget int64) bool {
 		if n.Occupancy() != 0 {
 			return false
 		}
-		if n.caps.PortGating == nil {
-			// Every port with pending or in-progress injections is on
-			// its shard's pump worklist (Send/SendReserved enlist it and
-			// only the pump sweep delists drained ports).
-			for _, s := range n.shards {
-				for _, t := range s.pumpList {
-					if n.ports[t].PendingInjections() != 0 {
-						return false
-					}
+		// Every port with pending or in-progress injections is on its
+		// shard's pump worklist (Send/SendReserved enlist it and only the
+		// pump sweep delists drained ports).
+		for _, s := range n.shards {
+			for _, t := range s.pumpList {
+				if n.ports[t].PendingInjections() != 0 {
+					return false
 				}
-			}
-			return true
-		}
-		for _, p := range n.ports {
-			if p.PendingInjections() != 0 {
-				return false
 			}
 		}
 		return true
@@ -706,9 +679,6 @@ func (n *Network) ReserveFlow(src, dst, flow, phase int) (hops int, err error) {
 // links tick every delivery phase and need nothing; off-list links have
 // been idle since tickedTo, so the missing window is pure idle cycles.
 func (n *Network) finalizeUtil() {
-	if n.caps.LinkGating != nil {
-		return
-	}
 	for i := range n.links {
 		le := &n.links[i]
 		if n.linkOn[i] {

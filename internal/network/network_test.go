@@ -284,6 +284,38 @@ func TestPriorityInterruptsLongPacket(t *testing.T) {
 	}
 }
 
+// TestPumpStartsYoungerPastBlockedOldest: when the oldest pending packet
+// finds no free VC in its mask, a younger packet whose mask has one still
+// starts. A long VC0-only packet holds VC0, a second VC0-only packet
+// queues behind it, and a younger, higher-class VC1-only packet must start
+// on VC1 at the next pump while the blocked one stays queued.
+func TestPumpStartsYoungerPastBlockedOldest(t *testing.T) {
+	n := build(t, Config{Topo: mesh4(t), Seed: 7})
+	p := n.Port(0)
+	if _, err := p.Send(5, make([]byte, 10*flit.DataBytes), flit.MaskFor(0), 0); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(2)
+	if p.active[0] == nil {
+		t.Fatal("the long packet did not start on VC0")
+	}
+	blocked, err := p.Send(5, []byte("blocked"), flit.MaskFor(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	younger, err := p.Send(5, make([]byte, 2*flit.DataBytes), flit.MaskFor(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(1)
+	if in := p.active[1]; in == nil || in.seq != younger {
+		t.Fatalf("VC1 carries %+v, want the younger packet %d", in, younger)
+	}
+	if len(p.pending) != 1 || p.pending[0].seq != blocked {
+		t.Fatalf("pending = %d packets, want only the blocked packet %d", len(p.pending), blocked)
+	}
+}
+
 func TestDropModeDropsUnderOverload(t *testing.T) {
 	rc := router.DefaultConfig(0)
 	rc.Mode = router.ModeDrop

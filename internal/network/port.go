@@ -79,8 +79,8 @@ type Port struct {
 	active   [flit.NumVCs]*injection // in-progress packet per VC; nil = idle
 
 	// activeCount tracks non-nil active entries, and onPump / onLoop mark
-	// membership on the shard's pump and loopback worklists, so the gated
-	// pump and eject phases visit only ports with work (shard.go).
+	// membership on the shard's pump and loopback worklists, so the pump
+	// and eject phases visit only ports with work (shard.go).
 	activeCount int
 	onPump      bool
 	onLoop      bool
@@ -119,15 +119,6 @@ func (p *Port) canInject(vc int) bool {
 		return p.net.defls[p.tile].CanInject()
 	}
 	return p.net.routers[p.tile].CanInject(vc)
-}
-
-// accept drives a flit into the tile's router through its local input.
-func (p *Port) accept(f *flit.Flit) {
-	if p.net.cfg.Deflect {
-		p.net.defls[p.tile].AcceptFlit(f, route.Local)
-		return
-	}
-	p.net.acceptAt(p.tile, f, route.Local)
 }
 
 // injWork reports packets queued or in progress at the injection side —
@@ -505,19 +496,33 @@ func (p *Port) pump(now int64) {
 			best, bestFresh = in, false
 		}
 	}
-	for _, in := range p.pending {
-		if vc := p.freeVCFor(in); vc >= 0 {
+	// Only the oldest startable pending packet competes. Once the oldest
+	// finds no free VC, the VCs free to younger packets depend only on
+	// state this loop does not change, so they are probed once and each
+	// younger packet costs a mask test, not a probe.
+	var free, start flit.VCMask // start: the candidate's free VCs
+	for i, in := range p.pending {
+		if i == 1 {
+			if free = p.freeVCs(^flit.VCMask(0), false); free == 0 {
+				break
+			}
+		}
+		start = in.flits[0].Mask & free
+		if i == 0 {
+			start = p.freeVCs(in.flits[0].Mask, true)
+		}
+		if start != 0 {
 			if better(in) {
 				best, bestFresh = in, true
 			}
-			break // only the oldest startable pending packet competes
+			break
 		}
 	}
 	if best == nil {
 		return
 	}
 	if bestFresh {
-		vc := p.freeVCFor(best)
+		vc := start.Lowest()
 		best.vc = vc
 		for _, f := range best.flits {
 			f.VC = vc
@@ -534,12 +539,12 @@ func (p *Port) pump(now int64) {
 	}
 }
 
-// freeVCFor finds a ready virtual channel from the packet's mask that has
-// no packet of this port in progress. VCs of the reserved pre-scheduled
-// pair are never used for dynamic traffic (under dateline classes the
-// reservation covers both class partners).
-func (p *Port) freeVCFor(in *injection) int {
-	mask := in.flits[0].Mask
+// freeVCs reports which virtual channels of mask are free for a new
+// packet — ready at the router, with no packet of this port in progress —
+// stopping at the lowest when first is set. VCs of the reserved
+// pre-scheduled pair are never used for dynamic traffic (under dateline
+// classes the reservation covers both class partners).
+func (p *Port) freeVCs(mask flit.VCMask, first bool) flit.VCMask {
 	rc := p.net.cfg.Router
 	numVCs := rc.NumVCs
 	if numVCs <= 0 || numVCs > flit.NumVCs {
@@ -558,18 +563,16 @@ func (p *Port) freeVCFor(in *injection) int {
 		}
 		return false
 	}
+	var free flit.VCMask
 	for v := 0; v < numVCs; v++ {
-		if !mask.Has(v) || reserved(v) {
-			continue
-		}
-		if p.active[v] != nil {
-			continue
-		}
-		if p.canInject(v) {
-			return v
+		if mask.Has(v) && !reserved(v) && p.active[v] == nil && p.canInject(v) {
+			free |= flit.MaskFor(v)
+			if first {
+				break
+			}
 		}
 	}
-	return -1
+	return free
 }
 
 func (p *Port) removePending(in *injection) {
@@ -595,5 +598,5 @@ func (p *Port) injectFlit(in *injection, now int64) {
 	}
 	f.Inject = in.inject
 	in.next++
-	p.accept(f)
+	p.net.acceptAt(p.tile, f, route.Local)
 }

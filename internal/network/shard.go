@@ -1,7 +1,9 @@
 package network
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"repro/internal/flit"
 	"repro/internal/route"
@@ -20,30 +22,25 @@ import (
 // linkarb and drained in deliver; credits are queued in switcharb and
 // delivered in deliver), so per-router work inside one phase is
 // commutative. The only same-phase cross-shard effects are (a) credit
-// returns surfacing at a link whose sending router lives in another shard
-// and (b) global recorder counters; both are deferred into per-shard
-// buffers and folded in at the phase barrier, in shard order — which is
-// tile order — so the post-barrier state is byte-identical to the
-// sequential schedule for any shard count. Client Tick stays a serial
-// phase: it assigns globally ordered packet ids (they appear in traces and
-// goldens), and it is cheap — the expensive halves of the old clients
-// phase, packet reassembly (eject) and injection arbitration (pump), do
-// shard.
+// returns surfacing at a link whose sending router lives in another shard,
+// (b) link activations by a sender in another shard, and (c) global
+// recorder counters and delivered-packet records; all are deferred into
+// per-shard buffers and folded in at the phase barrier, in shard order, so
+// the post-barrier state is byte-identical to the sequential schedule for
+// any shard count. Client Tick stays a serial phase: it assigns globally
+// ordered packet ids (they appear in traces and goldens), and it is cheap
+// — the expensive halves of the old clients phase, packet reassembly
+// (eject) and injection arbitration (pump), do shard.
+//
+// Every phase body walks worklists in every configuration; deflection
+// routers keep none and are walked by tile range in linkarb and eject.
+// Worklist order is not tile order, so ejectMerge sorts what a packet
+// observer sees and deliverShard sorts the wire layer's RNG draws.
 //
 // Every flit-recycling component (router, link, port) draws from its
 // shard's own flit.Pool; Put fully zeroes a flit, so which pool a flit
 // lives in is unobservable and flits may freely migrate between pools
 // (injected from one shard's pool, delivered into another's).
-
-// shardLink is one link owned by a shard. Ownership follows the receiving
-// tile (le.to), which makes flit acceptance and credit emission
-// (SendCredit, called by the receiver) shard-local; local marks links
-// whose *sender* is also in-shard, so their credit returns are applied
-// inline instead of deferred.
-type shardLink struct {
-	idx   int
-	local bool
-}
 
 // creditRet is one deferred cross-shard credit return, applied at the
 // deliver barrier.
@@ -71,8 +68,7 @@ type doneRec struct {
 // by the owning shard's worker (or single-threaded between barriers).
 type shardState struct {
 	id     int
-	lo, hi int         // owned tile range [lo, hi)
-	links  []shardLink // owned links (by receiving tile)
+	lo, hi int // owned tile range [lo, hi)
 
 	// active is the shard's router worklist: tiles whose router holds at
 	// least one flit. Routers join on flit acceptance and leave at the
@@ -80,13 +76,13 @@ type shardState struct {
 	// three router phases.
 	active []int
 
-	// activeLinks is the shard's link worklist (indexes into n.links),
-	// maintained only when n.caps.LinkGating is nil: links join when
-	// their sender puts a flit on the wires or their receiver hands them
-	// a credit, and leave at the delivery sweep once Idle. Off-list links skip even the
-	// idle utilization tick; linkEntry.tickedTo records how far their
-	// window has been accounted so activation (and any Util read) can
-	// catch the counter up in one AddCycles call.
+	// activeLinks is the shard's link worklist (indexes into n.links,
+	// owned by receiving tile): links join when their sender puts a flit
+	// on the wires or their receiver hands them a credit, and leave at the
+	// delivery sweep once Idle. Off-list links skip even the idle
+	// utilization tick; linkEntry.tickedTo records how far their window
+	// has been accounted so activation (and any Util read) can catch the
+	// counter up in one AddCycles call.
 	activeLinks []int32
 
 	// pendingLinks defers link activations whose receiver lives in
@@ -98,7 +94,7 @@ type shardState struct {
 	// with queued or in-progress injections (Port.injWork() > 0).
 	// loopList is the matching worklist for pending loopback deliveries.
 	// Both are maintained through Port.notePump/noteLoopback and swept by
-	// their phase; used only when n.caps.PortGating is nil.
+	// their phase.
 	pumpList []int32
 	loopList []int32
 
@@ -116,8 +112,8 @@ type shardState struct {
 	aborted        int64 // Network.aborted
 }
 
-// initShards partitions the tiles into contiguous ranges, one per shard,
-// and assigns each link to the shard of its receiving tile. The count is
+// initShards partitions the tiles into contiguous ranges, one per shard;
+// each link belongs to the shard of its receiving tile. The count is
 // Config.Shards clamped to [1, tiles], or one when the configuration
 // withdraws sharding (Capabilities.Sharding).
 func (n *Network) initShards() {
@@ -136,22 +132,6 @@ func (n *Network) initShards() {
 			n.shardOf[t] = s
 		}
 		n.shards[s] = sh
-	}
-	// Size each shard's link list first and carve the lists from one
-	// slab, so the partition costs the same allocations at any die size.
-	owned := make([]int, count)
-	for i := range n.links {
-		owned[n.shardOf[n.links[i].to]]++
-	}
-	slab := make([]shardLink, len(n.links))
-	for s, sh := range n.shards {
-		sh.links, slab = slab[:0:owned[s]], slab[owned[s]:]
-	}
-	for i := range n.links {
-		le := &n.links[i]
-		owner := n.shardOf[le.to]
-		n.shards[owner].links = append(n.shards[owner].links,
-			shardLink{idx: i, local: n.shardOf[le.from] == owner})
 	}
 }
 
@@ -195,9 +175,13 @@ func (n *Network) activate(tile int) {
 	s.active = append(s.active, tile)
 }
 
-// acceptAt hands a flit to a tile's VC router and keeps the worklist
-// current.
+// acceptAt hands a flit to a tile's router and keeps the worklist current
+// (deflection routers keep none).
 func (n *Network) acceptAt(tile int, f *flit.Flit, from route.Dir) {
+	if n.defls != nil {
+		n.defls[tile].AcceptFlit(f, from)
+		return
+	}
 	n.routers[tile].AcceptFlit(f, from)
 	n.activate(tile)
 }
@@ -206,7 +190,7 @@ func (n *Network) acceptAt(tile int, f *flit.Flit, from route.Dir) {
 // catches its utilization window up over the skipped idle cycles. Safe to
 // call repeatedly; the linkOn bit dedupes. Must only be called by the
 // owning shard's worker or from serial/merge phases.
-func (n *Network) activateLink(i int32, _ int64) {
+func (n *Network) activateLink(i int32) {
 	if n.linkOn[i] {
 		return
 	}
@@ -220,13 +204,18 @@ func (n *Network) activateLink(i int32, _ int64) {
 	s.activeLinks = append(s.activeLinks, i)
 }
 
-// deliverGatedShard is deliverShard over the link worklist: only links
-// with traffic (or credits) in flight are visited, and a link that has
-// gone idle leaves the list — its utilization window is frozen at
-// tickedTo and caught up on reactivation. Quiescent regions therefore
-// cost nothing in the delivery phase, not even the idle tick.
-func (n *Network) deliverGatedShard(now sim.Cycle, si int) {
+// deliverShard advances the shard's worklist links by one cycle: flits
+// complete their traversal into in-shard routers, credits return to the
+// sending router (inline when it is in-shard, deferred to the barrier
+// otherwise). A link gone idle leaves the list with its utilization
+// window frozen at tickedTo, so quiescent regions cost nothing here.
+func (n *Network) deliverShard(now sim.Cycle, si int) {
 	s := n.shards[si]
+	if n.cfg.PhysWires {
+		// The wire layer draws the shared kernel RNG once per delivered
+		// flit, so the walk keeps link order (PhysWires runs one shard).
+		slices.Sort(s.activeLinks)
+	}
 	keep := s.activeLinks[:0]
 	for _, i := range s.activeLinks {
 		le := &n.links[i]
@@ -251,59 +240,10 @@ func (n *Network) deliverGatedShard(now sim.Cycle, si int) {
 		}
 		f, credits := le.l.Deliver()
 		if len(credits) > 0 {
-			if n.shardOf[le.from] == si {
-				n.routers[le.from].HandleCredits(le.dir, credits)
-			} else {
-				for _, vc := range credits {
-					s.credits = append(s.credits, creditRet{n.routers[le.from], le.dir, vc})
-				}
-			}
-		}
-		if f != nil {
-			n.acceptAt(le.to, f, le.dir.Opposite())
-		}
-	}
-	s.activeLinks = keep
-}
-
-// deliverShard advances this shard's links by one cycle: flits complete
-// their traversal into in-shard routers, credits complete their reverse
-// traversal toward the sending router — applied inline when the sender is
-// in-shard, deferred to the barrier otherwise.
-func (n *Network) deliverShard(now sim.Cycle, si int) {
-	if n.caps.LinkGating == nil {
-		n.deliverGatedShard(now, si)
-		return
-	}
-	s := n.shards[si]
-	for _, sl := range s.links {
-		i := sl.idx
-		le := &n.links[i]
-		if le.l.Idle() {
-			// Active-set skip: nothing in flight in either direction.
-			// Only the utilization counter needs its idle tick.
-			le.l.Util.Tick(0)
 			if n.wdCredit != nil {
-				n.wdCredit[i] = false
+				n.wdCredit[i] = true
 			}
-			continue
-		}
-		if n.cfg.ElasticLinks {
-			to, in := n.routers[le.to], le.dir.Opposite()
-			f := le.l.DeliverElastic(func(f *flit.Flit) bool {
-				return to.CanAccept(in, f.VC)
-			})
-			if f != nil {
-				n.acceptAt(le.to, f, in)
-			}
-			continue
-		}
-		f, credits := le.l.Deliver()
-		if n.wdCredit != nil {
-			n.wdCredit[i] = len(credits) > 0
-		}
-		if !n.cfg.Deflect && len(credits) > 0 {
-			if sl.local {
+			if n.shardOf[le.from] == si {
 				n.routers[le.from].HandleCredits(le.dir, credits)
 			} else {
 				// The credits slice is only valid until the link's next
@@ -313,24 +253,22 @@ func (n *Network) deliverShard(now sim.Cycle, si int) {
 				}
 			}
 		}
-		if f != nil {
-			if n.traceLinks && f.Type.IsHead() {
-				n.probe.Links[i].TraceHead(int64(now), f.PacketID)
-			}
-			if n.cfg.Deflect {
-				n.defls[le.to].AcceptFlit(f, le.dir.Opposite())
-			} else {
-				n.acceptAt(le.to, f, le.dir.Opposite())
-			}
+		if f == nil {
+			continue
 		}
+		if n.traceLinks && f.Type.IsHead() {
+			n.probe.Links[i].TraceHead(int64(now), f.PacketID)
+		}
+		n.acceptAt(le.to, f, le.dir.Opposite())
 	}
+	s.activeLinks = keep
 }
 
 // deliverMerge applies the deferred cross-shard credit returns. Credit
 // restoration is a commutative counter increment, so application order
 // cannot affect state; shard order is used for reproducibility. It also
 // advances utilTicks, the network-wide count of completed delivery
-// phases, which is the reference clock for gated links' frozen
+// phases, which is the reference clock for off-list links' frozen
 // utilization windows.
 func (n *Network) deliverMerge(sim.Cycle) {
 	n.utilTicks++
@@ -361,13 +299,11 @@ func (n *Network) routeShard(now sim.Cycle, si int) {
 	s.active = keep
 }
 
-// linkarbShard runs link arbitration over the shard's worklist. A link's
-// sender is the only component touching it during this phase, so sending
-// on a link owned by another shard (the receiver's) is race-free. Under
-// link gating the routers' packed sent masks are consumed here to wake
-// the links that just received a flit: in-shard receivers activate
-// directly, cross-shard activations are deferred to linkarbMerge (the
-// receiver's worklist belongs to another worker).
+// linkarbShard runs link arbitration over the shard's worklist, then the
+// deflection routers' arbitration over its tiles (nothing else touches a
+// deflection router between delivery and ejection). A link's sender is the
+// only component touching it during this phase, so sending on a link owned
+// by another shard (the receiver's) is race-free.
 func (n *Network) linkarbShard(now sim.Cycle, si int) {
 	s := n.shards[si]
 	for _, tile := range s.active {
@@ -376,19 +312,31 @@ func (n *Network) linkarbShard(now sim.Cycle, si int) {
 			continue
 		}
 		r.LinkArbitrate(now)
-		if n.caps.LinkGating != nil {
+		n.wakeSent(s, tile, r.SentOutputs())
+	}
+	if n.defls != nil {
+		for tile := s.lo; tile < s.hi; tile++ {
+			d := n.defls[tile]
+			d.Arbitrate(now)
+			n.wakeSent(s, tile, d.SentOutputs())
+		}
+	}
+}
+
+// wakeSent wakes the links that tile's output ports in m (a router's
+// packed sent mask) just put a flit on: in-shard receivers activate
+// directly, cross-shard activations are deferred to linkarbMerge (the
+// receiver's worklist belongs to another worker).
+func (n *Network) wakeSent(s *shardState, tile int, m uint32) {
+	for ; m != 0; m &= m - 1 {
+		li := n.outLinkIdx[tile*router.NumPorts+bits.TrailingZeros32(m)]
+		if li < 0 || n.linkOn[li] {
 			continue
 		}
-		for m := r.SentOutputs(); m != 0; m &= m - 1 {
-			li := n.outLinkIdx[tile*router.NumPorts+bits.TrailingZeros32(m)]
-			if li < 0 || n.linkOn[li] {
-				continue
-			}
-			if n.shardOf[n.links[li].to] == si {
-				n.activateLink(li, int64(now))
-			} else {
-				s.pendingLinks = append(s.pendingLinks, li)
-			}
+		if n.shardOf[n.links[li].to] == s.id {
+			n.activateLink(li)
+		} else {
+			s.pendingLinks = append(s.pendingLinks, li)
 		}
 	}
 }
@@ -396,95 +344,85 @@ func (n *Network) linkarbShard(now sim.Cycle, si int) {
 // linkarbMerge applies the deferred cross-shard link activations. Each
 // link has exactly one sender, so no activation is pended twice; the
 // linkOn re-check in activateLink makes the fold idempotent anyway.
-func (n *Network) linkarbMerge(now sim.Cycle) {
+func (n *Network) linkarbMerge(sim.Cycle) {
 	for _, s := range n.shards {
 		for _, li := range s.pendingLinks {
-			n.activateLink(li, int64(now))
+			n.activateLink(li)
 		}
 		s.pendingLinks = s.pendingLinks[:0]
 	}
 }
 
-// switcharbShard runs switch arbitration (plus the deflection routers'
-// combined arbitration) over the shard. Under link gating the routers'
-// packed credited masks are consumed here to wake the links carrying the
-// freed-slot credits upstream; a credit always travels on a link whose
-// receiving tile is this router, so the activation is always in-shard.
+// switcharbShard runs switch arbitration over the shard's worklist and
+// wakes the links carrying the freed-slot credits upstream; a credit
+// travels on a link whose receiving tile is this router, so the
+// activation is always in-shard.
 func (n *Network) switcharbShard(now sim.Cycle, si int) {
-	s := n.shards[si]
-	for _, tile := range s.active {
+	for _, tile := range n.shards[si].active {
 		r := n.routers[tile]
 		if r.Occupancy() == 0 {
 			continue
 		}
 		r.SwitchArbitrate(now)
-		if n.caps.LinkGating != nil {
-			continue
-		}
-		for m := r.CreditedInputs(); m != 0; m &= m - 1 {
-			if li := n.inLinkIdx[tile*router.NumPorts+bits.TrailingZeros32(m)]; li >= 0 {
-				n.activateLink(li, int64(now))
-			}
-		}
+		n.wakeCredited(tile, r.CreditedInputs())
 	}
-	if n.cfg.Deflect {
-		for tile := s.lo; tile < s.hi; tile++ {
-			n.defls[tile].Arbitrate(now)
+}
+
+// wakeCredited wakes the in-links of tile whose input ports in m (a
+// router's packed credited mask) just handed their upstream link a credit.
+func (n *Network) wakeCredited(tile int, m uint32) {
+	for ; m != 0; m &= m - 1 {
+		if li := n.inLinkIdx[tile*router.NumPorts+bits.TrailingZeros32(m)]; li >= 0 {
+			n.activateLink(li)
 		}
 	}
 }
 
 // ejectShard delivers ejected flits to the shard's ports: reassembly,
-// abort handling, and matured loopbacks. Recorder updates are deferred
-// per shard (see Port.receive / deliverLoopbacks) and folded in by
-// ejectMerge. Under port gating only routers on the worklist can hold
-// eject-queue flits (the queue counts toward occupancy), and loopbacks
-// are tracked on their own worklist, so quiescent tiles are never
-// visited. A tile with both still sees its ejected flits before its
-// loopbacks, exactly as the full scan orders them.
+// abort handling, and matured loopbacks, with recorder updates deferred
+// to ejectMerge. Only routers on the worklist can hold eject-queue flits
+// (the queue counts toward occupancy), deflection routers are walked by
+// tile range, and loopbacks keep their own worklist. A port still sees
+// its ejected flits before its loopbacks.
 func (n *Network) ejectShard(now sim.Cycle, si int) {
 	s := n.shards[si]
-	if n.caps.PortGating == nil {
-		for _, tile := range s.active {
-			if ejected := n.routers[tile].Eject(); len(ejected) > 0 {
+	for _, tile := range s.active {
+		if ejected := n.routers[tile].Eject(); len(ejected) > 0 {
+			n.ports[tile].receive(ejected, now)
+		}
+	}
+	if n.defls != nil {
+		for tile := s.lo; tile < s.hi; tile++ {
+			if ejected := n.defls[tile].Eject(); len(ejected) > 0 {
 				n.ports[tile].receive(ejected, now)
 			}
 		}
-		keep := s.loopList[:0]
-		for _, t := range s.loopList {
-			p := n.ports[t]
-			p.deliverLoopbacks(now)
-			if len(p.loopback) == 0 {
-				p.onLoop = false
-				continue
-			}
-			keep = append(keep, t)
-		}
-		s.loopList = keep
-		return
 	}
-	for tile := s.lo; tile < s.hi; tile++ {
-		p := n.ports[tile]
-		var ejected []*flit.Flit
-		if n.cfg.Deflect {
-			ejected = n.defls[tile].Eject()
-		} else {
-			ejected = n.routers[tile].Eject()
-		}
-		if len(ejected) > 0 {
-			p.receive(ejected, now)
-		}
+	keep := s.loopList[:0]
+	for _, t := range s.loopList {
+		p := n.ports[t]
 		p.deliverLoopbacks(now)
+		if len(p.loopback) == 0 {
+			p.onLoop = false
+			continue
+		}
+		keep = append(keep, t)
 	}
+	s.loopList = keep
 }
 
 // ejectMerge folds the shards' deferred deliveries into the recorder in
-// shard order — which is tile order, the sequential schedule. (All the
-// recorder updates of one cycle are order-commutative anyway: every
-// record carries the same `now`, and the histograms and counters are
-// multiset-valued.)
+// shard order. The eject walk follows the active worklist, not tile order;
+// the recorder does not care (every record of one cycle carries the same
+// `now`, and its histograms and counters are multiset-valued), but an
+// attached packet observer sees the sequence, so each shard's records are
+// first stable-sorted by destination tile. That is tile order, the
+// sequential schedule, for any shard count.
 func (n *Network) ejectMerge(now sim.Cycle) {
 	for _, s := range n.shards {
+		if n.pktObs != nil {
+			slices.SortStableFunc(s.dones, func(a, b doneRec) int { return cmp.Compare(a.dst, b.dst) })
+		}
 		for i := range s.dones {
 			d := &s.dones[i]
 			n.recorder.packetDoneRec(d.birth, d.inject, d.class, d.flow, d.flits, now)
@@ -516,30 +454,24 @@ func (n *Network) clientsTick(now sim.Cycle) {
 	}
 }
 
-// pumpShard drives injection arbitration for the shard's ports. Under
-// port gating only ports with queued or in-progress injections are on the
-// worklist; a port whose work has drained leaves it and rejoins on the
-// next Send. Injection effects are port-local (plus shard counters and
-// the tile's own router), so worklist order is as good as tile order.
+// pumpShard drives injection arbitration for the shard's ports. Only ports
+// with queued or in-progress injections are on the worklist; a port whose
+// work has drained leaves it and rejoins on the next Send. Injection
+// effects are port-local (plus shard counters and the tile's own router),
+// so worklist order is as good as tile order.
 func (n *Network) pumpShard(now sim.Cycle, si int) {
 	s := n.shards[si]
-	if n.caps.PortGating == nil {
-		keep := s.pumpList[:0]
-		for _, t := range s.pumpList {
-			p := n.ports[t]
-			if p.injWork() == 0 {
-				p.onPump = false
-				continue
-			}
-			keep = append(keep, t)
-			p.pump(now)
+	keep := s.pumpList[:0]
+	for _, t := range s.pumpList {
+		p := n.ports[t]
+		if p.injWork() == 0 {
+			p.onPump = false
+			continue
 		}
-		s.pumpList = keep
-		return
+		keep = append(keep, t)
+		p.pump(now)
 	}
-	for tile := s.lo; tile < s.hi; tile++ {
-		n.ports[tile].pump(now)
-	}
+	s.pumpList = keep
 }
 
 // pumpMerge folds the shards' injected-packet counts into the recorder.

@@ -28,6 +28,8 @@ type DeflectRouter struct {
 	inputs  [NumPorts]*flit.Flit
 	outLink [NumPorts]linkSender
 	ejectQ  []*flit.Flit
+	// sentMask has a bit per output port that sent since SentOutputs.
+	sentMask uint32
 
 	Stats DeflectStats
 }
@@ -148,7 +150,16 @@ func (r *DeflectRouter) Arbitrate(now int64) {
 		if err := r.outLink[out].Send(f); err != nil {
 			panic(fmt.Sprintf("deflect %d: %v", r.id, err))
 		}
+		r.sentMask |= 1 << uint(out)
 	}
+}
+
+// SentOutputs returns and clears the packed set of output ports that sent
+// a flit since the last call, as Router's does. Bit i = port i.
+func (r *DeflectRouter) SentOutputs() uint32 {
+	m := r.sentMask
+	r.sentMask = 0
+	return m
 }
 
 func (r *DeflectRouter) linkFree(d route.Dir) bool {

@@ -2,12 +2,15 @@ package noc
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -27,6 +30,16 @@ import (
 // recordedRun executes core.Run with a flight recorder attached and a dump
 // requested near the end of the horizon, returning the parsed dump.
 func recordedRun(t *testing.T, shards int) *flightrec.Dump {
+	t.Helper()
+	dp, err := flightrec.LoadDump(recordedDump(t, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dp
+}
+
+// recordedDump is recordedRun's run, returning the dump file's path.
+func recordedDump(t *testing.T, shards int) string {
 	t.Helper()
 	dir := t.TempDir()
 	p := core.DefaultRunParams()
@@ -71,11 +84,7 @@ func recordedRun(t *testing.T, shards int) *flightrec.Dump {
 	if len(dumps) == 0 {
 		t.Fatalf("no dump written (recorder err: %v)", rec.Err())
 	}
-	dp, err := flightrec.LoadDump(dumps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dp
+	return dumps[0]
 }
 
 // reconstruct rebuilds the network from the dump's spec, restores the
@@ -304,5 +313,49 @@ func TestFlightRecSmoke(t *testing.T) {
 	bad, err := exec.Command(nocpost, "links", "-top", "-1", dump).CombinedOutput()
 	if err == nil || !strings.Contains(string(bad), "-top must be >= 0") {
 		t.Errorf("nocpost links -top -1: err = %v, want a failure naming -top:\n%s", err, bad)
+	}
+}
+
+// TestNocpostReplayWindow: state and waitgraph replay the engine forward
+// to -cycle, so a cycle past the dump's recorded window must fail fast
+// with exit 1 and a message naming the window, not simulate without
+// bound; their defaults, inside the window, still replay.
+func TestNocpostReplayWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test is not -short")
+	}
+	nocpost := buildNocpost(t)
+	dump := recordedDump(t, 1)
+	dp, err := flightrec.LoadDump(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := fmt.Sprintf("recorded window, cycles %d..%d", dp.FirstCycle(), dp.LastCycle())
+	run := func(args ...string) (string, int) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		out, err := exec.CommandContext(ctx, nocpost, args...).CombinedOutput()
+		if ctx.Err() != nil {
+			t.Fatalf("nocpost %v still replaying after 30 s", args)
+		}
+		var ee *exec.ExitError
+		if err != nil && !errors.As(err, &ee) {
+			t.Fatalf("nocpost %v: %v", args, err)
+		}
+		if ee != nil {
+			return string(out), ee.ExitCode()
+		}
+		return string(out), 0
+	}
+	for _, cmd := range []string{"state", "waitgraph"} {
+		for _, cycle := range []int64{dp.LastCycle() + 1, 999999999999} {
+			out, code := run(cmd, "-cycle", fmt.Sprint(cycle), dump)
+			if code != 1 || !strings.Contains(out, window) {
+				t.Errorf("nocpost %s -cycle %d: exit %d, want 1 naming the %q:\n%s", cmd, cycle, code, window, out)
+			}
+		}
+		if out, code := run(cmd, dump); code != 0 {
+			t.Errorf("nocpost %s at its default cycle: exit %d\n%s", cmd, code, out)
+		}
 	}
 }
