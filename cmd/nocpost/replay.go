@@ -17,10 +17,8 @@ import (
 
 // replayer reconstructs exact simulation state at recorded cycles: rebuild
 // the network from the dump's spec, restore the newest keyframe at or
-// before the target, and re-execute the deterministic engine forward. The
-// engine advances via the kernel directly (not network.Run) so nothing a
-// straight-through run would not have done at that cycle — like the probe's
-// end-of-run elapsed stamp — perturbs the state.
+// before the target, and re-execute the deterministic engine forward
+// through its kernel.
 type replayer struct {
 	dp   *flightrec.Dump
 	spec core.SimSpec
@@ -79,11 +77,11 @@ func (r *replayer) restore(cycle int64) error {
 	return nil
 }
 
-// inWindow refuses a -cycle past the dump's recorded window, toward which
-// replay would otherwise re-execute the engine without bound.
-func inWindow(dp *flightrec.Dump, cycle int64) error {
+// inWindow refuses a cycle flag past the dump's recorded window, toward
+// which replay would otherwise re-execute the engine without bound.
+func inWindow(dp *flightrec.Dump, flag string, cycle int64) error {
 	if cycle > dp.LastCycle() {
-		return fmt.Errorf("-cycle %d is past the dump's recorded window, cycles %d..%d", cycle, dp.FirstCycle(), dp.LastCycle())
+		return fmt.Errorf("%s %d is past the dump's recorded window, cycles %d..%d", flag, cycle, dp.FirstCycle(), dp.LastCycle())
 	}
 	return nil
 }
@@ -111,7 +109,7 @@ func cmdState(args []string) error {
 	if c < 0 {
 		c = dp.Cycle
 	}
-	if err := inWindow(dp, c); err != nil {
+	if err := inWindow(dp, "-cycle", c); err != nil {
 		return err
 	}
 	rp, err := newReplayer(dp)
@@ -232,7 +230,7 @@ func cmdWaitgraph(args []string) error {
 			c = dp.LastCycle() - 1
 		}
 	}
-	if err := inWindow(dp, c); err != nil {
+	if err := inWindow(dp, "-cycle", c); err != nil {
 		return err
 	}
 	step := *every
@@ -353,6 +351,12 @@ func cmdLinks(args []string) error {
 	}
 	if b < 0 {
 		b = dp.LastCycle()
+	}
+	if err := inWindow(dp, "-from", a); err != nil {
+		return err
+	}
+	if err := inWindow(dp, "-to", b); err != nil {
+		return err
 	}
 	if a >= b {
 		return fmt.Errorf("-from %d must be older than -to %d", a, b)

@@ -39,7 +39,9 @@ import (
 // versioned with the container. Version 2 added the per-flit hop count
 // (flow observatory) to the flit wire layout; version 3 added each
 // link's active-bit counter (energy accounting) to the link layout.
-const Version = 3
+// Version 4 saves each link's busy-cycle count in place of its
+// utilization window and drops the probe's horizon, which is the clock.
+const Version = 4
 
 // magic identifies a checkpoint file. The trailing byte doubles as a
 // format epoch so even the magic check catches a layout change.

@@ -2,8 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +127,21 @@ func TestCorruptionDetected(t *testing.T) {
 		if _, err := Parse(data[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
+	}
+}
+
+// TestVersionGate: an image from another format version is refused by
+// name even when every CRC checks out, as an older checkpoint or
+// flight-recorder dump is after a layout change. The version field follows
+// the magic; the trailer CRC is recomputed so only the version differs.
+func TestVersionGate(t *testing.T) {
+	data := buildSample(t)
+	binary.LittleEndian.PutUint32(data[len(magic):], Version-1)
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+	_, err := Parse(data)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("Parse of a version %d image: err = %v, want unsupported version", Version-1, err)
 	}
 }
 

@@ -66,7 +66,7 @@ func restorePipeInts(d *checkpoint.Decoder, p *Pipe[int]) {
 }
 
 // SaveState serialises the link's dynamic state: both pipes, the serdes
-// busy countdown, the pending-credit queue, elastic stages, utilization,
+// busy countdown, the pending-credit queue, elastic stages, busy cycles,
 // active bits, and fault status. Configuration (latency, serdes width,
 // physical layer) is not saved — the restored link must be built from
 // the same config.
@@ -74,7 +74,7 @@ func (l *Link) SaveState(e *checkpoint.Encoder) {
 	savePipeFlits(e, &l.pipe)
 	savePipeInts(e, &l.credits)
 	e.Int(l.busy)
-	l.Util.SaveState(e)
+	e.I64(l.BusyCycles)
 	e.I64(l.ActiveBits)
 	pending := l.pendingCredits[l.creditHead:]
 	e.U32(uint32(len(pending)))
@@ -102,7 +102,7 @@ func (l *Link) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 	restorePipeFlits(d, &l.pipe, pool)
 	restorePipeInts(d, &l.credits)
 	l.busy = d.Int()
-	l.Util.RestoreState(d)
+	l.BusyCycles = d.I64()
 	l.ActiveBits = d.I64()
 	nPending := d.Count(8)
 	l.pendingCredits = l.pendingCredits[:0]

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/route"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -46,8 +45,9 @@ type Link struct {
 	// share of the §3.1 wire-energy distance term.
 	ActiveBits int64
 
-	// Util counts occupied cycles; Util.Rate() is the §4.4 duty factor.
-	Util stats.Counter
+	// BusyCycles counts the cycles the wires were occupied; over the
+	// simulation clock it is the §4.4 duty factor.
+	BusyCycles int64
 
 	// pendingCredits is a queue of freed-slot VC indices awaiting the
 	// reverse wires; creditHead indexes its logical front so dequeuing is
@@ -143,9 +143,9 @@ func (l *Link) SetPool(p *flit.Pool) { l.pool = p }
 // SetProbe attaches the channel's telemetry probe (nil disables it).
 func (l *Link) SetProbe(p *telemetry.LinkProbe) { l.probe = p }
 
-// Idle reports whether the link has nothing to do this cycle beyond
-// ticking its utilization counter: wires free, no flits or credits in
-// flight, none waiting. The delivery phase uses it to skip idle links.
+// Idle reports whether the link has nothing to do this cycle: wires free,
+// no flits or credits in flight, none waiting. The delivery phase uses it
+// to skip idle links.
 func (l *Link) Idle() bool {
 	if l.busy != 0 || l.creditHead < len(l.pendingCredits) || !l.credits.Empty() {
 		return false
@@ -231,9 +231,7 @@ func (l *Link) SendCredit(vc int) {
 func (l *Link) Deliver() (f *flit.Flit, creditVCs []int) {
 	if l.busy > 0 {
 		l.busy--
-		l.Util.Tick(1)
-	} else {
-		l.Util.Tick(0)
+		l.BusyCycles++
 	}
 	creditVCs = l.creditBuf[:0]
 	if vc, ok := l.credits.Shift(); ok {
@@ -300,9 +298,7 @@ func (l *Link) DeliverElastic(accept func(f *flit.Flit) bool) *flit.Flit {
 	}
 	if l.busy > 0 {
 		l.busy--
-		l.Util.Tick(1)
-	} else {
-		l.Util.Tick(0)
+		l.BusyCycles++
 	}
 	var out *flit.Flit
 	if head := l.stages[0]; head != nil && l.down {

@@ -269,8 +269,8 @@ func TestLinkSerdesOccupancy(t *testing.T) {
 	if sendable != 1 {
 		t.Fatalf("link sendable on %d of 4 cycles, want 1", sendable)
 	}
-	if l.Util.Rate() != 1.0 {
-		t.Fatalf("serialized link utilization = %v, want 1.0", l.Util.Rate())
+	if l.BusyCycles != 4 {
+		t.Fatalf("serialized link busy for %d of 4 cycles, want 4", l.BusyCycles)
 	}
 }
 

@@ -96,12 +96,6 @@ func (n *Network) SaveCheckpoint(configHash uint64, cycle int64) ([]byte, error)
 	if err := n.checkpointable(); err != nil {
 		return nil, err
 	}
-	// Links freeze their utilization windows while off the worklists;
-	// catch every counter up so the serialised Util state is the same at
-	// any shard count and any worklist history. The probe mirror keeps
-	// the serialised route-table counters current.
-	n.finalizeUtil()
-	n.observeProbe()
 	b := checkpoint.NewBuilder(configHash, cycle)
 
 	e := b.Section("clock")
@@ -334,12 +328,8 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 			n.activate(r.ID())
 		}
 	}
-	// Re-anchor the link worklists' utilization clock at the checkpoint
-	// cycle and enlist every link restored with flits or credits still in
-	// flight.
-	n.utilTicks = f.Cycle
+	// Enlist every link restored with flits or credits still in flight.
 	for i := range n.links {
-		n.links[i].tickedTo = f.Cycle
 		if !n.links[i].l.Idle() {
 			n.activateLink(int32(i))
 		}

@@ -3,11 +3,13 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/flit"
 	"repro/internal/router"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -60,6 +62,11 @@ func (c *ckptClient) RestoreState(d *checkpoint.Decoder) {
 }
 
 func buildCkptNet(t *testing.T, shards, watchdog int) *Network {
+	return buildProbedCkptNet(t, shards, watchdog, nil)
+}
+
+// buildProbedCkptNet is buildCkptNet with a telemetry probe attached.
+func buildProbedCkptNet(t *testing.T, shards, watchdog int, probe *telemetry.Probe) *Network {
 	t.Helper()
 	topo, err := topology.NewFoldedTorus(4, 4)
 	if err != nil {
@@ -68,7 +75,7 @@ func buildCkptNet(t *testing.T, shards, watchdog int) *Network {
 	rc := router.DefaultConfig(0)
 	n, err := New(Config{
 		Topo: topo, Router: rc, Seed: 42, Warmup: 50,
-		Shards: shards, Watchdog: watchdog,
+		Shards: shards, Watchdog: watchdog, Probe: probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +90,22 @@ func buildCkptNet(t *testing.T, shards, watchdog int) *Network {
 // into a freshly built network, and requires the fork's snapshot after
 // w+m cycles to match the straight run's byte for byte, at shards 1 and
 // 2. A Fork that skipped its restore would start the fork from cycle 0.
+// Both runs carry a series probe, whose metrics CSV (counters, series and
+// per-link duty factors over the probe's horizon) must match too.
 func TestForkMatchesStraightRun(t *testing.T) {
 	const hash, w, m = 99, 250, 350
+	metrics := func(t *testing.T, p *telemetry.Probe) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := p.WriteMetricsCSV(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ref := buildCkptNet(t, shards, 0)
+			refProbe := telemetry.New(telemetry.Config{SampleEvery: 25})
+			ref := buildProbedCkptNet(t, shards, 0, refProbe)
 			ref.Run(w)
 			img, err := ref.Snapshot(hash)
 			if err != nil {
@@ -98,7 +116,8 @@ func TestForkMatchesStraightRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fork := buildCkptNet(t, shards, 0)
+			forkProbe := telemetry.New(telemetry.Config{SampleEvery: 25})
+			fork := buildProbedCkptNet(t, shards, 0, forkProbe)
 			if err := fork.Fork(img, hash); err != nil {
 				t.Fatal(err)
 			}
@@ -112,6 +131,9 @@ func TestForkMatchesStraightRun(t *testing.T) {
 			}
 			if string(got) != string(want) {
 				t.Errorf("forked run diverges from the straight run (snapshot %d vs %d bytes)", len(got), len(want))
+			}
+			if got, want := metrics(t, forkProbe), metrics(t, refProbe); got != want {
+				t.Errorf("forked run's metrics CSV differs from the straight run's:\n%s\nwant:\n%s", got, want)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/flit"
@@ -94,17 +93,12 @@ type Config struct {
 // spec may name (128² tiles × 5 ports × 8 VCs × 5 slots) needs 3.3M.
 const maxBufferSlots = 1 << 24
 
-// linkEntry couples a link to its position in the topology. tickedTo is
-// the utilization-window high-water mark for the link worklists
-// (shard.go): while a link is off its shard's worklist its Util counter
-// stops ticking, and tickedTo records the utilTicks value its window was
-// frozen at so activation or a Util read can catch it up exactly.
+// linkEntry couples a link to its position in the topology.
 type linkEntry struct {
-	l        *link.Link
-	from     int
-	to       int
-	dir      route.Dir
-	tickedTo int64
+	l    *link.Link
+	from int
+	to   int
+	dir  route.Dir
 }
 
 // Network is a complete on-chip interconnection network plus the client
@@ -138,14 +132,11 @@ type Network struct {
 	onList  []bool
 
 	// Link worklist state (shard.go): linkOn dedupes link worklist
-	// membership; outLinkIdx / inLinkIdx map
-	// tile×port to the link a send or credit wakes; utilTicks counts
-	// completed delivery phases, the reference clock for frozen Util
-	// windows.
+	// membership; outLinkIdx / inLinkIdx map tile×port to the link a send
+	// or credit wakes.
 	linkOn     []bool
 	outLinkIdx []int32
 	inLinkIdx  []int32
-	utilTicks  int64
 
 	// clientTiles lists tiles with attached clients, ascending, so the
 	// serial client phase walks attached clients in tile order without
@@ -281,6 +272,7 @@ func New(cfg Config) (*Network, error) {
 		n.traceLinks = cfg.Probe.Tracer() != nil
 		kx, ky := cfg.Topo.Radix()
 		cfg.Probe.SetGrid(kx, ky)
+		cfg.Probe.SetClock(n.kernel.Now)
 	}
 	tiles := cfg.Topo.NumTiles()
 	n.clients = make([]Client, tiles)
@@ -557,21 +549,7 @@ func (n *Network) LinkLatency() int { return n.cfg.LinkLatency }
 func (n *Network) SerdesCycles() int { return n.cfg.SerdesCycles }
 
 // Run advances the simulation by the given number of cycles.
-func (n *Network) Run(cycles int64) {
-	n.kernel.Run(cycles)
-	n.observeProbe()
-}
-
-// observeProbe extends the probe's horizon and mirrors the network's
-// deterministic route-table counters into it.
-func (n *Network) observeProbe() {
-	if n.probe == nil {
-		return
-	}
-	n.probe.Observe(int64(n.kernel.Now()))
-	n.probe.RouteTableHits = n.routeHits
-	n.probe.RouteTableMisses = n.routeMisses
-}
+func (n *Network) Run(cycles int64) { n.kernel.Run(cycles) }
 
 // Occupancy reports flits buffered anywhere in the network (routers and
 // links) in O(active components): every VC router holding a flit is on
@@ -607,7 +585,7 @@ func (n *Network) LinksInFlight() int {
 // have stopped injecting) or the budget is exhausted, and reports whether
 // it drained.
 func (n *Network) Drain(budget int64) bool {
-	drained := n.kernel.RunUntil(func() bool {
+	return n.kernel.RunUntil(func() bool {
 		if n.Occupancy() != 0 {
 			return false
 		}
@@ -623,8 +601,6 @@ func (n *Network) Drain(budget int64) bool {
 		}
 		return true
 	}, budget)
-	n.observeProbe()
-	return drained
 }
 
 // ReservationSlot reports the link slot hop i of a flow with the given
@@ -674,42 +650,35 @@ func (n *Network) ReserveFlow(src, dst, flow, phase int) (hops int, err error) {
 	return len(dirs), nil
 }
 
-// finalizeUtil catches every off-worklist link's frozen utilization
-// window up to the present before the Util counters are read. On-list
-// links tick every delivery phase and need nothing; off-list links have
-// been idle since tickedTo, so the missing window is pure idle cycles.
-func (n *Network) finalizeUtil() {
-	for i := range n.links {
-		le := &n.links[i]
-		if n.linkOn[i] {
-			continue
-		}
-		if gap := n.utilTicks - le.tickedTo; gap > 0 {
-			le.l.Util.AddCycles(gap)
-			le.tickedTo = n.utilTicks
-		}
+// dutyFactor is a link's §4.4 duty factor: the cycles its wires were busy
+// over the kernel clock, which is every link's whole window because every
+// link is built with the network.
+func (n *Network) dutyFactor(l *link.Link) float64 {
+	now := n.kernel.Now()
+	if now == 0 {
+		return 0
 	}
+	return float64(l.BusyCycles) / float64(now)
 }
 
 // LinkUtilization summarizes the duty factor of every inter-tile channel:
-// the fraction of cycles each link's wires were busy (§4.4).
+// the fraction of cycles each link's wires were busy (§4.4). Read it
+// between cycles (after Run or Drain), where the kernel clock has counted
+// every delivery phase that ran.
 func (n *Network) LinkUtilization() stats.Summary {
-	n.finalizeUtil()
 	var s stats.Summary
 	for _, le := range n.links {
-		s.Add(le.l.Util.Rate())
+		s.Add(n.dutyFactor(le.l))
 	}
 	return s
 }
 
-// MaxLinkUtilization reports the busiest channel's duty factor.
+// MaxLinkUtilization reports the busiest channel's duty factor, read
+// between cycles like LinkUtilization.
 func (n *Network) MaxLinkUtilization() float64 {
-	n.finalizeUtil()
 	best := 0.0
 	for _, le := range n.links {
-		if r := le.l.Util.Rate(); r > best {
-			best = r
-		}
+		best = max(best, n.dutyFactor(le.l))
 	}
 	return best
 }
@@ -731,45 +700,6 @@ func (n *Network) Activity() (hops int64, bitPitches float64) {
 		bitPitches += float64(le.l.ActiveBits) * le.l.LengthPitches
 	}
 	return hops, bitPitches
-}
-
-// Heatmap renders the die as ASCII with one cell per physical tile
-// position, showing the mean duty factor of the tile's outgoing channels
-// as a percentage — a quick view of where the §4.4 wire sharing happens.
-func (n *Network) Heatmap() string {
-	n.finalizeUtil()
-	kx, ky := n.topo.Radix()
-	util := make(map[int]*stats.Summary)
-	for _, le := range n.links {
-		s, ok := util[le.from]
-		if !ok {
-			s = &stats.Summary{}
-			util[le.from] = s
-		}
-		s.Add(le.l.Util.Rate())
-	}
-	grid := make([][]string, ky)
-	for y := range grid {
-		grid[y] = make([]string, kx)
-	}
-	for tile := 0; tile < n.topo.NumTiles(); tile++ {
-		px, py := n.topo.PhysPos(tile)
-		v := 0.0
-		if s, ok := util[tile]; ok {
-			v = s.Mean()
-		}
-		grid[py][px] = fmt.Sprintf("%2d:%3.0f%%", tile, 100*v)
-	}
-	var sb strings.Builder
-	sb.WriteString("outgoing-channel duty factor by die position (tile:util):\n")
-	for y := ky - 1; y >= 0; y-- {
-		for x := 0; x < kx; x++ {
-			sb.WriteString("  ")
-			sb.WriteString(grid[y][x])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // Links exposes the link entries for fault-injection experiments: the

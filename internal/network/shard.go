@@ -79,10 +79,8 @@ type shardState struct {
 	// activeLinks is the shard's link worklist (indexes into n.links,
 	// owned by receiving tile): links join when their sender puts a flit
 	// on the wires or their receiver hands them a credit, and leave at the
-	// delivery sweep once Idle. Off-list links skip even the idle
-	// utilization tick; linkEntry.tickedTo records how far their window
-	// has been accounted so activation (and any Util read) can catch the
-	// counter up in one AddCycles call.
+	// delivery sweep once Idle. An off-list link's wires are free, so it
+	// has no busy cycle to count and nothing to settle on rejoining.
 	activeLinks []int32
 
 	// pendingLinks defers link activations whose receiver lives in
@@ -186,29 +184,23 @@ func (n *Network) acceptAt(tile int, f *flit.Flit, from route.Dir) {
 	n.activate(tile)
 }
 
-// activateLink puts a link on its owning (receiving) shard's worklist and
-// catches its utilization window up over the skipped idle cycles. Safe to
-// call repeatedly; the linkOn bit dedupes. Must only be called by the
-// owning shard's worker or from serial/merge phases.
+// activateLink puts a link on its owning (receiving) shard's worklist.
+// Safe to call repeatedly; the linkOn bit dedupes. Must only be called by
+// the owning shard's worker or from serial/merge phases.
 func (n *Network) activateLink(i int32) {
 	if n.linkOn[i] {
 		return
 	}
 	n.linkOn[i] = true
-	le := &n.links[i]
-	if gap := n.utilTicks - le.tickedTo; gap > 0 {
-		le.l.Util.AddCycles(gap)
-	}
-	le.tickedTo = n.utilTicks
-	s := n.shards[n.shardOf[le.to]]
+	s := n.shards[n.shardOf[n.links[i].to]]
 	s.activeLinks = append(s.activeLinks, i)
 }
 
 // deliverShard advances the shard's worklist links by one cycle: flits
 // complete their traversal into in-shard routers, credits return to the
 // sending router (inline when it is in-shard, deferred to the barrier
-// otherwise). A link gone idle leaves the list with its utilization
-// window frozen at tickedTo, so quiescent regions cost nothing here.
+// otherwise). A link gone idle leaves the list, so quiescent regions cost
+// nothing here.
 func (n *Network) deliverShard(now sim.Cycle, si int) {
 	s := n.shards[si]
 	if n.cfg.PhysWires {
@@ -220,11 +212,7 @@ func (n *Network) deliverShard(now sim.Cycle, si int) {
 	for _, i := range s.activeLinks {
 		le := &n.links[i]
 		if le.l.Idle() {
-			// This cycle's idle tick is skipped along with the link;
-			// utilTicks has not yet counted this cycle (deliverMerge
-			// increments it), so the frozen window ends exactly here.
 			n.linkOn[i] = false
-			le.tickedTo = n.utilTicks
 			continue
 		}
 		keep = append(keep, i)
@@ -266,12 +254,8 @@ func (n *Network) deliverShard(now sim.Cycle, si int) {
 
 // deliverMerge applies the deferred cross-shard credit returns. Credit
 // restoration is a commutative counter increment, so application order
-// cannot affect state; shard order is used for reproducibility. It also
-// advances utilTicks, the network-wide count of completed delivery
-// phases, which is the reference clock for off-list links' frozen
-// utilization windows.
+// cannot affect state; shard order is used for reproducibility.
 func (n *Network) deliverMerge(sim.Cycle) {
-	n.utilTicks++
 	for _, s := range n.shards {
 		for _, cr := range s.credits {
 			cr.r.HandleCredit(cr.dir, cr.vc)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/flit"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -140,6 +141,78 @@ func TestWorklistCoverage(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestLinkUtilizationMatchesProbe pins one utilization rule across idle
+// stretches. Traffic comes in bursts with long gaps, so every link leaves
+// its worklist during a gap and the next burst brings it back. Once the
+// wires settle (drain, then SerdesCycles more cycles), each link's busy
+// cycles over the kernel clock, the term LinkUtilization sums, must equal
+// its probe's duty factor over the probe's horizon exactly, at serdes 1
+// and 3 and at shards 1, 2 and 3.
+func TestLinkUtilizationMatchesProbe(t *testing.T) {
+	const period, burst, bursts = 400, 40, 4
+	const stop = bursts*period + burst/2
+	for _, serdes := range []int{1, 3} {
+		for _, shards := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("serdes%d/shards%d", serdes, shards), func(t *testing.T) {
+				probe := telemetry.New(telemetry.Config{})
+				n := buildShardNet(t, shards, true, func(c *Config) {
+					c.SerdesCycles, c.Probe = serdes, probe
+				})
+				tiles := n.Topology().NumTiles()
+				for tile := 0; tile < tiles; tile++ {
+					rng := rand.New(rand.NewSource(int64(31 + tile)))
+					n.AttachClient(tile, ClientFunc(func(now int64, p *Port) {
+						_ = p.Deliveries()
+						if now >= stop || now%period >= burst || rng.Float64() >= 0.1 {
+							return
+						}
+						_, _ = p.Send(rng.Intn(tiles), []byte{byte(tile)}, flit.VCMask(0xFF), 0)
+					}))
+				}
+				var flits int64
+				for b := 0; b < bursts; b++ {
+					n.Run(period)
+					if probe.TotalLinkFlits() == flits {
+						t.Fatalf("burst %d sent nothing on the wires", b)
+					}
+					flits = probe.TotalLinkFlits()
+					for i, on := range n.linkOn {
+						if on {
+							t.Fatalf("link %d still on its worklist at the end of gap %d", i, b)
+						}
+					}
+				}
+				n.Run(stop - bursts*period) // stop mid-burst, with flits on the wires
+				if !n.Drain(5000) {
+					t.Fatalf("network did not drain (occupancy %d)", n.Occupancy())
+				}
+				n.Run(int64(serdes))
+				now, elapsed := n.Kernel().Now(), probe.Elapsed()
+				if elapsed != now {
+					t.Fatalf("probe horizon %d, kernel clock %d", elapsed, now)
+				}
+				var want stats.Summary
+				best := 0.0
+				for i, le := range n.links {
+					u := probe.Links[i].Util(elapsed)
+					if got := float64(le.l.BusyCycles) / float64(now); got != u {
+						t.Errorf("link %d: %d busy cycles over %d = %v, probe duty factor %v (%d flits)",
+							i, le.l.BusyCycles, now, got, u, probe.Links[i].Flits)
+					}
+					want.Add(u)
+					best = max(best, u)
+				}
+				if got := n.LinkUtilization(); got != want {
+					t.Errorf("LinkUtilization %v, probe duty factors %v", &got, &want)
+				}
+				if got := n.MaxLinkUtilization(); got != best {
+					t.Errorf("MaxLinkUtilization %v, busiest probe duty factor %v", got, best)
+				}
+			})
 		}
 	}
 }

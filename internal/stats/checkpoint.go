@@ -42,15 +42,3 @@ func (h *Hist) RestoreState(d *checkpoint.Decoder) {
 	h.n = d.I64()
 	h.sum = d.I64()
 }
-
-// SaveState serialises the counter.
-func (c *Counter) SaveState(e *checkpoint.Encoder) {
-	e.I64(c.events)
-	e.I64(c.cycles)
-}
-
-// RestoreState restores a counter saved with SaveState.
-func (c *Counter) RestoreState(d *checkpoint.Decoder) {
-	c.events = d.I64()
-	c.cycles = d.I64()
-}

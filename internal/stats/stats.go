@@ -239,7 +239,7 @@ func (h *Hist) String() string {
 }
 
 // Counter tracks an event count over a known number of cycles, yielding a
-// rate. It is the building block for utilization and throughput metrics.
+// rate such as a shared bus's utilization.
 type Counter struct {
 	events int64
 	cycles int64
@@ -253,15 +253,6 @@ func (c *Counter) Tick(n int64) {
 
 // AddEvents records events without advancing the window.
 func (c *Counter) AddEvents(n int64) { c.events += n }
-
-// AddCycles advances the window by n cycles without events.
-func (c *Counter) AddCycles(n int64) { c.cycles += n }
-
-// Events reports the total event count.
-func (c *Counter) Events() int64 { return c.events }
-
-// Cycles reports the window length.
-func (c *Counter) Cycles() int64 { return c.cycles }
 
 // Rate reports events per cycle.
 func (c *Counter) Rate() float64 {

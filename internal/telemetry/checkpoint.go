@@ -50,7 +50,6 @@ func (p *Probe) SaveState(e *checkpoint.Encoder) {
 		e.I64(row.ResHits)
 		e.I64(row.Delivered)
 	}
-	e.I64(p.Elapsed)
 	e.Int(p.DeadLinks)
 	e.I64(p.FaultsApplied)
 	e.I64(p.RetryRetransmits)
@@ -134,7 +133,6 @@ func (p *Probe) RestoreState(d *checkpoint.Decoder) {
 		}
 		p.Series = append(p.Series, row)
 	}
-	p.Elapsed = d.I64()
 	p.DeadLinks = d.Int()
 	p.FaultsApplied = d.I64()
 	p.RetryRetransmits = d.I64()

@@ -9,7 +9,8 @@ import (
 
 // WriteMetricsCSV writes every counter and the sampled series as CSV: a
 // per-router table, a per-link table, and the time series, separated by
-// comment headers. Rates use the probe's observed horizon (Elapsed).
+// comment headers. Rates use the probe's horizon, Elapsed: the simulation
+// clock when the CSV is written.
 func (p *Probe) WriteMetricsCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "# routers"); err != nil {
 		return err
@@ -45,7 +46,7 @@ func (p *Probe) WriteMetricsCSV(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%d,%d,%v,%d,%d,%d,%d,%.4f,%d\n",
 			lp.Index, lp.From, lp.Dir, lp.To,
-			lp.Flits, lp.HeadFlits, lp.Credits, lp.Util(p.Elapsed), lp.DeadAt)
+			lp.Flits, lp.HeadFlits, lp.Credits, lp.Util(p.Elapsed()), lp.DeadAt)
 	}
 	// The protocol section only appears when the retry layer published
 	// counters, so metrics CSVs from runs without it are unchanged.
@@ -100,7 +101,7 @@ func (p *Probe) MetricsTable() string {
 		pkts += rp.DeliveredPackets
 		abrt += rp.AbortedPackets
 	}
-	fmt.Fprintf(&sb, "telemetry over %d cycles:\n", p.Elapsed)
+	fmt.Fprintf(&sb, "telemetry over %d cycles:\n", p.Elapsed())
 	fmt.Fprintf(&sb, "  flits    injected %d  ejected %d  delivered %d (%d packets)\n", inj, ej, del, pkts)
 	fmt.Fprintf(&sb, "  switch   moves %d  bypass %d  route-computes %d\n", moves, bypass, routed)
 	fmt.Fprintf(&sb, "  stalls   arbitration losses %d  credit %d  staging %d\n", arbL, credS, stageS)
@@ -156,10 +157,10 @@ func (p *Probe) MetricsTable() string {
 		sb.WriteString("  busiest channels (flits, util):\n")
 		for _, lp := range busiest {
 			fmt.Fprintf(&sb, "    L%d %d-%v: %d flits, %.1f%%\n",
-				lp.Index, lp.From, lp.Dir, lp.Flits, 100*lp.Util(p.Elapsed))
+				lp.Index, lp.From, lp.Dir, lp.Flits, 100*lp.Util(p.Elapsed()))
 		}
 	}
-	if n := p.OverUnityLinks(p.Elapsed); n > 0 {
+	if n := p.OverUnityLinks(p.Elapsed()); n > 0 {
 		fmt.Fprintf(&sb, "  WARNING  %d channel(s) report over-unity duty factor (clamped to 100%%); flit accounting is double-counting\n", n)
 	}
 	return sb.String()
@@ -187,7 +188,7 @@ func (p *Probe) Heatmap() string {
 			continue
 		}
 		idx := lp.PY*p.kx + lp.PX
-		grid[idx].sum += lp.Util(p.Elapsed)
+		grid[idx].sum += lp.Util(p.Elapsed())
 		grid[idx].n++
 		tileAt[idx] = lp.From
 	}
@@ -215,7 +216,7 @@ func (p *Probe) Heatmap() string {
 // WriteHeatmapCSV writes the k×k per-tile mean outgoing utilization grid as
 // CSV, row y=ky-1 first (matching the ASCII rendering's orientation).
 func (p *Probe) WriteHeatmapCSV(w io.Writer) error {
-	grid := p.HeatmapGrid(p.Elapsed)
+	grid := p.HeatmapGrid(p.Elapsed())
 	if grid == nil {
 		return fmt.Errorf("telemetry: no grid registered")
 	}

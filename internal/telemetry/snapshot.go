@@ -28,8 +28,8 @@ type RouterSnap struct {
 }
 
 // LinkSnap is the JSON-ready copy of one LinkProbe, with the duty factor
-// evaluated over an explicit horizon (the snapshot cycle, not the
-// post-run Elapsed).
+// evaluated over an explicit horizon: the cycle of the snapshot it belongs
+// to, which the caller passes, rather than the probe's clock (Elapsed).
 type LinkSnap struct {
 	Index     int     `json:"index"`
 	From      int     `json:"from"`

@@ -156,24 +156,11 @@ type Probe struct {
 	// was set).
 	Series []SeriesRow
 
-	// Elapsed is the simulated horizon in cycles, maintained by the
-	// network after each Run so rate exporters have a denominator.
-	Elapsed int64
-
 	// DeadLinks counts channels the watchdogs declared dead.
 	DeadLinks int
 
 	// FaultsApplied counts fault-injector events that took effect.
 	FaultsApplied int64
-
-	// Route-table accounting, mirrored from the network after each Run:
-	// lookups served from the route table versus route.Compute
-	// invocations. These are operational metrics — they count from the
-	// network's build, not from cycle 0 of a restored run —
-	// so they are excluded from SaveState and must never feed
-	// deterministic outputs.
-	RouteTableHits   int64
-	RouteTableMisses int64
 
 	// Protocol-level robustness counters, published by the end-to-end
 	// retry layer (internal/protocol) after a run: retransmissions,
@@ -184,6 +171,7 @@ type Probe struct {
 	RetryCorrupt     int64
 
 	kx, ky int
+	now    func() int64
 	tracer *Tracer
 	sink   EventSink
 
@@ -226,6 +214,20 @@ func (p *Probe) Config() Config { return p.cfg }
 
 // SetGrid records the die radix for heatmap rendering.
 func (p *Probe) SetGrid(kx, ky int) { p.kx, p.ky = kx, ky }
+
+// SetClock installs the simulation clock the probe's horizon reads; the
+// network hands it its kernel's Now when it builds.
+func (p *Probe) SetClock(now func() int64) { p.now = now }
+
+// Elapsed reports the simulated horizon in cycles, the denominator of
+// every rate the exporters print: the installed clock read now, or 0
+// without one.
+func (p *Probe) Elapsed() int64 {
+	if p.now == nil {
+		return 0
+	}
+	return p.now()
+}
 
 // RegisterRouter creates (or returns) the probe for router id.
 func (p *Probe) RegisterRouter(id, numVCs int) *RouterProbe {
@@ -307,13 +309,6 @@ func (p *Probe) OnFault(now int64, kind int, where int) {
 	}
 	if p.sink != nil {
 		p.sink.OnFault(now, kind, where)
-	}
-}
-
-// Observe extends the observed horizon to cycle now.
-func (p *Probe) Observe(now int64) {
-	if now > p.Elapsed {
-		p.Elapsed = now
 	}
 }
 

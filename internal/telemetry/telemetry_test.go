@@ -153,7 +153,7 @@ func TestMetricsCSVSections(t *testing.T) {
 	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0)
 	rp.VCOccSum[0], rp.VCOccSum[1], rp.Samples = 4, 2, 2
 	p.AddSample(5, 6, 0)
-	p.Elapsed = 100
+	p.SetClock(func() int64 { return 100 })
 	var sb strings.Builder
 	if err := p.WriteMetricsCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestHeatmapGrid(t *testing.T) {
 			lp.Flits = 100
 		}
 	}
-	p.Elapsed = 100
+	p.SetClock(func() int64 { return 100 })
 	hm := p.Heatmap()
 	lines := strings.Split(strings.TrimRight(hm, "\n"), "\n")
 	if len(lines) != 3 { // header + 2 rows
@@ -222,7 +222,7 @@ func TestMetricsTableTotals(t *testing.T) {
 	}
 	lp := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0)
 	lp.Flits = 7
-	p.Elapsed = 50
+	p.SetClock(func() int64 { return 50 })
 	out := p.MetricsTable()
 	for _, want := range []string{
 		"telemetry over 50 cycles",
@@ -249,11 +249,6 @@ func TestFaultAccounting(t *testing.T) {
 	if p.DeadLinks != 1 || p.Links[1].DeadAt != 42 || p.FaultsApplied != 1 {
 		t.Errorf("dead=%d deadAt=%d faults=%d", p.DeadLinks, p.Links[1].DeadAt, p.FaultsApplied)
 	}
-	p.Observe(100)
-	p.Observe(50)
-	if p.Elapsed != 100 {
-		t.Errorf("Observe must be monotonic, Elapsed=%d", p.Elapsed)
-	}
 }
 
 // TestOverUnityClampAndSurfacing pins the over-unity contract: a channel
@@ -267,7 +262,7 @@ func TestOverUnityClampAndSurfacing(t *testing.T) {
 	bad := p.RegisterLink(1, 1, 2, route.East, 2, 0, 0)
 	good.Flits = 50 // serdes 1 over 100 cycles: duty 0.5
 	bad.Flits = 80  // serdes 2 over 100 cycles: raw duty 1.6
-	p.Elapsed = 100
+	p.SetClock(func() int64 { return 100 })
 
 	if got := good.Util(100); got != 0.5 {
 		t.Fatalf("healthy link Util = %v, want 0.5", got)

@@ -317,9 +317,9 @@ func TestFlightRecSmoke(t *testing.T) {
 }
 
 // TestNocpostReplayWindow: state and waitgraph replay the engine forward
-// to -cycle, so a cycle past the dump's recorded window must fail fast
-// with exit 1 and a message naming the window, not simulate without
-// bound; their defaults, inside the window, still replay.
+// to -cycle, and links to -to, so a cycle past the dump's recorded window
+// must fail fast with exit 1 and a message naming the window, not
+// simulate without bound; their defaults, inside the window, still replay.
 func TestNocpostReplayWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test is not -short")
@@ -357,5 +357,14 @@ func TestNocpostReplayWindow(t *testing.T) {
 		if out, code := run(cmd, dump); code != 0 {
 			t.Errorf("nocpost %s at its default cycle: exit %d\n%s", cmd, code, out)
 		}
+	}
+	for _, to := range []int64{dp.LastCycle() + 1, 999999999999} {
+		out, code := run("links", "-to", fmt.Sprint(to), dump)
+		if code != 1 || !strings.Contains(out, window) {
+			t.Errorf("nocpost links -to %d: exit %d, want 1 naming the %q:\n%s", to, code, window, out)
+		}
+	}
+	if out, code := run("links", dump); code != 0 {
+		t.Errorf("nocpost links over its default window: exit %d\n%s", code, out)
 	}
 }

@@ -4,8 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flit"
 	"repro/internal/network"
+	"repro/internal/router"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // TestTelemetryReconciliation pins the accounting contract of the probe
@@ -64,15 +68,62 @@ func TestTelemetryReconciliation(t *testing.T) {
 		t.Fatalf("heatmap has %d lines, want 5:\n%s", len(lines), hm)
 	}
 	for _, lp := range probe.Links {
-		if u := lp.Util(probe.Elapsed); u < 0 || u > 1 {
+		if u := lp.Util(probe.Elapsed()); u < 0 || u > 1 {
 			t.Errorf("link %d utilization %v outside [0,1]", lp.Index, u)
 		}
 	}
-	if probe.Elapsed != int64(n.Kernel().Now()) {
-		t.Errorf("probe horizon %d != kernel now %d", probe.Elapsed, n.Kernel().Now())
+	if probe.Elapsed() != int64(n.Kernel().Now()) {
+		t.Errorf("probe horizon %d != kernel now %d", probe.Elapsed(), n.Kernel().Now())
 	}
 	if len(probe.Series) == 0 {
 		t.Error("SampleEvery was set but no series rows were collected")
+	}
+}
+
+// TestKernelDrivenProbeReportsHorizon: a probed network driven through its
+// kernel, as the post-mortem replayer and the wire-fault experiments drive
+// theirs, reports the kernel clock as its horizon, with no Run or Drain to
+// stamp it: the metrics table counts the cycles run and the CSV's link
+// duty factors are not zero.
+func TestKernelDrivenProbeReportsHorizon(t *testing.T) {
+	probe := telemetry.New(telemetry.Config{})
+	topo, err := topology.NewFoldedTorus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 3, Probe: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tile := 0; tile < topo.NumTiles(); tile++ {
+		n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.2, 1, flit.VCMask(0xFF), 3))
+	}
+	n.Kernel().Run(400)
+	if got := probe.Elapsed(); got != 400 {
+		t.Errorf("probe horizon %d after 400 kernel cycles", got)
+	}
+	if table := probe.MetricsTable(); !strings.HasPrefix(table, "telemetry over 400 cycles") {
+		t.Errorf("metrics table does not count the kernel's cycles:\n%s", table)
+	}
+	var csv strings.Builder
+	if err := probe.WriteMetricsCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	_, links, _ := strings.Cut(csv.String(), "# links\n")
+	links, _, _ = strings.Cut(links, "\n#")
+	rows := strings.Split(links, "\n")[1:] // after the column header
+	busy := 0
+	for _, row := range rows {
+		f := strings.Split(row, ",")
+		if len(f) != 9 {
+			t.Fatalf("link row %q has %d fields, want 9", row, len(f))
+		}
+		if f[7] != "0.0000" {
+			busy++
+		}
+	}
+	if len(rows) != 64 || busy == 0 {
+		t.Errorf("%d of %d link rows report a non-zero duty factor:\n%s", busy, len(rows), links)
 	}
 }
 
