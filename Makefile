@@ -102,9 +102,11 @@ ci:
 # offset-keyed route table (checked against route.Compute), the
 # flight-recorder dump spec parser, the flight-recorder dump parser, the
 # trace-file parser, the -slo objective parser, the strict Prometheus
-# text scraper, and router restore (fuzzed section bytes must fail to
+# text scraper, router restore (fuzzed section bytes must fail to
 # decode or leave a router that survives a cycle with its invariants
-# intact) a short randomized budget each (go test accepts one -fuzz
+# intact) and link restore (fuzzed section bytes must fail to decode or
+# leave a link that delivers only valid VCs, goes idle and carries new
+# traffic) a short randomized budget each (go test accepts one -fuzz
 # target per invocation, hence one line each); the corpus seeds in the
 # fuzz_test.go files always run under plain test. FuzzParseDump's seed is a real dump
 # carrying a ~165 KB keyframe, so its minimizer is capped at 50 runs per
@@ -121,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/telemetry/latency -run='^$$' -fuzz='^FuzzParseSLO$$' -fuzztime=10s
 	$(GO) test ./internal/telemetry/serve -run='^$$' -fuzz='^FuzzParseText$$' -fuzztime=10s
 	$(GO) test ./internal/router -run='^$$' -fuzz='^FuzzRouterRestore$$' -fuzztime=10s -fuzzminimizetime=50x
+	$(GO) test ./internal/link -run='^$$' -fuzz='^FuzzLinkRestore$$' -fuzztime=10s
 
 # bench is the regression harness: the cycle-loop microbenchmarks run
 # long enough for stable ns/op and allocs/op, the E-suite benchmarks run

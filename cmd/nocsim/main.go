@@ -97,9 +97,6 @@ func main() {
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards must be >= 1; got %d", *shards))
 	}
-	if (*mode == "drop" || *mode == "deflect") && *flits != 1 {
-		fatal(fmt.Errorf("-mode %s carries single-flit packets only; use -flits 1, not %d", *mode, *flits))
-	}
 	if *adaptive && *topoName != "mesh" {
 		fatal(fmt.Errorf("-adaptive west-first routing is deadlock-free on meshes only; use -topo mesh"))
 	}
@@ -171,7 +168,8 @@ func main() {
 	}
 	p.Adaptive = *adaptive
 	// The spec's one range check covers radix per topology, rate, packet
-	// length and windows; the checks above are the command line's own.
+	// length (also against the flow control: -mode drop, deflect and vct)
+	// and windows; the checks above are the command line's own.
 	if err := p.Validate(); err != nil {
 		fatal(err)
 	}

@@ -41,7 +41,10 @@ import (
 // link's active-bit counter (energy accounting) to the link layout.
 // Version 4 saves each link's busy-cycle count in place of its
 // utilization window and drops the probe's horizon, which is the clock.
-const Version = 4
+// Version 5 saves each link's one-cycle wires as a flit register and a
+// credit register in place of its flit and credit pipes and elastic
+// stages.
+const Version = 5
 
 // magic identifies a checkpoint file. The trailing byte doubles as a
 // format epoch so even the magic check catches a layout change.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/router"
 	"repro/internal/telemetry"
 )
 
@@ -54,6 +55,47 @@ func TestParseSpecRejectsHostileSizes(t *testing.T) {
 	}{{"torus", 3}, {"mesh", 2}, {"torus", maxSpecK}} {
 		if _, err := ParseSpec([]byte(validSpec(tc.topo, tc.k, ""))); err != nil {
 			t.Errorf("ParseSpec(%s k=%d) rejected a radix in range: %v", tc.topo, tc.k, err)
+		}
+	}
+}
+
+// TestValidatePacketLengthAgainstFlowControl: a spec whose every packet
+// the flow control would refuse fails Validate naming flits_per_packet —
+// multi-flit packets under drop or deflection, and packets longer than
+// the buffers (buf_flits, or the router default 4 when 0) under
+// cut-through — while the lengths at each limit pass.
+func TestValidatePacketLengthAgainstFlowControl(t *testing.T) {
+	spec := func(flits, buf int, edit func(*Spec)) Spec {
+		s := DefaultRunParams().Spec
+		s.FlitsPerPacket, s.BufFlits = flits, buf
+		edit(&s)
+		return s
+	}
+	drop := func(s *Spec) { s.Mode = router.ModeDrop }
+	deflect := func(s *Spec) { s.Deflect = true }
+	vct := func(s *Spec) { s.CutThrough = true }
+	for _, tc := range []struct {
+		name string
+		s    Spec
+		ok   bool
+	}{
+		{"drop 1 flit", spec(1, 4, drop), true},
+		{"drop 2 flits", spec(2, 4, drop), false},
+		{"deflect 1 flit", spec(1, 4, deflect), true},
+		{"deflect 4 flits", spec(4, 4, deflect), false},
+		{"vct 4 flits in 4", spec(4, 4, vct), true},
+		{"vct 8 flits in 4", spec(8, 4, vct), false},
+		{"vct 8 flits in 8", spec(8, 8, vct), true},
+		{"vct 4 flits in default", spec(4, 0, vct), true},
+		{"vct 5 flits in default", spec(5, 0, vct), false},
+		{"vc 8 flits in 4", spec(8, 4, func(*Spec) {}), true},
+	} {
+		err := tc.s.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "flits_per_packet")) {
+			t.Errorf("%s: Validate = %v, want an error naming flits_per_packet", tc.name, err)
 		}
 	}
 }

@@ -129,10 +129,12 @@ const maxSpecFlits = traffic.MaxTraceBytes / flit.DataBytes
 // flits_per_packet in [1, maxSpecFlits], a known router mode, at most
 // flit.NumVCs virtual channels, a measurement window of at least one
 // cycle (the accepted rate divides by it) whose end, warmup plus measure,
-// fits an int64, and no negative window or count. Rules that combine
-// other fields (drop mode with multi-flit packets, adaptive routing on a
-// torus, the buffer-slot cap) stay with network.New, which enforces them
-// for every caller.
+// fits an int64, and no negative window or count. It also rejects a
+// flits_per_packet the spec's flow control would refuse for every packet
+// (network.Config.CheckPacketFlits), since such a run delivers nothing.
+// Rules that combine only network fields (adaptive routing on a torus,
+// the buffer-slot cap) stay with network.New, which enforces them for
+// every caller.
 func (s Spec) Validate() error {
 	minK := 3
 	switch s.Topology {
@@ -162,7 +164,27 @@ func (s Spec) Validate() error {
 	case s.SerdesCycles < 0 || s.Watchdog < 0:
 		return fmt.Errorf("core: spec has negative serdes_cycles (%d) or watchdog (%d)", s.SerdesCycles, s.Watchdog)
 	}
+	if err := (&network.Config{Router: s.routerConfig(), Deflect: s.Deflect}).CheckPacketFlits(s.FlitsPerPacket); err != nil {
+		return fmt.Errorf("core: spec flits_per_packet=%d: %v", s.FlitsPerPacket, err)
+	}
 	return nil
+}
+
+// routerConfig is the router template the spec builds: the router
+// defaults with the spec's VC count and buffer depth where set, and its
+// flow-control fields.
+func (s Spec) routerConfig() router.Config {
+	rc := router.DefaultConfig(0)
+	if s.NumVCs > 0 {
+		rc.NumVCs = s.NumVCs
+	}
+	if s.BufFlits > 0 {
+		rc.BufFlits = s.BufFlits
+	}
+	rc.Mode = s.Mode
+	rc.NonSpeculative = s.NonSpeculative
+	rc.CutThrough = s.CutThrough
+	return rc
 }
 
 // vcMask is the VC mask the Bernoulli sources inject on: the first
@@ -261,7 +283,6 @@ type RunResult struct {
 	LinkUtilMax  float64
 
 	DroppedPackets int64
-	Deflections    int64
 
 	HopEnergyJ    float64
 	WireEnergyJ   float64
@@ -352,21 +373,11 @@ func networkConfig(p RunParams) (network.Config, error) {
 	if err != nil {
 		return network.Config{}, err
 	}
-	rc := router.DefaultConfig(0)
-	if p.NumVCs > 0 {
-		rc.NumVCs = p.NumVCs
-	}
-	if p.BufFlits > 0 {
-		rc.BufFlits = p.BufFlits
-	}
-	rc.Mode = p.Mode
-	rc.NonSpeculative = p.NonSpeculative
-	rc.CutThrough = p.CutThrough
 	return withPackageLayout(network.Config{
 		Topo:         topo,
 		Adjacency:    adj,
 		RouteTable:   table,
-		Router:       rc,
+		Router:       p.routerConfig(),
 		Shards:       p.Shards,
 		SerdesCycles: p.SerdesCycles,
 		Deflect:      p.Deflect,

@@ -6,8 +6,8 @@ import (
 )
 
 // SaveState serialises one in-flight flit by value. Flits are owned by
-// exactly one container (a port queue, a router VC buffer, a link pipe
-// stage), so each container saves the flits it holds and restores them as
+// exactly one container (a port queue, a router VC buffer, a link's flit
+// register), so each container saves the flits it holds and restores them as
 // fresh pool allocations — the pool's free list itself is never
 // serialised, and Outstanding() balances because every restored flit is
 // drawn through Pool.Get.

@@ -5,74 +5,17 @@ import (
 	"repro/internal/flit"
 )
 
-// savePipeFlits serialises a flit pipe positionally: one full/value pair
-// per slot, so the restored pipe's traversal timing is exact.
-func savePipeFlits(e *checkpoint.Encoder, p *Pipe[*flit.Flit]) {
-	e.U32(uint32(len(p.slots)))
-	for _, s := range p.slots {
-		e.Bool(s.full)
-		if s.full {
-			s.v.SaveState(e)
-		}
-	}
-}
-
-func restorePipeFlits(d *checkpoint.Decoder, p *Pipe[*flit.Flit], pool *flit.Pool) {
-	n := d.Count(1)
-	if n != len(p.slots) {
-		if d.Err() == nil {
-			d.Fail("pipe depth mismatch: checkpoint has %d slots, link has %d", n, len(p.slots))
-		}
-		return
-	}
-	p.count = 0
-	for i := range p.slots {
-		p.slots[i] = slot[*flit.Flit]{}
-		if d.Bool() {
-			if f := flit.RestoreFlit(d, pool); f != nil {
-				p.slots[i] = slot[*flit.Flit]{v: f, full: true}
-				p.count++
-			}
-		}
-	}
-}
-
-func savePipeInts(e *checkpoint.Encoder, p *Pipe[int]) {
-	e.U32(uint32(len(p.slots)))
-	for _, s := range p.slots {
-		e.Bool(s.full)
-		if s.full {
-			e.Int(s.v)
-		}
-	}
-}
-
-func restorePipeInts(d *checkpoint.Decoder, p *Pipe[int]) {
-	n := d.Count(1)
-	if n != len(p.slots) {
-		if d.Err() == nil {
-			d.Fail("credit pipe depth mismatch: checkpoint has %d slots, link has %d", n, len(p.slots))
-		}
-		return
-	}
-	p.count = 0
-	for i := range p.slots {
-		p.slots[i] = slot[int]{}
-		if d.Bool() {
-			p.slots[i] = slot[int]{v: d.Int(), full: true}
-			p.count++
-		}
-	}
-}
-
-// SaveState serialises the link's dynamic state: both pipes, the serdes
-// busy countdown, the pending-credit queue, elastic stages, busy cycles,
-// active bits, and fault status. Configuration (latency, serdes width,
+// SaveState serialises the link's dynamic state: the flit and credit
+// registers, the serdes busy countdown, busy cycles, active bits, the
+// pending-credit queue, and fault status. Configuration (serdes width,
 // physical layer) is not saved — the restored link must be built from
-// the same config.
+// the same config; the elastic flag is saved only to check that.
 func (l *Link) SaveState(e *checkpoint.Encoder) {
-	savePipeFlits(e, &l.pipe)
-	savePipeInts(e, &l.credits)
+	e.Bool(l.wire != nil)
+	if l.wire != nil {
+		l.wire.SaveState(e)
+	}
+	e.Int(l.creditWire)
 	e.Int(l.busy)
 	e.I64(l.BusyCycles)
 	e.I64(l.ActiveBits)
@@ -82,25 +25,24 @@ func (l *Link) SaveState(e *checkpoint.Encoder) {
 		e.Int(vc)
 	}
 	e.Bool(l.elastic)
-	if l.elastic {
-		e.U32(uint32(len(l.stages)))
-		for _, f := range l.stages {
-			e.Bool(f != nil)
-			if f != nil {
-				f.SaveState(e)
-			}
-		}
-	}
 	e.Bool(l.down)
 	e.I64(l.FaultLostFlits)
 	e.I64(l.FaultLostCredits)
 }
 
 // RestoreState restores a link saved with SaveState into a link built
-// from the same configuration. In-flight flits are drawn from pool.
-func (l *Link) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
-	restorePipeFlits(d, &l.pipe, pool)
-	restorePipeInts(d, &l.credits)
+// from the same configuration, for a receiver with numVCs virtual
+// channels. In-flight flits are drawn from pool. A flit or credit naming
+// a VC outside [0, numVCs) fails the decoder, since the routers at either
+// end index their VCs by it, as do credits on an elastic channel and a
+// busy countdown outside [0, SerdesCycles], either of which would keep
+// the link from ever going idle.
+func (l *Link) RestoreState(d *checkpoint.Decoder, pool *flit.Pool, numVCs int) {
+	l.wire = nil
+	if d.Bool() {
+		l.wire = flit.RestoreFlit(d, pool)
+	}
+	l.creditWire = d.Int()
 	l.busy = d.Int()
 	l.BusyCycles = d.I64()
 	l.ActiveBits = d.I64()
@@ -110,27 +52,30 @@ func (l *Link) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 	for i := 0; i < nPending; i++ {
 		l.pendingCredits = append(l.pendingCredits, d.Int())
 	}
-	elastic := d.Bool()
-	if elastic != l.elastic {
+	if elastic := d.Bool(); elastic != l.elastic {
 		d.Fail("elastic mismatch: checkpoint %v, link %v", elastic, l.elastic)
-		return
-	}
-	if l.elastic {
-		n := d.Count(1)
-		if n != len(l.stages) {
-			if d.Err() == nil {
-				d.Fail("elastic stage count mismatch: checkpoint %d, link %d", n, len(l.stages))
-			}
-			return
-		}
-		for i := range l.stages {
-			l.stages[i] = nil
-			if d.Bool() {
-				l.stages[i] = flit.RestoreFlit(d, pool)
-			}
-		}
 	}
 	l.down = d.Bool()
 	l.FaultLostFlits = d.I64()
 	l.FaultLostCredits = d.I64()
+	if d.Err() != nil {
+		return
+	}
+	if l.wire != nil && (l.wire.VC < 0 || l.wire.VC >= numVCs) {
+		d.Fail("link %d-%v: flit on the wire names VC %d, outside [0, %d)", l.From, l.Dir, l.wire.VC, numVCs)
+	}
+	if l.creditWire < 0 || l.creditWire > numVCs {
+		d.Fail("link %d-%v: credit on the wire names VC %d, outside [0, %d)", l.From, l.Dir, l.creditWire-1, numVCs)
+	}
+	for _, vc := range l.pendingCredits {
+		if vc < 0 || vc >= numVCs {
+			d.Fail("link %d-%v: queued credit names VC %d, outside [0, %d)", l.From, l.Dir, vc, numVCs)
+		}
+	}
+	if l.elastic && (l.creditWire != 0 || len(l.pendingCredits) != 0) {
+		d.Fail("link %d-%v: elastic channel carries credits", l.From, l.Dir)
+	}
+	if l.busy < 0 || l.busy > l.SerdesCycles {
+		d.Fail("link %d-%v: busy countdown %d outside [0, %d]", l.From, l.Dir, l.busy, l.SerdesCycles)
+	}
 }

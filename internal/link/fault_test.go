@@ -59,7 +59,7 @@ func TestPhysECCCorrectsSingleHardFault(t *testing.T) {
 // accepting flits and credits (the sender cannot tell) but delivers
 // nothing, counting the losses in both directions.
 func TestLinkDownDropsTraffic(t *testing.T) {
-	l := New(Config{LatencyCycles: 1})
+	l := New(Config{})
 	if l.Down() {
 		t.Fatal("new link reports down")
 	}
@@ -74,12 +74,12 @@ func TestLinkDownDropsTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.SendCredit(2)
-	f, credits := l.Deliver() // flit completes; credit enters reverse wires
-	if f != nil || len(credits) != 0 {
-		t.Fatalf("down link delivered flit=%v credits=%v", f, credits)
+	f, vc, credited := l.Deliver() // flit completes; credit enters the reverse wire
+	if f != nil || credited {
+		t.Fatalf("down link delivered flit=%v credit=%d (%v)", f, vc, credited)
 	}
-	if _, credits = l.Deliver(); len(credits) != 0 { // credit completes
-		t.Fatalf("down link returned credits %v", credits)
+	if _, vc, credited = l.Deliver(); credited { // credit completes
+		t.Fatalf("down link returned credit %d", vc)
 	}
 	if l.FaultLostFlits != 1 || l.FaultLostCredits != 1 {
 		t.Fatalf("lost flits=%d credits=%d, want 1,1", l.FaultLostFlits, l.FaultLostCredits)
@@ -92,22 +92,23 @@ func TestLinkDownDropsTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.busy = 0 // ignore serdes spacing for the probe
-	if f, _ = l.Deliver(); f == nil || f.Type != flit.Tail {
+	if f, _, _ = l.Deliver(); f == nil || f.Type != flit.Tail {
 		t.Fatalf("revived link lost flit, got %v", f)
 	}
 }
 
-// TestElasticLinkDownDropsHead: the elastic variant drains its head stage
-// into the void while down, so in-flight flits are lost one per cycle.
+// TestElasticLinkDownDropsHead: the elastic variant drains its repeater
+// stage into the void while down, so in-flight flits are lost one per
+// cycle.
 func TestElasticLinkDownDropsHead(t *testing.T) {
-	l := New(Config{LatencyCycles: 2, Elastic: true})
+	l := New(Config{Elastic: true})
 	if err := l.Send(&flit.Flit{Type: flit.Head}); err != nil {
 		t.Fatal(err)
 	}
 	l.SetDown(true)
 	accepted := 0
 	accept := func(*flit.Flit) bool { accepted++; return true }
-	// Stage walk: cycle 1 slides the flit to the head, cycle 2 drops it.
+	// The first delivery drops the flit; the rest find the stage empty.
 	for i := 0; i < 3; i++ {
 		if f := l.DeliverElastic(accept); f != nil {
 			t.Fatalf("cycle %d: down elastic link delivered %v", i, f)

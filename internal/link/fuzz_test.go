@@ -3,6 +3,9 @@ package link
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/flit"
 )
 
 // FuzzECC fuzzes the SECDED code: any payload round-trips clean, and any
@@ -54,6 +57,72 @@ func FuzzSteering(f *testing.F) {
 		out := p.Traverse(data, bits)
 		if !bytes.Equal(out, data) {
 			t.Fatalf("steered link corrupted %x -> %x (fault at %d)", data, out, w)
+		}
+	})
+}
+
+// FuzzLinkRestore decodes fuzzed section bytes into a credit link and an
+// elastic link, both serialized over two cycles per flit. Each restore
+// must either fail with a decoder error or leave a link a live one could
+// be: every credit and flit it delivers names one of the receiver's VCs,
+// it goes idle within the cycles its restored traffic needs, and a flit
+// and credit sent afterwards arrive on time (or are lost, if the link was
+// restored down). Seeds are a link with a flit
+// and credits on its wires, an idle link, and an elastic link holding a
+// flit.
+func FuzzLinkRestore(f *testing.F) {
+	const numVCs = 8
+	f.Add(linkSection(f, loadedLink(f)))
+	f.Add(linkSection(f, New(Config{})))
+	elastic := New(Config{Elastic: true})
+	if err := elastic.Send(&flit.Flit{Type: flit.Head, VC: 7}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(linkSection(f, elastic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, el := range []bool{false, true} {
+			l := New(Config{SerdesCycles: 2, Elastic: el})
+			d := checkpoint.NewDecoder(data)
+			l.RestoreState(d, nil, numVCs)
+			if d.Err() != nil {
+				continue
+			}
+			deliver := func() (*flit.Flit, int, bool) {
+				if el {
+					return l.DeliverElastic(func(*flit.Flit) bool { return true }), 0, false
+				}
+				return l.Deliver()
+			}
+			// The restored credits leave one per cycle behind the one on
+			// the wire; the flit and the serdes countdown clear sooner.
+			limit := len(data)/8 + l.SerdesCycles + 2
+			for cycle := 0; cycle < limit && !l.Idle(); cycle++ {
+				f, vc, credited := deliver()
+				if credited && (vc < 0 || vc >= numVCs) {
+					t.Fatalf("elastic=%v: delivered credit for VC %d", el, vc)
+				}
+				if f != nil && (f.VC < 0 || f.VC >= numVCs) {
+					t.Fatalf("elastic=%v: delivered a flit on VC %d", el, f.VC)
+				}
+			}
+			if !l.Idle() {
+				t.Fatalf("elastic=%v: restored link not idle after %d cycles", el, limit)
+			}
+			if err := l.Send(&flit.Flit{Type: flit.HeadTail, VC: 1, PacketID: 9}); err != nil {
+				t.Fatalf("elastic=%v: idle link refused a send: %v", el, err)
+			}
+			if !el {
+				l.SendCredit(4)
+			}
+			// A link restored down loses both, as a live dead link does.
+			live := !l.Down()
+			if f, _, _ := deliver(); (f != nil) != live || f != nil && f.PacketID != 9 {
+				t.Fatalf("elastic=%v down=%v: flit sent on an idle link arrived as %v", el, !live, f)
+			}
+			if _, vc, credited := deliver(); !el && (credited != live || credited && vc != 4) {
+				t.Fatalf("down=%v: credit sent on an idle link arrived as %d (%v)", !live, vc, credited)
+			}
 		}
 	})
 }

@@ -1,3 +1,9 @@
+// Package link models the inter-router channels of the on-chip network:
+// one-cycle wires (a flit or credit driven on cycle t arrives on cycle
+// t+1), a physical layer with spare-bit steering around hard faults (§2.5
+// of the paper), optional link-level SECDED error correction, and
+// serialization when the physical link is narrower (or faster) than a
+// flit (§2.3, §3.3).
 package link
 
 import (
@@ -8,23 +14,28 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Link is one unidirectional inter-router channel: a fixed-latency pipe
-// over a physical wire bundle, with optional serialization when the bundle
-// is narrower than a flit, and a reverse credit channel for the
-// virtual-channel flow control of §2.3 ("credits for buffer allocation are
-// piggybacked on flits travelling in the reverse direction"; the model
-// carries them on a dedicated reverse pipe with the same latency).
+// Link is one unidirectional inter-router channel: a one-cycle wire over
+// a physical wire bundle, with optional serialization when the bundle is
+// narrower than a flit, and a reverse credit wire for the virtual-channel
+// flow control of §2.3 ("credits for buffer allocation are piggybacked on
+// flits travelling in the reverse direction"; the model carries them on a
+// dedicated one-cycle reverse wire). Its wire registers are encoded so
+// that a zero Link is idle.
 type Link struct {
 	// From and Dir name the channel in error messages: the sending tile
 	// and the direction the channel leaves it by.
 	From int
 	Dir  route.Dir
 
-	// pipe and credits are inline values, not pointers: the per-cycle
-	// Deliver/CanSend path reads their occupancy counters from the Link's
-	// own cache lines instead of chasing into separate heap objects.
-	pipe    Pipe[*flit.Flit]
-	credits Pipe[int] // VC indices of freed buffer slots, travelling upstream
+	// wire is the forward wire's flit register: the flit sent this cycle,
+	// handed to the receiver by the next delivery. On an elastic channel
+	// it is the repeater stage, which holds its flit until the receiver
+	// accepts it.
+	wire *flit.Flit
+
+	// creditWire is the reverse wire's register: the VC index of the
+	// credit in flight plus one, so 0 is an idle wire.
+	creditWire int
 
 	Phys *Phys
 
@@ -50,14 +61,10 @@ type Link struct {
 	BusyCycles int64
 
 	// pendingCredits is a queue of freed-slot VC indices awaiting the
-	// reverse wires; creditHead indexes its logical front so dequeuing is
+	// reverse wire; creditHead indexes its logical front so dequeuing is
 	// O(1) without reslicing away reusable capacity.
 	pendingCredits []int
 	creditHead     int
-
-	// creditBuf backs the creditVCs slice returned by Deliver, reused
-	// every cycle (see Deliver's contract).
-	creditBuf []int
 
 	// pool, when non-nil, receives flits the link destroys (dead-channel
 	// drops) or replaces (physical-layer copies), so the flit pool's
@@ -68,13 +75,11 @@ type Link struct {
 	// (flits, credits); nil is the zero-overhead disabled path.
 	probe *telemetry.LinkProbe
 
-	// Elastic channel state (§3.3, ref [4] "Elastic Interconnects"):
-	// the repeaters along the wire double as flit latches with local
-	// ready/valid backpressure, so the receiving router can stall the wire
-	// instead of spending credit-covered buffer space. stages[0] is the
-	// receiver end.
+	// elastic marks an elastic channel (§3.3, ref [4] "Elastic
+	// Interconnects"): the repeater on the wire doubles as a flit latch
+	// with local ready/valid backpressure, so the receiving router can
+	// stall the wire instead of spending credit-covered buffer space.
 	elastic bool
-	stages  []*flit.Flit
 
 	// down marks the channel dead (runtime fault injection or watchdog
 	// fencing): the wires still accept flits — the sender cannot tell —
@@ -91,50 +96,30 @@ type Link struct {
 // a die shares; the per-channel fields From, Dir, LengthPitches and Phys
 // are set on each returned link.
 type Config struct {
-	LatencyCycles int // wire traversal latency (default 1)
-	SerdesCycles  int // cycles per flit on the wires (default 1)
+	SerdesCycles int // cycles per flit on the wires (default 1)
 
-	// Elastic turns the wire into an elastic channel: its LatencyCycles
-	// repeater stages buffer flits with hop-by-hop backpressure, and the
-	// receiver pops flits only when it has space (DeliverElastic). No
-	// credits are needed; the flow-control loop closes at the wire.
+	// Elastic turns the wire into an elastic channel: its repeater stage
+	// buffers a flit with hop-by-hop backpressure, and the receiver pops
+	// it only when it has space (DeliverElastic). No credits are needed;
+	// the flow-control loop closes at the wire.
 	Elastic bool
 }
 
 // New returns a link from the configuration: a one-link NewAll.
 func New(cfg Config) *Link { return &NewAll(cfg, 1)[0] }
 
-// NewAll returns count links built from cfg. Their flit pipes, credit
-// pipes and elastic stages are carved from one slab per kind, each slice
-// cut with a full slice expression so no link's slots can run into the
-// next link's. Each link starts ideal (nil Phys) with zero length; the
-// caller sets From, Dir, LengthPitches and Phys per channel.
+// NewAll returns count links built from cfg in one slab. Each link starts
+// ideal (nil Phys) with zero length; the caller sets From, Dir,
+// LengthPitches and Phys per channel.
 func NewAll(cfg Config, count int) []Link {
-	lat := max(cfg.LatencyCycles, 1)
 	serdes := max(cfg.SerdesCycles, 1)
 	ls := make([]Link, count)
-	flitSlots := make([]slot[*flit.Flit], count*lat)
-	creditSlots := make([]slot[int], count*lat)
-	var stages []*flit.Flit
-	if cfg.Elastic {
-		stages = make([]*flit.Flit, count*lat)
-	}
 	for i := range ls {
-		lo, hi := i*lat, (i+1)*lat
-		l := &ls[i]
-		l.pipe.slots = flitSlots[lo:hi:hi]
-		l.credits.slots = creditSlots[lo:hi:hi]
-		l.SerdesCycles = serdes
-		if cfg.Elastic {
-			l.elastic = true
-			l.stages = stages[lo:hi:hi]
-		}
+		ls[i].SerdesCycles = serdes
+		ls[i].elastic = cfg.Elastic
 	}
 	return ls
 }
-
-// Elastic reports whether the link is an elastic channel.
-func (l *Link) Elastic() bool { return l.elastic }
 
 // SetPool attaches the owning network's flit pool. Flits the link drops
 // (dead channel) or replaces (physical-layer copy) are recycled into it.
@@ -144,30 +129,19 @@ func (l *Link) SetPool(p *flit.Pool) { l.pool = p }
 func (l *Link) SetProbe(p *telemetry.LinkProbe) { l.probe = p }
 
 // Idle reports whether the link has nothing to do this cycle: wires free,
-// no flits or credits in flight, none waiting. The delivery phase uses it
+// no flit or credit in flight, none waiting. The delivery phase uses it
 // to skip idle links.
 func (l *Link) Idle() bool {
-	if l.busy != 0 || l.creditHead < len(l.pendingCredits) || !l.credits.Empty() {
-		return false
-	}
-	if l.elastic {
-		for _, f := range l.stages {
-			if f != nil {
-				return false
-			}
-		}
-		return true
-	}
-	return l.pipe.Empty()
+	return l.busy == 0 && l.wire == nil && l.creditWire == 0 && l.creditHead == len(l.pendingCredits)
 }
 
-// EntryAlwaysFree reports whether the link's input register is free on
+// EntryAlwaysFree reports whether the link's flit register is free on
 // every cycle once that cycle's Deliver has run: a non-elastic link with
-// SerdesCycles == 1 shifts its entry slot empty on each delivery and its
-// wires are never busy across a cycle boundary, so a sender arbitrating
-// after the delivery phase may skip the CanSend check entirely. Elastic
-// channels (entry stage backpressured by the receiver) and serialized
-// links (wires busy for SerdesCycles) must still be polled.
+// SerdesCycles == 1 empties its register on each delivery and its wires
+// are never busy across a cycle boundary, so a sender arbitrating after
+// the delivery phase may skip the CanSend check entirely. Elastic
+// channels (register backpressured by the receiver) and serialized links
+// (wires busy for SerdesCycles) must still be polled.
 func (l *Link) EntryAlwaysFree() bool { return !l.elastic && l.SerdesCycles == 1 }
 
 // SetDown kills (or revives) the channel. A dead channel keeps accepting
@@ -179,28 +153,16 @@ func (l *Link) SetDown(down bool) { l.down = down }
 // Down reports whether the channel is dead.
 func (l *Link) Down() bool { return l.down }
 
-// CanSend reports whether a flit may enter the link this cycle (wires idle
-// and input register or entry stage free).
-func (l *Link) CanSend() bool {
-	if l.busy != 0 {
-		return false
-	}
-	if l.elastic {
-		return l.stages[len(l.stages)-1] == nil
-	}
-	return l.pipe.CanSend()
-}
+// CanSend reports whether a flit may enter the link this cycle: wires
+// idle and flit register free.
+func (l *Link) CanSend() bool { return l.busy == 0 && l.wire == nil }
 
 // Send places a flit onto the link. The caller must have checked CanSend.
 func (l *Link) Send(f *flit.Flit) error {
 	if !l.CanSend() {
 		return fmt.Errorf("link %d-%v: send while busy", l.From, l.Dir)
 	}
-	if l.elastic {
-		l.stages[len(l.stages)-1] = f
-	} else if err := l.pipe.Send(f); err != nil {
-		return err
-	}
+	l.wire = f
 	l.busy = l.SerdesCycles
 	l.ActiveBits += int64(f.PayloadBits() + flit.OverheadBits)
 	if l.probe != nil {
@@ -211,7 +173,7 @@ func (l *Link) Send(f *flit.Flit) error {
 
 // SendCredit returns one freed buffer slot for the given VC to the
 // upstream router. Multiple credits per cycle are coalesced onto the
-// reverse channel over successive cycles.
+// reverse wire over successive cycles.
 func (l *Link) SendCredit(vc int) {
 	if l.creditHead == len(l.pendingCredits) {
 		// Queue drained: rewind so the backing array is reused instead of
@@ -224,48 +186,45 @@ func (l *Link) SendCredit(vc int) {
 
 // Deliver advances the link by one cycle. It returns the flit completing
 // its traversal this cycle (with the physical layer applied to its
-// payload), or nil. Credits completing their reverse traversal are
-// returned in creditVCs, a slice that is only valid until the next
-// Deliver call (the link reuses its backing array every cycle). Call
-// exactly once per cycle, in the global delivery phase.
-func (l *Link) Deliver() (f *flit.Flit, creditVCs []int) {
+// payload), or nil, and the VC of the credit completing its reverse
+// traversal, with credited false when none arrives. Call exactly once per
+// cycle, in the global delivery phase.
+func (l *Link) Deliver() (f *flit.Flit, creditVC int, credited bool) {
 	if l.busy > 0 {
 		l.busy--
 		l.BusyCycles++
 	}
-	creditVCs = l.creditBuf[:0]
-	if vc, ok := l.credits.Shift(); ok {
+	if l.creditWire != 0 {
 		if l.down {
 			l.FaultLostCredits++
 		} else {
-			creditVCs = append(creditVCs, vc)
+			creditVC, credited = l.creditWire-1, true
 			if l.probe != nil {
 				l.probe.OnCredit()
 			}
 		}
+		l.creditWire = 0
 	}
-	l.creditBuf = creditVCs
-	if l.creditHead < len(l.pendingCredits) && l.credits.CanSend() {
-		// One credit enters the reverse wires per cycle.
-		if err := l.credits.Send(l.pendingCredits[l.creditHead]); err == nil {
-			l.creditHead++
-		}
+	if l.creditHead < len(l.pendingCredits) {
+		// One credit enters the reverse wire per cycle.
+		l.creditWire = l.pendingCredits[l.creditHead] + 1
+		l.creditHead++
 	}
-	out, ok := l.pipe.Shift()
-	if !ok {
-		return nil, creditVCs
+	f, l.wire = l.wire, nil
+	if f == nil {
+		return nil, creditVC, credited
 	}
 	if l.down {
 		l.FaultLostFlits++
 		if l.pool != nil {
-			l.pool.Put(out)
+			l.pool.Put(f)
 		}
-		return nil, creditVCs
+		return nil, creditVC, credited
 	}
-	if l.Phys != nil && out.Data != nil {
-		out = l.physCopy(out)
+	if l.Phys != nil && f.Data != nil {
+		f = l.physCopy(f)
 	}
-	return out, creditVCs
+	return f, creditVC, credited
 }
 
 // physCopy applies the physical layer to a copy of the flit, so the
@@ -288,10 +247,10 @@ func (l *Link) physCopy(src *flit.Flit) *flit.Flit {
 	return out
 }
 
-// DeliverElastic advances an elastic link by one cycle: the head flit is
-// offered to accept and pops only if accepted; the remaining flits slide
-// toward the receiver through free stages. Call exactly once per cycle in
-// the delivery phase instead of Deliver.
+// DeliverElastic advances an elastic link by one cycle: the flit in the
+// repeater stage is offered to accept and leaves the wire only if
+// accepted. Call exactly once per cycle in the delivery phase instead of
+// Deliver.
 func (l *Link) DeliverElastic(accept func(f *flit.Flit) bool) *flit.Flit {
 	if !l.elastic {
 		panic(fmt.Sprintf("link %d-%v: DeliverElastic on a non-elastic link", l.From, l.Dir))
@@ -300,42 +259,33 @@ func (l *Link) DeliverElastic(accept func(f *flit.Flit) bool) *flit.Flit {
 		l.busy--
 		l.BusyCycles++
 	}
-	var out *flit.Flit
-	if head := l.stages[0]; head != nil && l.down {
+	f := l.wire
+	if f == nil {
+		return nil
+	}
+	if l.down {
 		l.FaultLostFlits++
-		l.stages[0] = nil
+		l.wire = nil
 		if l.pool != nil {
-			l.pool.Put(head)
+			l.pool.Put(f)
 		}
-	} else if head != nil && accept(head) {
-		out = head
-		l.stages[0] = nil
+		return nil
 	}
-	for i := 0; i < len(l.stages)-1; i++ {
-		if l.stages[i] == nil {
-			l.stages[i] = l.stages[i+1]
-			l.stages[i+1] = nil
-		}
+	if !accept(f) {
+		return nil
 	}
-	if out != nil && l.Phys != nil && out.Data != nil {
-		out = l.physCopy(out)
+	l.wire = nil
+	if l.Phys != nil && f.Data != nil {
+		f = l.physCopy(f)
 	}
-	return out
+	return f
 }
 
-// InFlight reports the number of flits inside the link.
+// InFlight reports the number of flits inside the link: 1 while the flit
+// register holds one, else 0.
 func (l *Link) InFlight() int {
-	if l.elastic {
-		n := 0
-		for _, f := range l.stages {
-			if f != nil {
-				n++
-			}
-		}
-		return n
+	if l.wire != nil {
+		return 1
 	}
-	return l.pipe.InFlight()
+	return 0
 }
-
-// Latency reports the link's traversal latency in cycles.
-func (l *Link) Latency() int { return l.pipe.Latency() }

@@ -2,6 +2,7 @@ package link
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,71 +12,114 @@ import (
 	"repro/internal/route"
 )
 
-func TestPipeLatency(t *testing.T) {
-	for _, lat := range []int{1, 2, 5} {
-		p := &New(Config{LatencyCycles: lat}).credits
-		if p.Latency() != lat {
-			t.Fatalf("latency = %d", p.Latency())
-		}
-		// Shift runs at the start of each cycle; send happens later in the
-		// same cycle. A value sent on cycle 0 must appear on cycle lat.
-		var got, gotCycle = -1, -1
-		for cycle := 0; cycle < lat+3; cycle++ {
-			if v, ok := p.Shift(); ok {
-				got, gotCycle = v, cycle
+// TestLinkArrivesNextCycle: Deliver runs at the start of each cycle and
+// Send later in the same cycle, so a flit sent on cycle 0 arrives on
+// cycle 1 — the one-cycle wire of every hop.
+func TestLinkArrivesNextCycle(t *testing.T) {
+	l := New(Config{})
+	sent := &flit.Flit{Type: flit.HeadTail}
+	gotCycle := -1
+	for cycle := 0; cycle < 4; cycle++ {
+		if f, _, _ := l.Deliver(); f != nil {
+			if f != sent || gotCycle >= 0 {
+				t.Fatalf("cycle %d: unexpected delivery %v", cycle, f)
 			}
-			if cycle == 0 {
-				if err := p.Send(42); err != nil {
-					t.Fatal(err)
-				}
-			}
+			gotCycle = cycle
 		}
-		if got != 42 || gotCycle != lat {
-			t.Fatalf("latency %d: value %d arrived at cycle %d", lat, got, gotCycle)
-		}
-	}
-}
-
-func TestPipeOnePerCycle(t *testing.T) {
-	p := &New(Config{LatencyCycles: 2}).credits
-	if err := p.Send(1); err != nil {
-		t.Fatal(err)
-	}
-	if p.CanSend() {
-		t.Fatal("CanSend true after send in same cycle")
-	}
-	if err := p.Send(2); err == nil {
-		t.Fatal("second send in one cycle accepted")
-	}
-	p.Shift()
-	if !p.CanSend() {
-		t.Fatal("CanSend false after shift")
-	}
-	if p.InFlight() != 1 {
-		t.Fatalf("in flight = %d", p.InFlight())
-	}
-}
-
-func TestPipeBackToBackThroughput(t *testing.T) {
-	p := &New(Config{LatencyCycles: 3}).credits
-	sent, recv := 0, 0
-	for cycle := 0; cycle < 100; cycle++ {
-		if _, ok := p.Shift(); ok {
-			recv++
-		}
-		if p.CanSend() {
-			if err := p.Send(cycle); err != nil {
+		if cycle == 0 {
+			if err := l.Send(sent); err != nil {
 				t.Fatal(err)
 			}
-			sent++
+			if l.InFlight() != 1 || l.Idle() {
+				t.Fatalf("after send: InFlight %d, Idle %v", l.InFlight(), l.Idle())
+			}
 		}
 	}
-	if sent != 100 {
-		t.Fatalf("pipe does not sustain one send per cycle: %d", sent)
+	if gotCycle != 1 {
+		t.Fatalf("flit sent on cycle 0 arrived on cycle %d, want 1", gotCycle)
 	}
-	if recv != 100-3 {
-		t.Fatalf("received %d, want %d", recv, 97)
+	if l.InFlight() != 0 || !l.Idle() {
+		t.Fatalf("after delivery: InFlight %d, Idle %v", l.InFlight(), l.Idle())
 	}
+}
+
+// TestLinkOneSendPerCycle: the flit register takes one flit per cycle,
+// and at serdes 1 the wire sustains a send on every cycle, each flit
+// arriving in order on the next.
+func TestLinkOneSendPerCycle(t *testing.T) {
+	l := New(Config{})
+	if err := l.Send(&flit.Flit{Seq: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if l.CanSend() {
+		t.Fatal("CanSend true after a send in the same cycle")
+	}
+	if err := l.Send(&flit.Flit{Seq: 1}); err == nil {
+		t.Fatal("second send in one cycle accepted")
+	}
+	recv := 0
+	for cycle := 1; cycle <= 100; cycle++ {
+		if f, _, _ := l.Deliver(); f != nil {
+			if f.Seq != recv {
+				t.Fatalf("cycle %d: flit %d arrived, want %d", cycle, f.Seq, recv)
+			}
+			recv++
+		}
+		if !l.CanSend() {
+			t.Fatalf("cycle %d: full-width link not sendable after Deliver", cycle)
+		}
+		if err := l.Send(&flit.Flit{Seq: cycle}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recv != 100 {
+		t.Fatalf("received %d flits over 100 cycles of back-to-back sends, want 100", recv)
+	}
+	if l.BusyCycles != 100 {
+		t.Fatalf("BusyCycles = %d, want 100", l.BusyCycles)
+	}
+}
+
+// TestLinkCreditTiming: a credit queued on cycle 0 enters the reverse
+// wire on cycle 1's delivery and arrives on cycle 2's; credits queued
+// together leave one per cycle, in order, and a down link loses them.
+func TestLinkCreditTiming(t *testing.T) {
+	l := New(Config{})
+	for _, vc := range []int{0, 6, 3} {
+		l.SendCredit(vc)
+	}
+	var got []int
+	var at []int
+	for cycle := 1; cycle <= 5; cycle++ {
+		if vc, ok := deliverCredit(l); ok {
+			got = append(got, vc)
+			at = append(at, cycle)
+		}
+	}
+	if fmt.Sprint(got) != "[0 6 3]" || fmt.Sprint(at) != "[2 3 4]" {
+		t.Fatalf("credits %v arrived on cycles %v, want [0 6 3] on [2 3 4]", got, at)
+	}
+	if !l.Idle() {
+		t.Fatal("link not idle after its credits arrived")
+	}
+	l.SendCredit(7)
+	l.SendCredit(1)
+	deliverCredit(l) // 7 enters the reverse wire
+	l.SetDown(true)
+	for cycle := 0; cycle < 3; cycle++ {
+		if vc, ok := deliverCredit(l); ok {
+			t.Fatalf("down link returned credit %d", vc)
+		}
+	}
+	if l.FaultLostCredits != 2 {
+		t.Fatalf("FaultLostCredits = %d, want 2", l.FaultLostCredits)
+	}
+}
+
+// deliverCredit runs one Deliver and reports the credit it returned.
+func deliverCredit(l *Link) (int, bool) {
+	_, vc, ok := l.Deliver()
+	return vc, ok
 }
 
 func TestPhysCleanTraversal(t *testing.T) {
@@ -275,29 +319,27 @@ func TestLinkSerdesOccupancy(t *testing.T) {
 }
 
 func TestLinkDeliverAndCredits(t *testing.T) {
-	l := New(Config{LatencyCycles: 1})
+	l := New(Config{})
 	f := &flit.Flit{Type: flit.HeadTail, Data: []byte{1, 2}}
 	if err := l.Send(f); err != nil {
 		t.Fatal(err)
 	}
 	l.SendCredit(3)
 	l.SendCredit(5)
-	got, credits := l.Deliver()
+	got, vc, credited := l.Deliver()
 	if got == nil {
 		t.Fatal("flit not delivered after one cycle")
 	}
-	if len(credits) != 0 {
-		// Credits sent on cycle t enter the reverse pipe on cycle t and
-		// arrive on t+1; only one per cycle.
-		t.Fatalf("credits arrived instantly: %v", credits)
+	if credited {
+		// Credits sent on cycle t enter the reverse wire on cycle t+1 and
+		// arrive on t+2; only one per cycle.
+		t.Fatalf("credit %d arrived instantly", vc)
 	}
-	_, credits = l.Deliver()
-	if len(credits) != 1 || credits[0] != 3 {
-		t.Fatalf("first credit = %v", credits)
+	if _, vc, credited = l.Deliver(); !credited || vc != 3 {
+		t.Fatalf("first credit = %d (%v), want 3", vc, credited)
 	}
-	_, credits = l.Deliver()
-	if len(credits) != 1 || credits[0] != 5 {
-		t.Fatalf("second credit = %v", credits)
+	if _, vc, credited = l.Deliver(); !credited || vc != 5 {
+		t.Fatalf("second credit = %d (%v), want 5", vc, credited)
 	}
 }
 
@@ -310,7 +352,7 @@ func TestLinkAppliesPhys(t *testing.T) {
 	if err := l.Send(f); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := l.Deliver()
+	got, _, _ := l.Deliver()
 	if got.Data[0]&1 != 0 {
 		t.Fatal("hard fault not applied through link")
 	}

@@ -250,7 +250,7 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 			return
 		}
 		for _, le := range n.links {
-			le.l.RestoreState(d, &n.shards[n.shardOf[le.to]].pool)
+			le.l.RestoreState(d, &n.shards[n.shardOf[le.to]].pool, n.cfg.Router.NumVCs)
 			if d.Err() != nil {
 				return
 			}

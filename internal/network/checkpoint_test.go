@@ -261,6 +261,28 @@ func TestCheckpointRejectsMismatchedNetwork(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsBadLinkCreditVC: a credit on a link's reverse
+// wire naming a VC the routers do not have (9 of 8) must fail the
+// restore with an error; restoring it used to succeed and the next Run
+// panicked in the sending router.
+func TestCheckpointRejectsBadLinkCreditVC(t *testing.T) {
+	n := buildCkptNet(t, 1, 0)
+	n.Run(100)
+	n.links[0].l.SendCredit(9)
+	snap, err := n.Snapshot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := checkpoint.Parse(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = buildCkptNet(t, 1, 0).RestoreCheckpoint(f)
+	if err == nil || !strings.Contains(err.Error(), "queued credit names VC 9, outside [0, 8)") {
+		t.Fatalf("restore of a credit for VC 9: err = %v", err)
+	}
+}
+
 // TestCheckpointRefusesStatelessClient requires Save to reject clients it
 // cannot serialise rather than silently dropping their state.
 func TestCheckpointRefusesStatelessClient(t *testing.T) {

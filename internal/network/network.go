@@ -21,7 +21,6 @@ type Config struct {
 	Topo   topology.Topology
 	Router router.Config // template; ID is overridden per tile
 
-	LinkLatency  int // wire traversal cycles (default 1)
 	SerdesCycles int // link cycles per flit (default 1; >1 models narrow links, §3.3)
 
 	// Physical-layer options (§2.5). PhysWires enables bit-level wire
@@ -86,6 +85,21 @@ type Config struct {
 	// is the classic sequential loop. Configurations whose
 	// Capabilities.Sharding is set run one shard.
 	Shards int
+}
+
+// CheckPacketFlits reports an error when the configured flow control
+// cannot carry a packet of nf flits: drop and deflection routing carry
+// single-flit packets only, and cut-through needs a whole packet to fit
+// one VC buffer.
+func (cfg *Config) CheckPacketFlits(nf int) error {
+	rc := &cfg.Router
+	if nf > 1 && (cfg.Deflect || rc.Mode != router.ModeVC) {
+		return fmt.Errorf("network: multi-flit packet in single-flit flow-control mode")
+	}
+	if rc.CutThrough && nf > rc.BufFlits {
+		return fmt.Errorf("network: %d-flit packet exceeds the %d-flit buffers cut-through requires", nf, rc.BufFlits)
+	}
+	return nil
 }
 
 // maxBufferSlots caps the flit slots in a network's VC buffers, so a
@@ -217,9 +231,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("network: nil topology")
 	}
-	if cfg.LinkLatency < 1 {
-		cfg.LinkLatency = 1
-	}
 	if cfg.SerdesCycles < 1 {
 		cfg.SerdesCycles = 1
 	}
@@ -318,9 +329,8 @@ func New(cfg Config) (*Network, error) {
 		adjacency = topology.Links(cfg.Topo)
 	}
 	links := link.NewAll(link.Config{
-		LatencyCycles: cfg.LinkLatency,
-		SerdesCycles:  cfg.SerdesCycles,
-		Elastic:       cfg.ElasticLinks,
+		SerdesCycles: cfg.SerdesCycles,
+		Elastic:      cfg.ElasticLinks,
 	}, len(adjacency))
 	n.links = make([]linkEntry, len(adjacency))
 	for i, tl := range adjacency {
@@ -541,9 +551,6 @@ func (n *Network) Probe() *telemetry.Probe { return n.probe }
 
 // Topology reports the network's topology.
 func (n *Network) Topology() topology.Topology { return n.topo }
-
-// LinkLatency reports the configured wire traversal time in cycles.
-func (n *Network) LinkLatency() int { return n.cfg.LinkLatency }
 
 // SerdesCycles reports the configured link cycles per flit.
 func (n *Network) SerdesCycles() int { return n.cfg.SerdesCycles }

@@ -392,6 +392,44 @@ func TestDeflectRejectsMultiFlit(t *testing.T) {
 	}
 }
 
+// TestRefusedPacketsNotGenerated: a packet the flow control cannot carry
+// (multi-flit under drop or deflection, or larger than the buffers under
+// cut-through) is refused without taking an id or counting as generated,
+// so the next packet sent gets the id a fresh network would give it.
+func TestRefusedPacketsNotGenerated(t *testing.T) {
+	drop := router.DefaultConfig(0)
+	drop.Mode = router.ModeDrop
+	vct := router.DefaultConfig(0)
+	vct.CutThrough = true
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"drop", Config{Topo: mesh4(t), Router: drop}},
+		{"deflect", Config{Topo: mesh4(t), Deflect: true}},
+		{"vct", Config{Topo: mesh4(t), Router: vct}},
+	} {
+		fresh, err := build(t, c.cfg).Port(0).Send(1, []byte{1}, flit.MaskFor(0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := build(t, c.cfg)
+		if _, err := n.Port(0).Send(1, make([]byte, 5*flit.DataBytes), flit.MaskFor(0), 0); err == nil {
+			t.Fatalf("%s: 5-flit packet accepted", c.name)
+		}
+		if g := n.Recorder().Generated; g != 0 {
+			t.Fatalf("%s: refused packet counted as generated (%d)", c.name, g)
+		}
+		id, err := n.Port(0).Send(1, []byte{1}, flit.MaskFor(0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != fresh || n.Recorder().Generated != 1 {
+			t.Fatalf("%s: next packet got id %d (fresh network: %d), generated %d", c.name, id, fresh, n.Recorder().Generated)
+		}
+	}
+}
+
 func TestReservedFlowZeroJitter(t *testing.T) {
 	// §2.6: a pre-scheduled flow crosses the network "without arbitration
 	// or delay" even under heavy dynamic background traffic.

@@ -196,17 +196,24 @@ func (p *Port) Send(dst int, payload []byte, mask flit.VCMask, class int) (uint6
 	if mask == 0 {
 		return 0, fmt.Errorf("network: empty VC mask")
 	}
+	p.pkt = flit.Packet{Payload: payload}
+	nf := p.pkt.NumFlits()
+	if dst != p.tile {
+		// Refused before the packet takes an id or counts as generated.
+		if err := p.net.cfg.CheckPacketFlits(nf); err != nil {
+			return 0, err
+		}
+	}
 	now := p.net.kernel.Now()
 	id := p.net.nextPacketID()
 	p.net.recorder.Generated++
 	if dst == p.tile {
 		// Loopback: the network never sees the packet; it is delivered
 		// through the port pair directly on the next cycle.
-		p.pkt = flit.Packet{Payload: payload}
 		d := p.getDelivery()
 		d.PacketID, d.Src, d.Dst = id, p.tile, dst
 		d.Payload = append(d.Payload[:0], payload...)
-		d.Class, d.Birth, d.Flits = class, now, p.pkt.NumFlits()
+		d.Class, d.Birth, d.Flits = class, now, nf
 		p.loopback = append(p.loopback, d)
 		p.loopAt = append(p.loopAt, now+1)
 		p.noteLoopback()
@@ -228,15 +235,6 @@ func (p *Port) Send(dst int, payload []byte, mask flit.VCMask, class int) (uint6
 		// Route step by step in flight; the final Extract step is not a
 		// link traversal.
 		Hops: w.Len() - 1,
-	}
-	nf := p.pkt.NumFlits()
-	if p.net.cfg.Deflect || p.net.cfg.Router.Mode != 0 {
-		if nf > 1 {
-			return 0, fmt.Errorf("network: multi-flit packet in single-flit flow-control mode")
-		}
-	}
-	if rc := p.net.cfg.Router; rc.CutThrough && nf > rc.BufFlits {
-		return 0, fmt.Errorf("network: %d-flit packet exceeds the %d-flit buffers cut-through requires", nf, rc.BufFlits)
 	}
 	in := p.getInjection()
 	in.flits = p.pkt.AppendFlits(in.flits[:0], p.pool)

@@ -31,7 +31,7 @@ func TestConservationProperty(t *testing.T) {
 		rc := router.DefaultConfig(0)
 		rc.NumVCs = []int{2, 4, 8}[rng.Intn(3)]
 		rc.BufFlits = 1 + rng.Intn(4)
-		n, err := New(Config{Topo: topo, Router: rc, Seed: int64(trial), LinkLatency: 1 + rng.Intn(2)})
+		n, err := New(Config{Topo: topo, Router: rc, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -226,19 +226,15 @@ func (n *Network) deliverShard(now sim.Cycle, si int) {
 			}
 			continue
 		}
-		f, credits := le.l.Deliver()
-		if len(credits) > 0 {
+		f, vc, credited := le.l.Deliver()
+		if credited {
 			if n.wdCredit != nil {
 				n.wdCredit[i] = true
 			}
 			if n.shardOf[le.from] == si {
-				n.routers[le.from].HandleCredits(le.dir, credits)
+				n.routers[le.from].HandleCredit(le.dir, vc)
 			} else {
-				// The credits slice is only valid until the link's next
-				// Deliver, so copy the VC indices into the deferral buffer.
-				for _, vc := range credits {
-					s.credits = append(s.credits, creditRet{n.routers[le.from], le.dir, vc})
-				}
+				s.credits = append(s.credits, creditRet{n.routers[le.from], le.dir, vc})
 			}
 		}
 		if f == nil {

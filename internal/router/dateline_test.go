@@ -163,7 +163,7 @@ func TestWrappedBitMaintenance(t *testing.T) {
 	r.AcceptFlit(f, route.West)
 	now := int64(0)
 	for i := 0; i < 4; i++ {
-		got, _ := out.Deliver()
+		got, _, _ := out.Deliver()
 		if got != nil {
 			if !got.Wrapped {
 				t.Fatal("dateline crossing did not set Wrapped")

@@ -484,20 +484,8 @@ func findFlow(flits []*flit.Flit, flow int) int {
 	return -1
 }
 
-// HandleCredits restores credits returned by the downstream router on the
-// output link in direction d.
-func (r *Router) HandleCredits(d route.Dir, vcs []int) {
-	oc := &r.outputs[portIndex(d)]
-	for _, vc := range vcs {
-		if vc < 0 || vc >= r.cfg.NumVCs {
-			panic(fmt.Sprintf("router %d: credit for invalid VC %d", r.cfg.ID, vc))
-		}
-		oc.addCredit(vc)
-	}
-}
-
-// HandleCredit restores a single downstream credit; the slice-free variant
-// of HandleCredits for deferred cross-shard credit returns.
+// HandleCredit restores one credit returned by the downstream router on
+// the output link in direction d.
 func (r *Router) HandleCredit(d route.Dir, vc int) {
 	oc := &r.outputs[portIndex(d)]
 	if vc < 0 || vc >= r.cfg.NumVCs {

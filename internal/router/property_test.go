@@ -96,7 +96,7 @@ func TestRouterConservationProperty(t *testing.T) {
 		now := int64(0)
 		for cycle := 0; cycle < 400; cycle++ {
 			for _, d := range dirs {
-				f, _ := outs[d].Deliver()
+				f, _, _ := outs[d].Deliver()
 				if f != nil {
 					received[f.PacketID] = append(received[f.PacketID], f)
 					if prev, ok := outOf[f.PacketID]; ok && prev != d {
@@ -111,7 +111,7 @@ func TestRouterConservationProperty(t *testing.T) {
 					if f.Type.IsTail() {
 						delete(lastVCPacket, key)
 					}
-					r.HandleCredits(d, []int{f.VC})
+					r.HandleCredit(d, f.VC)
 				}
 			}
 			for _, f := range r.Eject() {
@@ -163,8 +163,9 @@ func TestRouterConservationProperty(t *testing.T) {
 		for _, d := range dirs {
 			// Let reverse credit wires settle, then check the balance.
 			for i := 0; i < 4; i++ {
-				_, credits := outs[d].Deliver()
-				r.HandleCredits(d, credits)
+				if _, vc, credited := outs[d].Deliver(); credited {
+					r.HandleCredit(d, vc)
+				}
 			}
 			for vc := 0; vc < cfg.NumVCs; vc++ {
 				if r.CreditCount(d, vc) != cfg.BufFlits {

@@ -239,8 +239,8 @@ type outputController struct {
 	credits [flit.NumVCs]int32
 	link    *link.Link // nil for the local port
 	// entryFree caches link.EntryAlwaysFree(): when true, link arbitration
-	// skips the CanSend pointer chase (link → pipe → slots) because the
-	// delivery phase provably left the input register empty this cycle.
+	// skips the CanSend pointer chase because the delivery phase provably
+	// left the link's flit register empty this cycle.
 	entryFree bool
 	staging   [NumPorts]*flit.Flit
 	bypass    []*flit.Flit // reserved flits awaiting their slot

@@ -196,7 +196,9 @@ func TestCreditAccounting(t *testing.T) {
 		t.Fatalf("credits after 3-flit packet = %d, want 1", got)
 	}
 	// Downstream returns credits.
-	r.HandleCredits(route.East, []int{0, 0, 0})
+	for i := 0; i < 3; i++ {
+		r.HandleCredit(route.East, 0)
+	}
 	if got := r.CreditCount(route.East, 0); got != 4 {
 		t.Fatalf("credits after return = %d, want 4", got)
 	}
@@ -330,7 +332,7 @@ func TestNonSpeculativeAddsACycle(t *testing.T) {
 		r.AcceptFlit(f, route.West)
 		now := int64(0)
 		for cycle := int64(0); cycle < 10; cycle++ {
-			got, _ := out.Deliver()
+			got, _, _ := out.Deliver()
 			if got != nil {
 				return cycle
 			}
@@ -372,11 +374,11 @@ func TestDeflectOldestFirst(t *testing.T) {
 	if r.Stats.Deflections != 1 {
 		t.Fatalf("deflections = %d, want 1", r.Stats.Deflections)
 	}
-	got, _ := east.Deliver()
+	got, _, _ := east.Deliver()
 	if got == nil || got.PacketID != 1 {
 		t.Fatalf("east carried %v, want packet 1 (oldest)", got)
 	}
-	got, _ = north.Deliver()
+	got, _, _ = north.Deliver()
 	if got == nil || got.PacketID != 2 {
 		t.Fatalf("north carried %v, want deflected packet 2", got)
 	}
@@ -457,7 +459,7 @@ func TestCutThroughHeadWaitsForFullBuffer(t *testing.T) {
 		t.Fatalf("cut-through head advanced with insufficient credits (moves=%d)", r.Stats.SwitchMoves)
 	}
 	// Restore credits; now it goes.
-	r.HandleCredits(route.East, []int{0})
+	r.HandleCredit(route.East, 0)
 	for i := 0; i < 5; i++ {
 		step()
 	}

@@ -169,44 +169,32 @@ func (p *Probe) MetricsTable() string {
 // Heatmap renders the k×k die as ASCII, one cell per tile, showing the mean
 // utilization of the tile's outgoing channels — where the §4.4 wire sharing
 // happens, from the probe's own counters (reconcilable against the flit
-// totals, unlike an instantaneous view).
+// totals, unlike an instantaneous view). The values are HeatmapGrid's; a
+// die position no channel leaves prints as --.
 func (p *Probe) Heatmap() string {
-	if p.kx == 0 || p.ky == 0 {
+	grid := p.HeatmapGrid(p.Elapsed())
+	if grid == nil {
 		return ""
 	}
-	type cell struct {
-		sum float64
-		n   int
-	}
-	grid := make([]cell, p.kx*p.ky)
 	tileAt := make([]int, p.kx*p.ky)
 	for i := range tileAt {
 		tileAt[i] = -1
 	}
 	for _, lp := range p.Links {
-		if lp == nil {
-			continue
+		if lp != nil {
+			tileAt[lp.PY*p.kx+lp.PX] = lp.From
 		}
-		idx := lp.PY*p.kx + lp.PX
-		grid[idx].sum += lp.Util(p.Elapsed())
-		grid[idx].n++
-		tileAt[idx] = lp.From
 	}
 	var sb strings.Builder
 	sb.WriteString("outgoing-channel duty factor by die position (tile:util):\n")
-	for y := p.ky - 1; y >= 0; y-- {
-		for x := 0; x < p.kx; x++ {
-			c := grid[y*p.kx+x]
-			v := 0.0
-			if c.n > 0 {
-				v = c.sum / float64(c.n)
-			}
-			tile := tileAt[y*p.kx+x]
-			if tile < 0 {
+	for r, row := range grid {
+		y := p.ky - 1 - r
+		for x, v := range row {
+			if tile := tileAt[y*p.kx+x]; tile >= 0 {
+				fmt.Fprintf(&sb, "  %2d:%3.0f%%", tile, 100*v)
+			} else {
 				sb.WriteString("     --  ")
-				continue
 			}
-			fmt.Fprintf(&sb, "  %2d:%3.0f%%", tile, 100*v)
 		}
 		sb.WriteByte('\n')
 	}

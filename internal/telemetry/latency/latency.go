@@ -10,15 +10,15 @@
 //
 //	total         = arrived − birth                 (what the client saw)
 //	source queue  = inject − birth                  (waiting for injection)
-//	pipeline      = 2 + H·(1 + linkLatency)         (the §3.1 H·t_r term)
+//	pipeline      = 2 + 2H                          (the §3.1 H·t_r term)
 //	serialization = (flits − 1)·serdes              (the §3.1 L/b term)
 //	contention    = total − queue − pipeline − ser  (signed residual)
 //
 // The pipeline and serialization terms are the network's measured
 // zero-load latency: on an idle mesh the head flit of an H-hop packet
-// arrives exactly 2 + H·(1 + linkLatency) cycles after injection (one
-// injection stage, one ejection stage, and per hop one router traversal
-// plus the wire), and each body flit adds one serdes period. Their sum
+// arrives exactly 2 + 2H cycles after injection (one injection stage,
+// one ejection stage, and per hop one router cycle plus the one-cycle
+// wire), and each body flit adds one serdes period. Their sum
 // is the per-packet T0, so the exporter's contention factor
 // T/T0 — mean network latency over mean zero-load latency — is the
 // live §4.3 load-latency ratio per flow, and a factor past the
@@ -186,9 +186,9 @@ type Observatory struct {
 	topo  topology.Topology
 	probe *telemetry.Probe
 
-	warmup          int64
-	linkLat, serdes int
-	tiles, kx       int
+	warmup    int64
+	serdes    int
+	tiles, kx int
 
 	mode   string
 	nFlows int
@@ -247,7 +247,6 @@ func Attach(n *network.Network, cfg Config) (*Observatory, error) {
 		topo:       topo,
 		probe:      n.Probe(),
 		warmup:     n.Recorder().WarmupCycles,
-		linkLat:    n.LinkLatency(),
 		serdes:     n.SerdesCycles(),
 		tiles:      tiles,
 		kx:         kx,
@@ -377,7 +376,7 @@ func (o *Observatory) PacketDelivered(ob *network.PacketObservation) {
 
 	total := ob.Arrived - ob.Birth
 	queue := ob.Inject - ob.Birth
-	pipe := int64(2 + ob.Hops*(1+o.linkLat))
+	pipe := int64(2 + 2*ob.Hops)
 	ser := int64(ob.Flits-1) * int64(o.serdes)
 	net := ob.Arrived - ob.Inject
 	cont := net - pipe - ser

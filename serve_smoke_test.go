@@ -170,6 +170,11 @@ func TestServeSmokeFlagValidation(t *testing.T) {
 		{"print-layout radix out of range", []string{"-print-layout", "-k", "129"}, "radix k=129 outside [3, 128]"},
 		{"zero shards", []string{"-shards", "0"}, "-shards must be >= 1"},
 		{"measurement window overflows", []string{"-warmup", "10", "-measure", "9223372036854775807"}, "warmup_cycles + measure_cycles"},
+		// Packets the flow control would refuse fail core.Spec.Validate
+		// instead of a run that reports nothing delivered.
+		{"drop multi-flit", []string{"-mode", "drop", "-flits", "4"}, "flits_per_packet=4: network: multi-flit packet in single-flit flow-control mode"},
+		{"deflect multi-flit", []string{"-mode", "deflect", "-flits", "2"}, "flits_per_packet=2: network: multi-flit packet in single-flit flow-control mode"},
+		{"cut-through packet over buffers", []string{"-mode", "vct", "-flits", "8", "-buf", "4", "-rate", "0.2"}, "flits_per_packet=8: network: 8-flit packet exceeds the 4-flit buffers"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
