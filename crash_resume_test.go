@@ -140,3 +140,51 @@ func TestCrashResumeSIGKILL(t *testing.T) {
 		t.Errorf("resumed metrics CSV diverged from the uninterrupted reference (%d vs %d bytes)", len(got), len(ref))
 	}
 }
+
+// TestDeflectCheckpointResumeCLI: a deflection run checkpoints like any
+// other. `nocsim -mode deflect -checkpoint-every 500 -checkpoint-dir D`
+// must finish, and the same command with -resume, restarted from the
+// oldest checkpoint left in D, must print the straight run's report (the
+// engine line, which times the process, aside).
+func TestDeflectCheckpointResumeCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI checkpoint smoke test is not -short")
+	}
+	bin := buildNocsim(t)
+	report := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("nocsim %v: %v\n%s%s", args, err, out, stderr.Bytes())
+		}
+		var kept []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if !strings.HasPrefix(line, "engine") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	args := []string{"-mode", "deflect", "-rate", "0.3"}
+	straight := report(args...)
+	dir := t.TempDir()
+	ckptArgs := append(args, "-checkpoint-every", "500", "-checkpoint-dir", dir)
+	if got := report(ckptArgs...); got != straight {
+		t.Errorf("checkpointing run diverged from the straight run\n--- straight ---\n%s\n--- checkpointing ---\n%s", straight, got)
+	}
+	files := checkpointFiles(t, dir)
+	if len(files) < 2 {
+		t.Fatalf("checkpointing run left %d checkpoints, want at least 2", len(files))
+	}
+	for _, f := range files[1:] {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := report(append(ckptArgs, "-resume")...); got != straight {
+		t.Errorf("resumed run diverged from the straight run\n--- straight ---\n%s\n--- resumed from %s ---\n%s", straight, filepath.Base(files[0]), got)
+	}
+}

@@ -128,29 +128,49 @@ func TestForkedGoldenSweep(t *testing.T) {
 }
 
 // TestReplicatedSweepMatchesRuns checks the sweep wrapper agrees with
-// point-by-point RunReplicated calls.
+// point-by-point RunReplicated calls, and each point's replica 0 with a
+// separate Run, for the VC router and for deflection, whose routers fork
+// like any other since they are a router mode.
 func TestReplicatedSweepMatchesRuns(t *testing.T) {
-	p := replicateParams()
-	rates := []float64{0.1, 0.3}
-	pts, err := core.SweepReplicated(p, rates, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rate := range rates {
-		q := p
-		q.Rate = rate
-		want, err := core.RunReplicated(q, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := forkResultRows(pts[i].Replicas); got != forkResultRows(want) {
-			t.Errorf("rate %.2f: sweep point diverged from direct replication\n--- want ---\n%s--- got ---\n%s",
-				rate, forkResultRows(want), got)
-		}
-		if m := pts[i].Mean(); m.DeliveredPackets != want[0].DeliveredPackets+want[1].DeliveredPackets {
-			t.Errorf("rate %.2f: Mean() delivered %d, want sum %d",
-				rate, m.DeliveredPackets, want[0].DeliveredPackets+want[1].DeliveredPackets)
-		}
+	deflect := replicateParams()
+	deflect.Deflect, deflect.FlitsPerPacket = true, 1
+	for _, tc := range []struct {
+		name string
+		p    core.RunParams
+	}{
+		{"vc", replicateParams()},
+		{"deflect", deflect},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rates := []float64{0.1, 0.3}
+			pts, err := core.SweepReplicated(tc.p, rates, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rate := range rates {
+				q := tc.p
+				q.Rate = rate
+				want, err := core.RunReplicated(q, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := forkResultRows(pts[i].Replicas); got != forkResultRows(want) {
+					t.Errorf("rate %.2f: sweep point diverged from direct replication\n--- want ---\n%s--- got ---\n%s",
+						rate, forkResultRows(want), got)
+				}
+				if m := pts[i].Mean(); m.DeliveredPackets != want[0].DeliveredPackets+want[1].DeliveredPackets {
+					t.Errorf("rate %.2f: Mean() delivered %d, want sum %d",
+						rate, m.DeliveredPackets, want[0].DeliveredPackets+want[1].DeliveredPackets)
+				}
+				straight, err := core.Run(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := forkResultRow(want[0]), forkResultRow(straight); got != want {
+					t.Errorf("rate %.2f: replica 0 diverged from a separate Run\n want %s\n got  %s", rate, want, got)
+				}
+			}
+		})
 	}
 }
 

@@ -248,20 +248,15 @@ func TestRunElasticMode(t *testing.T) {
 // carries the reason: the capability record's, or core's own rule. A
 // replica count past MaxReplicas is refused too.
 func TestRunReplicatedRefusals(t *testing.T) {
-	for _, mod := range []func(*RunParams){
-		func(p *RunParams) { p.Deflect = true },
-		func(p *RunParams) { p.PhysWires = true },
-	} {
-		p := DefaultRunParams()
-		mod(&p)
-		cfg, err := networkConfig(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := network.CapabilitiesOf(cfg).Checkpoint
-		if _, err := RunReplicated(p, 2); want == nil || !errors.Is(err, want) {
-			t.Errorf("RunReplicated err = %v, want one wrapping %v", err, want)
-		}
+	p := DefaultRunParams()
+	p.PhysWires = true
+	cfg, err := networkConfig(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := network.CapabilitiesOf(cfg).Checkpoint
+	if _, err := RunReplicated(p, 2); want == nil || !errors.Is(err, want) {
+		t.Errorf("RunReplicated err = %v, want one wrapping %v", err, want)
 	}
 	for _, tc := range []struct {
 		name, want string

@@ -164,15 +164,22 @@ func (s Spec) Validate() error {
 	case s.SerdesCycles < 0 || s.Watchdog < 0:
 		return fmt.Errorf("core: spec has negative serdes_cycles (%d) or watchdog (%d)", s.SerdesCycles, s.Watchdog)
 	}
-	if err := (&network.Config{Router: s.routerConfig(), Deflect: s.Deflect}).CheckPacketFlits(s.FlitsPerPacket); err != nil {
+	if err := s.CheckPacketFlits(s.FlitsPerPacket); err != nil {
 		return fmt.Errorf("core: spec flits_per_packet=%d: %v", s.FlitsPerPacket, err)
 	}
 	return nil
 }
 
+// CheckPacketFlits reports an error when the spec's flow control cannot
+// carry a packet of nf flits (network.Config.CheckPacketFlits).
+func (s Spec) CheckPacketFlits(nf int) error {
+	return (&network.Config{Router: s.routerConfig()}).CheckPacketFlits(nf)
+}
+
 // routerConfig is the router template the spec builds: the router
 // defaults with the spec's VC count and buffer depth where set, and its
-// flow-control fields.
+// flow-control fields. Deflect selects router.ModeDeflect whatever Mode
+// says.
 func (s Spec) routerConfig() router.Config {
 	rc := router.DefaultConfig(0)
 	if s.NumVCs > 0 {
@@ -182,6 +189,9 @@ func (s Spec) routerConfig() router.Config {
 		rc.BufFlits = s.BufFlits
 	}
 	rc.Mode = s.Mode
+	if s.Deflect {
+		rc.Mode = router.ModeDeflect
+	}
 	rc.NonSpeculative = s.NonSpeculative
 	rc.CutThrough = s.CutThrough
 	return rc
@@ -380,7 +390,6 @@ func networkConfig(p RunParams) (network.Config, error) {
 		Router:       p.routerConfig(),
 		Shards:       p.Shards,
 		SerdesCycles: p.SerdesCycles,
-		Deflect:      p.Deflect,
 		ElasticLinks: p.ElasticLinks,
 		Adaptive:     p.Adaptive,
 		Warmup:       p.WarmupCycles,
@@ -449,9 +458,7 @@ func collectResult(n *network.Network, p RunParams, topo topology.Topology) RunR
 		DeliveredPackets: rec.DeliveredPackets,
 	}
 	for tile := 0; tile < topo.NumTiles(); tile++ {
-		if r := n.Router(tile); r != nil {
-			res.DroppedPackets += r.Stats.DroppedPackets
-		}
+		res.DroppedPackets += n.Router(tile).Stats.DroppedPackets
 	}
 	res.HopEnergyJ, res.WireEnergyJ = PaperPowerModel().ActivityEnergy(n.Activity())
 	if rec.DeliveredFlits > 0 {

@@ -270,13 +270,10 @@ func min(a, b int) int {
 }
 
 // NumFlits reports how many flits the packet segments into.
-func (p *Packet) NumFlits() int {
-	n := (len(p.Payload) + DataBytes - 1) / DataBytes
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
+func (p *Packet) NumFlits() int { return FlitsFor(len(p.Payload)) }
+
+// FlitsFor reports how many flits carry an n-byte payload (at least one).
+func FlitsFor(n int) int { return max(1, (n+DataBytes-1)/DataBytes) }
 
 // Reassemble concatenates the payloads of a packet's flits, in sequence
 // order. It returns an error if the flits disagree on packet identity or a

@@ -289,3 +289,6 @@ func (l *Link) InFlight() int {
 	}
 	return 0
 }
+
+// Wire returns the flit in the link's flit register, or nil.
+func (l *Link) Wire() *flit.Flit { return l.wire }

@@ -15,39 +15,20 @@ type Capabilities struct {
 
 // The reasons a configuration withdraws capabilities, one per feature.
 var (
-	errDeflect = errors.New("network: deflection routers are a separate router type whose state checkpoints do not cover")
 	errPhys    = errors.New("network: the physical wire layer draws the shared kernel RNG in link order, and its hard faults, steering and transient probability are outside link state")
 	errTracing = errors.New("network: lifecycle tracing logs events in one global order")
 )
 
-// Capability bits, in Capabilities field order.
-const (
-	capSharding = 1 << iota
-	capCheckpoint
-)
-
-// CapabilitiesOf derives the capability record for cfg. Each rule names a
-// feature, its reason, and the capabilities it withdraws; when several
-// rules withdraw one capability, the first rule's reason is reported.
+// CapabilitiesOf derives the capability record for cfg, one rule per
+// feature that withdraws some; when both rules withdraw sharding, the
+// physical wire layer's reason is reported.
 func CapabilitiesOf(cfg Config) Capabilities {
-	tracing := cfg.Probe != nil && cfg.Probe.Tracer() != nil
-	rules := [...]struct {
-		on     bool
-		reason error
-		caps   int
-	}{
-		{cfg.Deflect, errDeflect, capCheckpoint},
-		{cfg.PhysWires, errPhys, capSharding | capCheckpoint},
-		{tracing, errTracing, capSharding},
-	}
 	var c Capabilities
-	fields := [...]*error{&c.Sharding, &c.Checkpoint}
-	for _, r := range rules {
-		for i, f := range fields {
-			if r.on && r.caps&(1<<i) != 0 && *f == nil {
-				*f = r.reason
-			}
-		}
+	if cfg.PhysWires {
+		c.Sharding, c.Checkpoint = errPhys, errPhys
+	}
+	if c.Sharding == nil && cfg.Probe != nil && cfg.Probe.Tracer() != nil {
+		c.Sharding = errTracing
 	}
 	return c
 }

@@ -27,7 +27,7 @@ func TestCapabilities(t *testing.T) {
 		{"adaptive-mesh", false, func(c *Config) { c.Adaptive = true }, Capabilities{}},
 		{"elastic-mesh", false, func(c *Config) { c.ElasticLinks = true }, Capabilities{}},
 		{"watchdog", true, func(c *Config) { c.Watchdog = 40 }, Capabilities{}},
-		{"deflect", true, func(c *Config) { c.Deflect = true }, Capabilities{Checkpoint: errDeflect}},
+		{"deflect", true, func(c *Config) { c.Router.Mode = router.ModeDeflect }, Capabilities{}},
 		{"phys-wires", true, func(c *Config) { c.PhysWires = true },
 			Capabilities{Sharding: errPhys, Checkpoint: errPhys}},
 		{"probe-counters", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{}) }, Capabilities{}},

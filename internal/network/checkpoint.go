@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/flit"
+	"repro/internal/router"
 	"repro/internal/stats"
 )
 
@@ -251,6 +252,9 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 		}
 		for _, le := range n.links {
 			le.l.RestoreState(d, &n.shards[n.shardOf[le.to]].pool, n.cfg.Router.NumVCs)
+			if msg := n.refuses(le.l.Wire()); msg != "" {
+				d.Fail("link %d-%v: %s", le.from, le.dir, msg)
+			}
 			if d.Err() != nil {
 				return
 			}
@@ -338,6 +342,16 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 	return nil
 }
 
+// refuses describes why this network's routers would panic on flit f,
+// restored on a wire or in an injection queue, or returns "" (also for
+// nil): drop and deflection routers take single-flit packets only.
+func (n *Network) refuses(f *flit.Flit) string {
+	if f == nil || n.cfg.Router.Mode == router.ModeVC || f.Type == flit.HeadTail {
+		return ""
+	}
+	return fmt.Sprintf("packet %d's %v flit under single-flit flow control", f.PacketID, f.Type)
+}
+
 // --- port state -------------------------------------------------------------
 
 func (p *Port) saveInjection(e *checkpoint.Encoder, in *injection) {
@@ -359,6 +373,12 @@ func (p *Port) restoreInjection(d *checkpoint.Decoder) *injection {
 	in.inject = d.I64()
 	if in.next < 0 || in.next > len(in.flits) {
 		d.Fail("injection cursor %d out of range [0, %d]", in.next, len(in.flits))
+	}
+	for _, f := range in.flits {
+		if msg := p.net.refuses(f); msg != "" {
+			d.Fail("tile %d: queued %s", p.tile, msg)
+			break
+		}
 	}
 	if d.Err() != nil {
 		p.putInjection(in)

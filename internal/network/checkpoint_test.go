@@ -62,21 +62,21 @@ func (c *ckptClient) RestoreState(d *checkpoint.Decoder) {
 }
 
 func buildCkptNet(t *testing.T, shards, watchdog int) *Network {
-	return buildProbedCkptNet(t, shards, watchdog, nil)
+	return buildCkptNetWith(t, func(c *Config) { c.Shards, c.Watchdog = shards, watchdog })
 }
 
-// buildProbedCkptNet is buildCkptNet with a telemetry probe attached.
-func buildProbedCkptNet(t *testing.T, shards, watchdog int, probe *telemetry.Probe) *Network {
+// buildCkptNetWith builds the checkpoint test network, a 4x4 folded torus
+// of default routers with a ckptClient on every tile, with mod applied to
+// its configuration.
+func buildCkptNetWith(t *testing.T, mod func(*Config)) *Network {
 	t.Helper()
 	topo, err := topology.NewFoldedTorus(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := router.DefaultConfig(0)
-	n, err := New(Config{
-		Topo: topo, Router: rc, Seed: 42, Warmup: 50,
-		Shards: shards, Watchdog: watchdog, Probe: probe,
-	})
+	cfg := Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 42, Warmup: 50}
+	mod(&cfg)
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,27 @@ func buildProbedCkptNet(t *testing.T, shards, watchdog int, probe *telemetry.Pro
 // TestForkMatchesStraightRun snapshots a run at cycle w, forks the image
 // into a freshly built network, and requires the fork's snapshot after
 // w+m cycles to match the straight run's byte for byte, at shards 1 and
-// 2. A Fork that skipped its restore would start the fork from cycle 0.
-// Both runs carry a series probe, whose metrics CSV (counters, series and
-// per-link duty factors over the probe's horizon) must match too.
+// 2, on the VC torus and on a deflection mesh. A Fork that skipped its
+// restore would start the fork from cycle 0. Both runs carry a series
+// probe, whose metrics CSV (counters, series and per-link duty factors
+// over the probe's horizon) must match too.
 func TestForkMatchesStraightRun(t *testing.T) {
+	forkMatchesStraightRun(t, nil)
+	t.Run("deflect-mesh", func(t *testing.T) {
+		mesh, err := topology.NewMesh(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forkMatchesStraightRun(t, func(c *Config) {
+			c.Topo = mesh
+			c.Router.Mode = router.ModeDeflect
+		})
+	})
+}
+
+// forkMatchesStraightRun is TestForkMatchesStraightRun's check at shards
+// 1 and 2, on the checkpoint test network with mod (if any) applied.
+func forkMatchesStraightRun(t *testing.T, mod func(*Config)) {
 	const hash, w, m = 99, 250, 350
 	metrics := func(t *testing.T, p *telemetry.Probe) string {
 		t.Helper()
@@ -104,8 +121,16 @@ func TestForkMatchesStraightRun(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			build := func(probe *telemetry.Probe) *Network {
+				return buildCkptNetWith(t, func(c *Config) {
+					c.Shards, c.Probe = shards, probe
+					if mod != nil {
+						mod(c)
+					}
+				})
+			}
 			refProbe := telemetry.New(telemetry.Config{SampleEvery: 25})
-			ref := buildProbedCkptNet(t, shards, 0, refProbe)
+			ref := build(refProbe)
 			ref.Run(w)
 			img, err := ref.Snapshot(hash)
 			if err != nil {
@@ -117,7 +142,7 @@ func TestForkMatchesStraightRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			forkProbe := telemetry.New(telemetry.Config{SampleEvery: 25})
-			fork := buildProbedCkptNet(t, shards, 0, forkProbe)
+			fork := build(forkProbe)
 			if err := fork.Fork(img, hash); err != nil {
 				t.Fatal(err)
 			}
@@ -280,6 +305,58 @@ func TestCheckpointRejectsBadLinkCreditVC(t *testing.T) {
 	err = buildCkptNet(t, 1, 0).RestoreCheckpoint(f)
 	if err == nil || !strings.Contains(err.Error(), "queued credit names VC 9, outside [0, 8)") {
 		t.Fatalf("restore of a credit for VC 9: err = %v", err)
+	}
+}
+
+// TestDeflectRestoreRefusesVCImage: a VC-router image carrying 2-flit
+// packets, restored into a deflection network of the same shape, fails
+// with an error naming where the packets sit, instead of panicking on the
+// next Run, wherever they sit: routed in loaded routers, queued for
+// injection before any has entered the network, or on a wire.
+func TestDeflectRestoreRefusesVCImage(t *testing.T) {
+	send2 := func(n *Network) {
+		for src := 0; src < 16; src++ {
+			for _, dst := range []int{(src + 5) % 16, (src + 10) % 16} {
+				if _, err := n.Port(src).Send(dst, make([]byte, 2*flit.DataBytes), flit.VCMask(0xFF), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		image func(n *Network)
+		want  string
+	}{
+		{"loaded-routers", func(n *Network) {
+			n.Run(100)
+			send2(n)
+			n.Run(6)
+		}, "deflection routes nothing"},
+		{"queued", send2, "tile 0: queued packet 1's head flit under single-flit flow control"},
+		{"on-a-wire", func(n *Network) {
+			le := n.links[3]
+			if err := le.l.Send(&flit.Flit{Type: flit.Head, PacketID: 7, Src: le.from, Dst: le.to, TotalFlits: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}, "packet 7's head flit under single-flit flow control"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := buildCkptNet(t, 1, 0)
+			tc.image(n)
+			snap, err := n.Snapshot(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := checkpoint.Parse(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deflect := buildCkptNetWith(t, func(c *Config) { c.Router.Mode = router.ModeDeflect })
+			if err := deflect.RestoreCheckpoint(f); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore into a deflection network: err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -224,11 +224,10 @@ func TestWatchdogConfigValidation(t *testing.T) {
 	if _, err := New(Config{Topo: torus4(t), Router: rc, Watchdog: -1}); err == nil {
 		t.Fatal("negative watchdog accepted")
 	}
-	if _, err := New(Config{Topo: torus4(t), Router: rc, Watchdog: 8, Deflect: true}); err == nil {
-		t.Fatal("watchdog with deflection accepted")
-	}
-	rc.Mode = router.ModeDrop
-	if _, err := New(Config{Topo: torus4(t), Router: rc, Watchdog: 8}); err == nil {
-		t.Fatal("watchdog with drop mode accepted")
+	for _, mode := range []router.Mode{router.ModeDrop, router.ModeDeflect} {
+		rc.Mode = mode
+		if _, err := New(Config{Topo: torus4(t), Router: rc, Watchdog: 8}); err == nil {
+			t.Fatalf("watchdog with router mode %d accepted", mode)
+		}
 	}
 }

@@ -31,9 +31,6 @@ type Config struct {
 	TransientProb float64
 	ECC           bool
 
-	// Deflect replaces the VC routers with the §3.2 misrouting routers.
-	Deflect bool
-
 	// ElasticLinks replaces credit flow control with the §3.3/ref-[4]
 	// elastic channels (buffering in the repeaters, locally closed flow
 	// control). Mesh only: an elastic channel serializes its VCs, which
@@ -93,7 +90,7 @@ type Config struct {
 // one VC buffer.
 func (cfg *Config) CheckPacketFlits(nf int) error {
 	rc := &cfg.Router
-	if nf > 1 && (cfg.Deflect || rc.Mode != router.ModeVC) {
+	if nf > 1 && rc.Mode != router.ModeVC {
 		return fmt.Errorf("network: multi-flit packet in single-flit flow-control mode")
 	}
 	if rc.CutThrough && nf > rc.BufFlits {
@@ -125,7 +122,6 @@ type Network struct {
 	// link.NewAll, one []Port), built by New. They stay pointer slices so
 	// r := n.routers[t] names the router instead of copying it.
 	routers []*router.Router
-	defls   []*router.DeflectRouter
 	links   []linkEntry
 	ports   []*Port
 	clients []Client
@@ -234,15 +230,13 @@ func New(cfg Config) (*Network, error) {
 	if cfg.SerdesCycles < 1 {
 		cfg.SerdesCycles = 1
 	}
-	if cfg.Deflect && cfg.SerdesCycles != 1 {
+	deflect := cfg.Router.Mode == router.ModeDeflect
+	if deflect && cfg.SerdesCycles != 1 {
 		return nil, fmt.Errorf("network: deflection routing requires full-width links (serdes=1)")
 	}
 	if cfg.ElasticLinks {
 		if cfg.Topo.Wrap() {
 			return nil, fmt.Errorf("network: elastic links serialize VCs and would deadlock torus rings; use a mesh")
-		}
-		if cfg.Deflect {
-			return nil, fmt.Errorf("network: elastic links apply to the VC router only")
 		}
 		cfg.Router.ElasticLinks = true
 	}
@@ -250,16 +244,13 @@ func New(cfg Config) (*Network, error) {
 		if cfg.Topo.Wrap() {
 			return nil, fmt.Errorf("network: west-first adaptive routing is deadlock-free on meshes only")
 		}
-		if cfg.Deflect {
-			return nil, fmt.Errorf("network: adaptive routing applies to the VC router only")
-		}
 		cfg.Router.Adaptive = true
 	}
 	if cfg.Watchdog < 0 {
 		return nil, fmt.Errorf("network: negative watchdog threshold %d", cfg.Watchdog)
 	}
 	if cfg.Watchdog > 0 {
-		if cfg.Deflect || cfg.ElasticLinks || cfg.Adaptive || cfg.Router.Mode != router.ModeVC {
+		if cfg.ElasticLinks || cfg.Adaptive || cfg.Router.Mode != router.ModeVC {
 			return nil, fmt.Errorf("network: credit watchdogs require the credit-based VC router (no deflect/elastic/adaptive/drop)")
 		}
 	}
@@ -294,35 +285,30 @@ func New(cfg Config) (*Network, error) {
 	// Tori deadlock under dimension-ordered routing without dateline VC
 	// classes; enable them whenever wraparound channels exist. (Dropping
 	// and deflection flow control never block, so they need no classes.)
-	if cfg.Topo.Wrap() && !cfg.Deflect && cfg.Router.Mode == router.ModeVC {
+	if cfg.Topo.Wrap() && cfg.Router.Mode == router.ModeVC {
 		n.cfg.Router.DatelineVCs = true
+	}
+	rc := n.cfg.Router
+	rc.ID = 0
+	rs, err := router.NewAll(rc, tiles)
+	if err != nil {
+		return nil, err
 	}
 	// The route functions below are method values taken once: evaluating
 	// one per tile would allocate a closure per tile.
-	if cfg.Deflect {
-		pref := n.preferredDir
-		n.defls = make([]*router.DeflectRouter, tiles)
-		for tile := range n.defls {
-			n.defls[tile] = router.NewDeflect(tile, pref)
-		}
-	} else {
-		rc := n.cfg.Router
-		rc.ID = 0
-		rs, err := router.NewAll(rc, tiles)
-		if err != nil {
-			return nil, err
-		}
-		var adaptive func(tile, dst int) []route.Dir
-		if rc.Adaptive {
-			adaptive = n.westFirstCandidates
-		}
-		n.routers = make([]*router.Router, tiles)
-		for tile := range rs {
-			if adaptive != nil {
-				rs[tile].SetAdaptiveRoute(adaptive)
-			}
-			n.routers[tile] = &rs[tile]
-		}
+	var adaptive func(tile, dst int) []route.Dir
+	if rc.Adaptive {
+		adaptive = n.westFirstCandidates
+	}
+	var step func(tile, dst int) route.Dir
+	if deflect {
+		step = n.dimensionOrderStep
+	}
+	n.routers = make([]*router.Router, tiles)
+	for tile := range rs {
+		rs[tile].SetAdaptiveRoute(adaptive)
+		rs[tile].SetDeflectRoute(step)
+		n.routers[tile] = &rs[tile]
 	}
 	adjacency := cfg.Adjacency
 	if adjacency == nil {
@@ -342,14 +328,10 @@ func New(cfg Config) (*Network, error) {
 			l.Phys.ECC = cfg.ECC
 		}
 		n.links[i] = linkEntry{l: l, from: tl.From, to: tl.To, dir: tl.Dir}
-		if cfg.Deflect {
-			n.defls[tl.From].SetOutLink(tl.Dir, l)
-		} else {
-			n.routers[tl.From].SetOutLink(tl.Dir, l, n.cfg.Router.BufFlits)
-			n.routers[tl.To].SetInLink(tl.Dir.Opposite(), l)
-			if n.cfg.Router.DatelineVCs && isDateline(cfg.Topo, tl) {
-				n.routers[tl.From].SetDateline(tl.Dir, true)
-			}
+		n.routers[tl.From].SetOutLink(tl.Dir, l, n.cfg.Router.BufFlits)
+		n.routers[tl.To].SetInLink(tl.Dir.Opposite(), l)
+		if n.cfg.Router.DatelineVCs && isDateline(cfg.Topo, tl) {
+			n.routers[tl.From].SetDateline(tl.Dir, true)
 		}
 	}
 	n.initShards()
@@ -375,13 +357,9 @@ func New(cfg Config) (*Network, error) {
 		le.l.SetPool(&n.shards[n.shardOf[le.to]].pool)
 	}
 	if n.probe != nil {
-		// Every tile gets a probe (the port-level counters apply in all
-		// modes); the router-phase hooks exist on the VC router only.
-		for tile := 0; tile < tiles; tile++ {
-			rp := n.probe.RegisterRouter(tile, n.cfg.Router.NumVCs)
-			if !cfg.Deflect {
-				n.routers[tile].SetProbe(rp)
-			}
+		// Every tile's router and port share one probe.
+		for tile, r := range n.routers {
+			r.SetProbe(n.probe.RegisterRouter(tile, n.cfg.Router.NumVCs))
 		}
 		for i, le := range n.links {
 			px, py := cfg.Topo.PhysPos(le.from)
@@ -448,18 +426,10 @@ var westFirstSets = [3][3][]route.Dir{
 	{{route.East, route.South}, {route.East}, {route.East, route.North}},
 }
 
-// preferredDir is the per-cycle dimension-order preference used by
+// dimensionOrderStep is the per-cycle dimension-order preference of
 // deflection routers.
-func (n *Network) preferredDir(tile, dst int) route.Dir {
-	if tile == dst {
-		return route.Local
-	}
-	kx, _ := n.topo.Radix()
-	path := route.DimensionOrder(n.topo, tile%kx, tile/kx, dst%kx, dst/kx)
-	if len(path) == 0 {
-		return route.Local
-	}
-	return path[0]
+func (n *Network) dimensionOrderStep(tile, dst int) route.Dir {
+	return route.FirstStep(n.topo, tile, dst)
 }
 
 // registerPhases wires the cycle schedule described in DESIGN.md —
@@ -532,13 +502,8 @@ func (n *Network) AttachClient(tile int, c Client) {
 // Port returns the tile's network port.
 func (n *Network) Port(tile int) *Port { return n.ports[tile] }
 
-// Router returns the tile's VC router (nil in deflection mode).
-func (n *Network) Router(tile int) *router.Router {
-	if n.cfg.Deflect {
-		return nil
-	}
-	return n.routers[tile]
-}
+// Router returns the tile's router.
+func (n *Network) Router(tile int) *router.Router { return n.routers[tile] }
 
 // Kernel exposes the simulation kernel.
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
@@ -559,20 +524,16 @@ func (n *Network) SerdesCycles() int { return n.cfg.SerdesCycles }
 func (n *Network) Run(cycles int64) { n.kernel.Run(cycles) }
 
 // Occupancy reports flits buffered anywhere in the network (routers and
-// links) in O(active components): every VC router holding a flit is on
-// its shard's worklist (acceptance activates, the route sweep only drops
+// links) in O(active components): every router holding a flit is on its
+// shard's worklist (acceptance activates, the route sweep only drops
 // empty routers), and every link with a flit in flight is on its link
 // worklist (sends activate, the delivery sweep only drops idle links).
-// Deflection routers keep no worklist and are summed in full.
 func (n *Network) Occupancy() int {
 	total := 0
 	for _, s := range n.shards {
 		for _, t := range s.active {
 			total += n.routers[t].Occupancy()
 		}
-	}
-	for _, d := range n.defls {
-		total += d.Occupancy()
 	}
 	return total + n.LinksInFlight()
 }
@@ -623,9 +584,6 @@ func ReservationSlot(phase, hop int) int { return phase + 2 + 2*hop }
 // cycles after the client drives the flit, and each hop adds the one-cycle
 // switch plus one-cycle wire pipeline.
 func (n *Network) ReserveFlow(src, dst, flow, phase int) (hops int, err error) {
-	if n.cfg.Deflect {
-		return 0, fmt.Errorf("network: reservations require the VC router")
-	}
 	if n.cfg.Router.Adaptive {
 		// The slots below assume the dimension-ordered path; an adaptive
 		// router may take another, leaving reserved flits waiting on links
@@ -699,9 +657,6 @@ func (n *Network) MaxLinkUtilization() float64 {
 func (n *Network) Activity() (hops int64, bitPitches float64) {
 	for _, r := range n.routers {
 		hops += r.Stats.SwitchMoves + r.Stats.BypassMoves
-	}
-	for _, d := range n.defls {
-		hops += d.Stats.Moves
 	}
 	for _, le := range n.links {
 		bitPitches += float64(le.l.ActiveBits) * le.l.LengthPitches

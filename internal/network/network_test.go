@@ -355,8 +355,15 @@ func TestDropModeDropsUnderOverload(t *testing.T) {
 	}
 }
 
+// deflectRouter is the default router template in deflection mode.
+func deflectRouter() router.Config {
+	rc := router.DefaultConfig(0)
+	rc.Mode = router.ModeDeflect
+	return rc
+}
+
 func TestDeflectModeDeliversEverything(t *testing.T) {
-	n := build(t, Config{Topo: mesh4(t), Deflect: true, Seed: 9})
+	n := build(t, Config{Topo: mesh4(t), Router: deflectRouter(), Seed: 9})
 	topo := n.Topology()
 	delivered := 0
 	for tile := 0; tile < topo.NumTiles(); tile++ {
@@ -386,7 +393,7 @@ func TestDeflectModeDeliversEverything(t *testing.T) {
 }
 
 func TestDeflectRejectsMultiFlit(t *testing.T) {
-	n := build(t, Config{Topo: mesh4(t), Deflect: true, Seed: 10})
+	n := build(t, Config{Topo: mesh4(t), Router: deflectRouter(), Seed: 10})
 	if _, err := n.Port(0).Send(1, make([]byte, 100), flit.MaskFor(0), 0); err == nil {
 		t.Fatal("multi-flit packet accepted in deflection mode")
 	}
@@ -406,7 +413,7 @@ func TestRefusedPacketsNotGenerated(t *testing.T) {
 		cfg  Config
 	}{
 		{"drop", Config{Topo: mesh4(t), Router: drop}},
-		{"deflect", Config{Topo: mesh4(t), Deflect: true}},
+		{"deflect", Config{Topo: mesh4(t), Router: deflectRouter()}},
 		{"vct", Config{Topo: mesh4(t), Router: vct}},
 	} {
 		fresh, err := build(t, c.cfg).Port(0).Send(1, []byte{1}, flit.MaskFor(0), 0)
@@ -719,30 +726,41 @@ func TestAdaptiveMeshFewVCs(t *testing.T) {
 
 // TestNewAllocationsFixed pins slab construction: routers, VC buffers,
 // links and ports each come from a fixed number of allocations, so
-// building a 32x32 die costs exactly as many as an 8x8 one. Adjacency and
-// route table are shared, as sweeps and warm-fork replicas share them.
+// building a 32x32 die costs exactly as many as an 8x8 one, for the VC
+// router and in deflection mode. Adjacency and route table are shared, as
+// sweeps and warm-fork replicas share them.
 func TestNewAllocationsFixed(t *testing.T) {
-	allocs := func(k int) float64 {
-		topo, err := topology.NewFoldedTorus(k, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{
-			Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1,
-			Adjacency:  topology.Links(topo),
-			RouteTable: route.BuildTable(topo, topo.NumTiles()),
-		}
-		return testing.AllocsPerRun(3, func() {
-			if _, err := New(cfg); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		rc   router.Config
+	}{
+		{"vc", router.DefaultConfig(0)},
+		{"deflect", deflectRouter()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(k int) float64 {
+				topo, err := topology.NewFoldedTorus(k, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{
+					Topo: topo, Router: tc.rc, Seed: 1, Shards: 1,
+					Adjacency:  topology.Links(topo),
+					RouteTable: route.BuildTable(topo, topo.NumTiles()),
+				}
+				return testing.AllocsPerRun(3, func() {
+					if _, err := New(cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
+			small, large := allocs(8), allocs(32)
+			if small != large {
+				t.Fatalf("network.New allocates %.0f times at 8x8 but %.0f at 32x32; want the same count at every die size", small, large)
+			}
+			t.Logf("network.New: %.0f allocations at 8x8 and at 32x32", small)
 		})
 	}
-	small, large := allocs(8), allocs(32)
-	if small != large {
-		t.Fatalf("network.New allocates %.0f times at 8x8 but %.0f at 32x32; want the same count at every die size", small, large)
-	}
-	t.Logf("network.New: %.0f allocations at 8x8 and at 32x32", small)
 }
 
 func TestAdaptiveRejectedOnTorus(t *testing.T) {

@@ -11,8 +11,7 @@ import (
 // at least minAge cycles (plus fault-wedged VCs regardless of age), in
 // the health monitor's Sample shape. Routers holding no flits are skipped
 // via the O(1) occupancy count, so a quiescent network costs one integer
-// compare per tile. Deflection networks have no VC buffers and report
-// nothing.
+// compare per tile.
 func (n *Network) AppendWaitingVCs(now, minAge int64, out []health.VCWait) []health.VCWait {
 	var scratch []router.WaitingVC
 	for _, r := range n.routers {

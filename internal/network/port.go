@@ -115,9 +115,6 @@ func (p *Port) Tile() int { return p.tile }
 // canInject reports whether the tile's router can take a flit on the
 // given virtual channel this cycle: the per-VC ready signal of §2.1.
 func (p *Port) canInject(vc int) bool {
-	if p.net.cfg.Deflect {
-		return p.net.defls[p.tile].CanInject()
-	}
 	return p.net.routers[p.tile].CanInject(vc)
 }
 
@@ -545,9 +542,6 @@ func (p *Port) pump(now int64) {
 func (p *Port) freeVCs(mask flit.VCMask, first bool) flit.VCMask {
 	rc := p.net.cfg.Router
 	numVCs := rc.NumVCs
-	if numVCs <= 0 || numVCs > flit.NumVCs {
-		numVCs = flit.NumVCs
-	}
 	reserved := func(v int) bool {
 		if rc.ReservedVC < 0 {
 			return false

@@ -32,10 +32,9 @@ import (
 // — the expensive halves of the old clients phase, packet reassembly
 // (eject) and injection arbitration (pump), do shard.
 //
-// Every phase body walks worklists in every configuration; deflection
-// routers keep none and are walked by tile range in linkarb and eject.
-// Worklist order is not tile order, so ejectMerge sorts what a packet
-// observer sees and deliverShard sorts the wire layer's RNG draws.
+// Every phase body walks worklists in every configuration. Worklist order
+// is not tile order, so ejectMerge sorts what a packet observer sees and
+// deliverShard sorts the wire layer's RNG draws.
 //
 // Every flit-recycling component (router, link, port) draws from its
 // shard's own flit.Pool; Put fully zeroes a flit, so which pool a flit
@@ -67,8 +66,7 @@ type doneRec struct {
 // buffers. All fields except the merge-drained buffers are touched only
 // by the owning shard's worker (or single-threaded between barriers).
 type shardState struct {
-	id     int
-	lo, hi int // owned tile range [lo, hi)
+	id int
 
 	// active is the shard's router worklist: tiles whose router holds at
 	// least one flit. Routers join on flit acceptance and leave at the
@@ -125,11 +123,10 @@ func (n *Network) initShards() {
 	n.onList = make([]bool, tiles)
 	n.shards = make([]*shardState, count)
 	for s := 0; s < count; s++ {
-		sh := &shardState{id: s, lo: tiles * s / count, hi: tiles * (s + 1) / count}
-		for t := sh.lo; t < sh.hi; t++ {
+		for t := tiles * s / count; t < tiles*(s+1)/count; t++ {
 			n.shardOf[t] = s
 		}
-		n.shards[s] = sh
+		n.shards[s] = &shardState{id: s}
 	}
 }
 
@@ -173,13 +170,8 @@ func (n *Network) activate(tile int) {
 	s.active = append(s.active, tile)
 }
 
-// acceptAt hands a flit to a tile's router and keeps the worklist current
-// (deflection routers keep none).
+// acceptAt hands a flit to a tile's router and keeps the worklist current.
 func (n *Network) acceptAt(tile int, f *flit.Flit, from route.Dir) {
-	if n.defls != nil {
-		n.defls[tile].AcceptFlit(f, from)
-		return
-	}
 	n.routers[tile].AcceptFlit(f, from)
 	n.activate(tile)
 }
@@ -279,9 +271,8 @@ func (n *Network) routeShard(now sim.Cycle, si int) {
 	s.active = keep
 }
 
-// linkarbShard runs link arbitration over the shard's worklist, then the
-// deflection routers' arbitration over its tiles (nothing else touches a
-// deflection router between delivery and ejection). A link's sender is the
+// linkarbShard runs link arbitration over the shard's worklist (for a
+// deflection router, its whole hot-potato match). A link's sender is the
 // only component touching it during this phase, so sending on a link owned
 // by another shard (the receiver's) is race-free.
 func (n *Network) linkarbShard(now sim.Cycle, si int) {
@@ -293,13 +284,6 @@ func (n *Network) linkarbShard(now sim.Cycle, si int) {
 		}
 		r.LinkArbitrate(now)
 		n.wakeSent(s, tile, r.SentOutputs())
-	}
-	if n.defls != nil {
-		for tile := s.lo; tile < s.hi; tile++ {
-			d := n.defls[tile]
-			d.Arbitrate(now)
-			n.wakeSent(s, tile, d.SentOutputs())
-		}
 	}
 }
 
@@ -361,21 +345,13 @@ func (n *Network) wakeCredited(tile int, m uint32) {
 // ejectShard delivers ejected flits to the shard's ports: reassembly,
 // abort handling, and matured loopbacks, with recorder updates deferred
 // to ejectMerge. Only routers on the worklist can hold eject-queue flits
-// (the queue counts toward occupancy), deflection routers are walked by
-// tile range, and loopbacks keep their own worklist. A port still sees
-// its ejected flits before its loopbacks.
+// (the queue counts toward occupancy), and loopbacks keep their own
+// worklist. A port still sees its ejected flits before its loopbacks.
 func (n *Network) ejectShard(now sim.Cycle, si int) {
 	s := n.shards[si]
 	for _, tile := range s.active {
 		if ejected := n.routers[tile].Eject(); len(ejected) > 0 {
 			n.ports[tile].receive(ejected, now)
-		}
-	}
-	if n.defls != nil {
-		for tile := s.lo; tile < s.hi; tile++ {
-			if ejected := n.defls[tile].Eject(); len(ejected) > 0 {
-				n.ports[tile].receive(ejected, now)
-			}
 		}
 	}
 	keep := s.loopList[:0]

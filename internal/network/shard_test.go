@@ -147,7 +147,7 @@ func TestShardedNetworkMatchesSequential(t *testing.T) {
 		{
 			name: "deflect",
 			build: func(t *testing.T, s int) *Network {
-				return buildShardNet(t, s, true, func(c *Config) { c.Deflect = true })
+				return buildShardNet(t, s, true, func(c *Config) { c.Router.Mode = router.ModeDeflect })
 			},
 			maxFlit: 1,
 		},

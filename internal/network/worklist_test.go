@@ -97,7 +97,7 @@ func TestWorklistCoverage(t *testing.T) {
 		{"cut-through", true, func(c *Config) { c.Router.CutThrough = true }, 3, "", true},
 		{"adaptive-mesh", false, func(c *Config) { c.Adaptive = true }, 3, "", true},
 		{"elastic-mesh", false, func(c *Config) { c.ElasticLinks = true }, 3, "", true},
-		{"deflect", true, func(c *Config) { c.Deflect = true }, 1, "", true},
+		{"deflect", true, func(c *Config) { c.Router.Mode = router.ModeDeflect }, 1, "", true},
 		{"phys-transients", true, func(c *Config) { c.PhysWires, c.TransientProb = true, 0.05 }, 3, "", false},
 		{"watchdog-kills", true, func(c *Config) { c.Watchdog = 40 }, 3,
 			"kill,link=0,at=100;kill,link=21,at=150;kill,link=42,at=200", true},

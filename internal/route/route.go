@@ -387,6 +387,31 @@ func DimensionOrder(g Geometry, sx, sy, dx, dy int) []Dir {
 	return path
 }
 
+// FirstStep reports the first direction of the dimension-ordered path
+// between two tiles, Local when they are the same tile: DimensionOrder's
+// first step, with its torus tie rule, without building the path.
+func FirstStep(g Geometry, src, dst int) Dir {
+	switch dirX, nx, dirY, ny := tileSteps(g, src, dst); {
+	case nx > 0:
+		return dirX
+	case ny > 0:
+		return dirY
+	}
+	return Local
+}
+
+// tileSteps reduces a tile pair (id = y*kx + x) to the direction and hop
+// count of each dimension of its dimension-ordered path (dimSteps).
+func tileSteps(g Geometry, src, dst int) (dirX Dir, nx int, dirY Dir, ny int) {
+	kx, ky := g.Radix()
+	sx, sy := src%kx, src/kx
+	dx, dy := dst%kx, dst/kx
+	tieNeg, wrap := (sx+sy+dx+dy)%2 != 0, g.Wrap()
+	dirX, nx = dimSteps(dx-sx, kx, East, West, wrap, tieNeg)
+	dirY, ny = dimSteps(dy-sy, ky, North, South, wrap, tieNeg)
+	return dirX, nx, dirY, ny
+}
+
 // dimSteps reduces one dimension's coordinate delta to a direction and a
 // hop count, applying the same torus normalization and parity tie-break as
 // DimensionOrder: delta lands in (-k/2, k/2], and an exact half-ring tie on
@@ -425,16 +450,10 @@ func dimSteps(delta, k int, pos, neg Dir, wrap, tieNeg bool) (Dir, int) {
 // Compute(g, s, d) equals Encode(DimensionOrder(g, ...)) for every pair;
 // the route tests pin that equivalence.
 func Compute(g Geometry, src, dst int) (Word, error) {
-	kx, ky := g.Radix()
 	if src == dst {
 		return Word{}, fmt.Errorf("route: src == dst (%d); loopback is handled at the port", src)
 	}
-	sx, sy := src%kx, src/kx
-	dx, dy := dst%kx, dst/kx
-	tieNeg := (sx+sy+dx+dy)%2 != 0
-	wrap := g.Wrap()
-	dirX, nx := dimSteps(dx-sx, kx, East, West, wrap, tieNeg)
-	dirY, ny := dimSteps(dy-sy, ky, North, South, wrap, tieNeg)
+	dirX, nx, dirY, ny := tileSteps(g, src, dst)
 	if nx+ny == 0 {
 		return Word{}, fmt.Errorf("route: empty path (loopback is handled at the port)")
 	}

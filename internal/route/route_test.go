@@ -371,6 +371,27 @@ func TestComputeMatchesEncodedDimensionOrder(t *testing.T) {
 	}
 }
 
+// TestFirstStepMatchesDimensionOrder: FirstStep is the first element of
+// DimensionOrder's path (Local for a tile to itself) for every tile pair
+// of a 4×4 and a 5×5 mesh and torus, so the even torus's half-ring
+// parity tie-break is covered.
+func TestFirstStepMatchesDimensionOrder(t *testing.T) {
+	for _, g := range []fakeGeom{{4, 4, false}, {4, 4, true}, {5, 5, false}, {5, 5, true}} {
+		tiles := g.kx * g.ky
+		for src := 0; src < tiles; src++ {
+			for dst := 0; dst < tiles; dst++ {
+				want := Local
+				if path := DimensionOrder(g, src%g.kx, src/g.kx, dst%g.kx, dst/g.kx); len(path) > 0 {
+					want = path[0]
+				}
+				if got := FirstStep(g, src, dst); got != want {
+					t.Errorf("%+v: FirstStep(%d, %d) = %v, want %v", g, src, dst, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestComputeAllocFree is the alloc gate for the route encoder: Compute
 // builds every route table entry and runs on each Port.Send once a link
 // is dead, so it must not allocate at all.

@@ -7,10 +7,10 @@
 // reservation registers that let pre-scheduled traffic cross the router
 // without arbitration (§2.6).
 //
-// Two research flow-control variants from §3.2 are included for the
-// buffer/performance trade-off experiments: a dropping router (packets that
-// lose arbitration are discarded, needing almost no buffering) and a
-// misrouting (deflection) router in deflect.go.
+// Two research flow-control variants from §3.2 are included as router
+// modes for the buffer/performance trade-off experiments: dropping
+// (ModeDrop: packets that arrive to a full buffer are discarded, needing
+// almost no buffering) and misrouting (ModeDeflect, in deflect.go).
 package router
 
 import "math/bits"

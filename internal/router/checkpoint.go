@@ -78,8 +78,9 @@ func (r *Router) SaveState(e *checkpoint.Encoder) {
 // from the same configuration. Buffered flits are drawn from pool, and
 // the incremental occupancy count is recomputed from the restored
 // structures. State a live router never reaches fails the decoder with
-// the router, port and VC named (see invalidVC and invalidStaged), so a
-// hostile or corrupt checkpoint is an error, not a panic a cycle later.
+// the router, port and VC named (see invalidVC, invalidStaged and, for a
+// deflection router, invalidDeflect), so a hostile or corrupt checkpoint
+// is an error, not a panic a cycle later.
 func (r *Router) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 	for pi := range r.inputs {
 		ic := &r.inputs[pi]
@@ -190,6 +191,11 @@ func (r *Router) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 	if d.Err() == nil {
 		r.occ = r.OccupancyRecount()
 		r.rebuildMasks()
+		if r.cfg.Mode == ModeDeflect {
+			if msg := r.invalidDeflect(); msg != "" {
+				d.Fail("router %d: %s", r.cfg.ID, msg)
+			}
+		}
 	}
 }
 

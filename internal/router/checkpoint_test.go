@@ -13,13 +13,33 @@ import (
 // compass lists the four inter-router ports.
 var compass = []route.Dir{route.North, route.East, route.South, route.West}
 
+// eastStep is the test deflection routers' dimension-order step: East
+// toward every other tile.
+func eastStep(tile, dst int) route.Dir {
+	if dst == tile {
+		return route.Local
+	}
+	return route.East
+}
+
+// deflectConfig is the default router configuration in ModeDeflect.
+func deflectConfig(id int) Config {
+	cfg := DefaultConfig(id)
+	cfg.Mode = ModeDeflect
+	return cfg
+}
+
 // wired returns a router built from cfg with an output and an input link
-// on each compass port, credited to cfg.BufFlits as a network wires it.
+// on each compass port, credited to cfg.BufFlits as a network wires it; a
+// deflection router steps East (eastStep).
 func wired(tb testing.TB, cfg Config) *Router {
 	tb.Helper()
 	r, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if cfg.Mode == ModeDeflect {
+		r.SetDeflectRoute(eastStep)
 	}
 	for _, d := range compass {
 		out := link.New(link.Config{})
@@ -109,21 +129,112 @@ func liveRouter(tb testing.TB) *Router {
 	return r
 }
 
+// liveDeflection returns a wired deflection router between cycles,
+// as a checkpoint sees it: four compass arrivals bound elsewhere took
+// every output, so the packet injected beside them still waits in the
+// local register, and the ejected packet has been handed to the tile.
+func liveDeflection(tb testing.TB) *Router {
+	tb.Helper()
+	r := wired(tb, deflectConfig(3))
+	arrival := func(id uint64, dst int) *flit.Flit {
+		return &flit.Flit{Type: flit.HeadTail, VC: int(id % 8), Dst: dst, Birth: int64(id), PacketID: id}
+	}
+	r.AcceptFlit(arrival(1, 3), route.North)
+	r.LinkArbitrate(0)
+	r.Eject()
+	for i, d := range compass {
+		r.AcceptFlit(arrival(uint64(10+i), 9), d)
+	}
+	r.AcceptFlit(arrival(20, 9), route.Local)
+	r.LinkArbitrate(1)
+	r.Eject()
+	for _, d := range compass {
+		r.outputs[d].link.Deliver()
+	}
+	return r
+}
+
 func TestRestoreRoundTrip(t *testing.T) {
-	src := liveRouter(t)
-	if src.Occupancy() == 0 {
-		t.Fatal("live router holds no flits; the round trip would be vacuous")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		live func(testing.TB) *Router
+	}{
+		{"vc", DefaultConfig(3), liveRouter},
+		{"deflect", deflectConfig(3), liveDeflection},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.live(t)
+			if src.Occupancy() == 0 {
+				t.Fatal("live router holds no flits; the round trip would be vacuous")
+			}
+			want := sectionBytes(t, src)
+			r, err := restore(t, tc.cfg, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sectionBytes(t, r); string(got) != string(want) {
+				t.Fatal("restored router saves different bytes")
+			}
+			if msg := r.checkMasks(); msg != "" {
+				t.Fatal(msg)
+			}
+		})
 	}
-	want := sectionBytes(t, src)
-	r, err := restore(t, DefaultConfig(3), want)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDeflectRestoreRejectsUnreachableState corrupts a saved deflection
+// router between cycles, one case per state a live one never reaches, and
+// requires the restore into a deflection router to fail naming the router
+// and port. Each corrupted section still restores into the VC router,
+// which reaches all of these states.
+func TestDeflectRestoreRejectsUnreachableState(t *testing.T) {
+	headTail := func(id uint64, vc int) *flit.Flit {
+		return &flit.Flit{Type: flit.HeadTail, VC: vc, Dst: 9, PacketID: id}
 	}
-	if got := sectionBytes(t, r); string(got) != string(want) {
-		t.Fatal("restored router saves different bytes")
-	}
-	if msg := r.checkMasks(); msg != "" {
-		t.Fatal(msg)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(r *Router)
+		want    string
+	}{
+		{"two-flits-local", func(r *Router) {
+			r.inputs[route.Local].vcs[1].pushBack(headTail(60, 1))
+		}, "router 3: input L holds 2 flits"},
+		{"two-flits-compass", func(r *Router) {
+			r.inputs[route.East].vcs[0].pushBack(headTail(61, 0))
+			r.inputs[route.East].vcs[2].pushBack(headTail(62, 2))
+		}, "router 3: input E holds 2 flits"},
+		{"compass-flit", func(r *Router) {
+			r.inputs[route.West].vcs[4].pushBack(headTail(63, 4))
+		}, "router 3: input W holds a flit between cycles"},
+		{"multi-flit", func(r *Router) {
+			r.inputs[route.Local].vcs[4].front().Type = flit.Head
+		}, "router 3: input L holds a head flit"},
+		{"routed-vc", func(r *Router) {
+			r.inputs[route.South].vcs[1].routed = true
+		}, "router 3: input S VC 1 is routed"},
+		{"staged-flit", func(r *Router) {
+			r.outputs[route.North].staging[route.Local] = headTail(65, 0)
+		}, "router 3: output N holds a staged or bypassed flit"},
+		{"bypassed-flit", func(r *Router) {
+			r.outputs[route.East].bypass = append(r.outputs[route.East].bypass, headTail(66, 0))
+		}, "router 3: output E holds a staged or bypassed flit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := liveDeflection(t)
+			tc.corrupt(src)
+			payload := sectionBytes(t, src)
+			_, err := restore(t, deflectConfig(3), payload)
+			if err == nil {
+				t.Fatal("restore accepted state a live deflection router never reaches")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+			if _, err := restore(t, DefaultConfig(3), payload); err != nil {
+				t.Fatalf("the VC router refused the same state: %v", err)
+			}
+		})
 	}
 }
 

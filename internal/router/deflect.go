@@ -2,86 +2,27 @@ package router
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/flit"
 	"repro/internal/route"
+	"repro/internal/telemetry"
 )
 
-// DeflectRouter is the misrouting flow-control variant of §3.2: "if packets
-// are dropped or misrouted when they encounter contention very little
-// buffering is required. However, dropping and misrouting protocols reduce
-// performance and increase wire loading and hence power dissipation."
-//
-// It is a hot-potato router: each input holds at most one single-flit
-// packet; every buffered packet leaves every cycle, on its preferred
-// (dimension-ordered) output if it wins it, otherwise on any free output
-// (a deflection). Because deflections invalidate source routes, packets are
-// destination-routed: the router recomputes the preferred port from the
-// packet's destination each cycle via the RouteFunc.
-type DeflectRouter struct {
-	id int
-	// RouteFunc reports the preferred output direction from this tile
-	// toward dst (never Local unless dst is this tile).
-	routeFunc func(tile, dst int) route.Dir
+// This file is ModeDeflect, the misrouting flow control of §3.2: "if
+// packets are dropped or misrouted when they encounter contention very
+// little buffering is required. However, dropping and misrouting
+// protocols reduce performance and increase wire loading and hence power
+// dissipation." Each input holds at most one single-flit packet, in the
+// buffer of its VC. Deflections invalidate source routes, so packets are
+// routed by destination, through the network's dimension-order step
+// function, and nothing is ever routed, staged, bypassed or credited:
+// RouteCompute and SwitchArbitrate have no work, LinkArbitrate does it all.
 
-	inputs  [NumPorts]*flit.Flit
-	outLink [NumPorts]linkSender
-	ejectQ  []*flit.Flit
-	// sentMask has a bit per output port that sent since SentOutputs.
-	sentMask uint32
-
-	Stats DeflectStats
-}
-
-// linkSender is the subset of link.Link the deflection router needs; it
-// keeps the deflection router testable without real links.
-type linkSender interface {
-	CanSend() bool
-	Send(f *flit.Flit) error
-}
-
-// DeflectStats counts deflection-router events.
-type DeflectStats struct {
-	Moves       int64
-	Deflections int64
-	Ejected     int64
-}
-
-// NewDeflect returns a deflection router for the given tile.
-func NewDeflect(id int, routeFunc func(tile, dst int) route.Dir) *DeflectRouter {
-	return &DeflectRouter{id: id, routeFunc: routeFunc}
-}
-
-// ID reports the tile id.
-func (r *DeflectRouter) ID() int { return r.id }
-
-// SetOutLink attaches the outgoing link in direction d.
-func (r *DeflectRouter) SetOutLink(d route.Dir, l linkSender) {
-	r.outLink[portIndex(d)] = l
-}
-
-// CanInject reports whether the local input register is free. A deflection
-// network accepts an injection only when a cycle's switch allocation left
-// the local slot empty.
-func (r *DeflectRouter) CanInject() bool {
-	return r.inputs[portIndex(route.Local)] == nil
-}
-
-// AcceptFlit receives a single-flit packet on the given input.
-func (r *DeflectRouter) AcceptFlit(f *flit.Flit, from route.Dir) {
-	if f.Type != flit.HeadTail {
-		panic(fmt.Sprintf("deflect %d: multi-flit packet %v", r.id, f))
-	}
-	if r.inputs[portIndex(from)] != nil {
-		panic(fmt.Sprintf("deflect %d: input %v overrun", r.id, from))
-	}
-	r.inputs[portIndex(from)] = f
-}
-
-// Arbitrate runs one cycle of hot-potato switching: every buffered packet
-// is matched to an output, oldest packet first; losers deflect to any free
-// compass output. Matched packets are sent immediately.
+// deflectArbitrate is LinkArbitrate under ModeDeflect: every buffered
+// packet is matched to an output, oldest packet first; losers deflect to
+// any free compass output. Matched packets are sent immediately, or
+// queued for ejection.
 //
 // Compass arrivals always drain: a tile has exactly as many outgoing as
 // incoming links, so the (at most) one arrival per link can always be
@@ -89,98 +30,127 @@ func (r *DeflectRouter) AcceptFlit(f *flit.Flit, from route.Dir) {
 // may stay in its register when every output is taken — which is exactly
 // when CanInject goes false and the tile must hold off injecting, the
 // standard deflection-network injection rule.
-func (r *DeflectRouter) Arbitrate(now int64) {
-	// Order inputs by packet age (oldest first) for livelock resistance;
-	// the local injection register is always considered last.
-	order := make([]int, 0, NumPorts)
-	for i, f := range r.inputs {
-		if f != nil && route.Dir(i) != route.Local {
-			order = append(order, i)
+func (r *Router) deflectArbitrate(now int64) {
+	// The at most four compass arrivals, oldest first for livelock
+	// resistance (an insertion sort, stable on ties); the local injection
+	// register is always considered last.
+	var order [NumPorts]*inputController
+	n := 0
+	for pi := range r.inputs {
+		ic := &r.inputs[pi]
+		if ic.occMask == 0 || ic.dir == route.Local {
+			continue
 		}
+		f := ic.deflectFront()
+		i := n
+		for ; i > 0 && older(f, order[i-1].deflectFront()); i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = ic
+		n++
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		fa, fb := r.inputs[order[a]], r.inputs[order[b]]
-		if fa.Birth != fb.Birth {
-			return fa.Birth < fb.Birth
-		}
-		return fa.PacketID < fb.PacketID
-	})
-	if r.inputs[portIndex(route.Local)] != nil {
-		order = append(order, portIndex(route.Local))
+	if local := &r.inputs[route.Local]; local.occMask != 0 {
+		order[n] = local
+		n++
 	}
-	taken := [NumPorts]bool{}
-	for _, pi := range order {
-		f := r.inputs[pi]
-		fromLocal := route.Dir(pi) == route.Local
-		want := r.routeFunc(r.id, f.Dst)
-		out := -1
-		if want == route.Local {
-			if !taken[portIndex(route.Local)] {
-				out = portIndex(route.Local)
-			}
-		} else if !taken[portIndex(want)] && r.linkFree(want) {
-			out = portIndex(want)
-		}
+	var taken uint32 // bit i: output port i is matched this cycle
+	for _, ic := range order[:n] {
+		f := ic.deflectFront()
+		out := r.deflectOutput(f.Dst, taken)
 		if out < 0 {
-			// Deflect: any free compass output with a sendable link.
-			for _, d := range []route.Dir{route.North, route.East, route.South, route.West} {
-				if !taken[portIndex(d)] && r.linkFree(d) {
-					out = portIndex(d)
-					r.Stats.Deflections++
-					break
-				}
-			}
-		}
-		if out < 0 {
-			if !fromLocal {
-				panic(fmt.Sprintf("deflect %d: compass arrival %v has no output", r.id, f))
+			if ic.dir != route.Local {
+				panic(fmt.Sprintf("router %d: compass arrival %v has no output", r.cfg.ID, f))
 			}
 			// The injected packet waits in its register; CanInject stays
 			// false so the port will not overrun it.
 			continue
 		}
-		taken[out] = true
-		r.inputs[pi] = nil
-		r.Stats.Moves++
+		taken |= 1 << uint(out)
+		ic.pop(f.VC)
+		r.Stats.SwitchMoves++
+		if r.probe != nil {
+			r.probe.SwitchMoves++
+			r.probe.Trace(telemetry.EvXbar, now, f.PacketID, int32(r.cfg.ID), int32(f.VC))
+		}
 		if route.Dir(out) == route.Local {
 			r.ejectQ = append(r.ejectQ, f)
 			r.Stats.Ejected++
+			if r.probe != nil {
+				r.probe.EjectedFlits++
+			}
 			continue
 		}
-		if err := r.outLink[out].Send(f); err != nil {
-			panic(fmt.Sprintf("deflect %d: %v", r.id, err))
-		}
-		r.sentMask |= 1 << uint(out)
+		r.mustSend(&r.outputs[out], f)
 	}
 }
 
-// SentOutputs returns and clears the packed set of output ports that sent
-// a flit since the last call, as Router's does. Bit i = port i.
-func (r *DeflectRouter) SentOutputs() uint32 {
-	m := r.sentMask
-	r.sentMask = 0
-	return m
+// deflectFront returns the one flit a deflection input holds.
+func (ic *inputController) deflectFront() *flit.Flit {
+	return ic.vcs[bits.TrailingZeros32(ic.occMask)].front()
 }
 
-func (r *DeflectRouter) linkFree(d route.Dir) bool {
-	l := r.outLink[portIndex(d)]
-	return l != nil && l.CanSend()
+// older orders deflection contenders: earlier birth, then lower packet id.
+func older(a, b *flit.Flit) bool {
+	return a.Birth < b.Birth || a.Birth == b.Birth && a.PacketID < b.PacketID
 }
 
-// Eject returns packets delivered to the tile this cycle.
-func (r *DeflectRouter) Eject() []*flit.Flit {
-	out := r.ejectQ
-	r.ejectQ = nil
-	return out
-}
-
-// Occupancy reports buffered packets.
-func (r *DeflectRouter) Occupancy() int {
-	n := len(r.ejectQ)
-	for _, f := range r.inputs {
-		if f != nil {
-			n++
+// deflectOutput picks the output for a packet bound to dst given the
+// outputs already taken this cycle: its dimension-order step if free,
+// else the first free compass output in N, E, S, W order (a deflection),
+// or -1 when none is free. A packet at its destination ejects if the tile
+// output is free and deflects otherwise.
+func (r *Router) deflectOutput(dst int, taken uint32) int {
+	want := r.stepFn(r.cfg.ID, dst)
+	if want == route.Local {
+		if taken&(1<<uint(route.Local)) == 0 {
+			return int(route.Local)
+		}
+	} else if taken&(1<<uint(want)) == 0 && r.linkFree(want) {
+		return int(want)
+	}
+	for d := route.North; d <= route.West; d++ {
+		if taken&(1<<uint(d)) == 0 && r.linkFree(d) {
+			return int(d)
 		}
 	}
-	return n
+	return -1
+}
+
+// linkFree reports whether the output in direction d has a link that can
+// take a flit this cycle.
+func (r *Router) linkFree(d route.Dir) bool {
+	oc := &r.outputs[d]
+	return oc.link != nil && (oc.entryFree || oc.link.CanSend())
+}
+
+// invalidDeflect describes why a restored deflection router holds state
+// a live one never reaches between cycles, when checkpoints are taken, or
+// returns "": a routed VC, more than one flit in an input, a flit in a
+// compass input (every arrival leaves the cycle it arrives, and one
+// restored there would overrun on the next delivery), a flit of a
+// multi-flit packet, or a staged or bypassed flit.
+func (r *Router) invalidDeflect() string {
+	for pi := range r.inputs {
+		ic := &r.inputs[pi]
+		held := 0
+		for m := ic.occMask; m != 0; m &= m - 1 {
+			held += ic.vcs[bits.TrailingZeros32(m)].bufLen()
+		}
+		switch {
+		case ic.routedMask != 0:
+			return fmt.Sprintf("input %v VC %d is routed; deflection routes nothing", ic.dir, bits.TrailingZeros32(ic.routedMask))
+		case held > 1:
+			return fmt.Sprintf("input %v holds %d flits; a deflection input holds at most one", ic.dir, held)
+		case held == 1 && ic.dir != route.Local:
+			return fmt.Sprintf("input %v holds a flit between cycles; compass arrivals leave the cycle they arrive", ic.dir)
+		case held == 1 && ic.deflectFront().Type != flit.HeadTail:
+			return fmt.Sprintf("input %v holds a %v flit; deflection carries single-flit packets", ic.dir, ic.deflectFront().Type)
+		}
+	}
+	for oi := range r.outputs {
+		if oc := &r.outputs[oi]; oc.stagedMask != 0 || len(oc.bypass) > 0 {
+			return fmt.Sprintf("output %v holds a staged or bypassed flit; deflection stages nothing", oc.dir)
+		}
+	}
+	return ""
 }

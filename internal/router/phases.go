@@ -14,8 +14,11 @@ import (
 // (speculatively): a head flit that wins switch arbitration is forwarded in
 // the same cycle its downstream VC and buffer space are checked.
 // Pre-scheduled flits on the reserved VC move first, through the bypass,
-// without arbitrating (§2.6).
+// without arbitrating (§2.6). A deflection router has no switch stage.
 func (r *Router) SwitchArbitrate(now int64) {
+	if r.cfg.Mode == ModeDeflect {
+		return
+	}
 	if r.cfg.ReservedVC >= 0 {
 		r.moveReserved(now)
 	}
@@ -380,7 +383,12 @@ func (r *Router) CreditedInputs() uint32 {
 // to the input controller on the next tile"). Reserved slots of the cyclic
 // reservation table carry their flow's flit from the bypass without
 // arbitration; the tile output delivers one flit per cycle to the client.
+// A deflection router runs its whole hot-potato match here instead.
 func (r *Router) LinkArbitrate(now int64) {
+	if r.cfg.Mode == ModeDeflect {
+		r.deflectArbitrate(now)
+		return
+	}
 	for wm := r.outWorkMask; wm != 0; wm &= wm - 1 {
 		oi := bits.TrailingZeros32(wm)
 		oc := &r.outputs[oi]

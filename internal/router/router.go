@@ -28,6 +28,10 @@ const (
 	// little buffering but wastes the wire energy already spent on the
 	// dropped flits (§3.2).
 	ModeDrop
+	// ModeDeflect misroutes instead (§3.2): a hot-potato router whose
+	// every buffered packet leaves every cycle, deflected to any free
+	// output when it loses its preferred one (deflect.go).
+	ModeDeflect
 )
 
 // Config parameterizes a Router.
@@ -316,6 +320,9 @@ type Router struct {
 	// dst from this tile (empty when dst is this tile). Set by the
 	// network when Config.Adaptive is on.
 	adaptiveFn func(tile, dst int) []route.Dir
+	// stepFn reports the dimension-order output toward dst from this tile
+	// (Local when dst is this tile). Set by the network in ModeDeflect.
+	stepFn func(tile, dst int) route.Dir
 
 	// Runtime fault state (see faults.go).
 	stalledIn [NumPorts]bool
@@ -415,6 +422,9 @@ func NewAll(cfg Config, count int) ([]Router, error) {
 	if cfg.DatelineVCs && cfg.NumVCs%2 != 0 {
 		return nil, fmt.Errorf("router: dateline VC classes need an even VC count, got %d", cfg.NumVCs)
 	}
+	if cfg.Mode == ModeDeflect && (cfg.ElasticLinks || cfg.Adaptive || cfg.ReservedVC >= 0) {
+		return nil, fmt.Errorf("router: deflection routes each hop by destination alone: no elastic links, adaptive routing or reserved VC")
+	}
 	if cfg.ResPeriod < 1 {
 		cfg.ResPeriod = 1
 	}
@@ -511,6 +521,12 @@ func (r *Router) SetAdaptiveRoute(fn func(tile, dst int) []route.Dir) {
 	r.adaptiveFn = fn
 }
 
+// SetDeflectRoute installs the dimension-order step function a
+// deflection router (ModeDeflect) prefers each packet's output by.
+func (r *Router) SetDeflectRoute(fn func(tile, dst int) route.Dir) {
+	r.stepFn = fn
+}
+
 // SetPool attaches the owning network's flit pool; flits the router
 // discards are recycled into it and abort tails are drawn from it.
 func (r *Router) SetPool(p *flit.Pool) { r.pool = p }
@@ -547,32 +563,42 @@ func (r *Router) Reservations(d route.Dir) *ResTable {
 }
 
 // CanInject reports whether the tile input port can accept a flit on the
-// given virtual channel this cycle: the per-VC ready signal of §2.1.
+// given virtual channel this cycle: the per-VC ready signal of §2.1. A
+// deflection router accepts an injection only when a cycle's arbitration
+// left its local register empty, whatever the VC.
 func (r *Router) CanInject(vc int) bool {
 	if vc < 0 || vc >= r.cfg.NumVCs {
 		return false
 	}
-	return r.inputs[portIndex(route.Local)].vcs[vc].bufLen() < r.cfg.BufFlits
+	ic := &r.inputs[portIndex(route.Local)]
+	if r.cfg.Mode == ModeDeflect {
+		return ic.occMask == 0
+	}
+	return ic.vcs[vc].bufLen() < r.cfg.BufFlits
 }
 
 // AcceptFlit receives a flit on the input controller for direction from
 // (route.Local for client injection). Under credit flow control a buffer
 // overflow indicates a protocol violation and panics; in drop mode the
-// packet is discarded instead (§3.2).
+// packet is discarded instead (§3.2). A deflection input holds one packet,
+// whatever its VC, so a second arrival is an overrun and panics.
 func (r *Router) AcceptFlit(f *flit.Flit, from route.Dir) {
 	ic := &r.inputs[portIndex(from)]
 	if f.VC < 0 || f.VC >= r.cfg.NumVCs {
 		panic(fmt.Sprintf("router %d: flit %v on invalid VC", r.cfg.ID, f))
 	}
 	st := &ic.vcs[f.VC]
-	if r.cfg.Mode == ModeDrop {
-		// Dropping flow control transports single-flit packets (as
-		// contention-dropping networks do): a drop is then always a whole
-		// packet and no VC can wedge waiting for a discarded tail.
+	if r.cfg.Mode != ModeVC {
+		// Dropping and misrouting carry single-flit packets, as such
+		// networks do: a drop is then a whole packet, and no VC waits
+		// for a discarded or deflected tail.
 		if f.Type != flit.HeadTail {
-			panic(fmt.Sprintf("router %d: multi-flit packet %v in drop mode", r.cfg.ID, f))
+			panic(fmt.Sprintf("router %d: multi-flit packet %v in single-flit flow control", r.cfg.ID, f))
 		}
-		if st.bufLen() >= r.cfg.BufFlits {
+		if r.cfg.Mode == ModeDeflect && ic.occMask != 0 {
+			panic(fmt.Sprintf("router %d: deflection input %v overrun", r.cfg.ID, from))
+		}
+		if r.cfg.Mode == ModeDrop && st.bufLen() >= r.cfg.BufFlits {
 			r.Stats.DroppedFlits++
 			r.Stats.DroppedPackets++
 			if r.pool != nil {
@@ -580,11 +606,7 @@ func (r *Router) AcceptFlit(f *flit.Flit, from route.Dir) {
 			}
 			return
 		}
-		ic.push(f.VC, f)
-		r.occ++
-		return
-	}
-	if st.bufLen() >= r.cfg.BufFlits {
+	} else if st.bufLen() >= r.cfg.BufFlits {
 		panic(fmt.Sprintf("router %d: input %v VC %d overflow (credit protocol violation)",
 			r.cfg.ID, from, f.VC))
 	}
@@ -624,8 +646,11 @@ func (r *Router) adaptiveChoice(f *flit.Flit) route.Dir {
 // RouteCompute strips the next route step from head flits at the front of
 // each VC buffer (§2.3: "the input controller strips the next entry off
 // the route field and uses these two bits to select one of four output
-// ports").
+// ports"). A deflection router routes by destination in LinkArbitrate.
 func (r *Router) RouteCompute(now int64) {
+	if r.cfg.Mode == ModeDeflect {
+		return
+	}
 	for pi := range r.inputs {
 		ic := &r.inputs[pi]
 		if r.stalledIn[pi] {

@@ -30,6 +30,17 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("reserved VC out of range accepted")
 	}
+	for _, set := range []func(*Config){
+		func(c *Config) { c.ElasticLinks = true },
+		func(c *Config) { c.Adaptive = true },
+		func(c *Config) { c.ReservedVC = 0 },
+	} {
+		bad = deflectConfig(0)
+		set(&bad)
+		if _, err := New(bad); err == nil {
+			t.Errorf("deflection router accepted %+v", bad)
+		}
+	}
 }
 
 func TestFiveControllerStructure(t *testing.T) {
@@ -352,28 +363,31 @@ func TestNonSpeculativeAddsACycle(t *testing.T) {
 	}
 }
 
+// deflectRouter returns an unwired ModeDeflect router for tile id that
+// steps East (eastStep).
+func deflectRouter(tb testing.TB, id int) *Router {
+	tb.Helper()
+	r, err := New(deflectConfig(id))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.SetDeflectRoute(eastStep)
+	return r
+}
+
 func TestDeflectOldestFirst(t *testing.T) {
 	// Two packets contending for the same output: the older one wins, the
 	// younger deflects.
-	routeFunc := func(tile, dst int) route.Dir {
-		if dst == tile {
-			return route.Local
-		}
-		return route.East
-	}
-	r := NewDeflect(0, routeFunc)
+	r := deflectRouter(t, 0)
 	east := link.New(link.Config{})
 	north := link.New(link.Config{})
-	r.SetOutLink(route.East, east)
-	r.SetOutLink(route.North, north)
+	r.SetOutLink(route.East, east, 4)
+	r.SetOutLink(route.North, north, 4)
 	old := &flit.Flit{Type: flit.HeadTail, Dst: 9, Birth: 1, PacketID: 1}
-	young := &flit.Flit{Type: flit.HeadTail, Dst: 9, Birth: 5, PacketID: 2}
+	young := &flit.Flit{Type: flit.HeadTail, Dst: 9, Birth: 5, PacketID: 2, VC: 3}
 	r.AcceptFlit(young, route.South)
 	r.AcceptFlit(old, route.West)
-	r.Arbitrate(0)
-	if r.Stats.Deflections != 1 {
-		t.Fatalf("deflections = %d, want 1", r.Stats.Deflections)
-	}
+	r.LinkArbitrate(0)
 	got, _, _ := east.Deliver()
 	if got == nil || got.PacketID != 1 {
 		t.Fatalf("east carried %v, want packet 1 (oldest)", got)
@@ -382,51 +396,63 @@ func TestDeflectOldestFirst(t *testing.T) {
 	if got == nil || got.PacketID != 2 {
 		t.Fatalf("north carried %v, want deflected packet 2", got)
 	}
+	if r.Stats.SwitchMoves != 2 || r.Occupancy() != 0 {
+		t.Fatalf("switch moves %d, occupancy %d; want 2 and 0", r.Stats.SwitchMoves, r.Occupancy())
+	}
 }
 
 func TestDeflectEjectsAtDestination(t *testing.T) {
-	routeFunc := func(tile, dst int) route.Dir {
-		if dst == tile {
-			return route.Local
-		}
-		return route.East
-	}
-	r := NewDeflect(7, routeFunc)
+	r := deflectRouter(t, 7)
 	f := &flit.Flit{Type: flit.HeadTail, Dst: 7, PacketID: 3}
 	r.AcceptFlit(f, route.West)
-	r.Arbitrate(0)
+	r.LinkArbitrate(0)
 	out := r.Eject()
 	if len(out) != 1 || out[0].PacketID != 3 {
 		t.Fatalf("eject = %v", out)
 	}
-	if r.Occupancy() != 0 {
-		t.Fatalf("occupancy = %d", r.Occupancy())
+	if r.Occupancy() != 0 || r.Stats.Ejected != 1 {
+		t.Fatalf("occupancy = %d, ejected = %d", r.Occupancy(), r.Stats.Ejected)
 	}
 }
 
 func TestDeflectLocalWaitsWhenFull(t *testing.T) {
 	// With no output links attached, an injected packet must wait (no
-	// panic), and CanInject stays false.
-	r := NewDeflect(0, func(tile, dst int) route.Dir { return route.East })
+	// panic), and CanInject stays false on every VC.
+	r := deflectRouter(t, 0)
 	f := &flit.Flit{Type: flit.HeadTail, Dst: 1, PacketID: 1}
-	if !r.CanInject() {
+	if !r.CanInject(0) {
 		t.Fatal("fresh deflect router not injectable")
 	}
 	r.AcceptFlit(f, route.Local)
-	r.Arbitrate(0)
-	if r.CanInject() {
-		t.Fatal("stranded local packet vanished")
+	r.LinkArbitrate(0)
+	for vc := 0; vc < flit.NumVCs; vc++ {
+		if r.CanInject(vc) {
+			t.Fatalf("stranded local packet vanished: VC %d injectable", vc)
+		}
 	}
 }
 
 func TestDeflectRejectsMultiFlit(t *testing.T) {
-	r := NewDeflect(0, func(int, int) route.Dir { return route.East })
+	r := deflectRouter(t, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("multi-flit flit accepted by deflection router")
 		}
 	}()
 	r.AcceptFlit(&flit.Flit{Type: flit.Head}, route.West)
+}
+
+// TestDeflectInputHoldsOnePacket: a deflection input holds one packet
+// whatever its VC, so a second arrival on another VC is an overrun.
+func TestDeflectInputHoldsOnePacket(t *testing.T) {
+	r := deflectRouter(t, 0)
+	r.AcceptFlit(&flit.Flit{Type: flit.HeadTail, Dst: 1, PacketID: 1, VC: 0}, route.West)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second packet accepted on an occupied deflection input")
+		}
+	}()
+	r.AcceptFlit(&flit.Flit{Type: flit.HeadTail, Dst: 1, PacketID: 2, VC: 5}, route.West)
 }
 
 func TestCutThroughHeadWaitsForFullBuffer(t *testing.T) {

@@ -298,6 +298,10 @@ type TraceSource struct {
 	Mask   flit.VCMask
 	next   int
 
+	// payload is the all-zero send buffer, grown to the largest event so
+	// far; Port.Send copies it.
+	payload []byte
+
 	Sent int64
 }
 
@@ -310,7 +314,10 @@ func (t *TraceSource) Tick(now int64, p *network.Port) {
 		if e.Src != t.Tile || e.Dst == t.Tile {
 			continue
 		}
-		if _, err := p.Send(e.Dst, make([]byte, e.Bytes), t.Mask, e.Class); err == nil {
+		if cap(t.payload) < e.Bytes {
+			t.payload = make([]byte, e.Bytes)
+		}
+		if _, err := p.Send(e.Dst, t.payload[:e.Bytes], t.Mask, e.Class); err == nil {
 			t.Sent++
 		}
 	}

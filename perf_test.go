@@ -45,7 +45,8 @@ func buildLoadedNet(t testing.TB, stopAt int64, extra func(*network.Config)) *ne
 // slices are reused, and payloads live in per-generator scratch buffers.
 // The seed engine allocated ~106 objects per cycle on the torus workload.
 // The adaptive mesh routes every head flit through the west-first
-// candidate function, which must not allocate either.
+// candidate function, and the deflection mesh asks for every packet's
+// dimension-order step every cycle; neither may allocate either.
 func TestCycleLoopAllocFree(t *testing.T) {
 	check := func(t *testing.T, n *network.Network) {
 		t.Helper()
@@ -73,6 +74,22 @@ func TestCycleLoopAllocFree(t *testing.T) {
 		}
 		for tile := 0; tile < topo.NumTiles(); tile++ {
 			n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: topo.NumTiles()}, 0.2, 2, flit.VCMask(0xFF), 1))
+		}
+		check(t, n)
+	})
+	t.Run("deflect-mesh4x4", func(t *testing.T) {
+		topo, err := topology.NewMesh(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := router.DefaultConfig(0)
+		rc.Mode = router.ModeDeflect
+		n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tile := 0; tile < topo.NumTiles(); tile++ {
+			n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: topo.NumTiles()}, 0.3, 1, flit.VCMask(0xFF), 1))
 		}
 		check(t, n)
 	})

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -159,6 +161,17 @@ func TestServeSmokeFlagValidation(t *testing.T) {
 		t.Skip("CLI smoke test is not -short")
 	}
 	bin := buildNocsim(t)
+	// Trace files whose packets are 8 and 2 flits long (tracegen -bytes
+	// 256 and -bytes 64 lines).
+	trace := func(bytes int) string {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("t%d.trace", bytes))
+		body := fmt.Sprintf("# cycle src dst bytes class\n0 6 6 %d 0\n0 6 5 %d 0\n3 7 0 %d 0\n", bytes, bytes, bytes)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	t256, t64 := trace(256), trace(64)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -175,6 +188,13 @@ func TestServeSmokeFlagValidation(t *testing.T) {
 		{"drop multi-flit", []string{"-mode", "drop", "-flits", "4"}, "flits_per_packet=4: network: multi-flit packet in single-flit flow-control mode"},
 		{"deflect multi-flit", []string{"-mode", "deflect", "-flits", "2"}, "flits_per_packet=2: network: multi-flit packet in single-flit flow-control mode"},
 		{"cut-through packet over buffers", []string{"-mode", "vct", "-flits", "8", "-buf", "4", "-rate", "0.2"}, "flits_per_packet=8: network: 8-flit packet exceeds the 4-flit buffers"},
+		// So do trace events, which used to vanish from the replay; the
+		// error names the first refused event (a loopback never enters
+		// the network).
+		{"trace cut-through packet over buffers", []string{"-trace", t256, "-mode", "vct", "-buf", "4"},
+			"trace event {Cycle:0 Src:6 Dst:5 Bytes:256 Class:0}: network: 8-flit packet exceeds the 4-flit buffers"},
+		{"trace deflect multi-flit", []string{"-trace", t64, "-mode", "deflect"},
+			"trace event {Cycle:0 Src:6 Dst:5 Bytes:64 Class:0}: network: multi-flit packet in single-flit flow-control mode"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,16 +13,44 @@ import (
 )
 
 // TestTelemetryReconciliation pins the accounting contract of the probe
-// layer on the paper's 16-tile baseline: the port-level delivery counters
-// agree exactly with the measurement recorder, and the heatmap's link
-// totals are consistent with the traffic that produced them. Uniform
-// traffic never picks its own tile, so no loopback packets (which bypass
-// the network) can skew the comparison.
+// layer on the paper's 16-tile baseline and on a 4x4 deflection mesh: the
+// port-level delivery counters agree exactly with the measurement
+// recorder, the routers eject what the ports deliver, and the heatmap's
+// link totals are consistent with the traffic that produced them.
+// Uniform traffic never picks its own tile, so no loopback packets (which
+// bypass the network) can skew the comparison.
 func TestTelemetryReconciliation(t *testing.T) {
-	probe := telemetry.New(telemetry.Config{SampleEvery: 50})
-	n := buildLoadedNet(t, 3000, func(cfg *network.Config) {
-		cfg.Probe = probe
+	t.Run("torus4x4", func(t *testing.T) {
+		probe := telemetry.New(telemetry.Config{SampleEvery: 50})
+		reconcileTelemetry(t, probe, buildLoadedNet(t, 3000, func(cfg *network.Config) {
+			cfg.Probe = probe
+		}))
 	})
+	t.Run("deflect-mesh4x4", func(t *testing.T) {
+		probe := telemetry.New(telemetry.Config{SampleEvery: 50})
+		topo, err := topology.NewMesh(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := router.DefaultConfig(0)
+		rc.Mode = router.ModeDeflect
+		n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 1, Probe: probe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tile := 0; tile < topo.NumTiles(); tile++ {
+			g := traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.3, 1, flit.VCMask(0xFF), 1)
+			g.StopAt = 3000
+			n.AttachClient(tile, g)
+		}
+		reconcileTelemetry(t, probe, n)
+	})
+}
+
+// reconcileTelemetry runs n, whose clients stop at cycle 3000, to a drain
+// and checks probe's counters against its recorder.
+func reconcileTelemetry(t *testing.T, probe *telemetry.Probe, n *network.Network) {
+	t.Helper()
 	n.Run(3000)
 	if !n.Drain(100000) {
 		t.Fatalf("network did not drain (occupancy %d)", n.Occupancy())
