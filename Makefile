@@ -25,7 +25,11 @@ race:
 # under .bench_build/ is skipped), everything compiles, vets clean
 # (perfbench/ is its own module, which `./...` never reaches, so it is
 # vetted separately: an API change it depends on fails here, not only
-# when the benchmark builds), passes under the race detector (which includes the cross-shard
+# when the benchmark builds), perfbench's traced run on baseline16 passes
+# every check (its counters read the routers', ports' and links' own
+# counters through a telemetry probe, so a probe bound to the wrong
+# counters reads zero switch moves and fails the delivered-flits check
+# there), passes under the race detector (which includes the cross-shard
 # determinism suite exercising the lockstep worker pool), and the
 # hot-path benchmarks stay within 50% of the committed BENCH_cycles.json
 # snapshot with no new allocations.
@@ -69,8 +73,13 @@ race:
 # newest checkpoint file, and diffs the resumed run's report and metrics
 # CSV against an uninterrupted reference; the resumed golden sweep also
 # interrupts every sweep point at each shard count (its line is the
-# 'TestResumedGolden' pattern). The campaign engine is gated the same two
-# ways: the replication determinism suite (replica 0 byte-matches a
+# 'TestResumedGolden' pattern), and a probe carried through the in-memory
+# resume must write the straight run's metrics CSV
+# (TestResumedProbeMatchesStraightRun). On the flight-recorder line, a
+# recorder and sampler attached before a restore must record and sample
+# what the straight run does after it (TestFlightRecRebaseAfterRestore).
+# The campaign engine is gated the same two ways: the replication
+# determinism suite (replica 0 byte-matches a
 # plain run and the golden sweep, replicas forked into freshly built
 # networks agree across shard counts, and a repeated run
 # byte-matches the first) runs under the race detector, and the campaign
@@ -84,14 +93,17 @@ ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+	@out=$$(python3 perfbench/run.py --workload baseline16 --seed 3 --seconds 1 --trace 1 | tail -n 1); \
+	  case "$$out" in *'"correct":true'*'"failed":0,'*) ;; \
+	  *) echo "perfbench traced run failed: $$out"; exit 1;; esac
 	$(GO) vet ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/sampler ./internal/telemetry/serve ./internal/telemetry/flightrec ./internal/telemetry/latency ./cmd/internal/obs
 	$(GO) test -race ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/sampler ./internal/telemetry/serve ./internal/telemetry/flightrec ./internal/telemetry/latency ./cmd/internal/obs
 	$(GO) test -race ./internal/checkpoint ./internal/network ./internal/core
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -run 'TestServeSmoke' .
 	$(GO) test -race -run 'TestSLOBurnSmoke|TestSLOFlagValidation|TestFlowLatencyReconciliation|TestFlowLatencyCheckpointRoundTrip' .
-	$(GO) test -race -run 'TestResumedGolden|TestCrashResume' .
-	$(GO) test -race -run 'TestFlightRecSmoke|TestFlightRecReconstructionExact' .
+	$(GO) test -race -run 'TestResumedGolden|TestResumedProbeMatchesStraightRun|TestCrashResume' .
+	$(GO) test -race -run 'TestFlightRecSmoke|TestFlightRecReconstructionExact|TestFlightRecRebaseAfterRestore' .
 	$(GO) test -race -run 'TestForkedGoldenSweep|TestReplicatedRunDeterminism|TestReplicatedSweepMatchesRuns|TestRepeatedRunDeterminism' .
 	{ $(GO) test -run '^$$' -bench 'NetworkCycle$$|NetworkCycleServeOff$$|NetworkCycleServeOn$$|NetworkCycleFlightRecOff$$|NetworkCycleFlightRecOn$$|NetworkCycleLatencyObsOff$$|NetworkCycleLatencyObsOn$$|NetworkCycle64$$|NetworkCycle4096$$|NetworkCycleIdle4096$$|RouteCompute' -benchtime 200ms -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$' -benchtime 20x -benchmem . ; \

@@ -131,7 +131,7 @@ func cmdState(args []string) error {
 	fmt.Printf("  in-flight flits   %d\n", inFlight)
 	fmt.Printf("  generated pkts    %d\n", rec.Generated)
 	fmt.Printf("  delivered pkts    %d\n", rec.DeliveredPackets)
-	fmt.Printf("  ejected flits     %d\n", p.TotalEjectedFlits())
+	fmt.Printf("  ejected flits     %d\n", p.Totals().Ejected)
 	fmt.Printf("  rng draws         %d\n", n.Kernel().RNGDraws())
 
 	// Exactness cross-check against the ring: the record at this cycle was

@@ -43,8 +43,10 @@ import (
 // utilization window and drops the probe's horizon, which is the clock.
 // Version 5 saves each link's one-cycle wires as a flit register and a
 // credit register in place of its flit and credit pipes and elastic
-// stages.
-const Version = 5
+// stages. Version 6 saves the routers', ports' and links' event counters
+// in their own layouts, not the probe's, and drops the network's abort
+// count, which the ports' sum.
+const Version = 6
 
 // magic identifies a checkpoint file. The trailing byte doubles as a
 // format epoch so even the magic check catches a layout change.

@@ -7,9 +7,10 @@ import (
 
 // SaveState serialises the link's dynamic state: the flit and credit
 // registers, the serdes busy countdown, busy cycles, active bits, the
-// pending-credit queue, and fault status. Configuration (serdes width,
-// physical layer) is not saved — the restored link must be built from
-// the same config; the elastic flag is saved only to check that.
+// flit, head-flit and credit counts, the pending-credit queue, and fault
+// status. Configuration (serdes width, physical layer) is not saved —
+// the restored link must be built from the same config; the elastic flag
+// is saved only to check that.
 func (l *Link) SaveState(e *checkpoint.Encoder) {
 	e.Bool(l.wire != nil)
 	if l.wire != nil {
@@ -19,6 +20,9 @@ func (l *Link) SaveState(e *checkpoint.Encoder) {
 	e.Int(l.busy)
 	e.I64(l.BusyCycles)
 	e.I64(l.ActiveBits)
+	e.I64(l.Flits)
+	e.I64(l.HeadFlits)
+	e.I64(l.Credits)
 	pending := l.pendingCredits[l.creditHead:]
 	e.U32(uint32(len(pending)))
 	for _, vc := range pending {
@@ -46,6 +50,9 @@ func (l *Link) RestoreState(d *checkpoint.Decoder, pool *flit.Pool, numVCs int) 
 	l.busy = d.Int()
 	l.BusyCycles = d.I64()
 	l.ActiveBits = d.I64()
+	l.Flits = d.I64()
+	l.HeadFlits = d.I64()
+	l.Credits = d.I64()
 	nPending := d.Count(8)
 	l.pendingCredits = l.pendingCredits[:0]
 	l.creditHead = 0

@@ -60,6 +60,9 @@ type Link struct {
 	// simulation clock it is the §4.4 duty factor.
 	BusyCycles int64
 
+	// Flits, head flits and credits carried, read in place by a probe.
+	telemetry.LinkCounts
+
 	// pendingCredits is a queue of freed-slot VC indices awaiting the
 	// reverse wire; creditHead indexes its logical front so dequeuing is
 	// O(1) without reslicing away reusable capacity.
@@ -70,10 +73,6 @@ type Link struct {
 	// drops) or replaces (physical-layer copies), so the flit pool's
 	// accounting stays balanced.
 	pool *flit.Pool
-
-	// probe, when non-nil, accrues the channel's telemetry counters
-	// (flits, credits); nil is the zero-overhead disabled path.
-	probe *telemetry.LinkProbe
 
 	// elastic marks an elastic channel (§3.3, ref [4] "Elastic
 	// Interconnects"): the repeater on the wire doubles as a flit latch
@@ -125,9 +124,6 @@ func NewAll(cfg Config, count int) []Link {
 // (dead channel) or replaces (physical-layer copy) are recycled into it.
 func (l *Link) SetPool(p *flit.Pool) { l.pool = p }
 
-// SetProbe attaches the channel's telemetry probe (nil disables it).
-func (l *Link) SetProbe(p *telemetry.LinkProbe) { l.probe = p }
-
 // Idle reports whether the link has nothing to do this cycle: wires free,
 // no flit or credit in flight, none waiting. The delivery phase uses it
 // to skip idle links.
@@ -165,8 +161,9 @@ func (l *Link) Send(f *flit.Flit) error {
 	l.wire = f
 	l.busy = l.SerdesCycles
 	l.ActiveBits += int64(f.PayloadBits() + flit.OverheadBits)
-	if l.probe != nil {
-		l.probe.OnSend(f.Type.IsHead())
+	l.Flits++
+	if f.Type.IsHead() {
+		l.HeadFlits++
 	}
 	return nil
 }
@@ -199,9 +196,7 @@ func (l *Link) Deliver() (f *flit.Flit, creditVC int, credited bool) {
 			l.FaultLostCredits++
 		} else {
 			creditVC, credited = l.creditWire-1, true
-			if l.probe != nil {
-				l.probe.OnCredit()
-			}
+			l.Credits++
 		}
 		l.creditWire = 0
 	}

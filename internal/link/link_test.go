@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/route"
+	"repro/internal/telemetry"
 )
 
 // TestLinkArrivesNextCycle: Deliver runs at the start of each cycle and
@@ -340,6 +341,15 @@ func TestLinkDeliverAndCredits(t *testing.T) {
 	}
 	if _, vc, credited = l.Deliver(); !credited || vc != 5 {
 		t.Fatalf("second credit = %d (%v), want 5", vc, credited)
+	}
+	// The link counts what it carried: flits, the heads among them, and
+	// the credits that arrived upstream.
+	if err := l.Send(&flit.Flit{Type: flit.Body}); err != nil {
+		t.Fatal(err)
+	}
+	l.Deliver()
+	if want := (telemetry.LinkCounts{Flits: 2, HeadFlits: 1, Credits: 2}); l.LinkCounts != want {
+		t.Fatalf("counts %+v, want %+v", l.LinkCounts, want)
 	}
 }
 

@@ -1,11 +1,13 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/flit"
+	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/stats"
 )
@@ -52,6 +54,11 @@ type checkpointExtra struct {
 func (n *Network) AddCheckpointExtra(name string, x CheckpointExtra) {
 	n.extras = append(n.extras, checkpointExtra{name: name, x: x})
 }
+
+// OnRestore registers fn to run at the end of every successful
+// RestoreCheckpoint, once every section is in place: an observer that
+// differences cumulative counters rebases its baseline there.
+func (n *Network) OnRestore(fn func()) { n.onRestore = append(n.onRestore, fn) }
 
 // NoteCheckpoint records that a checkpoint covering state up to cycle was
 // written, for the observability layer's staleness reporting.
@@ -106,7 +113,6 @@ func (n *Network) SaveCheckpoint(configHash uint64, cycle int64) ([]byte, error)
 	e.U64(n.nextID)
 	e.I64(n.rerouted)
 	e.I64(n.unroutable)
-	e.I64(n.aborted)
 	e.Bool(n.wdStarve != nil)
 	if n.wdStarve != nil {
 		e.I64s(n.wdStarve)
@@ -208,7 +214,6 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 		n.nextID = d.U64()
 		n.rerouted = d.I64()
 		n.unroutable = d.I64()
-		n.aborted = d.I64()
 		hasWD := d.Bool()
 		if hasWD != (n.wdStarve != nil) {
 			d.Fail("watchdog presence mismatch: checkpoint %v, network %v", hasWD, n.wdStarve != nil)
@@ -252,8 +257,11 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 		}
 		for _, le := range n.links {
 			le.l.RestoreState(d, &n.shards[n.shardOf[le.to]].pool, n.cfg.Router.NumVCs)
-			if msg := n.refuses(le.l.Wire()); msg != "" {
-				d.Fail("link %d-%v: %s", le.from, le.dir, msg)
+			// A flit on a dead link is lost on delivery, unseen.
+			if f := le.l.Wire(); f != nil && !le.l.Down() && d.Err() == nil {
+				if msg := cmp.Or(n.refuses(f), n.orphaned(f, le.to, le.dir.Opposite())); msg != "" {
+					d.Fail("link %d-%v: %s", le.from, le.dir, msg)
+				}
 			}
 			if d.Err() != nil {
 				return
@@ -339,6 +347,9 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 		}
 	}
 	n.NoteCheckpoint(f.Cycle)
+	for _, fn := range n.onRestore {
+		fn()
+	}
 	return nil
 }
 
@@ -350,6 +361,17 @@ func (n *Network) refuses(f *flit.Flit) string {
 		return ""
 	}
 	return fmt.Sprintf("packet %d's %v flit under single-flit flow control", f.PacketID, f.Type)
+}
+
+// orphaned describes why a VC router at tile would panic on flit f at its
+// input from, restored on a live wire or at an active injection's cursor,
+// or returns "": a body or tail flit's VC must be carrying its packet.
+func (n *Network) orphaned(f *flit.Flit, tile int, from route.Dir) string {
+	if n.cfg.Router.Mode != router.ModeVC || f.Type.IsHead() ||
+		(f.VC >= 0 && f.VC < n.cfg.Router.NumVCs && n.routers[tile].CarriesPacket(from, f.VC, f.PacketID)) {
+		return ""
+	}
+	return fmt.Sprintf("packet %d's %v flit arrives at input %v VC %d, which is not carrying that packet", f.PacketID, f.Type, from, f.VC)
 }
 
 // --- port state -------------------------------------------------------------
@@ -419,8 +441,8 @@ func (p *Port) restoreDelivery(d *checkpoint.Decoder) *Delivery {
 
 // saveState serialises the port's dynamic state: queued and in-progress
 // injections, reassembly partials, undelivered receptions, pending
-// loopbacks, and the schedule-violation counter. The delivery and
-// injection free lists are allocation caches, not state.
+// loopbacks, the schedule-violation counter and the traffic counters.
+// The delivery and injection free lists are allocation caches, not state.
 func (p *Port) saveState(e *checkpoint.Encoder) {
 	e.U32(uint32(len(p.pending)))
 	for _, in := range p.pending {
@@ -459,6 +481,10 @@ func (p *Port) saveState(e *checkpoint.Encoder) {
 		e.I64(p.loopAt[i])
 	}
 	e.I64(p.BlockedReserved)
+	e.I64(p.InjectedFlits)
+	e.I64(p.DeliveredFlits)
+	e.I64(p.DeliveredPackets)
+	e.I64(p.AbortedPackets)
 }
 
 // restoreState restores a port saved with saveState. The port must belong
@@ -482,6 +508,11 @@ func (p *Port) restoreState(d *checkpoint.Decoder) {
 		p.active[v] = nil
 		if d.Bool() {
 			p.active[v] = p.restoreInjection(d)
+		}
+		if in := p.active[v]; in != nil && !in.done() {
+			if msg := p.net.orphaned(in.flits[in.next], p.tile, route.Local); msg != "" {
+				d.Fail("tile %d: injection cursor: %s", p.tile, msg)
+			}
 		}
 	}
 	nPart := d.Count(8)
@@ -516,6 +547,10 @@ func (p *Port) restoreState(d *checkpoint.Decoder) {
 		}
 	}
 	p.BlockedReserved = d.I64()
+	p.InjectedFlits = d.I64()
+	p.DeliveredFlits = d.I64()
+	p.DeliveredPackets = d.I64()
+	p.AbortedPackets = d.I64()
 	// Rebuild the derived injection-side worklist state (port.go): the
 	// restored port stands in for a freshly built one whose lists were empty.
 	p.activeCount = 0

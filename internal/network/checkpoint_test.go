@@ -308,6 +308,68 @@ func TestCheckpointRejectsBadLinkCreditVC(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsOrphanFlits: in a VC network, a body or tail flit
+// restored where its input VC is not carrying its packet — on a live
+// link's register, or at an active injection's cursor — fails the
+// restore with an error naming the link or tile, the VC and the packet.
+// Restoring such an image used to succeed, and the next Run panicked in
+// RouteCompute on a non-head flit at the front of an unrouted VC. The
+// same flit on a dead link is lost on delivery, so that image restores.
+func TestCheckpointRejectsOrphanFlits(t *testing.T) {
+	bodyOnLink3 := func(n *Network) {
+		le := n.links[3]
+		if err := le.l.Send(&flit.Flit{Type: flit.Body, PacketID: 7, Seq: 1, VC: 0, Src: le.from, Dst: le.to, TotalFlits: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		image func(n *Network)
+		want  string // "" = the restore succeeds
+	}{
+		{"body-on-a-wire", bodyOnLink3, "link 0-W: packet 7's body flit arrives at input E VC 0, which is not carrying that packet"},
+		{"body-on-a-dead-wire", func(n *Network) {
+			bodyOnLink3(n)
+			n.links[3].l.SetDown(true)
+		}, ""},
+		{"injection-cursor", func(n *Network) {
+			p := n.ports[0]
+			in := p.getInjection()
+			for seq, ty := range []flit.Type{flit.Head, flit.Body, flit.Tail} {
+				in.flits = append(in.flits, &flit.Flit{Type: ty, PacketID: 9, Seq: seq, VC: 2, Src: 0, Dst: 5, TotalFlits: 3})
+			}
+			in.next, in.vc = 2, 2
+			p.active[2] = in
+			p.activeCount++
+		}, "tile 0: injection cursor: packet 9's tail flit arrives at input L VC 2, which is not carrying that packet"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := buildCkptNet(t, 1, 0)
+			tc.image(n)
+			snap, err := n.Snapshot(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := checkpoint.Parse(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := buildCkptNet(t, 1, 0)
+			err = res.RestoreCheckpoint(f)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+				res.Run(20)
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore: err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestDeflectRestoreRefusesVCImage: a VC-router image carrying 2-flit
 // packets, restored into a deflection network of the same shape, fails
 // with an error naming where the packets sit, instead of panicking on the

@@ -193,7 +193,13 @@ func (n *Network) UnroutableCount() int64 { return n.unroutable }
 
 // AbortedCount reports partial packets the destination ports discarded on
 // a synthetic abort tail (mid-flight packets cut by a dead link).
-func (n *Network) AbortedCount() int64 { return n.aborted }
+func (n *Network) AbortedCount() int64 {
+	var c int64
+	for _, p := range n.ports {
+		c += p.AbortedPackets
+	}
+	return c
+}
 
 // FaultTotals aggregates the fault accounting across routers and links.
 type FaultTotals struct {
@@ -213,7 +219,7 @@ type FaultTotals struct {
 func (n *Network) FaultTotals() FaultTotals {
 	t := FaultTotals{
 		DeadLinks:  n.faultMap.Len(),
-		AbortedRx:  n.aborted,
+		AbortedRx:  n.AbortedCount(),
 		Rerouted:   n.rerouted,
 		Unroutable: n.unroutable,
 		Detections: n.faultMap.Detections(),

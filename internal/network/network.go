@@ -54,8 +54,10 @@ type Config struct {
 	Warmup int64
 	Seed   int64
 
-	// Probe, when non-nil, attaches the telemetry layer: per-component
-	// counters, optional cycle-sampled series, and optional per-packet
+	// Probe, when non-nil, attaches the telemetry layer: records that
+	// read the routers', ports' and links' own counters (New binds them,
+	// also for a probe carried over from an earlier network), the stall
+	// taxonomy, optional cycle-sampled series, and optional per-packet
 	// lifecycle tracing. Nil keeps every hook on its zero-cost path and
 	// registers no extra phase.
 	Probe *telemetry.Probe
@@ -175,12 +177,13 @@ type Network struct {
 	wdCredit   []bool  // credit arrived on link i this cycle
 	rerouted   int64   // route computations diverted around the fault map
 	unroutable int64   // sends refused because the fault map cut the network
-	aborted    int64   // partial packets discarded on an abort tail
 
 	// Checkpoint state (checkpoint.go): registered extra state, the
-	// cycle of the most recent snapshot (-1 = none), and the configured
-	// snapshot interval (0 = checkpointing off), for observability.
+	// callbacks a restore runs last, the cycle of the most recent snapshot
+	// (-1 = none), and the configured snapshot interval (0 =
+	// checkpointing off), for observability.
 	extras        []checkpointExtra
+	onRestore     []func()
 	lastCkptCycle int64
 	ckptEvery     int64
 
@@ -356,26 +359,26 @@ func New(cfg Config) (*Network, error) {
 		// draws from the pool of the shard that owns it: the receiver's.
 		le.l.SetPool(&n.shards[n.shardOf[le.to]].pool)
 	}
-	if n.probe != nil {
-		// Every tile's router and port share one probe.
-		for tile, r := range n.routers {
-			r.SetProbe(n.probe.RegisterRouter(tile, n.cfg.Router.NumVCs))
-		}
-		for i, le := range n.links {
-			px, py := cfg.Topo.PhysPos(le.from)
-			le.l.SetProbe(n.probe.RegisterLink(i, le.from, le.to, le.dir, cfg.SerdesCycles, px, py))
-		}
-	}
 	ports := make([]Port, tiles)
 	n.ports = make([]*Port, tiles)
 	for tile := range ports {
 		sh := n.shards[n.shardOf[tile]]
 		p := &ports[tile]
 		p.tile, p.net, p.shard, p.pool = tile, n, sh, &sh.pool
-		if n.probe != nil {
-			p.probe = n.probe.Routers[tile]
-		}
 		n.ports[tile] = p
+	}
+	if n.probe != nil {
+		// Every tile's router and port share one record, which reads their
+		// counters in place; registering binds it to this network's.
+		for tile, r := range n.routers {
+			p := n.ports[tile]
+			p.probe = n.probe.RegisterRouter(tile, n.cfg.Router.NumVCs, &r.Stats.RouterCounts, &p.PortCounts)
+			r.SetProbe(p.probe)
+		}
+		for i, le := range n.links {
+			px, py := cfg.Topo.PhysPos(le.from)
+			n.probe.RegisterLink(i, le.from, le.to, le.dir, cfg.SerdesCycles, px, py, &le.l.LinkCounts)
+		}
 	}
 	n.registerPhases()
 	return n, nil
@@ -467,16 +470,11 @@ func (n *Network) registerPhases() {
 			if int64(now)%every != 0 {
 				return
 			}
-			var bufOcc int64
 			for _, r := range n.routers {
 				r.SampleTelemetry()
-				bufOcc += int64(r.Occupancy())
 			}
-			var inFlight int64
-			for _, le := range n.links {
-				inFlight += int64(le.l.InFlight())
-			}
-			n.probe.AddSample(int64(now), bufOcc, inFlight)
+			inFlight := int64(n.LinksInFlight())
+			n.probe.AddSample(int64(now), int64(n.Occupancy())-inFlight, inFlight)
 		})
 	}
 }

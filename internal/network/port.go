@@ -70,8 +70,11 @@ type Port struct {
 	shard *shardState
 	pool  *flit.Pool
 
-	// probe is the tile's telemetry probe (shared with the tile's router);
-	// nil is the disabled fast path.
+	// Injected, delivered and aborted traffic, read in place by a probe.
+	telemetry.PortCounts
+
+	// probe is the tile's telemetry record (shared with the tile's
+	// router), for lifecycle tracing; nil is the disabled fast path.
 	probe *telemetry.RouterProbe
 
 	pending  []*injection
@@ -351,9 +354,8 @@ func (p *Port) receive(flits []*flit.Flit, now int64) {
 			if s := p.findPartial(f.PacketID); s != nil {
 				p.releasePartial(s)
 			}
-			p.shard.aborted++
+			p.AbortedPackets++
 			if p.probe != nil {
-				p.probe.AbortedPackets++
 				p.probe.Trace(telemetry.EvAbort, now, f.PacketID, int32(p.tile), 0)
 			}
 			p.pool.Put(f)
@@ -376,9 +378,9 @@ func (p *Port) receive(flits []*flit.Flit, now int64) {
 		d.Class, d.Flow = f.Class, f.Flow
 		d.Birth, d.Arrived, d.Flits = f.Birth, now, len(parts)
 		p.rx = append(p.rx, d)
+		p.DeliveredFlits += int64(len(parts))
+		p.DeliveredPackets++
 		if p.probe != nil {
-			p.probe.DeliveredFlits += int64(len(parts))
-			p.probe.DeliveredPackets++
 			p.probe.Trace(telemetry.EvEject, now, f.PacketID, int32(p.tile), int32(len(parts)))
 		}
 		// Deferred recorder update: the flit is recycled below, so capture
@@ -585,9 +587,7 @@ func (p *Port) injectFlit(in *injection, now int64) {
 			p.probe.Trace(telemetry.EvInject, now, f.PacketID, int32(f.Src), int32(f.Dst))
 		}
 	}
-	if p.probe != nil {
-		p.probe.InjectedFlits++
-	}
+	p.InjectedFlits++
 	f.Inject = in.inject
 	in.next++
 	p.net.acceptAt(p.tile, f, route.Local)

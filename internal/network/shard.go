@@ -105,7 +105,6 @@ type shardState struct {
 	delivered      int64 // loopback packets (recorder.DeliveredPackets)
 	deliveredFlits int64 // loopback flits (recorder.DeliveredFlits)
 	injected       int64 // recorder.InjectedPackets
-	aborted        int64 // Network.aborted
 }
 
 // initShards partitions the tiles into contiguous ranges, one per shard;
@@ -394,8 +393,7 @@ func (n *Network) ejectMerge(now sim.Cycle) {
 		s.dones = s.dones[:0]
 		n.recorder.DeliveredPackets += s.delivered
 		n.recorder.DeliveredFlits += s.deliveredFlits
-		n.aborted += s.aborted
-		s.delivered, s.deliveredFlits, s.aborted = 0, 0, 0
+		s.delivered, s.deliveredFlits = 0, 0
 	}
 }
 

@@ -87,7 +87,7 @@ func shardFingerprint(n *Network) string {
 	rec := n.Recorder()
 	fmt.Fprintf(&sb, "rec=%s window=%d dflits=%d\n", rec.String(), rec.WindowFlits, rec.DeliveredFlits)
 	fmt.Fprintf(&sb, "plat=%v\nnlat=%v\n", rec.PacketLatency, rec.NetworkLatency)
-	fmt.Fprintf(&sb, "occ=%d outstanding=%d aborted=%d\n", n.Occupancy(), n.FlitsOutstanding(), n.aborted)
+	fmt.Fprintf(&sb, "occ=%d outstanding=%d aborted=%d\n", n.Occupancy(), n.FlitsOutstanding(), n.AbortedCount())
 	for tile, r := range n.routers {
 		fmt.Fprintf(&sb, "r%d %+v\n", tile, r.Stats)
 	}

@@ -64,6 +64,7 @@ func (r *Router) SaveState(e *checkpoint.Encoder) {
 	}
 	e.Bool(r.anyDead)
 	flit.SaveFlits(e, r.ejectQ)
+	e.I64(r.Stats.Routed)
 	e.I64(r.Stats.SwitchMoves)
 	e.I64(r.Stats.DroppedPackets)
 	e.I64(r.Stats.DroppedFlits)
@@ -180,6 +181,7 @@ func (r *Router) RestoreState(d *checkpoint.Decoder, pool *flit.Pool) {
 	}
 	r.anyDead = d.Bool()
 	r.ejectQ = flit.RestoreFlits(d, r.ejectQ[:0], pool)
+	r.Stats.Routed = d.I64()
 	r.Stats.SwitchMoves = d.I64()
 	r.Stats.DroppedPackets = d.I64()
 	r.Stats.DroppedFlits = d.I64()

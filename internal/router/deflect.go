@@ -69,15 +69,11 @@ func (r *Router) deflectArbitrate(now int64) {
 		ic.pop(f.VC)
 		r.Stats.SwitchMoves++
 		if r.probe != nil {
-			r.probe.SwitchMoves++
 			r.probe.Trace(telemetry.EvXbar, now, f.PacketID, int32(r.cfg.ID), int32(f.VC))
 		}
 		if route.Dir(out) == route.Local {
 			r.ejectQ = append(r.ejectQ, f)
 			r.Stats.Ejected++
-			if r.probe != nil {
-				r.probe.EjectedFlits++
-			}
 			continue
 		}
 		r.mustSend(&r.outputs[out], f)

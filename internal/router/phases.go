@@ -123,9 +123,6 @@ func (r *Router) moveReserved(now int64) {
 		r.outWorkMask |= 1 << uint(portIndex(st.outPort))
 		r.creditUpstream(pi, inVC)
 		r.Stats.BypassMoves++
-		if r.probe != nil {
-			r.probe.BypassMoves++
-		}
 	}
 }
 
@@ -329,11 +326,8 @@ func (r *Router) moveFlit(pi, vi int, now int64) {
 	r.outWorkMask |= 1 << uint(portIndex(oc.dir))
 	r.creditUpstream(pi, inVC)
 	r.Stats.SwitchMoves++
-	if r.probe != nil {
-		r.probe.SwitchMoves++
-		if f.Type.IsHead() {
-			r.probe.Trace(telemetry.EvXbar, now, f.PacketID, int32(r.cfg.ID), int32(f.VC))
-		}
+	if r.probe != nil && f.Type.IsHead() {
+		r.probe.Trace(telemetry.EvXbar, now, f.PacketID, int32(r.cfg.ID), int32(f.VC))
 	}
 }
 
@@ -464,9 +458,6 @@ func (r *Router) ejectOne(oc *outputController) {
 		oc.bypass = oc.bypass[1:]
 		r.ejectQ = append(r.ejectQ, f)
 		r.Stats.Ejected++
-		if r.probe != nil {
-			r.probe.EjectedFlits++
-		}
 		return
 	}
 	if oc.stagedMask == 0 {
@@ -478,9 +469,6 @@ func (r *Router) ejectOne(oc *outputController) {
 	oc.stagedMask &^= 1 << uint(w)
 	r.ejectQ = append(r.ejectQ, f)
 	r.Stats.Ejected++
-	if r.probe != nil {
-		r.probe.EjectedFlits++
-	}
 }
 
 func findFlow(flits []*flit.Flit, flow int) int {

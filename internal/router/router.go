@@ -268,13 +268,11 @@ func (oc *outputController) takeCredit(v int) {
 	}
 }
 
-// Stats counts router events.
+// Stats counts router events; a telemetry probe reads RouterCounts.
 type Stats struct {
-	SwitchMoves    int64
+	telemetry.RouterCounts
 	DroppedPackets int64
 	DroppedFlits   int64
-	Ejected        int64
-	BypassMoves    int64
 
 	// Fault accounting (runtime fault injection).
 	FaultDroppedFlits   int64 // flits discarded because their output died
@@ -577,6 +575,17 @@ func (r *Router) CanInject(vc int) bool {
 	return ic.vcs[vc].bufLen() < r.cfg.BufFlits
 }
 
+// CarriesPacket reports whether input VC vc (a valid one) for direction
+// from is carrying packet pkt, so its body and tail flits may arrive: the
+// VC's newest flit belongs to pkt, or the VC is empty and routed for it.
+func (r *Router) CarriesPacket(from route.Dir, vc int, pkt uint64) bool {
+	st := &r.inputs[portIndex(from)].vcs[vc]
+	if st.bufLen() > 0 {
+		return st.back().PacketID == pkt
+	}
+	return st.routed && st.pktID == pkt
+}
+
 // AcceptFlit receives a flit on the input controller for direction from
 // (route.Local for client injection). Under credit flow control a buffer
 // overflow indicates a protocol violation and panics; in drop mode the
@@ -679,8 +688,8 @@ func (r *Router) RouteCompute(now int64) {
 			}
 			ic.setRouted(vi, true)
 			st.routedAt = now
+			r.Stats.Routed++
 			if r.probe != nil {
-				r.probe.Routed++
 				r.probe.Trace(telemetry.EvRoute, now, f.PacketID, int32(r.cfg.ID), int32(st.outPort))
 			}
 		}

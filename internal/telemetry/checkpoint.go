@@ -2,12 +2,15 @@ package telemetry
 
 import "repro/internal/checkpoint"
 
-// SaveState serialises everything a probe has accumulated: every router
-// and link counter, the sampled series, the shared tracer, and the
-// roll-up figures. Probe topology (router/link registry, config) is not
-// saved — the restored probe must come from a network built with the
-// same configuration. A nil probe saves a single absence flag so the
-// section layout is stable either way.
+// SaveState serialises what only the probe counts: each router record's
+// stall taxonomy, reservation counts and occupancy samples, each link
+// record's dead-link stamp, the sampled series, the shared tracer, and
+// the roll-up figures. The router, port and link counters the records
+// read belong to those components' own checkpoint sections. Probe
+// topology (router/link registry, config) is not saved — the restored
+// probe must come from a network built with the same configuration. A
+// nil probe saves a single absence flag so the section layout is stable
+// either way.
 func (p *Probe) SaveState(e *checkpoint.Encoder) {
 	e.Bool(p != nil)
 	if p == nil {
@@ -15,27 +18,16 @@ func (p *Probe) SaveState(e *checkpoint.Encoder) {
 	}
 	e.U32(uint32(len(p.Routers)))
 	for _, rp := range p.Routers {
-		e.I64(rp.Routed)
-		e.I64(rp.SwitchMoves)
-		e.I64(rp.BypassMoves)
 		e.I64(rp.ArbLosses)
 		e.I64(rp.CreditStalls)
 		e.I64(rp.StageStalls)
 		e.I64(rp.ResHits)
 		e.I64(rp.ResMisses)
-		e.I64(rp.InjectedFlits)
-		e.I64(rp.EjectedFlits)
-		e.I64(rp.DeliveredFlits)
-		e.I64(rp.DeliveredPackets)
-		e.I64(rp.AbortedPackets)
 		e.I64s(rp.VCOccSum)
 		e.I64(rp.Samples)
 	}
 	e.U32(uint32(len(p.Links)))
 	for _, lp := range p.Links {
-		e.I64(lp.Flits)
-		e.I64(lp.HeadFlits)
-		e.I64(lp.Credits)
 		e.I64(lp.DeadAt)
 	}
 	e.U32(uint32(len(p.Series)))
@@ -80,19 +72,11 @@ func (p *Probe) RestoreState(d *checkpoint.Decoder) {
 		return
 	}
 	for _, rp := range p.Routers {
-		rp.Routed = d.I64()
-		rp.SwitchMoves = d.I64()
-		rp.BypassMoves = d.I64()
 		rp.ArbLosses = d.I64()
 		rp.CreditStalls = d.I64()
 		rp.StageStalls = d.I64()
 		rp.ResHits = d.I64()
 		rp.ResMisses = d.I64()
-		rp.InjectedFlits = d.I64()
-		rp.EjectedFlits = d.I64()
-		rp.DeliveredFlits = d.I64()
-		rp.DeliveredPackets = d.I64()
-		rp.AbortedPackets = d.I64()
 		occ := d.I64s()
 		if len(occ) == len(rp.VCOccSum) {
 			copy(rp.VCOccSum, occ)
@@ -102,7 +86,7 @@ func (p *Probe) RestoreState(d *checkpoint.Decoder) {
 		}
 		rp.Samples = d.I64()
 	}
-	nl := d.Count(16)
+	nl := d.Count(8)
 	if nl != len(p.Links) {
 		if d.Err() == nil {
 			d.Fail("probe link count mismatch: checkpoint %d, network %d", nl, len(p.Links))
@@ -110,9 +94,6 @@ func (p *Probe) RestoreState(d *checkpoint.Decoder) {
 		return
 	}
 	for _, lp := range p.Links {
-		lp.Flits = d.I64()
-		lp.HeadFlits = d.I64()
-		lp.Credits = d.I64()
 		lp.DeadAt = d.I64()
 	}
 	ns := d.Count(16)

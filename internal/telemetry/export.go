@@ -24,7 +24,7 @@ func (p *Probe) WriteMetricsCSV(w io.Writer) error {
 			rp.ID, rp.Routed, rp.SwitchMoves, rp.BypassMoves,
 			rp.ArbLosses, rp.CreditStalls, rp.StageStalls,
 			rp.ResHits, rp.ResMisses,
-			rp.InjectedFlits, rp.EjectedFlits,
+			rp.InjectedFlits, rp.Ejected,
 			rp.DeliveredFlits, rp.DeliveredPackets, rp.AbortedPackets,
 			rp.meanBufOcc())
 	}
@@ -82,35 +82,17 @@ func (rp *RouterProbe) meanBufOcc() float64 {
 // totals, the per-router stall taxonomy, and the busiest channels.
 func (p *Probe) MetricsTable() string {
 	var sb strings.Builder
-	var routed, moves, bypass, arbL, credS, stageS, resH, resM, inj, ej, del, pkts, abrt int64
-	for _, rp := range p.Routers {
-		if rp == nil {
-			continue
-		}
-		routed += rp.Routed
-		moves += rp.SwitchMoves
-		bypass += rp.BypassMoves
-		arbL += rp.ArbLosses
-		credS += rp.CreditStalls
-		stageS += rp.StageStalls
-		resH += rp.ResHits
-		resM += rp.ResMisses
-		inj += rp.InjectedFlits
-		ej += rp.EjectedFlits
-		del += rp.DeliveredFlits
-		pkts += rp.DeliveredPackets
-		abrt += rp.AbortedPackets
-	}
+	t := p.Totals()
 	fmt.Fprintf(&sb, "telemetry over %d cycles:\n", p.Elapsed())
-	fmt.Fprintf(&sb, "  flits    injected %d  ejected %d  delivered %d (%d packets)\n", inj, ej, del, pkts)
-	fmt.Fprintf(&sb, "  switch   moves %d  bypass %d  route-computes %d\n", moves, bypass, routed)
-	fmt.Fprintf(&sb, "  stalls   arbitration losses %d  credit %d  staging %d\n", arbL, credS, stageS)
-	if resH+resM > 0 {
-		fmt.Fprintf(&sb, "  slots    reservation hits %d  unclaimed %d\n", resH, resM)
+	fmt.Fprintf(&sb, "  flits    injected %d  ejected %d  delivered %d (%d packets)\n", t.InjectedFlits, t.Ejected, t.DeliveredFlits, t.DeliveredPackets)
+	fmt.Fprintf(&sb, "  switch   moves %d  bypass %d  route-computes %d\n", t.SwitchMoves, t.BypassMoves, t.Routed)
+	fmt.Fprintf(&sb, "  stalls   arbitration losses %d  credit %d  staging %d\n", t.ArbLosses, t.CreditStalls, t.StageStalls)
+	if t.ResHits+t.ResMisses > 0 {
+		fmt.Fprintf(&sb, "  slots    reservation hits %d  unclaimed %d\n", t.ResHits, t.ResMisses)
 	}
-	if abrt > 0 || p.DeadLinks > 0 || p.FaultsApplied > 0 {
+	if t.AbortedPackets > 0 || p.DeadLinks > 0 || p.FaultsApplied > 0 {
 		fmt.Fprintf(&sb, "  faults   applied %d  dead links %d  aborted packets %d\n",
-			p.FaultsApplied, p.DeadLinks, abrt)
+			p.FaultsApplied, p.DeadLinks, t.AbortedPackets)
 	}
 	type stalled struct {
 		id    int

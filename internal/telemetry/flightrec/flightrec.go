@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/health"
 	"repro/internal/telemetry/sampler"
 )
@@ -135,16 +136,6 @@ type Record struct {
 	FaultsApplied uint32 // cumulative injector events that took effect
 }
 
-// totals is the cumulative-counter snapshot the phase differences against.
-type totals struct {
-	injected, ejected, routed          int64
-	switchMoves, bypassMoves           int64
-	arbLosses, creditStalls, stgStalls int64
-	linkFlits, headFlits, credits      int64
-	delivFlits, delivPackets, aborted  int64
-	generated                          int64
-}
-
 // FaultEvent is one fault transition forwarded from the probe: an applied
 // injector event or a watchdog fail-stop declaration.
 type FaultEvent struct {
@@ -197,7 +188,11 @@ type Recorder struct {
 	ring  []Record
 	next  int // ring slot the next record lands in
 	count int // valid records, saturating at len(ring)
-	prev  totals
+
+	// prev and prevGenerated are the cumulative counters the next record
+	// differences against.
+	prev          telemetry.Totals
+	prevGenerated int64
 
 	keyframes []Keyframe // oldest first
 	kfEvery   int64
@@ -234,7 +229,9 @@ type Recorder struct {
 // recorder's ring phase on the sampled network's kernel, after the
 // sampler's. The sampler guarantees the telemetry probe the deltas
 // difference; the network must not have run yet. The phase is serial,
-// so it composes with any -shards setting without perturbing results.
+// so it composes with any -shards setting without perturbing results. A
+// restore into the network (a resume) rebases the deltas on the restored
+// counters, so the next record is that cycle's, not every event since 0.
 func Attach(smp *sampler.Sampler, cfg Config) *Recorder {
 	n := smp.Network()
 	cfg = cfg.withDefaults()
@@ -250,6 +247,7 @@ func Attach(smp *sampler.Sampler, cfg Config) *Recorder {
 	}
 	r.keyframes = make([]Keyframe, 0, cfg.Keyframes)
 	smp.Subscribe(r.onSample)
+	n.OnRestore(func() { r.prev, r.prevGenerated = n.Probe().Totals(), n.Recorder().Generated })
 	n.Probe().SetEventSink(r)
 	n.Kernel().AddPhase("flightrec", r.phase)
 	n.Kernel().SetCrashHook(r.onCrash)
@@ -388,62 +386,38 @@ func (r *Recorder) phase(now sim.Cycle) {
 }
 
 // record differences the probe's cumulative counters into the next ring
-// slot. One pass over the per-component probes; no allocation.
+// slot. One Totals pass; no allocation.
 func (r *Recorder) record(cycle int64) {
 	p := r.n.Probe()
-	var cur totals
-	for _, rp := range p.Routers {
-		if rp == nil {
-			continue
-		}
-		cur.injected += rp.InjectedFlits
-		cur.ejected += rp.EjectedFlits
-		cur.routed += rp.Routed
-		cur.switchMoves += rp.SwitchMoves
-		cur.bypassMoves += rp.BypassMoves
-		cur.arbLosses += rp.ArbLosses
-		cur.creditStalls += rp.CreditStalls
-		cur.stgStalls += rp.StageStalls
-		cur.delivFlits += rp.DeliveredFlits
-		cur.delivPackets += rp.DeliveredPackets
-		cur.aborted += rp.AbortedPackets
-	}
-	for _, lp := range p.Links {
-		if lp == nil {
-			continue
-		}
-		cur.linkFlits += lp.Flits
-		cur.headFlits += lp.HeadFlits
-		cur.credits += lp.Credits
-	}
-	cur.generated = r.n.Recorder().Generated
+	cur := p.Totals()
+	generated := r.n.Recorder().Generated
 
 	inFlight := r.n.LinksInFlight()
 	bufOcc := r.n.Occupancy() - inFlight
 
 	r.ring[r.next] = Record{
 		Cycle:            cycle,
-		Injected:         uint32(cur.injected - r.prev.injected),
-		Ejected:          uint32(cur.ejected - r.prev.ejected),
-		Routed:           uint32(cur.routed - r.prev.routed),
-		SwitchMoves:      uint32(cur.switchMoves - r.prev.switchMoves),
-		BypassMoves:      uint32(cur.bypassMoves - r.prev.bypassMoves),
-		ArbLosses:        uint32(cur.arbLosses - r.prev.arbLosses),
-		CreditStalls:     uint32(cur.creditStalls - r.prev.creditStalls),
-		StageStalls:      uint32(cur.stgStalls - r.prev.stgStalls),
-		LinkFlits:        uint32(cur.linkFlits - r.prev.linkFlits),
-		HeadFlits:        uint32(cur.headFlits - r.prev.headFlits),
-		Credits:          uint32(cur.credits - r.prev.credits),
-		DeliveredFlits:   uint32(cur.delivFlits - r.prev.delivFlits),
-		DeliveredPackets: uint32(cur.delivPackets - r.prev.delivPackets),
-		AbortedPackets:   uint32(cur.aborted - r.prev.aborted),
-		Generated:        uint32(cur.generated - r.prev.generated),
+		Injected:         uint32(cur.InjectedFlits - r.prev.InjectedFlits),
+		Ejected:          uint32(cur.Ejected - r.prev.Ejected),
+		Routed:           uint32(cur.Routed - r.prev.Routed),
+		SwitchMoves:      uint32(cur.SwitchMoves - r.prev.SwitchMoves),
+		BypassMoves:      uint32(cur.BypassMoves - r.prev.BypassMoves),
+		ArbLosses:        uint32(cur.ArbLosses - r.prev.ArbLosses),
+		CreditStalls:     uint32(cur.CreditStalls - r.prev.CreditStalls),
+		StageStalls:      uint32(cur.StageStalls - r.prev.StageStalls),
+		LinkFlits:        uint32(cur.Flits - r.prev.Flits),
+		HeadFlits:        uint32(cur.HeadFlits - r.prev.HeadFlits),
+		Credits:          uint32(cur.Credits - r.prev.Credits),
+		DeliveredFlits:   uint32(cur.DeliveredFlits - r.prev.DeliveredFlits),
+		DeliveredPackets: uint32(cur.DeliveredPackets - r.prev.DeliveredPackets),
+		AbortedPackets:   uint32(cur.AbortedPackets - r.prev.AbortedPackets),
+		Generated:        uint32(generated - r.prevGenerated),
 		BufOcc:           uint32(bufOcc),
 		LinkInFlight:     uint32(inFlight),
 		DeadLinks:        uint32(p.DeadLinks),
 		FaultsApplied:    uint32(p.FaultsApplied),
 	}
-	r.prev = cur
+	r.prev, r.prevGenerated = cur, generated
 	r.next++
 	if r.next == len(r.ring) {
 		r.next = 0

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/route"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/health"
 	"repro/internal/topology"
 )
@@ -113,18 +114,12 @@ func (o *Observatory) tick(now int64) {
 	o.ticks++
 
 	// Stall-taxonomy window deltas for burn attribution.
-	var arb, cr, stg int64
+	var t telemetry.Totals
 	if o.probe != nil {
-		for _, rp := range o.probe.Routers {
-			if rp != nil {
-				arb += rp.ArbLosses
-				cr += rp.CreditStalls
-				stg += rp.StageStalls
-			}
-		}
+		t = o.probe.Totals()
 	}
-	dArb, dCr, dStg := arb-o.lastArb, cr-o.lastCr, stg-o.lastStg
-	o.lastArb, o.lastCr, o.lastStg = arb, cr, stg
+	dArb, dCr, dStg := t.ArbLosses-o.lastArb, t.CreditStalls-o.lastCr, t.StageStalls-o.lastStg
+	o.lastArb, o.lastCr, o.lastStg = t.ArbLosses, t.CreditStalls, t.StageStalls
 
 	shortEvict := (slot - o.shortW + o.longW) % o.longW
 	for fi := range o.flows {

@@ -22,6 +22,7 @@ package sampler
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -71,7 +72,8 @@ type Sampler struct {
 	mon    *health.Monitor
 	subs   []func(*Sample)
 
-	// Reused across samples.
+	// Reused across samples; prevFlit holds each link's flits at the
+	// previous sample, the hot-link window's baseline.
 	s        Sample
 	prevFlit []int64
 	loadBuf  []health.LinkLoad
@@ -79,7 +81,9 @@ type Sampler struct {
 
 // Attach registers the sampling phase on the network's kernel and returns
 // the sampler. The network must have a telemetry probe (the counter
-// fabric a sample reads) and must not have run yet.
+// fabric a sample reads) and must not have run yet. The hot-link baseline
+// rides in checkpoints as the "sampler" extra, so a resumed run's first
+// window is the straight run's; resuming a sampler needs one saved.
 func Attach(n *network.Network, cfg Config) (*Sampler, error) {
 	if n.Probe() == nil {
 		return nil, fmt.Errorf("sampler: network has no telemetry probe; enable telemetry to observe it")
@@ -94,8 +98,17 @@ func Attach(n *network.Network, cfg Config) (*Sampler, error) {
 		mon:    health.New(cfg.Health),
 	}
 	n.Kernel().AddPhase("sampler", s.phase)
+	n.AddCheckpointExtra("sampler", s)
 	return s, nil
 }
+
+// SaveState saves the hot-link window's baseline (empty before the first
+// sample).
+func (s *Sampler) SaveState(e *checkpoint.Encoder) { e.I64s(s.prevFlit) }
+
+// RestoreState restores a baseline saved with SaveState; hotLinks pads a
+// short one with zeros.
+func (s *Sampler) RestoreState(d *checkpoint.Decoder) { s.prevFlit = d.I64s() }
 
 // Network reports the sampled network.
 func (s *Sampler) Network() *network.Network { return s.n }
@@ -131,7 +144,7 @@ func (s *Sampler) sample(now int64) {
 	smp.Sample = health.Sample{
 		Cycle:            now,
 		GeneratedPackets: s.n.Recorder().Generated,
-		EjectedFlits:     p.TotalEjectedFlits(),
+		EjectedFlits:     p.Totals().Ejected,
 		BufOcc:           int64(s.n.Occupancy()),
 		Waiting:          s.n.AppendWaitingVCs(now, s.minAge, smp.Waiting[:0]),
 		HotLinks:         s.hotLinks(p),

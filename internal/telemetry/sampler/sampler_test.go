@@ -50,13 +50,14 @@ func newSampledNet(t testing.TB, rate float64, stopAt, seed int64, cfg Config) (
 // omitted, and at most maxHotLinks entries.
 func TestHotLinksRanking(t *testing.T) {
 	p := &telemetry.Probe{}
-	for i := 0; i < 12; i++ {
-		p.Links = append(p.Links, &telemetry.LinkProbe{Index: i, From: i, To: i + 1, Dir: route.East})
+	counts := make([]telemetry.LinkCounts, 12)
+	for i := range counts {
+		p.Links = append(p.Links, &telemetry.LinkProbe{Index: i, From: i, To: i + 1, Dir: route.East, LinkCounts: &counts[i]})
 	}
 	s := &Sampler{}
 	window := func(flits ...int64) []health.LinkLoad {
 		for i, f := range flits {
-			p.Links[i].Flits += f
+			counts[i].Flits += f
 		}
 		return s.hotLinks(p)
 	}

@@ -31,13 +31,11 @@ type RouterSnap struct {
 // evaluated over an explicit horizon: the cycle of the snapshot it belongs
 // to, which the caller passes, rather than the probe's clock (Elapsed).
 type LinkSnap struct {
-	Index     int     `json:"index"`
-	From      int     `json:"from"`
-	To        int     `json:"to"`
-	Dir       string  `json:"dir"`
-	Flits     int64   `json:"flits"`
-	HeadFlits int64   `json:"head_flits"`
-	Credits   int64   `json:"credits"`
+	Index int    `json:"index"`
+	From  int    `json:"from"`
+	To    int    `json:"to"`
+	Dir   string `json:"dir"`
+	LinkCounts
 	Util      float64 `json:"util"`
 	OverUnity bool    `json:"over_unity,omitempty"`
 	DeadAt    int64   `json:"dead_at"`
@@ -62,7 +60,7 @@ func (p *Probe) SnapshotRouters(dst []RouterSnap) []RouterSnap {
 			ResHits:          rp.ResHits,
 			ResMisses:        rp.ResMisses,
 			InjectedFlits:    rp.InjectedFlits,
-			EjectedFlits:     rp.EjectedFlits,
+			EjectedFlits:     rp.Ejected,
 			DeliveredFlits:   rp.DeliveredFlits,
 			DeliveredPackets: rp.DeliveredPackets,
 			AbortedPackets:   rp.AbortedPackets,
@@ -81,16 +79,14 @@ func (p *Probe) SnapshotLinks(dst []LinkSnap, cycles int64) []LinkSnap {
 			continue
 		}
 		dst = append(dst, LinkSnap{
-			Index:     lp.Index,
-			From:      lp.From,
-			To:        lp.To,
-			Dir:       lp.Dir.String(),
-			Flits:     lp.Flits,
-			HeadFlits: lp.HeadFlits,
-			Credits:   lp.Credits,
-			Util:      lp.Util(cycles),
-			OverUnity: lp.OverUnity(cycles),
-			DeadAt:    lp.DeadAt,
+			Index:      lp.Index,
+			From:       lp.From,
+			To:         lp.To,
+			Dir:        lp.Dir.String(),
+			LinkCounts: *lp.LinkCounts,
+			Util:       lp.Util(cycles),
+			OverUnity:  lp.OverUnity(cycles),
+			DeadAt:     lp.DeadAt,
 		})
 	}
 	return dst

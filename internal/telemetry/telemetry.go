@@ -1,15 +1,15 @@
-// Package telemetry is the observability layer of the simulator: a probe
-// fabric threaded through the router phases, link transfer, port
-// injection/ejection, and the fault watchdogs. It exposes the quantities
-// the paper's claims live on — per-VC buffer occupancy and credit flow
-// (§2.3, Fig. 3), link duty factors (§3.1/§4.4), and reservation-slot
-// usage (§2.6) — as per-component counters, cycle-sampled time series, a
-// flit lifecycle tracer (Chrome trace-event JSON), and CSV / text-table /
-// heatmap exporters.
+// Package telemetry is the observability layer of the simulator. Every
+// router, tile port and link counts its own events (RouterCounts,
+// PortCounts, LinkCounts) and saves them in its checkpoint section; a
+// Probe reads them in place and adds only what costs extra: the stall
+// taxonomy and reservation-slot counts (§2.6), per-VC buffer occupancy
+// samples and a cycle-sampled series (§2.3, Fig. 3), a flit lifecycle
+// tracer (Chrome trace-event JSON), and dead-link stamps. It renders link
+// duty factors (§3.1/§4.4) and CSV / text-table / heatmap exports.
 //
-// The layer costs nothing when off: every hook site guards on a nil probe
-// pointer, no phase is registered, and no allocation happens, so the
-// engine's 0 allocs/op steady state (perf_test.go) is preserved.
+// The layer costs nothing when off: every probe-only hook guards on a nil
+// probe pointer, no phase is registered, and no allocation happens, so
+// the engine's 0 allocs/op steady state (perf_test.go) is preserved.
 package telemetry
 
 import "repro/internal/route"
@@ -33,16 +33,41 @@ type Config struct {
 // DefaultMaxTraceEvents bounds the tracer when Config.MaxTraceEvents is 0.
 const DefaultMaxTraceEvents = 1 << 20
 
-// RouterProbe accumulates one router's event counters. The owning router
-// increments the fields directly on its hot paths (guarded by a nil check),
-// so an enabled probe costs one predictable branch plus an integer add.
-type RouterProbe struct {
-	ID int
-
-	// Crossbar and route-computation activity (§2.3).
+// RouterCounts are a router's crossbar and route-computation counters
+// (§2.3), embedded by value in router.Stats: the router counts whether or
+// not a probe is attached, and its RouterProbe reads them in place.
+type RouterCounts struct {
 	Routed      int64 // route-field pops (one per packet per hop)
 	SwitchMoves int64 // flits across the switch
 	BypassMoves int64 // reserved-VC flits through the §2.6 bypass
+	Ejected     int64 // flits delivered through the tile's output port
+}
+
+// PortCounts are a tile port's traffic counters, embedded by value in
+// network.Port and read in place by the tile's RouterProbe.
+type PortCounts struct {
+	InjectedFlits    int64 // flits accepted from the tile's injection port
+	DeliveredFlits   int64 // flits of fully reassembled packets
+	DeliveredPackets int64
+	AbortedPackets   int64 // partials discarded on synthetic abort tails
+}
+
+// LinkCounts are one channel's traffic counters, embedded by value in
+// link.Link and read in place by the channel's LinkProbe.
+type LinkCounts struct {
+	Flits     int64 `json:"flits"` // flits that entered the wires
+	HeadFlits int64 `json:"head_flits"`
+	Credits   int64 `json:"credits"` // credits delivered upstream
+}
+
+// RouterProbe is one tile's telemetry record: its router's and port's
+// counters, read in place, and the counters only a probe pays for, which
+// the router increments on its hot paths behind a nil check.
+type RouterProbe struct {
+	ID int
+
+	*RouterCounts
+	*PortCounts
 
 	// Stall taxonomy: why an eligible-looking flit did not move.
 	ArbLosses    int64 // switch requests that lost the round-robin grant
@@ -52,13 +77,6 @@ type RouterProbe struct {
 	// Reservation-table activity (§2.6).
 	ResHits   int64 // reserved slots that carried their flow's flit
 	ResMisses int64 // reserved slots that went unclaimed
-
-	// Tile-port traffic.
-	InjectedFlits    int64 // flits accepted from the tile's injection port
-	EjectedFlits     int64 // flits delivered through the tile's output port
-	DeliveredFlits   int64 // flits of fully reassembled packets (port level)
-	DeliveredPackets int64
-	AbortedPackets   int64 // partials discarded on synthetic abort tails
 
 	// VCOccSum accumulates per-VC input-buffer occupancy at each series
 	// sample: VCOccSum[v]/Samples is VC v's mean buffered flits (Fig. 3's
@@ -80,7 +98,8 @@ func (rp *RouterProbe) Trace(kind EventKind, now int64, pkt uint64, a, b int32) 
 // preparing event arguments entirely when it is off.
 func (rp *RouterProbe) Tracing() bool { return rp.tr != nil }
 
-// LinkProbe accumulates one unidirectional channel's counters.
+// LinkProbe is one unidirectional channel's telemetry record: its place
+// on the die, its link's counters read in place, and its dead-link stamp.
 type LinkProbe struct {
 	Index    int
 	From, To int
@@ -88,33 +107,19 @@ type LinkProbe struct {
 	PX, PY   int // physical die position of the sending tile
 	Serdes   int // link cycles per flit, for utilization
 
-	Flits     int64 // flits that entered the wires
-	HeadFlits int64
-	Credits   int64 // credits delivered upstream
-	DeadAt    int64 // cycle the watchdog declared the channel dead; -1 = alive
+	*LinkCounts
+	DeadAt int64 // cycle the watchdog declared the channel dead; -1 = alive
 
 	tr *Tracer
 }
 
-// OnSend records a flit entering the wires. The sending link increments
-// the counters; the head's lifecycle trace event is added by the network's
-// delivery phase (TraceHead), which knows the cycle.
-func (lp *LinkProbe) OnSend(head bool) {
-	lp.Flits++
-	if head {
-		lp.HeadFlits++
-	}
-}
-
-// TraceHead records a head flit completing its wire traversal.
+// TraceHead records a head flit completing its wire traversal; the
+// network's delivery phase calls it, since it knows the cycle.
 func (lp *LinkProbe) TraceHead(now int64, pkt uint64) {
 	if lp.tr != nil {
 		lp.tr.Add(Event{Cycle: now, Pkt: pkt, Kind: EvLink, A: int32(lp.Index), B: int32(lp.To)})
 	}
 }
-
-// OnCredit records one credit completing its reverse traversal.
-func (lp *LinkProbe) OnCredit() { lp.Credits++ }
 
 // Util reports the channel's duty factor over the observed horizon: the
 // fraction of cycles its wires were busy (§4.4). A duty factor above 1 is
@@ -229,32 +234,38 @@ func (p *Probe) Elapsed() int64 {
 	return p.now()
 }
 
-// RegisterRouter creates (or returns) the probe for router id.
-func (p *Probe) RegisterRouter(id, numVCs int) *RouterProbe {
+// RegisterRouter creates (or returns) the record for tile id and binds it
+// to the tile's router and port counters; a network rebuilt over the same
+// probe (an in-memory resume) registers it again, rebinding it.
+func (p *Probe) RegisterRouter(id, numVCs int, rc *RouterCounts, pc *PortCounts) *RouterProbe {
 	for len(p.Routers) <= id {
 		p.Routers = append(p.Routers, nil)
 	}
-	if p.Routers[id] == nil {
-		p.Routers[id] = &RouterProbe{ID: id, VCOccSum: make([]int64, numVCs), tr: p.tracer}
+	rp := p.Routers[id]
+	if rp == nil {
+		rp = &RouterProbe{ID: id, VCOccSum: make([]int64, numVCs), tr: p.tracer}
+		p.Routers[id] = rp
 	}
-	return p.Routers[id]
+	rp.RouterCounts, rp.PortCounts = rc, pc
+	return rp
 }
 
-// RegisterLink creates the probe for channel index.
-func (p *Probe) RegisterLink(index, from, to int, dir route.Dir, serdes, px, py int) *LinkProbe {
+// RegisterLink creates (or returns) the record for channel index and
+// binds it to the link's counters, as RegisterRouter does.
+func (p *Probe) RegisterLink(index, from, to int, dir route.Dir, serdes, px, py int, lc *LinkCounts) *LinkProbe {
 	for len(p.Links) <= index {
 		p.Links = append(p.Links, nil)
 	}
-	if serdes < 1 {
-		serdes = 1
-	}
-	if p.Links[index] == nil {
-		p.Links[index] = &LinkProbe{
+	lp := p.Links[index]
+	if lp == nil {
+		lp = &LinkProbe{
 			Index: index, From: from, To: to, Dir: dir,
-			PX: px, PY: py, Serdes: serdes, DeadAt: -1, tr: p.tracer,
+			PX: px, PY: py, Serdes: max(serdes, 1), DeadAt: -1, tr: p.tracer,
 		}
+		p.Links[index] = lp
 	}
-	return p.Links[index]
+	lp.LinkCounts = lc
+	return lp
 }
 
 // Tracer exposes the lifecycle tracer (nil when tracing is off).
@@ -264,26 +275,15 @@ func (p *Probe) Tracer() *Tracer { return p.tracer }
 func (p *Probe) SampleEvery() int64 { return p.cfg.SampleEvery }
 
 // AddSample appends one series row with the cumulative counter fields
-// filled from the registered probes; the caller supplies the instantaneous
-// occupancy fields it alone can see.
+// filled from Totals; the caller supplies the instantaneous occupancy
+// fields it alone can see.
 func (p *Probe) AddSample(cycle, bufOcc, linkInFlight int64) {
-	row := SeriesRow{Cycle: cycle, BufOcc: bufOcc, LinkInFlight: linkInFlight}
-	for _, rp := range p.Routers {
-		if rp == nil {
-			continue
-		}
-		row.SwitchMoves += rp.SwitchMoves
-		row.ArbLosses += rp.ArbLosses
-		row.CreditStalls += rp.CreditStalls
-		row.ResHits += rp.ResHits
-		row.Delivered += rp.EjectedFlits
-	}
-	for _, lp := range p.Links {
-		if lp != nil {
-			row.LinkFlits += lp.Flits
-		}
-	}
-	p.Series = append(p.Series, row)
+	t := p.Totals()
+	p.Series = append(p.Series, SeriesRow{
+		Cycle: cycle, BufOcc: bufOcc, LinkInFlight: linkInFlight,
+		LinkFlits: t.Flits, SwitchMoves: t.SwitchMoves, ArbLosses: t.ArbLosses,
+		CreditStalls: t.CreditStalls, ResHits: t.ResHits, Delivered: t.Ejected,
+	})
 }
 
 // OnLinkDead records a watchdog fail-stop declaration for channel index.
@@ -312,38 +312,52 @@ func (p *Probe) OnFault(now int64, kind int, where int) {
 	}
 }
 
-// TotalLinkFlits sums the flits sent over every channel.
-func (p *Probe) TotalLinkFlits() int64 {
-	var n int64
+// Totals is the die-wide sum of every counter a probe reads: the
+// routers', ports' and links' own, and the probe's.
+type Totals struct {
+	RouterCounts
+	PortCounts
+	LinkCounts
+	ArbLosses, CreditStalls, StageStalls int64
+	ResHits, ResMisses                   int64
+}
+
+// Totals sums every registered router and link record in one pass.
+func (p *Probe) Totals() Totals {
+	var t Totals
+	for _, rp := range p.Routers {
+		if rp == nil {
+			continue
+		}
+		rc, pc := rp.RouterCounts, rp.PortCounts
+		t.Routed += rc.Routed
+		t.SwitchMoves += rc.SwitchMoves
+		t.BypassMoves += rc.BypassMoves
+		t.Ejected += rc.Ejected
+		t.InjectedFlits += pc.InjectedFlits
+		t.DeliveredFlits += pc.DeliveredFlits
+		t.DeliveredPackets += pc.DeliveredPackets
+		t.AbortedPackets += pc.AbortedPackets
+		t.ArbLosses += rp.ArbLosses
+		t.CreditStalls += rp.CreditStalls
+		t.StageStalls += rp.StageStalls
+		t.ResHits += rp.ResHits
+		t.ResMisses += rp.ResMisses
+	}
 	for _, lp := range p.Links {
 		if lp != nil {
-			n += lp.Flits
+			t.Flits += lp.Flits
+			t.HeadFlits += lp.HeadFlits
+			t.Credits += lp.Credits
 		}
 	}
-	return n
+	return t
 }
+
+// TotalLinkFlits sums the flits sent over every channel.
+func (p *Probe) TotalLinkFlits() int64 { return p.Totals().Flits }
 
 // TotalDeliveredFlits sums the flits of fully reassembled packets across
 // all tile ports. On a fault-free run it reconciles with the recorder's
 // DeliveredFlits (minus loopback packets, which never enter the network).
-func (p *Probe) TotalDeliveredFlits() int64 {
-	var n int64
-	for _, rp := range p.Routers {
-		if rp != nil {
-			n += rp.DeliveredFlits
-		}
-	}
-	return n
-}
-
-// TotalEjectedFlits sums the flits delivered through tile output ports
-// (including abort tails, which carry no payload).
-func (p *Probe) TotalEjectedFlits() int64 {
-	var n int64
-	for _, rp := range p.Routers {
-		if rp != nil {
-			n += rp.EjectedFlits
-		}
-	}
-	return n
-}
+func (p *Probe) TotalDeliveredFlits() int64 { return p.Totals().DeliveredFlits }

@@ -7,20 +7,35 @@ import (
 	"repro/internal/route"
 )
 
+// TestRegisterIdempotent: registering a component again returns the same
+// record, rebound to the counters it was registered with the second time
+// (a network rebuilt over the same probe).
 func TestRegisterIdempotent(t *testing.T) {
 	p := New(Config{})
-	a := p.RegisterRouter(3, 4)
-	b := p.RegisterRouter(3, 4)
+	var rc1, rc2 RouterCounts
+	var pc1, pc2 PortCounts
+	a := p.RegisterRouter(3, 4, &rc1, &pc1)
+	b := p.RegisterRouter(3, 4, &rc2, &pc2)
 	if a != b {
 		t.Fatal("RegisterRouter(3) returned two probes")
 	}
 	if len(a.VCOccSum) != 4 {
 		t.Fatalf("VCOccSum len = %d, want 4", len(a.VCOccSum))
 	}
-	la := p.RegisterLink(2, 0, 1, route.East, 1, 0, 0)
-	lb := p.RegisterLink(2, 0, 1, route.East, 1, 0, 0)
+	rc1.SwitchMoves, rc2.SwitchMoves = 1, 2
+	pc1.InjectedFlits, pc2.InjectedFlits = 3, 4
+	if a.SwitchMoves != 2 || a.InjectedFlits != 4 {
+		t.Fatalf("re-registered router reads switch moves %d, injected %d; want the second counters' 2, 4", a.SwitchMoves, a.InjectedFlits)
+	}
+	var lc1, lc2 LinkCounts
+	la := p.RegisterLink(2, 0, 1, route.East, 1, 0, 0, &lc1)
+	lb := p.RegisterLink(2, 0, 1, route.East, 1, 0, 0, &lc2)
 	if la != lb {
 		t.Fatal("RegisterLink(2) returned two probes")
+	}
+	lc1.Flits, lc2.Flits = 5, 6
+	if la.Flits != 6 {
+		t.Fatalf("re-registered link reads %d flits, want the second counters' 6", la.Flits)
 	}
 	if p.Links[0] != nil || p.Links[1] != nil {
 		t.Fatal("unregistered link slots should stay nil")
@@ -31,13 +46,7 @@ func TestRegisterIdempotent(t *testing.T) {
 }
 
 func TestLinkUtil(t *testing.T) {
-	lp := &LinkProbe{Serdes: 2}
-	for i := 0; i < 10; i++ {
-		lp.OnSend(i%2 == 0)
-	}
-	if lp.Flits != 10 || lp.HeadFlits != 5 {
-		t.Fatalf("Flits=%d HeadFlits=%d, want 10/5", lp.Flits, lp.HeadFlits)
-	}
+	lp := &LinkProbe{Serdes: 2, LinkCounts: &LinkCounts{Flits: 10, HeadFlits: 5}}
 	if got := lp.Util(40); got != 0.5 {
 		t.Fatalf("Util(40) = %v, want 0.5 (10 flits x serdes 2)", got)
 	}
@@ -51,12 +60,12 @@ func TestLinkUtil(t *testing.T) {
 
 func TestAddSampleCumulative(t *testing.T) {
 	p := New(Config{SampleEvery: 10})
-	rp := p.RegisterRouter(0, 2)
-	lp := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0)
-	rp.SwitchMoves, rp.ArbLosses, rp.EjectedFlits = 7, 2, 5
-	lp.Flits = 11
+	rc := &RouterCounts{SwitchMoves: 7, Ejected: 5}
+	rp := p.RegisterRouter(0, 2, rc, &PortCounts{})
+	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{Flits: 11})
+	rp.ArbLosses = 2
 	p.AddSample(10, 3, 1)
-	rp.SwitchMoves = 9
+	rc.SwitchMoves = 9
 	p.AddSample(20, 0, 0)
 	if len(p.Series) != 2 {
 		t.Fatalf("series rows = %d, want 2", len(p.Series))
@@ -75,7 +84,7 @@ func TestAddSampleCumulative(t *testing.T) {
 
 func TestTracerBounded(t *testing.T) {
 	p := New(Config{Trace: true, MaxTraceEvents: 3})
-	rp := p.RegisterRouter(0, 1)
+	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{})
 	for i := 0; i < 5; i++ {
 		rp.Trace(EvRoute, int64(i), 1, 0, 0)
 	}
@@ -90,7 +99,7 @@ func TestTracerBounded(t *testing.T) {
 
 func TestTraceDisabledIsNilSafe(t *testing.T) {
 	p := New(Config{})
-	rp := p.RegisterRouter(0, 1)
+	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{})
 	if rp.Tracing() {
 		t.Fatal("Tracing() true without Config.Trace")
 	}
@@ -106,8 +115,8 @@ func TestTraceDisabledIsNilSafe(t *testing.T) {
 
 func TestChromeTraceAndTimeline(t *testing.T) {
 	p := New(Config{Trace: true})
-	rp := p.RegisterRouter(0, 1)
-	lp := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0)
+	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{})
+	lp := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{})
 	rp.Trace(EvInject, 0, 1, 0, 1)
 	rp.Trace(EvRoute, 1, 1, 0, int32(route.East))
 	rp.Trace(EvXbar, 1, 1, 0, 0)
@@ -149,8 +158,8 @@ func TestChromeTraceAndTimeline(t *testing.T) {
 
 func TestMetricsCSVSections(t *testing.T) {
 	p := New(Config{SampleEvery: 5})
-	rp := p.RegisterRouter(0, 2)
-	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0)
+	rp := p.RegisterRouter(0, 2, &RouterCounts{}, &PortCounts{})
+	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{})
 	rp.VCOccSum[0], rp.VCOccSum[1], rp.Samples = 4, 2, 2
 	p.AddSample(5, 6, 0)
 	p.SetClock(func() int64 { return 100 })
@@ -175,10 +184,11 @@ func TestHeatmapGrid(t *testing.T) {
 	// Tiles 0..3 at physical positions (0,0) (1,0) (0,1) (1,1), one
 	// outgoing link each; tile 3's is saturated.
 	for tile := 0; tile < 4; tile++ {
-		lp := p.RegisterLink(tile, tile, (tile+1)%4, route.East, 1, tile%2, tile/2)
+		lc := &LinkCounts{}
 		if tile == 3 {
-			lp.Flits = 100
+			lc.Flits = 100
 		}
+		p.RegisterLink(tile, tile, (tile+1)%4, route.East, 1, tile%2, tile/2, lc)
 	}
 	p.SetClock(func() int64 { return 100 })
 	hm := p.Heatmap()
@@ -215,13 +225,12 @@ func TestHeatmapGrid(t *testing.T) {
 func TestMetricsTableTotals(t *testing.T) {
 	p := New(Config{})
 	for tile := 0; tile < 2; tile++ {
-		rp := p.RegisterRouter(tile, 1)
-		rp.InjectedFlits, rp.EjectedFlits = 10, 10
-		rp.DeliveredFlits, rp.DeliveredPackets = 10, 5
-		rp.SwitchMoves, rp.ArbLosses = 20, int64(tile)
+		rp := p.RegisterRouter(tile, 1,
+			&RouterCounts{SwitchMoves: 20, Ejected: 10},
+			&PortCounts{InjectedFlits: 10, DeliveredFlits: 10, DeliveredPackets: 5})
+		rp.ArbLosses = int64(tile)
 	}
-	lp := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0)
-	lp.Flits = 7
+	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{Flits: 7})
 	p.SetClock(func() int64 { return 50 })
 	out := p.MetricsTable()
 	for _, want := range []string{
@@ -236,14 +245,14 @@ func TestMetricsTableTotals(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	if p.TotalLinkFlits() != 7 || p.TotalDeliveredFlits() != 20 || p.TotalEjectedFlits() != 20 {
-		t.Errorf("totals: link=%d delivered=%d ejected=%d", p.TotalLinkFlits(), p.TotalDeliveredFlits(), p.TotalEjectedFlits())
+	if p.TotalLinkFlits() != 7 || p.TotalDeliveredFlits() != 20 || p.Totals().Ejected != 20 {
+		t.Errorf("totals: link=%d delivered=%d ejected=%d", p.TotalLinkFlits(), p.TotalDeliveredFlits(), p.Totals().Ejected)
 	}
 }
 
 func TestFaultAccounting(t *testing.T) {
 	p := New(Config{})
-	p.RegisterLink(1, 0, 1, route.East, 1, 0, 0)
+	p.RegisterLink(1, 0, 1, route.East, 1, 0, 0, &LinkCounts{})
 	p.OnLinkDead(1, 42)
 	p.OnFault(40, 2, 7)
 	if p.DeadLinks != 1 || p.Links[1].DeadAt != 42 || p.FaultsApplied != 1 {
@@ -258,8 +267,8 @@ func TestFaultAccounting(t *testing.T) {
 // surface it.
 func TestOverUnityClampAndSurfacing(t *testing.T) {
 	p := New(Config{})
-	good := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0)
-	bad := p.RegisterLink(1, 1, 2, route.East, 2, 0, 0)
+	good := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{})
+	bad := p.RegisterLink(1, 1, 2, route.East, 2, 0, 0, &LinkCounts{})
 	good.Flits = 50 // serdes 1 over 100 cycles: duty 0.5
 	bad.Flits = 80  // serdes 2 over 100 cycles: raw duty 1.6
 	p.SetClock(func() int64 { return 100 })

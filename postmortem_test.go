@@ -8,17 +8,23 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/flit"
 	"repro/internal/network"
+	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
+	"repro/internal/telemetry/health"
 	"repro/internal/telemetry/sampler"
+	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // The post-mortem suite gates the flight recorder's central promise:
@@ -177,6 +183,101 @@ func TestFlightRecReconstructionExact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFlightRecRebaseAfterRestore: a flight recorder and health sampler
+// attached to a network that then restores a checkpoint, as every resume
+// does, difference against the restored counters. Every ring record and
+// every sampled observation after the restore cycle equals the straight
+// run's. Without the rebase, the first record after the restore counted
+// every event since cycle 0, and the first sample ranked every link by
+// its flits since cycle 0. (The detectors' own state is not part of a
+// checkpoint, so only the observation the sampler takes is compared.)
+func TestFlightRecRebaseAfterRestore(t *testing.T) {
+	const restoreAt, until = 1000, 2000
+	type observed struct {
+		health.Sample
+		LinkInFlight int64
+	}
+	build := func() (*network.Network, *flightrec.Recorder, *[]observed) {
+		topo, err := topology.NewFoldedTorus(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 3, Probe: telemetry.New(telemetry.Config{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tile := 0; tile < topo.NumTiles(); tile++ {
+			n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.2, 1, flit.VCMask(0xFF), 3))
+		}
+		smp, err := sampler.Attach(n, sampler.Config{Every: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var samples []observed
+		smp.Subscribe(func(s *sampler.Sample) {
+			o := observed{Sample: s.Sample, LinkInFlight: s.LinkInFlight}
+			o.Waiting = append([]health.VCWait(nil), s.Waiting...)
+			o.HotLinks = append([]health.LinkLoad(nil), s.HotLinks...)
+			samples = append(samples, o)
+		})
+		rec := flightrec.Attach(smp, flightrec.Config{Window: 2 * until, Dir: t.TempDir()})
+		return n, rec, &samples
+	}
+	ring := func(n *network.Network, rec *flightrec.Recorder) []flightrec.Record {
+		done := rec.RequestDump("rebase")
+		n.Run(1)
+		res := <-done
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		dp, err := flightrec.LoadDump(res.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dp.Range(restoreAt+1, dp.LastCycle())
+	}
+
+	straight, straightRec, straightSamples := build()
+	straight.Run(restoreAt)
+	img, err := straight.Snapshot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight.Run(until - restoreAt)
+	resumed, resumedRec, resumedSamples := build()
+	if err := resumed.Fork(img, 1); err != nil {
+		t.Fatal(err)
+	}
+	resumed.Run(until - restoreAt)
+
+	want, got := ring(straight, straightRec), ring(resumed, resumedRec)
+	if len(want) != until-restoreAt+1 || !reflect.DeepEqual(got, want) {
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("ring record at cycle %d after the restore:\nresumed  %+v\nstraight %+v", want[i].Cycle, got[i], want[i])
+			}
+		}
+		t.Fatalf("resumed ring holds %d records after cycle %d, straight %d", len(got), restoreAt, len(want))
+	}
+	var after []observed
+	for _, s := range *straightSamples {
+		if s.Cycle >= restoreAt {
+			after = append(after, s)
+		}
+	}
+	if len(after) == 0 || len(after[0].HotLinks) == 0 {
+		t.Fatal("no sample with hot links after the restore; the comparison is vacuous")
+	}
+	if !reflect.DeepEqual(*resumedSamples, after) {
+		for i := range min(len(*resumedSamples), len(after)) {
+			if g, w := (*resumedSamples)[i], after[i]; !reflect.DeepEqual(g, w) {
+				t.Fatalf("sample at cycle %d after the restore:\nresumed  %+v\nstraight %+v", w.Cycle, g, w)
+			}
+		}
+		t.Fatalf("resumed run took %d samples after cycle %d, straight %d", len(*resumedSamples), restoreAt, len(after))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // The resume determinism suite extends the cross-shard contract to
@@ -92,5 +93,35 @@ func TestResumedGoldenSweep(t *testing.T) {
 				})
 			})
 		})
+	}
+}
+
+// TestResumedProbeMatchesStraightRun: the in-memory resume rebuilds a
+// second network over the same RunParams.Probe, whose registration must
+// rebind the probe's records to the rebuilt network's router, port and
+// link counters. A probe that kept reading the discarded network's
+// counters would write a different metrics CSV from a straight run's.
+func TestResumedProbeMatchesStraightRun(t *testing.T) {
+	run := func() string {
+		p := core.DefaultRunParams()
+		p.Rate = 0.3
+		p.WarmupCycles = 200
+		p.MeasureCycles = 2000
+		p.Seed = 5
+		p.Probe = telemetry.New(telemetry.Config{SampleEvery: 100})
+		if _, err := core.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := p.Probe.WriteMetricsCSV(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	straight := run()
+	var resumed string
+	resumeAt(t, 0.5, func() { resumed = run() })
+	if resumed != straight {
+		t.Errorf("metrics CSV of a run resumed at 50%% differs from the straight run's\n--- straight ---\n%s--- resumed ---\n%s", straight, resumed)
 	}
 }

@@ -12,22 +12,19 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestTelemetryReconciliation pins the accounting contract of the probe
-// layer on the paper's 16-tile baseline and on a 4x4 deflection mesh: the
-// port-level delivery counters agree exactly with the measurement
-// recorder, the routers eject what the ports deliver, and the heatmap's
-// link totals are consistent with the traffic that produced them.
-// Uniform traffic never picks its own tile, so no loopback packets (which
-// bypass the network) can skew the comparison.
-func TestTelemetryReconciliation(t *testing.T) {
-	t.Run("torus4x4", func(t *testing.T) {
-		probe := telemetry.New(telemetry.Config{SampleEvery: 50})
-		reconcileTelemetry(t, probe, buildLoadedNet(t, 3000, func(cfg *network.Config) {
+// telemetryNets are the networks the telemetry suites run: the paper's
+// 16-tile baseline torus and a 4x4 deflection mesh, each under uniform
+// load that stops at cycle 3000, with the given probe (nil for none).
+var telemetryNets = []struct {
+	name  string
+	build func(t *testing.T, probe *telemetry.Probe) *network.Network
+}{
+	{"torus4x4", func(t *testing.T, probe *telemetry.Probe) *network.Network {
+		return buildLoadedNet(t, 3000, func(cfg *network.Config) {
 			cfg.Probe = probe
-		}))
-	})
-	t.Run("deflect-mesh4x4", func(t *testing.T) {
-		probe := telemetry.New(telemetry.Config{SampleEvery: 50})
+		})
+	}},
+	{"deflect-mesh4x4", func(t *testing.T, probe *telemetry.Probe) *network.Network {
 		topo, err := topology.NewMesh(4, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -43,8 +40,71 @@ func TestTelemetryReconciliation(t *testing.T) {
 			g.StopAt = 3000
 			n.AttachClient(tile, g)
 		}
-		reconcileTelemetry(t, probe, n)
-	})
+		return n
+	}},
+}
+
+// TestTelemetryReconciliation pins the accounting contract of the probe
+// layer on telemetryNets: the port-level delivery counters agree exactly
+// with the measurement recorder, the routers eject what the ports
+// deliver, and the heatmap's link totals are consistent with the traffic
+// that produced them. Uniform traffic never picks its own tile, so no
+// loopback packets (which bypass the network) can skew the comparison.
+func TestTelemetryReconciliation(t *testing.T) {
+	for _, tc := range telemetryNets {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := telemetry.New(telemetry.Config{SampleEvery: 50})
+			reconcileTelemetry(t, probe, tc.build(t, probe))
+		})
+	}
+}
+
+// TestEngineCountersWithoutProbe: routers, ports and links own their
+// event counters, so a run of telemetryNets without a probe counts
+// exactly what the same run with one counts, component by component.
+func TestEngineCountersWithoutProbe(t *testing.T) {
+	type counts struct {
+		routers []router.Stats
+		ports   []telemetry.PortCounts
+		links   []telemetry.LinkCounts
+	}
+	run := func(t *testing.T, n *network.Network) counts {
+		n.Run(3000)
+		if !n.Drain(100000) {
+			t.Fatalf("network did not drain (occupancy %d)", n.Occupancy())
+		}
+		var c counts
+		for tile := 0; tile < n.Topology().NumTiles(); tile++ {
+			c.routers = append(c.routers, n.Router(tile).Stats)
+			c.ports = append(c.ports, n.Port(tile).PortCounts)
+		}
+		for _, l := range n.Links() {
+			c.links = append(c.links, l.LinkCounts)
+		}
+		return c
+	}
+	for _, tc := range telemetryNets {
+		t.Run(tc.name, func(t *testing.T) {
+			with := run(t, tc.build(t, telemetry.New(telemetry.Config{SampleEvery: 50})))
+			without := run(t, tc.build(t, nil))
+			if with.routers[0].SwitchMoves == 0 || with.ports[0].DeliveredPackets == 0 || with.links[0].Flits == 0 {
+				t.Fatal("tile 0 counted nothing; the comparison is vacuous")
+			}
+			for tile := range with.routers {
+				if with.routers[tile] != without.routers[tile] {
+					t.Errorf("router %d: with probe %+v, without %+v", tile, with.routers[tile], without.routers[tile])
+				}
+				if with.ports[tile] != without.ports[tile] {
+					t.Errorf("port %d: with probe %+v, without %+v", tile, with.ports[tile], without.ports[tile])
+				}
+			}
+			for i := range with.links {
+				if with.links[i] != without.links[i] {
+					t.Errorf("link %d: with probe %+v, without %+v", i, with.links[i], without.links[i])
+				}
+			}
+		})
+	}
 }
 
 // reconcileTelemetry runs n, whose clients stop at cycle 3000, to a drain
@@ -72,7 +132,7 @@ func reconcileTelemetry(t *testing.T, probe *telemetry.Probe, n *network.Network
 	}
 	// Fault-free run: everything ejected at a tile port belongs to a
 	// reassembled packet (no abort tails).
-	if got, want := probe.TotalEjectedFlits(), probe.TotalDeliveredFlits(); got != want {
+	if got, want := probe.Totals().Ejected, probe.TotalDeliveredFlits(); got != want {
 		t.Errorf("ejected flits = %d, delivered flits = %d", got, want)
 	}
 	// Every delivered flit crossed at least one link (no loopbacks), and
