@@ -13,8 +13,9 @@ import (
 )
 
 // telemetryNets are the networks the telemetry suites run: the paper's
-// 16-tile baseline torus and a 4x4 deflection mesh, each under uniform
-// load that stops at cycle 3000, with the given probe (nil for none).
+// 16-tile baseline torus, the same torus congested with a priority class
+// (buildCongestedNet), and a 4x4 deflection mesh, each under uniform load
+// that stops at cycle 3000, with the given probe (nil for none).
 var telemetryNets = []struct {
 	name  string
 	build func(t *testing.T, probe *telemetry.Probe) *network.Network
@@ -23,6 +24,9 @@ var telemetryNets = []struct {
 		return buildLoadedNet(t, 3000, func(cfg *network.Config) {
 			cfg.Probe = probe
 		})
+	}},
+	{"congested-torus4x4", func(t *testing.T, probe *telemetry.Probe) *network.Network {
+		return buildCongestedNet(t, probe, congestedPriority)
 	}},
 	{"deflect-mesh4x4", func(t *testing.T, probe *telemetry.Probe) *network.Network {
 		topo, err := topology.NewMesh(4, 4)
@@ -42,6 +46,74 @@ var telemetryNets = []struct {
 		}
 		return n
 	}},
+}
+
+// congestedPriority is the class-of-service VC pair of buildCongestedNet:
+// VC 0 and, under the torus's dateline classes, its partner VC 4.
+const congestedPriority = flit.VCMask(0x01)
+
+// buildCongestedNet builds the paper's 4x4 folded torus at 0.6
+// flits/tile/cycle of 2-flit uniform packets, stopping at cycle 3000:
+// enough load that switch requests lose arbitration, wait on credits and
+// find their staging slot taken. Every fourth tile sends on the prio VC
+// pair, which the routers treat as a priority class; the others send on
+// the remaining pairs.
+func buildCongestedNet(t *testing.T, probe *telemetry.Probe, prio flit.VCMask) *network.Network {
+	topo, err := topology.NewFoldedTorus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := router.DefaultConfig(0)
+	rc.PriorityVCs = prio
+	n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 1, Probe: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tile := 0; tile < topo.NumTiles(); tile++ {
+		mask := flit.VCMask(0xFF) &^ (congestedPriority | congestedPriority<<4)
+		if tile%4 == 0 {
+			mask = congestedPriority
+		}
+		g := traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.6, 2, mask, 1)
+		g.StopAt = 3000
+		n.AttachClient(tile, g)
+	}
+	return n
+}
+
+// TestStallTaxonomyUnderCongestion pins what switch arbitration counts
+// on the congested torus: the die-wide switch moves and the probe's three
+// stall classes, each of them nonzero. The same run with no priority
+// class must count differently, so the priority narrowing of the switch
+// grant decided at least one arbitration.
+func TestStallTaxonomyUnderCongestion(t *testing.T) {
+	run := func(prio flit.VCMask) telemetry.Totals {
+		probe := telemetry.New(telemetry.Config{})
+		n := buildCongestedNet(t, probe, prio)
+		n.Run(3000)
+		if !n.Drain(100000) {
+			t.Fatalf("network did not drain (occupancy %d)", n.Occupancy())
+		}
+		return probe.Totals()
+	}
+	got := run(congestedPriority)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"SwitchMoves", got.SwitchMoves, 91062},
+		{"ArbLosses", got.ArbLosses, 5073},
+		{"CreditStalls", got.CreditStalls, 808},
+		{"StageStalls", got.StageStalls, 12650},
+	} {
+		if c.got != c.want || c.got <= 0 {
+			t.Errorf("%s = %d, want %d (and above 0)", c.name, c.got, c.want)
+		}
+	}
+	if flat := run(0); flat.SwitchMoves == got.SwitchMoves && flat.ArbLosses == got.ArbLosses &&
+		flat.CreditStalls == got.CreditStalls && flat.StageStalls == got.StageStalls {
+		t.Errorf("the run without a priority class counts the same %+v: the priority narrowing never decided a grant", flat)
+	}
 }
 
 // TestTelemetryReconciliation pins the accounting contract of the probe
