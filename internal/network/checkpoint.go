@@ -259,7 +259,8 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 			le.l.RestoreState(d, &n.shards[n.shardOf[le.to]].pool, n.cfg.Router.NumVCs)
 			// A flit on a dead link is lost on delivery, unseen.
 			if f := le.l.Wire(); f != nil && !le.l.Down() && d.Err() == nil {
-				if msg := cmp.Or(n.refuses(f), n.orphaned(f, le.to, le.dir.Opposite())); msg != "" {
+				in := le.dir.Opposite()
+				if msg := cmp.Or(n.refuses(f), n.orphaned(f, le.to, in), n.overflows(f, le.to, in)); msg != "" {
 					d.Fail("link %d-%v: %s", le.from, le.dir, msg)
 				}
 			}
@@ -372,6 +373,18 @@ func (n *Network) orphaned(f *flit.Flit, tile int, from route.Dir) string {
 		return ""
 	}
 	return fmt.Sprintf("packet %d's %v flit arrives at input %v VC %d, which is not carrying that packet", f.PacketID, f.Type, from, f.VC)
+}
+
+// overflows describes why a VC router at tile would panic on flit f,
+// restored on a live credit link, at its input from, or returns "": the
+// flit's input VC must have a free slot, as the credit it was sent on
+// promised. An elastic link holds its flit until the VC has room.
+func (n *Network) overflows(f *flit.Flit, tile int, from route.Dir) string {
+	rc := n.cfg.Router
+	if rc.Mode != router.ModeVC || rc.ElasticLinks || n.routers[tile].CanAccept(from, f.VC) {
+		return ""
+	}
+	return fmt.Sprintf("packet %d's %v flit arrives at input %v VC %d, which already holds %d flits", f.PacketID, f.Type, from, f.VC, rc.BufFlits)
 }
 
 // --- port state -------------------------------------------------------------

@@ -328,6 +328,20 @@ func TestCheckpointRejectsOrphanFlits(t *testing.T) {
 		want  string // "" = the restore succeeds
 	}{
 		{"body-on-a-wire", bodyOnLink3, "link 0-W: packet 7's body flit arrives at input E VC 0, which is not carrying that packet"},
+		{"wire-flit-into-a-full-vc", func(n *Network) {
+			le := n.links[3]
+			for seq := 0; seq <= n.cfg.Router.BufFlits; seq++ {
+				f := &flit.Flit{Type: flit.Body, PacketID: 5, Seq: seq, VC: 0, Src: le.from, Dst: le.to, TotalFlits: 8}
+				if seq == 0 {
+					f.Type = flit.Head
+				}
+				if seq < n.cfg.Router.BufFlits {
+					n.routers[le.to].AcceptFlit(f, le.dir.Opposite())
+				} else if err := le.l.Send(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, "link 0-W: packet 5's body flit arrives at input E VC 0, which already holds 4 flits"},
 		{"body-on-a-dead-wire", func(n *Network) {
 			bodyOnLink3(n)
 			n.links[3].l.SetDown(true)

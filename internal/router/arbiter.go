@@ -23,35 +23,35 @@ type rrArbiter struct {
 	next int
 }
 
-func newRRArbiter(n int) *rrArbiter { return &rrArbiter{n: n} }
-
-// Grant picks the first requester at or after the pointer, advances the
-// pointer past it, and returns its index; it returns -1 if no requests.
-func (a *rrArbiter) Grant(req []bool) int {
-	if len(req) != a.n {
-		panic("router: arbiter width mismatch")
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.next + i) % a.n
-		if req[idx] {
-			a.next = (idx + 1) % a.n
-			return idx
-		}
-	}
-	return -1
+// split divides a packed request word (bit i = requester i) at the
+// pointer: ahead holds the requests at or after it, behind the rest.
+// Round-robin order is ahead's bits from the lowest, then behind's.
+func (a *rrArbiter) split(req uint32) (ahead, behind uint32) {
+	ahead = req >> uint(a.next) << uint(a.next)
+	return ahead, req &^ ahead
 }
 
-// GrantMask is Grant over a packed request word (bit i = requester i):
-// the first set bit at or after the pointer wins, wrapping to the lowest
-// set bit, with the same pointer update. Callers must not set bits >= n.
+// GrantMask picks the first requester of req in round-robin order,
+// advances the pointer past it, and returns its index; it returns -1 if
+// req is empty. Callers must not set bits >= n.
 func (a *rrArbiter) GrantMask(req uint32) int {
 	if req == 0 {
 		return -1
 	}
-	idx := bits.TrailingZeros32(req >> uint(a.next) << uint(a.next))
-	if idx == 32 {
-		idx = bits.TrailingZeros32(req)
+	ahead, _ := a.split(req)
+	if ahead == 0 {
+		ahead = req
 	}
-	a.next = (idx + 1) % a.n
+	idx := bits.TrailingZeros32(ahead)
+	a.advance(idx)
 	return idx
+}
+
+// advance moves the pointer past the winner idx, wrapping after the last
+// requester.
+func (a *rrArbiter) advance(idx int) {
+	a.next = idx + 1
+	if a.next == a.n {
+		a.next = 0
+	}
 }

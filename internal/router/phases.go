@@ -33,61 +33,71 @@ func (r *Router) SwitchArbitrate(now int64) {
 		if cand == 0 {
 			continue
 		}
-		var req uint32
-		for m := cand; m != 0; m &= m - 1 {
-			v := bits.TrailingZeros32(m)
-			if r.eligible(pi, &ic.vcs[v], now) {
-				req |= 1 << uint(v)
-			}
-		}
-		// Class-of-service: when any priority-VC flit is eligible, the
-		// arbitration is restricted to priority VCs (§2.1: the VC mask
-		// "identifies a class of service").
-		if p := req & r.prioMask; p != 0 {
-			req = p
-		}
-		win := ic.arb.GrantMask(req)
-		if r.probe != nil {
-			r.noteArbitration(pi, ic, req, win, now)
+		// Class-of-service: priority VCs are tried first, so a
+		// non-priority VC wins only when no priority flit is eligible
+		// (§2.1: the VC mask "identifies a class of service").
+		win := -1
+		if p := cand & r.prioMask; p != 0 {
+			win = r.grant(pi, ic, p, now)
 		}
 		if win < 0 {
-			continue
+			win = r.grant(pi, ic, cand&^r.prioMask, now)
 		}
-		r.moveFlit(pi, win, now)
+		if r.probe != nil {
+			r.noteArbitration(pi, cand, win, now)
+		}
+		if win >= 0 {
+			r.moveFlit(pi, win, now)
+		}
 	}
 }
 
-// noteArbitration classifies, for telemetry, why each waiting flit of input
-// port pi did not move this cycle: it lost the switch grant (or was masked
-// out by a priority class), its output's staging buffer was occupied, or it
-// lacked a downstream VC/credit. Only runs with a probe attached, so the
-// disabled path pays nothing.
-func (r *Router) noteArbitration(pi int, ic *inputController, req uint32, win int, now int64) {
-	for v := range ic.vcs {
-		st := &ic.vcs[v]
-		if v == r.cfg.ReservedVC || r.vcIsStuck(pi, v) || st.bufLen() == 0 || !st.routed {
-			continue
-		}
-		if req&(1<<uint(v)) != 0 {
-			if v != win {
-				r.probe.ArbLosses++
+// grant walks the VCs of m in the port arbiter's round-robin order and
+// grants the switch to the first whose front flit is eligible, moving the
+// pointer past it; with none eligible it returns -1 and leaves the
+// pointer. The VCs after the winner are never checked. The winner is the
+// one the arbiter would pick from a request vector of every eligible VC
+// of m, because checking eligibility changes nothing.
+func (r *Router) grant(pi int, ic *inputController, m uint32, now int64) int {
+	ahead, behind := ic.arb.split(m)
+	for _, part := range [2]uint32{ahead, behind} {
+		for ; part != 0; part &= part - 1 {
+			v := bits.TrailingZeros32(part)
+			if r.eligible(pi, &ic.vcs[v], now) {
+				ic.arb.advance(v)
+				return v
 			}
-			continue
 		}
+	}
+	return -1
+}
+
+// noteArbitration classifies, for telemetry, why each candidate VC of
+// input port pi other than the winner win (-1 for none) did not move this
+// cycle: an eligible flit lost the switch grant (to the winner, or to a
+// higher priority class); otherwise its output's staging buffer was
+// occupied, or it lacked a downstream VC or credit. It runs before the
+// winner moves, so it sees what the grant saw, and only with a probe
+// attached, so the disabled path pays nothing.
+func (r *Router) noteArbitration(pi int, cand uint32, win int, now int64) {
+	if win >= 0 {
+		cand &^= 1 << uint(win)
+	}
+	ic := &r.inputs[pi]
+	for ; cand != 0; cand &= cand - 1 {
+		st := &ic.vcs[bits.TrailingZeros32(cand)]
 		if r.eligible(pi, st, now) {
-			// Eligible but masked out of the request vector by a
-			// priority class: an arbitration loss to higher traffic.
 			r.probe.ArbLosses++
 			continue
 		}
-		f := st.front()
-		if r.deadOut[portIndex(st.outPort)] {
+		out := portIndex(st.outPort)
+		if r.deadOut[out] {
 			continue // drained by FaultSweep, not a flow-control stall
 		}
-		if r.cfg.NonSpeculative && f.Type.IsHead() && st.routedAt == now {
+		if r.cfg.NonSpeculative && st.frontHead && st.routedAt == now {
 			continue // the deliberate non-speculative pipeline bubble
 		}
-		if r.outputs[portIndex(st.outPort)].staging[pi] != nil {
+		if r.outputs[out].staging[pi] != nil {
 			r.probe.StageStalls++
 		} else {
 			r.probe.CreditStalls++
@@ -126,10 +136,13 @@ func (r *Router) moveReserved(now int64) {
 	}
 }
 
-// eligible reports whether the flit at the front of st can traverse the
-// switch this cycle. Callers must have established that the VC is
-// occupied and routed (both SwitchArbitrate and noteArbitration test the
-// packed occ/routed masks first), so it does not reload that state.
+// eligible reports whether the flit at the front of st, a VC of input
+// port pi, can traverse the switch this cycle. Its callers, grant and
+// noteArbitration, pass only VCs of the packed occupied-and-routed
+// candidate word, so it does not reload that state. It must have no side
+// effects: it reads router state and asks chooseVCNeed, and changes
+// nothing. grant relies on that to stop at the round-robin winner, and
+// noteArbitration to re-check the losers without perturbing the run.
 func (r *Router) eligible(pi int, st *vcState, now int64) bool {
 	// st.frontHead mirrors front().Type.IsHead(), so this path only
 	// dereferences the flit itself for heads (which need VC allocation);
@@ -168,17 +181,12 @@ func (r *Router) chooseVCFor(oc *outputController, f *flit.Flit, high bool) int 
 	return r.chooseVCNeed(oc, f.Mask, high, need)
 }
 
-// dimOf reports the dimension of a direction: 0 for east/west, 1 for
+// dims is the dimension of each direction: 0 for east/west, 1 for
 // north/south, -1 for the local port.
-func dimOf(d route.Dir) int {
-	switch d {
-	case route.East, route.West:
-		return 0
-	case route.North, route.South:
-		return 1
-	}
-	return -1
-}
+var dims = [NumPorts]int8{route.North: 1, route.East: 0, route.South: 1, route.West: 0, route.Local: -1}
+
+// dimOf reports the dimension of a direction (dims).
+func dimOf(d route.Dir) int { return int(dims[d]) }
 
 // downstreamClass reports whether the flit occupies a high-class
 // (post-dateline) buffer after leaving through oc: true when the output is

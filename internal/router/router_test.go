@@ -73,28 +73,27 @@ func TestFiveControllerStructure(t *testing.T) {
 }
 
 func TestRRArbiterFairness(t *testing.T) {
-	a := newRRArbiter(4)
-	req := []bool{true, true, true, true}
+	a := rrArbiter{n: 4}
 	wins := make([]int, 4)
 	for i := 0; i < 400; i++ {
-		wins[a.Grant(req)]++
+		wins[a.GrantMask(0b1111)]++
 	}
 	for i, w := range wins {
 		if w != 100 {
 			t.Fatalf("requester %d won %d of 400", i, w)
 		}
 	}
-	if a.Grant([]bool{false, false, false, false}) != -1 {
+	if a.GrantMask(0) != -1 {
 		t.Fatal("grant with no requests")
 	}
 }
 
 func TestRRArbiterSkipsIdle(t *testing.T) {
-	a := newRRArbiter(3)
-	if got := a.Grant([]bool{false, true, false}); got != 1 {
+	a := rrArbiter{n: 3}
+	if got := a.GrantMask(0b010); got != 1 {
 		t.Fatalf("grant = %d", got)
 	}
-	if got := a.Grant([]bool{true, false, true}); got != 2 {
+	if got := a.GrantMask(0b101); got != 2 {
 		t.Fatalf("grant after pointer advance = %d (pointer should be past 1)", got)
 	}
 }
