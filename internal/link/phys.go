@@ -2,7 +2,8 @@ package link
 
 import (
 	"fmt"
-	"math/rand"
+
+	"repro/internal/sim"
 )
 
 // Phys models the physical wires of one link: DataWires logical bit lanes
@@ -31,7 +32,7 @@ type Phys struct {
 	// ECC enables link-level SECDED protection of the payload.
 	ECC bool
 
-	rng *rand.Rand
+	rng *sim.Stream
 
 	// Stats.
 	Traversals     int64
@@ -42,7 +43,7 @@ type Phys struct {
 
 // NewPhys returns a physical link layer with the given logical width and
 // spare count.
-func NewPhys(dataWires, spareWires int, rng *rand.Rand) *Phys {
+func NewPhys(dataWires, spareWires int, rng *sim.Stream) *Phys {
 	return &Phys{DataWires: dataWires, SpareWires: spareWires, steerAt: -1, rng: rng}
 }
 
@@ -134,7 +135,7 @@ func (p *Phys) Traverse(data []byte, bits int) []byte {
 	out := make([]byte, (bits+7)/8)
 	flip := -1
 	if p.TransientProb > 0 && p.rng != nil && p.rng.Float64() < p.TransientProb {
-		flip = p.rng.Intn(bits)
+		flip = p.rng.IntN(bits)
 	}
 	for lane := 0; lane < bits; lane++ {
 		v := getBit(data, lane)
@@ -171,7 +172,7 @@ func (p *Phys) traverseECC(data []byte, bits int) []byte {
 		di++
 	}
 	if p.TransientProb > 0 && p.rng != nil && p.rng.Float64() < p.TransientProb {
-		w.Flip(p.rng.Intn(w.Len()))
+		w.Flip(p.rng.IntN(w.Len()))
 	}
 	out, res := w.Decode()
 	switch res {

@@ -2,19 +2,17 @@ package traffic
 
 import "repro/internal/checkpoint"
 
-// SaveState serialises the generator's dynamic state: the random stream
-// position and the packet count. Configuration (pattern, rate, mask) is
-// not saved — the restored generator must be built with the same
-// parameters and seed, so replaying the recorded number of draws lands
-// the stream on the identical next value.
+// SaveState serialises the generator's dynamic state: its random stream
+// and the packet count. Configuration (pattern, rate, mask) is not saved
+// — the restored generator must be built with the same parameters.
 func (g *Generator) SaveState(e *checkpoint.Encoder) {
-	e.U64(g.src.Draws())
+	g.rng.SaveState(e)
 	e.I64(g.GeneratedPackets)
 }
 
 // RestoreState restores a generator saved with SaveState.
 func (g *Generator) RestoreState(d *checkpoint.Decoder) {
-	g.src.Restore(d.U64())
+	g.rng.RestoreState(d)
 	g.GeneratedPackets = d.I64()
 }
 
