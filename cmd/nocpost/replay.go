@@ -132,7 +132,6 @@ func cmdState(args []string) error {
 	fmt.Printf("  generated pkts    %d\n", rec.Generated)
 	fmt.Printf("  delivered pkts    %d\n", rec.DeliveredPackets)
 	fmt.Printf("  ejected flits     %d\n", p.Totals().Ejected)
-	fmt.Printf("  rng draws         %d\n", n.Kernel().RNGDraws())
 
 	// Exactness cross-check against the ring: the record at this cycle was
 	// written by the original run at the same instant.

@@ -155,9 +155,9 @@ func TestGoldenTelemetry(t *testing.T) {
 // mesh-vs-torus load sweep (E4), the chaos campaign (E20, whose fault
 // detection cycles and reroute counts are extremely sensitive to any
 // change in simulation order), the three tables that report simulated
-// energy (E3, E5, E14), and the wire-fault table (E11, the only table that
-// depends on the order of the wire layer's per-flit kernel RNG draws, so
-// it pins delivery in link order).
+// energy (E3, E5, E14), and the wire-fault table (E11, the only table
+// whose runs draw the wire layer's per-link streams, so it pins that the
+// wires' faults and streams shard and checkpoint with their links).
 var goldenExperiments = []string{"E1", "E4", "E20", "E3", "E5", "E14", "E11"}
 
 // TestGoldenExperiments pins the goldenExperiments quick-mode tables.

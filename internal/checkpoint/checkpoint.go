@@ -45,8 +45,10 @@ import (
 // credit register in place of its flit and credit pipes and elastic
 // stages. Version 6 saves the routers', ports' and links' event counters
 // in their own layouts, not the probe's, and drops the network's abort
-// count, which the ports' sum.
-const Version = 6
+// count, which the ports' sum. Version 7 saves each random stream's PCG
+// state with the component that draws it, in place of a draw count to
+// replay, and drops the clock section that held the shared stream's.
+const Version = 7
 
 // magic identifies a checkpoint file. The trailing byte doubles as a
 // format epoch so even the magic check catches a layout change.

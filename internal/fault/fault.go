@@ -18,7 +18,7 @@
 // Every fault is an Event, injectable at a cycle and optionally revocable
 // at a later cycle. A campaign is a list of scheduled events plus an
 // optional stochastic model (mean cycles between faults) that the Injector
-// expands using the simulation kernel's seeded RNG, so a campaign is
+// expands from the fault stream of the run's seed, so a campaign is
 // bit-for-bit reproducible from its seed.
 package fault
 

@@ -326,7 +326,7 @@ func New(cfg Config) (*Network, error) {
 		l := &links[i]
 		l.From, l.Dir, l.LengthPitches = tl.From, tl.Dir, tl.Length
 		if cfg.PhysWires {
-			l.Phys = link.NewPhys(flit.DataBits, cfg.SpareWires, n.kernel.RNG())
+			l.Phys = link.NewPhys(flit.DataBits, cfg.SpareWires, sim.NewStream(cfg.Seed, sim.WireStream+sim.StreamID(i)))
 			l.Phys.TransientProb = cfg.TransientProb
 			l.Phys.ECC = cfg.ECC
 		}

@@ -33,8 +33,8 @@ import (
 // (eject) and injection arbitration (pump), do shard.
 //
 // Every phase body walks worklists in every configuration. Worklist order
-// is not tile order, so ejectMerge sorts what a packet observer sees and
-// deliverShard sorts the wire layer's RNG draws.
+// is not tile order, so ejectMerge sorts what a packet observer sees; the
+// wire layer draws each link's own stream, so its order does not matter.
 //
 // Every flit-recycling component (router, link, port) draws from its
 // shard's own flit.Pool; Put fully zeroes a flit, so which pool a flit
@@ -194,11 +194,6 @@ func (n *Network) activateLink(i int32) {
 // nothing here.
 func (n *Network) deliverShard(now sim.Cycle, si int) {
 	s := n.shards[si]
-	if n.cfg.PhysWires {
-		// The wire layer draws the shared kernel RNG once per delivered
-		// flit, so the walk keeps link order (PhysWires runs one shard).
-		slices.Sort(s.activeLinks)
-	}
 	keep := s.activeLinks[:0]
 	for _, i := range s.activeLinks {
 		le := &n.links[i]

@@ -101,10 +101,10 @@ func TestStallTaxonomyUnderCongestion(t *testing.T) {
 		name      string
 		got, want int64
 	}{
-		{"SwitchMoves", got.SwitchMoves, 91062},
-		{"ArbLosses", got.ArbLosses, 5073},
-		{"CreditStalls", got.CreditStalls, 808},
-		{"StageStalls", got.StageStalls, 12650},
+		{"SwitchMoves", got.SwitchMoves, 91542},
+		{"ArbLosses", got.ArbLosses, 5078},
+		{"CreditStalls", got.CreditStalls, 890},
+		{"StageStalls", got.StageStalls, 12652},
 	} {
 		if c.got != c.want || c.got <= 0 {
 			t.Errorf("%s = %d, want %d (and above 0)", c.name, c.got, c.want)
