@@ -134,12 +134,15 @@ func TestForkedGoldenSweep(t *testing.T) {
 func TestReplicatedSweepMatchesRuns(t *testing.T) {
 	deflect := replicateParams()
 	deflect.Deflect, deflect.FlitsPerPacket = true, 1
+	phys := replicateParams()
+	phys.PhysWires, phys.ECC = true, true
 	for _, tc := range []struct {
 		name string
 		p    core.RunParams
 	}{
 		{"vc", replicateParams()},
 		{"deflect", deflect},
+		{"phys", phys},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rates := []float64{0.1, 0.3}

@@ -65,8 +65,8 @@ var resumeAtBits uint64
 // frac x horizon, snapshots, rebuilds a fresh network, restores the
 // snapshot into it, and continues there — so the determinism suite can
 // assert that resumed runs reproduce golden outputs exactly. Runs whose
-// network cannot be checkpointed (network.Capabilities.Checkpoint, or a
-// client without checkpoint state) fall back to running straight through.
+// network cannot be checkpointed (a client without checkpoint state) fall
+// back to running straight through.
 func SetResumeAt(frac float64) {
 	if frac < 0 || frac >= 1 {
 		frac = 0

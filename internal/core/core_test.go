@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"strconv"
 	"strings"
@@ -243,21 +242,10 @@ func TestRunElasticMode(t *testing.T) {
 	}
 }
 
-// TestRunReplicatedRefusals: a run whose network cannot checkpoint, or
-// one with a probe or an OnNetwork hook, cannot warm-fork, and the error
-// carries the reason: the capability record's, or core's own rule. A
-// replica count past MaxReplicas is refused too.
+// TestRunReplicatedRefusals: a run with a probe or an OnNetwork hook
+// cannot warm-fork, and the error names the reason. A replica count past
+// MaxReplicas is refused too.
 func TestRunReplicatedRefusals(t *testing.T) {
-	p := DefaultRunParams()
-	p.PhysWires = true
-	cfg, err := networkConfig(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := network.CapabilitiesOf(cfg).Checkpoint
-	if _, err := RunReplicated(p, 2); want == nil || !errors.Is(err, want) {
-		t.Errorf("RunReplicated err = %v, want one wrapping %v", err, want)
-	}
 	for _, tc := range []struct {
 		name, want string
 		mod        func(*RunParams)

@@ -42,10 +42,9 @@ const MaxReplicas = 1 << 16
 // byte; replicas 1..n-1 draw independent measurement traffic from
 // replicaSeed streams. replicas <= 1 delegates to Run, and more than
 // MaxReplicas is an error. Disk checkpointing fields are not supported
-// (the engine is in-memory by design). Configurations that cannot fork
-// return an error wrapping the reason: the network's
-// Capabilities.Checkpoint, since Fork restores a snapshot, or a probe or
-// OnNetwork hook, which observe one network.
+// (the engine is in-memory by design). A run with a probe or an
+// OnNetwork hook, which observe one network, cannot fork and returns an
+// error naming the reason.
 func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 	if replicas > MaxReplicas {
 		return nil, fmt.Errorf("core: %d replicas exceeds the cap of %d", replicas, MaxReplicas)
@@ -65,9 +64,7 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 		return nil, err
 	}
 	var refusal error
-	switch caps := network.CapabilitiesOf(cfg); {
-	case caps.Checkpoint != nil:
-		refusal = caps.Checkpoint
+	switch {
 	case p.Probe != nil:
 		refusal = errors.New("telemetry probes observe one network")
 	case p.OnNetwork != nil:

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/flit"
+	"repro/internal/sim"
 )
 
 // FuzzECC fuzzes the SECDED code: any payload round-trips clean, and any
@@ -61,15 +62,17 @@ func FuzzSteering(f *testing.F) {
 	})
 }
 
-// FuzzLinkRestore decodes fuzzed section bytes into a credit link and an
-// elastic link, both serialized over two cycles per flit. Each restore
-// must either fail with a decoder error or leave a link a live one could
-// be: every credit and flit it delivers names one of the receiver's VCs,
-// it goes idle within the cycles its restored traffic needs, and a flit
-// and credit sent afterwards arrive on time (or are lost, if the link was
-// restored down). Seeds are a link with a flit
-// and credits on its wires, an idle link, and an elastic link holding a
-// flit.
+// FuzzLinkRestore decodes fuzzed section bytes into a credit link, an
+// elastic link and a credit link over physical wires, each serialized
+// over two cycles per flit. Each restore must either fail with a decoder
+// error or leave a link a live one could be: every credit and flit it
+// delivers names one of the receiver's VCs, it goes idle within the
+// cycles its restored traffic needs (carrying any payload through the
+// restored wire layer), and a flit and credit sent afterwards arrive on
+// time (or are lost, if the link was restored down). Seeds are a link
+// with a flit and credits on its wires, an idle link, an elastic link
+// holding a flit, and a physical-wire link with a dead wire steered
+// around, transient flips and a payload on its wire.
 func FuzzLinkRestore(f *testing.F) {
 	const numVCs = 8
 	f.Add(linkSection(f, loadedLink(f)))
@@ -79,10 +82,15 @@ func FuzzLinkRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(linkSection(f, elastic))
+	f.Add(linkSection(f, physLink(f)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, el := range []bool{false, true} {
+		for _, v := range []struct{ el, phys bool }{{false, false}, {true, false}, {false, true}} {
+			el := v.el
 			l := New(Config{SerdesCycles: 2, Elastic: el})
+			if v.phys {
+				l.Phys = NewPhys(64, 2, sim.NewStream(1, sim.WireStream))
+			}
 			d := checkpoint.NewDecoder(data)
 			l.RestoreState(d, nil, numVCs)
 			if d.Err() != nil {

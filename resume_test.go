@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/network"
 	"repro/internal/telemetry"
 )
 
@@ -16,8 +17,8 @@ import (
 // shard count. core.SetResumeAt drives the interruption: every Run and
 // RunCampaign inside the experiment executes to the given fraction of its
 // horizon, checkpoints, rebuilds a fresh network, restores, and continues
-// there. (Runs whose configuration cannot be checkpointed — e.g. E20's
-// physical-wire scenario — fall back to running straight through, which
+// there. (Runs with a client whose state cannot be checkpointed — e.g.
+// E11's hand-built clients — fall back to running straight through, which
 // must also reproduce the golden.)
 
 // resumeAt arranges for fn to run with the in-memory resume point set,
@@ -123,5 +124,48 @@ func TestResumedProbeMatchesStraightRun(t *testing.T) {
 	resumeAt(t, 0.5, func() { resumed = run() })
 	if resumed != straight {
 		t.Errorf("metrics CSV of a run resumed at 50%% differs from the straight run's\n--- straight ---\n%s--- resumed ---\n%s", straight, resumed)
+	}
+}
+
+// TestResumedPhysCampaign: a campaign over the physical wire layer, with
+// transient flips drawn from the wires' streams and masked by ECC,
+// checkpoints: the in-memory resume rebuilds its network (the OnNetwork
+// hook sees two builds, not one) and the resumed campaign counts exactly
+// what the straight one does, at one shard and at two.
+func TestResumedPhysCampaign(t *testing.T) {
+	p := core.DefaultCampaignParams()
+	p.Cycles = 1500
+	p.Run.Seed = 3
+	p.Run.PhysWires, p.Run.ECC = true, true
+	p.Spec = "flip,link=4,p=0.2,at=100,until=1200;flip,link=9,p=0.2,at=300;kill,link=20,at=600"
+	builds := 0
+	var last *network.Network
+	p.Run.OnNetwork = func(n *network.Network, _ core.SimSpec) error { builds, last = builds+1, n; return nil }
+	run := func() string {
+		r, err := core.RunCampaign(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var corrected int64
+		for _, l := range last.Links() {
+			corrected += l.Phys.CorrectedFlits
+		}
+		return fmt.Sprintf("sent %d delivered %d injected %d detections %d rerouted %d corrected %d",
+			r.Sent, r.Delivered, r.Injected, len(r.Detections), r.Totals.Rerouted, corrected)
+	}
+	straight := run()
+	if strings.HasSuffix(straight, "corrected 0") {
+		t.Fatalf("no flip was corrected (%s): the wires' streams went unexercised", straight)
+	}
+	for _, shards := range []int{1, 2} {
+		builds = 0
+		var resumed string
+		resumeAt(t, 0.5, func() { withShards(t, shards, func() { resumed = run() }) })
+		if builds != 2 {
+			t.Errorf("shards=%d: %d network builds, want 2 (the campaign did not resume)", shards, builds)
+		}
+		if resumed != straight {
+			t.Errorf("shards=%d: resumed campaign %s, straight %s", shards, resumed, straight)
+		}
 	}
 }
