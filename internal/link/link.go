@@ -181,6 +181,21 @@ func (l *Link) SendCredit(vc int) {
 	l.pendingCredits = append(l.pendingCredits, vc)
 }
 
+// CreditsFor reports the credits for VC vc on the reverse wire or queued
+// behind it.
+func (l *Link) CreditsFor(vc int) int {
+	n := 0
+	if l.creditWire == vc+1 {
+		n++
+	}
+	for _, v := range l.pendingCredits[l.creditHead:] {
+		if v == vc {
+			n++
+		}
+	}
+	return n
+}
+
 // Deliver advances the link by one cycle. It returns the flit completing
 // its traversal this cycle (with the physical layer applied to its
 // payload), or nil, and the VC of the credit completing its reverse

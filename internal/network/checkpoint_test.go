@@ -342,6 +342,8 @@ func TestCheckpointRejectsOrphanFlits(t *testing.T) {
 				}
 			}
 		}, "link 0-W: packet 5's body flit arrives at input E VC 0, which already holds 4 flits"},
+		{"credit-past-the-buffer", func(n *Network) { n.links[3].l.SendCredit(4) },
+			"link 0-W: VC 4 counts 5 credits and flits against a 4-flit buffer (4 credits held, 0 flits staged, 0 on the wire, 0 buffered, 1 credits returning)"},
 		{"body-on-a-dead-wire", func(n *Network) {
 			bodyOnLink3(n)
 			n.links[3].l.SetDown(true)
