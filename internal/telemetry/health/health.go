@@ -20,7 +20,8 @@
 // The package is pure data-in, verdicts-out: it holds no reference to the
 // simulator, so it is trivially unit-testable and imposes no ordering
 // constraints on the caller beyond monotonically increasing sample
-// cycles.
+// cycles. A monitor's state rides in checkpoints (SaveState), so a
+// resumed run's detectors carry on from the straight run's.
 package health
 
 import (
@@ -28,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/checkpoint"
 	"repro/internal/route"
 )
 
@@ -536,4 +538,67 @@ func (m *Monitor) AppendVerdicts(dst []Verdict) []Verdict {
 // Healthy reports whether every detector is currently healthy.
 func (m *Monitor) Healthy() bool {
 	return !m.dlUnhealthy && !m.stUnhealthy && !m.cgUnhealthy
+}
+
+// SaveState serialises the detectors' state: the previous sample's
+// cycle and counters (what Observe differences the next sample against),
+// each detector's condition, since-cycle and attribution, and the
+// congestion detector's window rates and falling streak.
+func (m *Monitor) SaveState(e *checkpoint.Encoder) {
+	e.Bool(m.seen)
+	e.I64(m.prev.Cycle)
+	e.I64(m.prev.GeneratedPackets)
+	e.I64(m.prev.EjectedFlits)
+	e.I64(m.dlStuckSince)
+	e.Bool(m.dlUnhealthy)
+	e.I64(m.dlSince)
+	e.String(m.dlDetail)
+	e.Bool(m.stUnhealthy)
+	e.I64(m.stSince)
+	e.String(m.stDetail)
+	e.Bool(m.haveRates)
+	e.F64(m.offeredRate)
+	e.F64(m.deliverRate)
+	e.Int(m.falls)
+	e.Bool(m.cgUnhealthy)
+	e.I64(m.cgSince)
+	e.String(m.cgDetail)
+	e.I64(m.fallStartCyc)
+	e.U32(uint32(len(m.fallStartHot)))
+	for _, l := range m.fallStartHot {
+		e.Int(l.Index)
+		e.Int(l.From)
+		e.Int(l.To)
+		e.String(l.Dir)
+		e.I64(l.Flits)
+	}
+}
+
+// RestoreState restores detector state saved with SaveState into a
+// monitor with the same thresholds.
+func (m *Monitor) RestoreState(d *checkpoint.Decoder) {
+	m.seen = d.Bool()
+	m.prev = Sample{Cycle: d.I64(), GeneratedPackets: d.I64(), EjectedFlits: d.I64()}
+	m.dlStuckSince = d.I64()
+	m.dlUnhealthy = d.Bool()
+	m.dlSince = d.I64()
+	m.dlDetail = d.String()
+	m.stUnhealthy = d.Bool()
+	m.stSince = d.I64()
+	m.stDetail = d.String()
+	m.haveRates = d.Bool()
+	m.offeredRate = d.F64()
+	m.deliverRate = d.F64()
+	m.falls = d.Int()
+	m.cgUnhealthy = d.Bool()
+	m.cgSince = d.I64()
+	m.cgDetail = d.String()
+	m.fallStartCyc = d.I64()
+	n := d.Count(36)
+	m.fallStartHot = m.fallStartHot[:0]
+	for i := 0; i < n; i++ {
+		m.fallStartHot = append(m.fallStartHot, LinkLoad{
+			Index: d.Int(), From: d.Int(), To: d.Int(), Dir: d.String(), Flits: d.I64(),
+		})
+	}
 }

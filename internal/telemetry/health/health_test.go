@@ -1,9 +1,11 @@
 package health
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/route"
 )
 
@@ -306,5 +308,59 @@ func TestMinWaitAge(t *testing.T) {
 		if got := MinWaitAge(tc.cfg); got != tc.want {
 			t.Errorf("MinWaitAge(%+v) = %d, want %d", tc.cfg, got, tc.want)
 		}
+	}
+}
+
+// TestMonitorStateRoundTrip: a monitor restored from another's saved
+// state, at any point of a run that trips congestion collapse and then a
+// deadlock, reports the same events and verdicts from then on as the
+// monitor it was saved from.
+func TestMonitorStateRoundTrip(t *testing.T) {
+	hot := []LinkLoad{{Index: 3, From: 1, To: 2, Dir: "E", Flits: 90}}
+	wedged := []VCWait{{Tile: 5, Port: route.North, VC: 2, Age: 700, Stuck: true}}
+	samples := []Sample{
+		{Cycle: 0},
+		{Cycle: 100, GeneratedPackets: 100, EjectedFlits: 400},
+		{Cycle: 200, GeneratedPackets: 210, EjectedFlits: 700, HotLinks: hot},
+		{Cycle: 300, GeneratedPackets: 330, EjectedFlits: 900, HotLinks: hot},
+		{Cycle: 400, GeneratedPackets: 460, EjectedFlits: 900, BufOcc: 9, Waiting: wedged},
+		{Cycle: 500, GeneratedPackets: 590, EjectedFlits: 900, BufOcc: 9, Waiting: wedged},
+		{Cycle: 600, GeneratedPackets: 700, EjectedFlits: 1000, BufOcc: 2},
+	}
+	cfg := Config{DeadlockWindow: 100}
+	tripped := map[string]bool{}
+	for at := range samples {
+		orig := New(cfg)
+		for _, s := range samples[:at] {
+			orig.Observe(s)
+		}
+		b := checkpoint.NewBuilder(0, 0)
+		orig.SaveState(b.Section("m"))
+		f, err := checkpoint.Parse(b.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := f.Section("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := New(cfg)
+		restored.RestoreState(d)
+		if err := d.Close(); err != nil {
+			t.Fatalf("restore at sample %d: %v", at, err)
+		}
+		for _, s := range samples[at:] {
+			want, got := orig.Observe(s), restored.Observe(s)
+			for _, ev := range want {
+				tripped[ev.Detector] = tripped[ev.Detector] || !ev.Healthy
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(restored.Verdicts(), orig.Verdicts()) {
+				t.Fatalf("restored at sample %d, cycle %d: events %+v verdicts %+v, want %+v and %+v",
+					at, s.Cycle, got, restored.Verdicts(), want, orig.Verdicts())
+			}
+		}
+	}
+	if !tripped[DetectorCongestion] || !tripped[DetectorDeadlock] {
+		t.Fatalf("detectors tripped: %v; want congestion and deadlock, or the check is vacuous", tripped)
 	}
 }

@@ -82,8 +82,9 @@ type Sampler struct {
 // Attach registers the sampling phase on the network's kernel and returns
 // the sampler. The network must have a telemetry probe (the counter
 // fabric a sample reads) and must not have run yet. The hot-link baseline
-// rides in checkpoints as the "sampler" extra, so a resumed run's first
-// window is the straight run's; resuming a sampler needs one saved.
+// and the health monitor's detector state ride in checkpoints as the
+// "sampler" extra, so a resumed run's first window and its detectors'
+// verdicts are the straight run's; resuming a sampler needs one saved.
 func Attach(n *network.Network, cfg Config) (*Sampler, error) {
 	if n.Probe() == nil {
 		return nil, fmt.Errorf("sampler: network has no telemetry probe; enable telemetry to observe it")
@@ -103,12 +104,18 @@ func Attach(n *network.Network, cfg Config) (*Sampler, error) {
 }
 
 // SaveState saves the hot-link window's baseline (empty before the first
-// sample).
-func (s *Sampler) SaveState(e *checkpoint.Encoder) { e.I64s(s.prevFlit) }
+// sample) and the health monitor's detector state.
+func (s *Sampler) SaveState(e *checkpoint.Encoder) {
+	e.I64s(s.prevFlit)
+	s.mon.SaveState(e)
+}
 
-// RestoreState restores a baseline saved with SaveState; hotLinks pads a
-// short one with zeros.
-func (s *Sampler) RestoreState(d *checkpoint.Decoder) { s.prevFlit = d.I64s() }
+// RestoreState restores a baseline and monitor saved with SaveState;
+// hotLinks pads a short baseline with zeros.
+func (s *Sampler) RestoreState(d *checkpoint.Decoder) {
+	s.prevFlit = d.I64s()
+	s.mon.RestoreState(d)
+}
 
 // Network reports the sampled network.
 func (s *Sampler) Network() *network.Network { return s.n }

@@ -219,3 +219,44 @@ func TestSamplingAllocatesNothing(t *testing.T) {
 		t.Fatalf("the load is not steady: %+v", s.Monitor().Verdicts())
 	}
 }
+
+// TestHealthSurvivesResume: the health monitor's detector state rides in
+// the sampler's checkpoint extra. With tile 5's inputs stalled from cycle
+// 0 and a sample every 64 cycles, the straight run reads starvation from
+// cycle 512; a run restored at cycle 1000 must read the same at cycle
+// 1024, its first sample after the restore, not restart its detectors
+// and take that sample as a new baseline.
+func TestHealthSurvivesResume(t *testing.T) {
+	build := func() (*network.Network, *Sampler) {
+		n, s := newSampledNet(t, 0.3, 0, 4, Config{Every: 64})
+		for _, d := range []route.Dir{route.North, route.East, route.South, route.West} {
+			n.SetPortStall(5, d, true)
+		}
+		return n, s
+	}
+	starvation := func(s *Sampler) health.Verdict { return s.Monitor().Verdicts()[1] }
+
+	n, s := build()
+	n.Run(1000)
+	img, err := n.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(25)
+	straight := starvation(s)
+	if straight.Healthy || straight.Since != 512 {
+		t.Fatalf("straight run at cycle 1024: starvation %+v, want unhealthy since 512", straight)
+	}
+
+	fork, fs := build()
+	if err := fork.Fork(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	fork.Run(25)
+	if got := starvation(fs); got != straight {
+		t.Fatalf("resumed run at cycle 1024: starvation %+v, want the straight run's %+v", got, straight)
+	}
+	if fs.Monitor().Healthy() || !reflect.DeepEqual(fs.Monitor().Verdicts(), s.Monitor().Verdicts()) {
+		t.Fatalf("resumed verdicts %+v, want the straight run's %+v", fs.Monitor().Verdicts(), s.Monitor().Verdicts())
+	}
+}
