@@ -132,16 +132,21 @@ func TestCorruptionDetected(t *testing.T) {
 
 // TestVersionGate: an image from another format version is refused by
 // name even when every CRC checks out, as an older checkpoint or
-// flight-recorder dump is after a layout change. The version field follows
-// the magic; the trailer CRC is recomputed so only the version differs.
+// flight-recorder dump is after a layout change, and the error names both
+// versions. Version 6 images count a shared random stream's draws where
+// version 7 saves each stream's state. The version field follows the
+// magic; the trailer CRC is recomputed so only the version differs.
 func TestVersionGate(t *testing.T) {
+	if Version != 7 {
+		t.Fatalf("Version = %d; say in its comment and here what the new layout changes", Version)
+	}
 	data := buildSample(t)
-	binary.LittleEndian.PutUint32(data[len(magic):], Version-1)
+	binary.LittleEndian.PutUint32(data[len(magic):], 6)
 	body := data[:len(data)-4]
 	binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
 	_, err := Parse(data)
-	if err == nil || !strings.Contains(err.Error(), "unsupported version") {
-		t.Fatalf("Parse of a version %d image: err = %v, want unsupported version", Version-1, err)
+	if want := "unsupported version 6 (want 7)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Parse of a version 6 image: err = %v, want %q", err, want)
 	}
 }
 
