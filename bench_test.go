@@ -31,7 +31,7 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(true)
+		tbl, err := e.Run(true, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

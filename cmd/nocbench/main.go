@@ -40,12 +40,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nocbench:", err)
 		os.Exit(1)
 	}
-	core.SetParallelism(*par)
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "nocbench: -shards must be >= 1; got %d\n", *shards)
 		os.Exit(1)
 	}
-	core.SetShards(*shards)
+	opt := core.Options{Shards: *shards, Parallelism: *par}
 	if *ckptEvery != 0 {
 		fmt.Fprintln(os.Stderr, "nocbench: -checkpoint-every is not supported: experiments own their"+
 			" measurement windows, so nocbench checkpoints at experiment granularity"+
@@ -88,14 +87,14 @@ func main() {
 	// E1..E20 order regardless of completion order.
 	tables := make([]*core.Table, len(experiments))
 	errs := make([]error, len(experiments))
-	_ = sim.ForEach(len(experiments), core.Parallelism(), func(i int) error {
+	_ = sim.ForEach(len(experiments), opt.Parallelism, func(i int) error {
 		if prog != nil {
 			if t := prog.lookup(experiments[i].ID, *quick); t != nil {
 				tables[i] = t
 				return nil
 			}
 		}
-		tables[i], errs[i] = experiments[i].Run(*quick)
+		tables[i], errs[i] = experiments[i].Run(*quick, opt)
 		if prog != nil && errs[i] == nil {
 			if err := prog.record(experiments[i].ID, *quick, tables[i]); err != nil {
 				fmt.Fprintln(os.Stderr, "nocbench: progress:", err)
@@ -128,6 +127,7 @@ func main() {
 	// extra run of the paper's baseline configuration.
 	if obsFlags.Enabled() {
 		inst := core.DefaultRunParams()
+		inst.Options = opt
 		inst.Rate = 0.3
 		inst.Probe = obsFlags.NewProbe()
 		var stack *obs.Stack

@@ -147,13 +147,13 @@ func main() {
 	p.CheckpointEvery = *ckptEvery
 	p.CheckpointDir = *ckptDir
 	p.Resume = *resume
-	p.Shards = *shards
+	p.Options = core.Options{Shards: *shards}
 	switch *mode {
 	case "vc":
 	case "drop":
 		p.Mode = router.ModeDrop
 	case "deflect":
-		p.Deflect = true
+		p.Mode = router.ModeDeflect
 	case "elastic":
 		p.ElasticLinks = true
 	case "vct":

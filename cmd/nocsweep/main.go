@@ -43,12 +43,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nocsweep:", err)
 		os.Exit(1)
 	}
-	core.SetParallelism(*par)
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "nocsweep: -shards must be >= 1; got %d\n", *shards)
 		os.Exit(1)
 	}
-	core.SetShards(*shards)
 	if *ckptEvery < 0 {
 		fmt.Fprintf(os.Stderr, "nocsweep: -checkpoint-every must be >= 0 cycles; got %d\n", *ckptEvery)
 		os.Exit(1)
@@ -67,6 +65,7 @@ func main() {
 	}
 
 	base := core.DefaultRunParams()
+	base.Options = core.Options{Shards: *shards, Parallelism: *par}
 	base.Topology = *topoName
 	base.K = *k
 	base.Pattern = *pattern

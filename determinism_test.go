@@ -36,15 +36,6 @@ func shardCounts() []int {
 	return counts
 }
 
-// withShards runs fn with the package-default shard count set to n,
-// restoring the sequential default afterwards.
-func withShards(t *testing.T, n int, fn func()) {
-	t.Helper()
-	core.SetShards(n)
-	defer core.SetShards(1)
-	fn()
-}
-
 // readGolden loads a committed golden file (written by the sequential
 // engine).
 func readGolden(t *testing.T, name string) string {
@@ -63,46 +54,43 @@ func TestShardedGoldenSweep(t *testing.T) {
 		t.Skip("sharded golden sweeps are not -short")
 	}
 	for _, shards := range shardCounts() {
-		shards := shards
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			withShards(t, shards, func() {
-				for _, seed := range []int64{1, 3} {
-					want := readGolden(t, fmt.Sprintf("golden_sweep_seed%d.csv", seed))
-					if got := goldenSweepCSV(t, seed); got != want {
-						t.Errorf("seed %d: sharded sweep diverged from sequential golden\n--- want ---\n%s--- got ---\n%s",
-							seed, want, got)
-					}
+			t.Parallel()
+			for _, seed := range []int64{1, 3} {
+				want := readGolden(t, fmt.Sprintf("golden_sweep_seed%d.csv", seed))
+				if got := goldenSweepCSV(t, seed, core.Options{Shards: shards}); got != want {
+					t.Errorf("seed %d: sharded sweep diverged from sequential golden\n--- want ---\n%s--- got ---\n%s",
+						seed, want, got)
 				}
-			})
+			}
 		})
 	}
 }
 
 // TestShardedGoldenExperiments reruns the pinned goldenExperiments quick
-// tables with sharding on.
+// tables with sharding on. The experiments run in parallel, each at its
+// own shard counts: the options are per call.
 func TestShardedGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded golden experiments are not -short")
 	}
 	for _, id := range goldenExperiments {
-		id := id
 		t.Run(id, func(t *testing.T) {
+			t.Parallel()
 			want := readGolden(t, fmt.Sprintf("golden_%s_quick.txt", strings.ToLower(id)))
+			e, err := core.ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, shards := range shardCounts() {
-				withShards(t, shards, func() {
-					e, err := core.ByID(id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tbl, err := e.Run(true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := tbl.Format(); got != want {
-						t.Errorf("shards=%d: %s table diverged from sequential golden\n--- want ---\n%s--- got ---\n%s",
-							shards, id, want, got)
-					}
-				})
+				tbl, err := e.Run(true, core.Options{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := tbl.Format(); got != want {
+					t.Errorf("shards=%d: %s table diverged from sequential golden\n--- want ---\n%s--- got ---\n%s",
+						shards, id, want, got)
+				}
 			}
 		})
 	}

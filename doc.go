@@ -17,7 +17,7 @@
 //     low-swing signaling, wiring duty factor;
 //   - the baselines the paper argues against: dedicated top-level wires and
 //     a shared bus;
-//   - the experiment suite E1–E19 (see DESIGN.md and EXPERIMENTS.md) that
+//   - the experiment suite E1–E20 (see DESIGN.md and EXPERIMENTS.md) that
 //     regenerates every quantitative claim in the paper.
 //
 // A minimal use:

@@ -57,7 +57,7 @@ func ExampleRun() {
 // ExampleExperimentByID regenerates one paper claim.
 func ExampleExperimentByID() {
 	e, _ := noc.ExperimentByID("E2")
-	tbl, _ := e.Run(true)
+	tbl, _ := e.Run(true, noc.Options{})
 	// The §2.4 area overhead row:
 	for _, row := range tbl.Rows {
 		if row[0] == "area overhead" {

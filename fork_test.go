@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/router"
 )
 
 // The warm-fork determinism suite: RunReplicated snapshots one warmup in
@@ -72,17 +73,16 @@ func TestReplicatedRunDeterminism(t *testing.T) {
 		t.Errorf("repeated RunReplicated diverged\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 	for _, shards := range shardCounts() {
-		shards := shards
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			withShards(t, shards, func() {
-				sharded, err := core.RunReplicated(p, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := forkResultRows(sharded), forkResultRows(rs); got != want {
-					t.Errorf("sharded replication diverged from sequential\n--- want ---\n%s--- got ---\n%s", want, got)
-				}
-			})
+			q := p
+			q.Shards = shards
+			sharded, err := core.RunReplicated(q, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := forkResultRows(sharded), forkResultRows(rs); got != want {
+				t.Errorf("sharded replication diverged from sequential\n--- want ---\n%s--- got ---\n%s", want, got)
+			}
 		})
 	}
 }
@@ -92,37 +92,42 @@ func TestReplicatedRunDeterminism(t *testing.T) {
 // replica 0 of each point, which runs on past the warmup snapshot, must
 // reproduce the committed sequential golden bytes, and replica 1, Forked
 // from that snapshot into a freshly built network, must match the
-// sequential run's replica 1 byte for byte.
+// sequential run's replica 1 byte for byte. The sequential subtest runs
+// first; the sharded ones then run in parallel.
 func TestForkedGoldenSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forked golden sweeps are not -short")
 	}
 	want := readGolden(t, "golden_sweep_seed1.csv")
+	// sweep checks replica 0 against the golden and returns replica 1's
+	// rows.
+	sweep := func(t *testing.T, shards int) string {
+		base := goldenSweepBase(1)
+		base.Shards = shards
+		pts, err := core.SweepReplicated(base, goldenSweepRates, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var straight, forked strings.Builder
+		straight.WriteString(goldenSweepHeader)
+		for _, pt := range pts {
+			writeGoldenSweepRow(&straight, pt.Rate, pt.Replicas[0])
+			forked.WriteString(forkResultRow(pt.Replicas[1]))
+			forked.WriteByte('\n')
+		}
+		if got := straight.String(); got != want {
+			t.Errorf("shards=%d: replica 0 diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", shards, want, got)
+		}
+		return forked.String()
+	}
 	var wantForked string
-	shardList := append([]int{1}, shardCounts()...)
-	for _, shards := range shardList {
+	t.Run("shards1", func(t *testing.T) { wantForked = sweep(t, 1) })
+	for _, shards := range shardCounts() {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			withShards(t, shards, func() {
-				pts, err := core.SweepReplicated(goldenSweepBase(1), goldenSweepRates, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var straight, forked strings.Builder
-				straight.WriteString(goldenSweepHeader)
-				for _, pt := range pts {
-					writeGoldenSweepRow(&straight, pt.Rate, pt.Replicas[0])
-					forked.WriteString(forkResultRow(pt.Replicas[1]))
-					forked.WriteByte('\n')
-				}
-				if got := straight.String(); got != want {
-					t.Errorf("replica 0 diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
-				}
-				if wantForked == "" {
-					wantForked = forked.String()
-				} else if got := forked.String(); got != wantForked {
-					t.Errorf("forked replica diverged from the sequential fork\n--- want ---\n%s--- got ---\n%s", wantForked, got)
-				}
-			})
+			t.Parallel()
+			if got := sweep(t, shards); got != wantForked {
+				t.Errorf("forked replica diverged from the sequential fork\n--- want ---\n%s--- got ---\n%s", wantForked, got)
+			}
 		})
 	}
 }
@@ -133,7 +138,7 @@ func TestForkedGoldenSweep(t *testing.T) {
 // like any other since they are a router mode.
 func TestReplicatedSweepMatchesRuns(t *testing.T) {
 	deflect := replicateParams()
-	deflect.Deflect, deflect.FlitsPerPacket = true, 1
+	deflect.Mode, deflect.FlitsPerPacket = router.ModeDeflect, 1
 	phys := replicateParams()
 	phys.PhysWires, phys.ECC = true, true
 	for _, tc := range []struct {

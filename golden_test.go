@@ -49,10 +49,13 @@ func writeGoldenSweepRow(sb *strings.Builder, rate float64, r core.RunResult) {
 		r.MaxLatency, r.LinkUtilMean, r.LinkUtilMax)
 }
 
-// goldenSweepCSV renders a load-latency sweep in cmd/nocsweep's CSV format.
-func goldenSweepCSV(t *testing.T, seed int64) string {
+// goldenSweepCSV renders a load-latency sweep in cmd/nocsweep's CSV
+// format, run under opt.
+func goldenSweepCSV(t *testing.T, seed int64, opt core.Options) string {
 	t.Helper()
-	points, err := core.Sweep(goldenSweepBase(seed), goldenSweepRates)
+	base := goldenSweepBase(seed)
+	base.Options = opt
+	points, err := core.Sweep(base, goldenSweepRates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestGoldenSweep(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			checkGolden(t, fmt.Sprintf("golden_sweep_seed%d.csv", seed), goldenSweepCSV(t, seed))
+			checkGolden(t, fmt.Sprintf("golden_sweep_seed%d.csv", seed), goldenSweepCSV(t, seed, core.Options{}))
 		})
 	}
 }
@@ -172,7 +175,7 @@ func TestGoldenExperiments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tbl, err := e.Run(true)
+			tbl, err := e.Run(true, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

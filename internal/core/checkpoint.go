@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/network"
@@ -17,8 +15,8 @@ import (
 // the end-of-cycle checkpointer phase that writes durable snapshots
 // stamped with the run's SimSpec.Hash, the disk resume path that refuses
 // a snapshot of a different run, and an in-memory save/rebuild/restore
-// test mode (SetResumeAt) the determinism suite uses to prove that every
-// experiment's outputs are identical whether or not the run was
+// test mode (Options.ResumeAt) the determinism suite uses to prove that
+// every experiment's outputs are identical whether or not the run was
 // interrupted.
 
 // keepCheckpoints is how many snapshot files Prune retains per directory:
@@ -56,29 +54,6 @@ func (c *checkpointer) phase(now sim.Cycle) {
 	c.n.NoteCheckpoint(cycle)
 }
 
-// resumeAtBits holds the SetResumeAt fraction (math.Float64bits), atomic
-// because Sweep fans Run calls across a worker pool.
-var resumeAtBits uint64
-
-// SetResumeAt enables (frac in (0, 1)) or disables (0) the in-memory
-// resume test mode: every subsequent Run or RunCampaign executes to
-// frac x horizon, snapshots, rebuilds a fresh network, restores the
-// snapshot into it, and continues there — so the determinism suite can
-// assert that resumed runs reproduce golden outputs exactly. Runs whose
-// network cannot be checkpointed (a client without checkpoint state) fall
-// back to running straight through.
-func SetResumeAt(frac float64) {
-	if frac < 0 || frac >= 1 {
-		frac = 0
-	}
-	atomic.StoreUint64(&resumeAtBits, math.Float64bits(frac))
-}
-
-// ResumeAtFrac reports the SetResumeAt fraction (0 = disabled).
-func ResumeAtFrac() float64 {
-	return math.Float64frombits(atomic.LoadUint64(&resumeAtBits))
-}
-
 // RunToHorizon advances a caller-assembled network to stopAt completed
 // cycles under the checkpoint/resume policy in p (see runToHorizon). It
 // is the entry point for command-line tools with bespoke client
@@ -100,11 +75,13 @@ func RunToHorizon(n *network.Network, p RunParams, stopAt int64, id SimSpec, reb
 //   - Resume: restore the newest valid snapshot from CheckpointDir
 //     (start from scratch when the directory has none);
 //   - CheckpointEvery: register the durable snapshot phase;
-//   - SetResumeAt test mode (when rebuild is non-nil and disk
+//   - Options.ResumeAt test mode (when rebuild is non-nil and disk
 //     checkpointing is off): snapshot mid-run, rebuild, restore, continue.
+//     A network that cannot be checkpointed (a client without checkpoint
+//     state) runs straight through.
 //
 // It returns the network that reached the horizon — the original, or the
-// rebuilt one in SetResumeAt mode.
+// rebuilt one in ResumeAt mode.
 func runToHorizon(n *network.Network, p RunParams, stopAt int64, hash uint64, rebuild func() (*network.Network, error)) (*network.Network, error) {
 	if p.Resume && p.CheckpointDir != "" {
 		f, path, skipped, err := checkpoint.LoadLatestReport(p.CheckpointDir)
@@ -131,8 +108,8 @@ func runToHorizon(n *network.Network, p RunParams, stopAt int64, hash uint64, re
 		n.NoteCheckpointInterval(p.CheckpointEvery)
 		n.Kernel().AddPhase("checkpoint", ck.phase)
 	}
-	if frac := ResumeAtFrac(); frac > 0 && rebuild != nil && ck == nil && n.Kernel().Now() == 0 {
-		if mid := int64(frac * float64(stopAt)); mid > 0 && mid < stopAt {
+	if p.ResumeAt > 0 && rebuild != nil && ck == nil && n.Kernel().Now() == 0 {
+		if mid := int64(p.ResumeAt * float64(stopAt)); mid > 0 && mid < stopAt {
 			n.Run(mid)
 			if snap, err := n.SaveCheckpoint(hash, mid); err == nil {
 				f, err := checkpoint.Parse(snap)

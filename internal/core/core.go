@@ -9,7 +9,7 @@ import (
 // that reproduce it. cmd/nocbench prints these; EXPERIMENTS.md records
 // them.
 type Table struct {
-	ID         string // experiment id from DESIGN.md (E1..E19)
+	ID         string // experiment id from DESIGN.md (E1..E20)
 	Title      string
 	PaperClaim string // what the paper says, quoted or paraphrased
 	Columns    []string
@@ -96,11 +96,13 @@ func (t *Table) Markdown() string {
 }
 
 // Experiment pairs an id with its runner. Quick mode shortens the
-// measurement windows for unit tests and smoke runs.
+// measurement windows for unit tests and smoke runs; every run, sweep and
+// network the runner builds executes under the Options it is given, which
+// leave the table byte-identical.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(quick bool) (*Table, error)
+	Run   func(quick bool, opt Options) (*Table, error)
 }
 
 // All returns every experiment in DESIGN.md order.

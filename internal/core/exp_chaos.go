@@ -316,7 +316,7 @@ func meanLatency(lats []int64) float64 {
 // campaigns are reproducible, watchdogs localize kills and stalls, and
 // fault-aware rerouting restores full connectivity after any single-link
 // fault — the §2.5 fail-stop story carried from wires up to routes.
-func E20Chaos(quick bool) (*Table, error) {
+func E20Chaos(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E20",
 		Title: "Chaos campaign: runtime faults, detection, rerouting",
@@ -325,6 +325,7 @@ func E20Chaos(quick bool) (*Table, error) {
 		Columns: []string{"scenario", "faults", "detected", "det lat", "delivered", "lost-post", "rerouted", "verdict"},
 	}
 	p := DefaultCampaignParams()
+	p.Run.Options = opt
 	if quick {
 		p.Cycles = 2000
 	}
@@ -376,7 +377,7 @@ func E20Chaos(quick bool) (*Table, error) {
 	// One campaign per killed link, fanned across the worker pool; each
 	// campaign owns its network, so results match the sequential sweep.
 	results := make([]CampaignResult, len(links))
-	err = sim.ForEach(len(links), Parallelism(), func(i int) error {
+	err = sim.ForEach(len(links), opt.Parallelism, func(i int) error {
 		kp := p
 		kp.Run.Seed = 11 + int64(links[i])
 		kp.Spec = fault.FormatEvents([]fault.Event{

@@ -12,7 +12,7 @@ import (
 
 // E4LoadLatency sweeps offered load on the mesh and the folded torus under
 // uniform traffic: the §3.1 "larger effective bandwidth of the torus".
-func E4LoadLatency(quick bool) (*Table, error) {
+func E4LoadLatency(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E4",
 		Title: "Load-latency: mesh vs folded torus (§3.1)",
@@ -29,6 +29,7 @@ func E4LoadLatency(quick bool) (*Table, error) {
 	// bisection argument is visible (at the paper's k=4 both hit the
 	// injection limit and the topologies tie).
 	base := DefaultRunParams()
+	base.Options = opt
 	base.K = 8
 	base.FlitsPerPacket = 4
 	if quick {
@@ -62,7 +63,7 @@ func E4LoadLatency(quick bool) (*Table, error) {
 // E5FlowControl reproduces the §3.2 trade-off: buffer budget vs
 // performance across virtual-channel, dropping, and misrouting flow
 // control.
-func E5FlowControl(quick bool) (*Table, error) {
+func E5FlowControl(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E5",
 		Title: "Flow control vs buffer budget (§3.2)",
@@ -81,14 +82,15 @@ func E5FlowControl(quick bool) (*Table, error) {
 		{"VC credit, 2VCx1", func(p *RunParams) { p.NumVCs, p.BufFlits = 2, 1 }, 2, 1},
 		{"elastic links, 8VCx1 (§3.3/[4])", func(p *RunParams) { p.NumVCs, p.BufFlits = 8, 1; p.ElasticLinks = true }, 8, 1},
 		{"drop on contention, 1VCx1", func(p *RunParams) { p.NumVCs, p.BufFlits = 1, 1; p.Mode = router.ModeDrop }, 1, 1},
-		{"misroute (deflect), 1-flit regs", func(p *RunParams) { p.Deflect = true }, 1, 1},
+		{"misroute (deflect), 1-flit regs", func(p *RunParams) { p.Mode = router.ModeDeflect }, 1, 1},
 	}
 	const rate = 0.35
 	// Each variant is an independent network; fan them across the pool and
 	// emit rows in declaration order.
 	results := make([]RunResult, len(variants))
-	err := sim.ForEach(len(variants), Parallelism(), func(i int) error {
+	err := sim.ForEach(len(variants), opt.Parallelism, func(i int) error {
 		p := DefaultRunParams()
+		p.Options = opt
 		p.Topology = "mesh" // elastic links need acyclic channels; keep all variants comparable
 		p.Rate = rate
 		p.FlitsPerPacket = 1 // single-flit packets for apples-to-apples
@@ -128,7 +130,7 @@ func E5FlowControl(quick bool) (*Table, error) {
 
 // E12Bus compares the network against the shared-bus "degenerate network"
 // of §1 under the same offered traffic.
-func E12Bus(quick bool) (*Table, error) {
+func E12Bus(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E12",
 		Title: "Network vs shared bus (§1, §4)",
@@ -173,6 +175,7 @@ func E12Bus(quick bool) (*Table, error) {
 		busAccepted := float64(delivered) / float64(meas) / clients
 
 		p := DefaultRunParams()
+		p.Options = opt
 		p.Rate = rate // single-flit packets: flits/node/cyc == pkts/node/cyc
 		p.FlitsPerPacket = 1
 		p.WarmupCycles, p.MeasureCycles = warm, meas

@@ -16,7 +16,7 @@ import (
 // E15Registers reproduces the §2.1/§2.6 register interface: reservation
 // registers are themselves network clients, and a management tile lays out
 // a static flow entirely in-band.
-func E15Registers(quick bool) (*Table, error) {
+func E15Registers(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E15",
 		Title: "Internal network registers: in-band flow setup (§2.1, §2.6)",
@@ -35,7 +35,7 @@ func E15Registers(quick bool) (*Table, error) {
 	rc := router.DefaultConfig(0)
 	rc.ReservedVC = 7
 	rc.ResPeriod = period
-	n, err := network.New(withPackageLayout(network.Config{Topo: topo, Router: rc, Seed: 51}))
+	n, err := opt.newNetwork(network.Config{Topo: topo, Router: rc, Seed: 51})
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func E15Registers(quick bool) (*Table, error) {
 // global wiring sized from a statistical wire model leaves some drivers
 // undersized, and each repair iteration perturbs other nets; the
 // structured network wiring is characterized once.
-func E16TimingClosure(quick bool) (*Table, error) {
+func E16TimingClosure(quick bool, _ Options) (*Table, error) {
 	t := &Table{
 		ID:    "E16",
 		Title: "Timing closure: statistical wire model vs structured wiring (§4.1)",

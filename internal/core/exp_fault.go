@@ -13,7 +13,7 @@ import (
 // E11Fault reproduces §2.5: spare-bit steering around hard wire faults,
 // link-level ECC against transients, and end-to-end retry as the layered
 // alternative.
-func E11Fault(quick bool) (*Table, error) {
+func E11Fault(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
 		Title: "Fault-tolerant wiring and protocols (§2.5)",
@@ -49,10 +49,10 @@ func E11Fault(quick bool) (*Table, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		n, err := network.New(withPackageLayout(network.Config{
+		n, err := opt.newNetwork(network.Config{
 			Topo: topo, Router: router.DefaultConfig(0),
 			PhysWires: true, SpareWires: 1, Seed: 21,
-		}))
+		})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -117,10 +117,10 @@ func E11Fault(quick bool) (*Table, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		n, err := network.New(withPackageLayout(network.Config{
+		n, err := opt.newNetwork(network.Config{
 			Topo: topo, Router: router.DefaultConfig(0),
 			PhysWires: true, TransientProb: 0.05, ECC: ecc, Seed: 23,
-		}))
+		})
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -173,10 +173,10 @@ func E11Fault(quick bool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := network.New(withPackageLayout(network.Config{
+	n, err := opt.newNetwork(network.Config{
 		Topo: topo, Router: router.DefaultConfig(0),
 		PhysWires: true, TransientProb: 0.03, Seed: 25,
-	}))
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,7 @@ import "fmt"
 // E19Adaptive explores the routing axis of §3's research agenda: west-first
 // turn-model adaptive routing against dimension-ordered source routing on
 // the mesh, under the transpose permutation that concentrates DOR traffic.
-func E19Adaptive(quick bool) (*Table, error) {
+func E19Adaptive(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E19",
 		Title: "Adaptive routing vs dimension order (§3 research agenda)",
@@ -19,6 +19,7 @@ func E19Adaptive(quick bool) (*Table, error) {
 		rates = []float64{0.1, 0.3, 0.5}
 	}
 	base := DefaultRunParams()
+	base.Options = opt
 	base.Topology = "mesh"
 	base.K = 8
 	base.Pattern = "transpose"

@@ -11,7 +11,7 @@ import (
 // E17Compaction reproduces §4.3's die-area discussion: fixed tiles waste
 // area under a mixed client population; compacting rows recovers most of
 // it at the cost of a non-uniform (design-specific) top-level layout.
-func E17Compaction(quick bool) (*Table, error) {
+func E17Compaction(quick bool, _ Options) (*Table, error) {
 	t := &Table{
 		ID:    "E17",
 		Title: "Fixed tiles vs compaction (§4.3)",
@@ -58,7 +58,7 @@ func E17Compaction(quick bool) (*Table, error) {
 // E18TopologyScaling answers §3.1's open question quantitatively across
 // radices: how bisection, hops, wire demand, and the torus power overhead
 // scale, holding the paper's energy model fixed.
-func E18TopologyScaling(quick bool) (*Table, error) {
+func E18TopologyScaling(quick bool, _ Options) (*Table, error) {
 	t := &Table{
 		ID:    "E18",
 		Title: "Topology choice across network sizes (§3.1)",

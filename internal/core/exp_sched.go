@@ -29,7 +29,7 @@ func attachBackground(n *network.Network, rate float64, stopAt int64, seed int64
 
 // E7LogicalWire measures the §2.2 logical-wire service end to end and
 // compares it against a dedicated wire.
-func E7LogicalWire(quick bool) (*Table, error) {
+func E7LogicalWire(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E7",
 		Title: "Logical wires over the network (§2.2)",
@@ -49,7 +49,7 @@ func E7LogicalWire(quick bool) (*Table, error) {
 		}
 		rc := router.DefaultConfig(0)
 		rc.PriorityVCs = flit.MaskFor(7) // wire updates ride a priority VC
-		n, err := network.New(withPackageLayout(network.Config{Topo: topo, Router: rc, Seed: 3}))
+		n, err := opt.newNetwork(network.Config{Topo: topo, Router: rc, Seed: 3})
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +86,7 @@ func E7LogicalWire(quick bool) (*Table, error) {
 // E8Reservation reproduces §2.6: a pre-scheduled CBR stream keeps zero
 // jitter under dynamic load; the same stream without reservations does
 // not.
-func E8Reservation(quick bool) (*Table, error) {
+func E8Reservation(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E8",
 		Title: "Pre-scheduled vs dynamic stream delivery (§2.6)",
@@ -107,7 +107,7 @@ func E8Reservation(quick bool) (*Table, error) {
 		rc := router.DefaultConfig(0)
 		rc.ReservedVC = 7
 		rc.ResPeriod = period
-		n, err := network.New(withPackageLayout(network.Config{Topo: topo, Router: rc, Seed: 5}))
+		n, err := opt.newNetwork(network.Config{Topo: topo, Router: rc, Seed: 5})
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +154,7 @@ func E8Reservation(quick bool) (*Table, error) {
 }
 
 // E14Interface checks the §2.1 port semantics directly.
-func E14Interface(quick bool) (*Table, error) {
+func E14Interface(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:         "E14",
 		Title:      "Port interface semantics (§2.1)",
@@ -177,7 +177,7 @@ func E14Interface(quick bool) (*Table, error) {
 		return nil, err
 	}
 	rc := router.DefaultConfig(0)
-	n, err := network.New(withPackageLayout(network.Config{Topo: topo, Router: rc, Seed: 9}))
+	n, err := opt.newNetwork(network.Config{Topo: topo, Router: rc, Seed: 9})
 	if err != nil {
 		return nil, err
 	}
@@ -207,11 +207,11 @@ func E14Interface(quick bool) (*Table, error) {
 	// Every flit also drives the control overhead, so the model's ratio
 	// is a full flit's bits over the small payload plus overhead.
 	const smallBytes = 2 // 16-bit payload
-	small, err := singleFlitWireEnergy(smallBytes)
+	small, err := singleFlitWireEnergy(opt, smallBytes)
 	if err != nil {
 		return nil, err
 	}
-	large, err := singleFlitWireEnergy(flit.DataBytes) // 256-bit payload
+	large, err := singleFlitWireEnergy(opt, flit.DataBytes) // 256-bit payload
 	if err != nil {
 		return nil, err
 	}
@@ -224,8 +224,10 @@ func E14Interface(quick bool) (*Table, error) {
 
 // singleFlitWireEnergy sends one single-flit packet with the given
 // payload bytes across two hops and reports the wire energy.
-func singleFlitWireEnergy(payloadBytes int) (float64, error) {
-	n, err := BuildNetwork(DefaultRunParams())
+func singleFlitWireEnergy(opt Options, payloadBytes int) (float64, error) {
+	p := DefaultRunParams()
+	p.Options = opt
+	n, err := BuildNetwork(p)
 	if err != nil {
 		return 0, err
 	}

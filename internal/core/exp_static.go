@@ -17,7 +17,7 @@ func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
 // E1Baseline reproduces the §2 example network: the 4x4 folded torus with
 // the 0,2,3,1 fold, checked structurally and then exercised end to end.
-func E1Baseline(quick bool) (*Table, error) {
+func E1Baseline(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E1",
 		Title: "Baseline 16-tile folded torus (Fig. 1)",
@@ -37,6 +37,7 @@ func E1Baseline(quick bool) (*Table, error) {
 	t.AddRow("bisection channels", "2x mesh", fmt.Sprint(a.BisectionChannels))
 
 	p := DefaultRunParams()
+	p.Options = opt
 	p.Rate = 0.05
 	if quick {
 		p.MeasureCycles = 1500
@@ -63,7 +64,7 @@ func maxLinkLen(t topology.Topology) float64 {
 }
 
 // E2Area reproduces the §2.4 area model.
-func E2Area(quick bool) (*Table, error) {
+func E2Area(quick bool, _ Options) (*Table, error) {
 	t := &Table{
 		ID:    "E2",
 		Title: "Router area overhead (§2.4)",
@@ -91,7 +92,7 @@ func E2Area(quick bool) (*Table, error) {
 
 // E3Power reproduces the §3.1 mesh/torus power comparison, analytically
 // and from simulated energy accounting.
-func E3Power(quick bool) (*Table, error) {
+func E3Power(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E3",
 		Title: "Mesh vs folded torus power (§3.1)",
@@ -116,6 +117,7 @@ func E3Power(quick bool) (*Table, error) {
 	// Simulated: identical low-load uniform traffic on both topologies.
 	sim := func(topoName string) (RunResult, error) {
 		p := DefaultRunParams()
+		p.Options = opt
 		p.Topology = topoName
 		p.Rate = 0.05
 		if quick {
@@ -155,7 +157,7 @@ func mustTopo(name string) topology.Topology {
 
 // E6Circuits reproduces the §4.1 signaling comparison and the latency
 // head-to-head against dedicated full-swing wires.
-func E6Circuits(quick bool) (*Table, error) {
+func E6Circuits(quick bool, _ Options) (*Table, error) {
 	t := &Table{
 		ID:    "E6",
 		Title: "Pulsed low-swing signaling (§4.1)",
@@ -188,7 +190,7 @@ func E6Circuits(quick bool) (*Table, error) {
 
 // E9DutyFactor reproduces §4.4: dedicated wires idle; shared network wires
 // do not.
-func E9DutyFactor(quick bool) (*Table, error) {
+func E9DutyFactor(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E9",
 		Title: "Wire duty factor (§4.4)",
@@ -216,6 +218,7 @@ func E9DutyFactor(quick bool) (*Table, error) {
 	// Simulated: the baseline network at moderate and heavy load.
 	for _, rate := range []float64{0.1, 0.3, 0.6} {
 		p := DefaultRunParams()
+		p.Options = opt
 		p.Rate = rate
 		if quick {
 			p.MeasureCycles = 1500
@@ -234,6 +237,7 @@ func E9DutyFactor(quick bool) (*Table, error) {
 	// bitsPerClock times.
 	proc := circuits.Process100nm()
 	p := DefaultRunParams()
+	p.Options = opt
 	p.Rate = 0.6
 	if quick {
 		p.MeasureCycles = 1500
@@ -254,7 +258,7 @@ func E9DutyFactor(quick bool) (*Table, error) {
 
 // E10Partition reproduces §4.2: splitting the 256-bit interface into eight
 // 32-bit networks.
-func E10Partition(quick bool) (*Table, error) {
+func E10Partition(quick bool, _ Options) (*Table, error) {
 	t := &Table{
 		ID:    "E10",
 		Title: "Interface partitioning (§4.2)",
@@ -278,7 +282,7 @@ func E10Partition(quick bool) (*Table, error) {
 
 // E13Serdes reproduces §3.3's per-wire bandwidth arithmetic and the §2.3
 // trade of wiring for controller logic, simulated with serialized links.
-func E13Serdes(quick bool) (*Table, error) {
+func E13Serdes(quick bool, opt Options) (*Table, error) {
 	t := &Table{
 		ID:    "E13",
 		Title: "Bits per wire per clock; serialized links (§3.3)",
@@ -297,6 +301,7 @@ func E13Serdes(quick bool) (*Table, error) {
 	// proportion to the wire budget saved.
 	for _, serdes := range []int{1, 2, 4} {
 		rp := DefaultRunParams()
+		rp.Options = opt
 		rp.SerdesCycles = serdes
 		rp.Rate = 0.05
 		if quick {

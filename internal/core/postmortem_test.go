@@ -72,7 +72,7 @@ func TestValidatePacketLengthAgainstFlowControl(t *testing.T) {
 		return s
 	}
 	drop := func(s *Spec) { s.Mode = router.ModeDrop }
-	deflect := func(s *Spec) { s.Deflect = true }
+	deflect := func(s *Spec) { s.Mode = router.ModeDeflect }
 	vct := func(s *Spec) { s.CutThrough = true }
 	for _, tc := range []struct {
 		name string
@@ -96,6 +96,33 @@ func TestValidatePacketLengthAgainstFlowControl(t *testing.T) {
 		}
 		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "flits_per_packet")) {
 			t.Errorf("%s: Validate = %v, want an error naming flits_per_packet", tc.name, err)
+		}
+	}
+}
+
+// TestParseSpecModes: the router mode is one field, and a dump written
+// while deflection was a separate "deflect" flag, which won over mode,
+// still parses as ModeDeflect.
+func TestParseSpecModes(t *testing.T) {
+	for _, tc := range []struct {
+		extra string
+		want  router.Mode
+	}{
+		{`,"mode":0`, router.ModeVC},
+		{`,"mode":1`, router.ModeDrop},
+		{`,"mode":2`, router.ModeDeflect},
+		{`,"mode":0,"deflect":true`, router.ModeDeflect},
+		{`,"mode":1,"deflect":true`, router.ModeDeflect},
+		{`,"mode":1,"deflect":false`, router.ModeDrop},
+	} {
+		spec := validSpec("mesh", 4, tc.extra)
+		s, err := ParseSpec([]byte(spec))
+		if err != nil {
+			t.Errorf("ParseSpec(%s): %v", spec, err)
+			continue
+		}
+		if s.Mode != tc.want {
+			t.Errorf("ParseSpec(%s).Mode = %d, want %d", spec, s.Mode, tc.want)
 		}
 	}
 }
@@ -195,6 +222,8 @@ func TestSpecIsTheRunDescription(t *testing.T) {
 		set  func(*RunParams)
 	}{
 		{"Shards", func(p *RunParams) { p.Shards = 3 }},
+		{"Parallelism", func(p *RunParams) { p.Parallelism = 4 }},
+		{"ResumeAt", func(p *RunParams) { p.ResumeAt = 0.5 }},
 		{"DrainBudget", func(p *RunParams) { p.DrainBudget = 7 }},
 		{"OnNetwork", func(p *RunParams) { p.OnNetwork = func(*network.Network, SimSpec) error { return nil } }},
 		{"CheckpointEvery", func(p *RunParams) { p.CheckpointEvery = 100 }},
@@ -231,6 +260,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"kind":"run","topology":"torus","k":4,"pattern":"uniform","rate":1e12,"flits_per_packet":1000000000,"measure_cycles":100}`))
 	f.Add([]byte(validSpec("torus", 4, `,"mode":99`)))
+	f.Add([]byte(validSpec("mesh", 4, `,"mode":0,"deflect":true`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {

@@ -79,7 +79,7 @@ func RunReplicated(p RunParams, replicas int) ([]RunResult, error) {
 		return nil, err
 	}
 	build := func() (*network.Network, []*traffic.Generator, error) {
-		n, err := network.New(cfg)
+		n, err := p.newNetwork(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -177,13 +177,13 @@ func (pt ReplicatedPoint) Mean() RunResult {
 }
 
 // SweepReplicated runs a replicated measurement at every rate. Points
-// run concurrently on the SetParallelism worker pool, each building its
+// run concurrently on base.Parallelism workers, each building its
 // own networks; within a point the replicas fork serially from the
 // shared warmup snapshot. With replicas <= 1 each point is a plain Run
 // (and disk checkpointing, if configured, applies as in Sweep).
 func SweepReplicated(base RunParams, rates []float64, replicas int) ([]ReplicatedPoint, error) {
 	out := make([]ReplicatedPoint, len(rates))
-	err := sim.ForEach(len(rates), Parallelism(), func(i int) error {
+	err := sim.ForEach(len(rates), base.Parallelism, func(i int) error {
 		p := base
 		p.Rate = rates[i]
 		if replicas <= 1 && p.CheckpointDir != "" {

@@ -134,7 +134,9 @@ func (p *Phys) Traverse(data []byte, bits int) []byte {
 	}
 	out := make([]byte, (bits+7)/8)
 	flip := -1
-	if p.TransientProb > 0 && p.rng != nil && p.rng.Float64() < p.TransientProb {
+	// A zero-bit payload has no data wire to flip; the draw still happens,
+	// so the stream advances as for any other flit.
+	if p.TransientProb > 0 && p.rng != nil && p.rng.Float64() < p.TransientProb && bits > 0 {
 		flip = p.rng.IntN(bits)
 	}
 	for lane := 0; lane < bits; lane++ {

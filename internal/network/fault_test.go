@@ -231,3 +231,36 @@ func TestWatchdogConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPhysZeroBitPayload: a pooled flit keeps a non-nil empty Data slice
+// when it next carries an empty payload, and a flip drawn on a flipping
+// wire then has no data bit to land on. Both packets arrive, with and
+// without ECC.
+func TestPhysZeroBitPayload(t *testing.T) {
+	for _, ecc := range []bool{false, true} {
+		n, err := New(Config{
+			Topo: torus4(t), Router: router.DefaultConfig(0),
+			PhysWires: true, TransientProb: 0.5, ECC: ecc, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int
+		n.AttachClient(5, ClientFunc(func(now int64, p *Port) {
+			for _, d := range p.Deliveries() {
+				sizes = append(sizes, len(d.Payload))
+			}
+		}))
+		for _, payload := range [][]byte{make([]byte, 32), nil} {
+			if _, err := n.Port(0).Send(5, payload, flit.MaskFor(0), 0); err != nil {
+				t.Fatal(err)
+			}
+			if !n.Drain(1000) {
+				t.Fatalf("ecc=%v: the network did not drain", ecc)
+			}
+		}
+		if len(sizes) != 2 || sizes[0] != 32 || sizes[1] != 0 {
+			t.Errorf("ecc=%v: delivered payload sizes %v, want [32 0]", ecc, sizes)
+		}
+	}
+}

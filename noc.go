@@ -34,9 +34,13 @@ type (
 
 	// RunParams drives one measurement campaign.
 	RunParams = core.RunParams
+	// Options are the execution knobs of a run, sweep or experiment
+	// (shard count, worker count, resume test mode); none changes a
+	// result.
+	Options = core.Options
 	// RunResult is its outcome.
 	RunResult = core.RunResult
-	// Experiment is one paper-reproduction experiment (E1..E19).
+	// Experiment is one paper-reproduction experiment (E1..E20).
 	Experiment = core.Experiment
 	// Table is an experiment's paper-vs-measured output.
 	Table = core.Table
@@ -66,7 +70,7 @@ func DefaultRunParams() RunParams { return core.DefaultRunParams() }
 // Run executes one measurement campaign.
 func Run(p RunParams) (RunResult, error) { return core.Run(p) }
 
-// Experiments returns the full E1–E19 paper-reproduction suite.
+// Experiments returns the full E1–E20 paper-reproduction suite.
 func Experiments() []Experiment { return core.All() }
 
 // ExperimentByID looks up one experiment.

@@ -238,7 +238,8 @@ func TestOccupancyBookkeeping(t *testing.T) {
 
 // TestSweepParallelism pins the Level-1 contract: a sweep fanned across
 // the worker pool produces byte-identical results to the sequential path,
-// point for point.
+// point for point. Each sweep takes its worker count from the Options it
+// is given.
 func TestSweepParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep comparison")
@@ -248,13 +249,12 @@ func TestSweepParallelism(t *testing.T) {
 	base.FlitsPerPacket = 2
 	rates := []float64{0.1, 0.25, 0.4, 0.55, 0.7}
 
-	defer core.SetParallelism(0)
-	core.SetParallelism(1)
+	base.Parallelism = 1
 	seq, err := core.Sweep(base, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetParallelism(4)
+	base.Parallelism = 4
 	par, err := core.Sweep(base, rates)
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +263,10 @@ func TestSweepParallelism(t *testing.T) {
 		t.Fatalf("point counts differ: %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		// DeepEqual rather than ==: RunParams carries a (nil here) OnNetwork
-		// hook, which makes the struct non-comparable.
+		// The parameters differ only in the worker count each sweep was
+		// given. DeepEqual rather than ==: RunParams carries a (nil here)
+		// OnNetwork hook, which makes the struct non-comparable.
+		par[i].Result.Params.Parallelism = 1
 		if !reflect.DeepEqual(seq[i], par[i]) {
 			t.Fatalf("rate %.2f: parallel result differs from sequential:\nseq: %+v\npar: %+v",
 				rates[i], seq[i].Result, par[i].Result)
@@ -288,14 +290,13 @@ func TestSweepParallelSpeedup(t *testing.T) {
 	base.FlitsPerPacket = 2
 	rates := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
 
-	defer core.SetParallelism(0)
-	core.SetParallelism(1)
+	base.Parallelism = 1
 	t0 := time.Now()
 	if _, err := core.Sweep(base, rates); err != nil {
 		t.Fatal(err)
 	}
 	seq := time.Since(t0)
-	core.SetParallelism(4)
+	base.Parallelism = 4
 	t0 = time.Now()
 	if _, err := core.Sweep(base, rates); err != nil {
 		t.Fatal(err)
