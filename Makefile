@@ -78,7 +78,11 @@ race:
 # interrupts every sweep point at each shard count (its line is the
 # 'TestResumedGolden' pattern), and a probe carried through the in-memory
 # resume must write the straight run's metrics CSV
-# (TestResumedProbeMatchesStraightRun). On the flight-recorder line, a
+# (TestResumedProbeMatchesStraightRun). Lifecycle tracing stages its
+# events per shard, so several workers write the stages every cycle: the
+# sharded trace test (TestShardedTelemetryCSV, a small 4x4 torus per shard
+# count) gets its own line under the race detector at -count=10. On the
+# flight-recorder line, a
 # recorder and sampler attached before a restore must record and sample
 # what the straight run does after it (TestFlightRecRebaseAfterRestore).
 # The campaign engine is gated the same two ways: the replication
@@ -108,6 +112,7 @@ ci:
 	$(GO) test -race -run 'TestServeSmoke' .
 	$(GO) test -race -run 'TestSLOBurnSmoke|TestSLOFlagValidation|TestFlowLatencyReconciliation|TestFlowLatencyCheckpointRoundTrip' .
 	$(GO) test -race -run 'TestResumedGolden|TestResumedProbeMatchesStraightRun|TestCrashResume' .
+	$(GO) test -race -count=10 -run '^TestShardedTelemetryCSV$$' .
 	$(GO) test -race -run 'TestFlightRecSmoke|TestFlightRecReconstructionExact|TestFlightRecRebaseAfterRestore' .
 	$(GO) test -race -run 'TestForkedGoldenSweep|TestReplicatedRunDeterminism|TestReplicatedSweepMatchesRuns|TestRepeatedRunDeterminism' .
 	{ $(GO) test -run '^$$' -bench 'NetworkCycle$$|NetworkCycleServeOff$$|NetworkCycleServeOn$$|NetworkCycleFlightRecOff$$|NetworkCycleFlightRecOn$$|NetworkCycleLatencyObsOff$$|NetworkCycleLatencyObsOn$$|NetworkCycle64$$|NetworkCycle4096$$|NetworkCycleIdle4096$$|RouteCompute' -benchtime 200ms -benchmem . ; \

@@ -63,8 +63,8 @@ func BenchmarkE19Adaptive(b *testing.B)        { benchExperiment(b, "E19") }
 func BenchmarkE20Chaos(b *testing.B)           { benchExperiment(b, "E20") }
 
 // Simulator microbenchmarks: the cost of the cycle loop itself. Each
-// pins Shards: 1, the sequential loop BENCH_cycles.json records; the zero
-// value would run GOMAXPROCS shards.
+// names Shards: 1, the sequential loop BENCH_cycles.json records (the
+// zero value runs the same loop).
 
 // BenchmarkNetworkCycle measures simulated cycles per second on the
 // paper's 16-tile baseline under 30% uniform load.
@@ -250,7 +250,7 @@ func BenchmarkNetworkCycleIdle4096(b *testing.B) { benchCycle4096(b, true) }
 
 func benchCycle4096(b *testing.B, idle bool) {
 	b.Helper()
-	n := build4096(b, idle)
+	n := build4096(b, idle, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	n.Run(int64(b.N))
@@ -348,12 +348,15 @@ func (l localWindow) Pick(src int, rng *sim.Stream) int {
 	}
 }
 
-func build4096(b testing.TB, idle bool) *network.Network {
+// build4096 builds and warms the 64x64 torus at 1% load, with sources on
+// every tile or (idle) on the first row only, and the credit watchdog
+// armed at the given threshold (0 = off).
+func build4096(b testing.TB, idle bool, watchdog int) *network.Network {
 	topo, err := topology.NewFoldedTorus(64, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1})
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: 1, Watchdog: watchdog})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -233,10 +233,6 @@ func (s *Stack) Close() {
 	}
 }
 
-// HeatmapProbe returns a counters-only probe (no series, no tracing) for
-// commands that want the telemetry heatmap without the other flags.
-func HeatmapProbe() *telemetry.Probe { return telemetry.New(telemetry.Config{}) }
-
 // NewProbe builds the probe the flags describe, or nil when telemetry is
 // off (the network's zero-overhead path).
 func (f *Flags) NewProbe() *telemetry.Probe {

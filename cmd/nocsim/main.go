@@ -24,6 +24,7 @@ import (
 	"repro/internal/flit"
 	"repro/internal/network"
 	"repro/internal/router"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -173,7 +174,7 @@ func main() {
 	// (counters-only) probe even without -metrics.
 	p.Probe = obsFlags.NewProbe()
 	if p.Probe == nil && *heatmap {
-		p.Probe = obs.HeatmapProbe()
+		p.Probe = telemetry.New(telemetry.Config{})
 	}
 	// The observability stack (-flows, -serve, -flightrec) attaches to the
 	// run's network just before the first cycle. The flight recorder

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -96,13 +97,22 @@ func TestShardedGoldenExperiments(t *testing.T) {
 	}
 }
 
-// TestShardedTelemetryCSV compares the telemetry metrics export (counters,
-// per-VC occupancy, link totals, sampled series) of a sharded run against
-// the sequential run. Lifecycle tracing forces one shard, so this uses a
-// sampling-only probe — the sharded telemetry configuration.
+// TestShardedTelemetryCSV compares the exports of a traced run at every
+// shard count against the sequential run: the metrics CSV (counters,
+// per-VC occupancy, link totals, sampled series), the Chrome trace, and
+// the Snapshot bytes taken mid-run, whose probe section holds the
+// tracer's log. Each shard stages its own lifecycle events and one merge
+// per cycle orders them, so none of the three may depend on the shard
+// count. The capped run hits MaxTraceEvents inside a cycle, so which of
+// that cycle's events it keeps is decided by the merged order too.
 func TestShardedTelemetryCSV(t *testing.T) {
-	run := func(shards int) (string, int) {
-		probe := telemetry.New(telemetry.Config{SampleEvery: 20})
+	type exports struct {
+		csv, trace string
+		snap       []byte
+		events     []telemetry.Event
+	}
+	run := func(shards, maxEvents int) exports {
+		probe := telemetry.New(telemetry.Config{SampleEvery: 20, Trace: true, MaxTraceEvents: maxEvents})
 		topo, err := topology.NewFoldedTorus(4, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -113,32 +123,61 @@ func TestShardedTelemetryCSV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := n.Shards(); got != shards {
+			t.Fatalf("traced network runs %d shards, want %d", got, shards)
+		}
 		for tile := 0; tile < topo.NumTiles(); tile++ {
 			g := traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.2, 2, flit.VCMask(0xFF), 1)
 			g.StopAt = 400
 			n.AttachClient(tile, g)
 		}
-		n.Run(400)
+		n.Run(200)
+		var ex exports
+		if ex.snap, err = n.Snapshot(0); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(200)
 		if !n.Drain(10000) {
 			t.Fatalf("shards=%d: did not drain", shards)
 		}
-		var csv strings.Builder
+		var csv, trace strings.Builder
 		if err := probe.WriteMetricsCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
-		return csv.String(), n.Shards()
-	}
-	want, seq := run(1)
-	if seq != 1 {
-		t.Fatalf("sequential run reports %d shards", seq)
-	}
-	for _, shards := range shardCounts() {
-		got, eff := run(shards)
-		if eff != shards {
-			t.Fatalf("network reports %d effective shards, want %d", eff, shards)
+		if err := probe.WriteChromeTrace(&trace); err != nil {
+			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("shards=%d: telemetry CSV diverged from sequential", shards)
+		ex.csv, ex.trace, ex.events = csv.String(), trace.String(), probe.Tracer().Events()
+		return ex
+	}
+	full := run(1, 0)
+	// Cap the log between two events of one cycle, past the snapshot.
+	capAt := len(full.events) * 3 / 4
+	for capAt < len(full.events) && full.events[capAt-1].Cycle != full.events[capAt].Cycle {
+		capAt++
+	}
+	if capAt == len(full.events) {
+		t.Fatal("no cycle past the snapshot records two events; the workload is too light")
+	}
+	for _, maxEvents := range []int{0, capAt} {
+		want := full
+		if maxEvents > 0 {
+			want = run(1, maxEvents)
+			if got := len(want.events); got != maxEvents {
+				t.Fatalf("capped run logged %d events, want the %d-event cap", got, maxEvents)
+			}
+		}
+		for _, shards := range shardCounts() {
+			got := run(shards, maxEvents)
+			if got.csv != want.csv {
+				t.Errorf("cap %d, shards=%d: metrics CSV diverged from sequential", maxEvents, shards)
+			}
+			if got.trace != want.trace {
+				t.Errorf("cap %d, shards=%d: Chrome trace diverged from sequential", maxEvents, shards)
+			}
+			if !bytes.Equal(got.snap, want.snap) {
+				t.Errorf("cap %d, shards=%d: snapshot diverged from sequential", maxEvents, shards)
+			}
 		}
 	}
 }

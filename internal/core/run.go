@@ -63,11 +63,8 @@ func (o Options) newNetwork(cfg network.Config) (*network.Network, error) {
 var simulatedCycles int64
 
 // SimulatedCycles reports the total kernel cycles executed by this
-// package's runners since process start (or ResetSimulatedCycles).
+// package's runners since process start.
 func SimulatedCycles() int64 { return atomic.LoadInt64(&simulatedCycles) }
-
-// ResetSimulatedCycles zeroes the simulated-cycle counter.
-func ResetSimulatedCycles() { atomic.StoreInt64(&simulatedCycles, 0) }
 
 func countCycles(n int64) { atomic.AddInt64(&simulatedCycles, n) }
 

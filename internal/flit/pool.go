@@ -52,6 +52,3 @@ func (p *Pool) Outstanding() int64 { return p.gets - p.puts }
 
 // Gets reports the total number of Get calls, for reuse-rate accounting.
 func (p *Pool) Gets() int64 { return p.gets }
-
-// Free reports the number of flits currently parked in the free list.
-func (p *Pool) Free() int { return len(p.free) }

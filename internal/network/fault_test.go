@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flit"
+	"repro/internal/route"
 	"repro/internal/router"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -77,7 +79,7 @@ func TestWatchdogDetectsKilledLink(t *testing.T) {
 	if latency > 1000 {
 		t.Fatalf("detection latency %d implausibly high at 10%% load", latency)
 	}
-	if n.ReroutedCount() == 0 {
+	if n.FaultTotals().Rerouted == 0 {
 		t.Fatal("no traffic was rerouted after detection")
 	}
 }
@@ -95,8 +97,55 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 	if *delivered == 0 {
 		t.Fatal("no traffic delivered; load generator broken")
 	}
-	if n.ReroutedCount() != 0 {
-		t.Fatalf("rerouted %d packets with an empty fault map", n.ReroutedCount())
+	if r := n.FaultTotals().Rerouted; r != 0 {
+		t.Fatalf("rerouted %d packets with an empty fault map", r)
+	}
+}
+
+// TestWatchdogVisitsWokenReceiver: a declaration that hands an idle
+// receiver an abort tail gives it demand in the same tick. A packet's head
+// crosses link 0->1 of a 4x4 mesh and the link dies behind it; router 1
+// forwards what it holds and leaves its worklist with its west VC still
+// routed east. Declaring the link appends the abort tail there, so link
+// 1->2, later in link order, must count its first starved cycle in that
+// same tick, as a scan of every link would.
+func TestWatchdogVisitsWokenReceiver(t *testing.T) {
+	topo, err := topology.NewMesh(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{Topo: topo, Router: router.DefaultConfig(0), Watchdog: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := int(n.outLinkIdx[0*router.NumPorts+int(route.East)])
+	next := n.outLinkIdx[1*router.NumPorts+int(route.East)]
+	if _, err := n.Port(0).Send(3, make([]byte, 8*flit.DataBytes), flit.VCMask(0xFF), 0); err != nil {
+		t.Fatal(err)
+	}
+	for n.Router(1).Occupancy() == 0 {
+		n.Run(1)
+	}
+	n.SetLinkDown(cut, true)
+	idle, declaredAt, starve := false, int64(-1), int64(-1)
+	n.Kernel().AddPhase("observe", func(now sim.Cycle) {
+		if declaredAt < 0 && n.FaultMap().Len() > 0 {
+			declaredAt, starve = int64(now), n.wdStarve[next]
+			return
+		}
+		if declaredAt < 0 {
+			idle = !n.onList[1]
+		}
+	})
+	n.Run(100)
+	if declaredAt < 0 || !n.FaultMap().IsDown(0, route.East) {
+		t.Fatalf("link 0->1 not declared dead (detections %v)", n.FaultMap().Detections())
+	}
+	if !idle {
+		t.Fatal("router 1 was still on its worklist when the link was declared; the case is not exercised")
+	}
+	if starve != 1 {
+		t.Fatalf("link 1->2 counted %d starved cycles in the declaring tick, want 1", starve)
 	}
 }
 

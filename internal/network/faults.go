@@ -2,9 +2,11 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fault"
 	"repro/internal/route"
+	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -19,31 +21,70 @@ import (
 // link but no credit returned; at the threshold the link is declared dead.
 // A credit arrival or an idle (demand-free) cycle resets the counter, so a
 // heavily loaded but healthy link never trips the watchdog as long as its
-// credits keep circulating. Delivery sets wdCredit[i] when a credit
-// arrives on link i; this phase reads and clears it every cycle.
+// credits keep circulating. Delivery stamps wdCredit[i] with the cycle a
+// credit arrives on link i, so a credit that arrived on a cycle the tick
+// did not visit the link never counts later.
+//
+// A router off its worklist holds no flit, so it has no demand and
+// nothing to sweep. The tick therefore visits only the worklists'
+// routers: their outgoing links in link-index order (tile, then
+// direction), as a scan of every link would, then their fault sweeps.
+// The counters of an unlisted router's live links are already zero: it
+// left its worklist at a route sweep that found it empty, occupancy only
+// grows between a tick and the next sweep, so it was empty, and visited,
+// at the tick before.
 func (n *Network) watchdogTick(now sim.Cycle) {
-	for i := range n.links {
-		le := &n.links[i]
-		credited := n.wdCredit[i]
-		n.wdCredit[i] = false
-		if n.faultMap.IsDown(le.from, le.dir) {
-			continue
-		}
-		if credited || !n.routers[le.from].HasDemand(le.dir) {
-			n.wdStarve[i] = 0
-			continue
-		}
-		n.wdStarve[i]++
-		if n.wdStarve[i] >= int64(n.cfg.Watchdog) {
-			n.declareDead(i, now)
+	for _, s := range n.shards {
+		for _, t := range s.active {
+			n.wdMark[t>>6] |= 1 << (t & 63)
 		}
 	}
-	for _, r := range n.routers {
-		if r.HasDeadOutput() {
-			r.FaultSweep(now)
-			// Wake the links the sweep credited: a router it emptied leaves
-			// its worklist before switcharb would read its credited mask.
-			n.wakeCredited(r.ID(), r.CreditedInputs())
+	for w := range n.wdMark {
+		for n.wdMark[w] != 0 {
+			b := bits.TrailingZeros64(n.wdMark[w])
+			n.wdMark[w] &^= 1 << b
+			n.watchLinks(w<<6|b, now)
+		}
+	}
+	for _, s := range n.shards {
+		for _, t := range s.active {
+			if r := n.routers[t]; r.HasDeadOutput() {
+				r.FaultSweep(int64(now))
+				// Wake the links the sweep credited: a router it emptied
+				// leaves its worklist before switcharb would read its
+				// credited mask.
+				n.wakeCredited(t, r.CreditedInputs())
+			}
+		}
+	}
+}
+
+// watchLinks runs the watchdog over tile's outgoing links. A declaration
+// can hand the receiver abort tails, and with them demand: a receiver it
+// puts on its worklist that comes later in tile order is visited in this
+// tick too, as the full scan would.
+func (n *Network) watchLinks(tile int, now sim.Cycle) {
+	r := n.routers[tile]
+	for _, li := range n.outLinkIdx[tile*router.NumPorts:][:router.NumPorts] {
+		if li < 0 {
+			continue
+		}
+		le := &n.links[li]
+		if n.faultMap.IsDown(tile, le.dir) {
+			continue
+		}
+		if n.wdCredit[li] == int64(now) || !r.HasDemand(le.dir) {
+			n.wdStarve[li] = 0
+			continue
+		}
+		n.wdStarve[li]++
+		if n.wdStarve[li] < int64(n.cfg.Watchdog) {
+			continue
+		}
+		woke := !n.onList[le.to]
+		n.declareDead(int(li), now)
+		if woke && le.to > tile {
+			n.wdMark[le.to>>6] |= 1 << (le.to & 63)
 		}
 	}
 }
@@ -182,14 +223,6 @@ func (n *Network) RouteTableStats() (hits, misses int64) {
 
 // FaultMap exposes the live fault map published by the watchdogs.
 func (n *Network) FaultMap() *fault.Map { return n.faultMap }
-
-// ReroutedCount reports how many route computations were diverted around
-// the fault map (at injection or while queued).
-func (n *Network) ReroutedCount() int64 { return n.rerouted }
-
-// UnroutableCount reports packets refused or discarded because the fault
-// map cut the network between their endpoints.
-func (n *Network) UnroutableCount() int64 { return n.unroutable }
 
 // AbortedCount reports partial packets the destination ports discarded on
 // a synthetic abort tail (mid-flight packets cut by a dead link).

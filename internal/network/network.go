@@ -81,8 +81,8 @@ type Config struct {
 	// partitioned into this many contiguous shards and each kernel phase
 	// runs concurrently across them, with byte-identical results to the
 	// sequential loop (see shard.go). 1 or less (the zero value included)
-	// is the classic sequential loop. Configurations whose
-	// Capabilities.Sharding is set run one shard.
+	// is the classic sequential loop; a count above the tile count runs
+	// one shard per tile.
 	Shards int
 }
 
@@ -131,9 +131,6 @@ type Network struct {
 	recorder *Recorder
 	nextID   uint64
 
-	// caps is CapabilitiesOf(cfg), derived once by New.
-	caps Capabilities
-
 	// shards partitions the tiles and links for intra-cycle parallelism
 	// (shard.go); one entry (the whole network) on the sequential path.
 	// Each shard owns the flit pool its components recycle through.
@@ -155,11 +152,13 @@ type Network struct {
 	// scanning every tile.
 	clientTiles []int
 
-	// probe is the telemetry root (nil when disabled); traceLinks caches
-	// whether lifecycle tracing is live so the deliver loop pays one
-	// boolean test, not a probe-and-tracer chase, per flit.
-	probe      *telemetry.Probe
-	traceLinks bool
+	// probe is the telemetry root (nil when disabled). traceStages lists
+	// the shards' trace stages when lifecycle tracing is live (nil
+	// otherwise): pumpMerge merges them into the tracer once per cycle,
+	// and the deliver loop tests it, not a probe-and-tracer chase, per
+	// flit.
+	probe       *telemetry.Probe
+	traceStages []*telemetry.TraceStage
 
 	// routeTable serves every route while the fault map is empty (routes
 	// are then a pure function of the topology). routeHits / routeMisses
@@ -173,10 +172,11 @@ type Network struct {
 
 	// Online fault detection and fault-aware rerouting state (faults.go).
 	faultMap   *fault.Map
-	wdStarve   []int64 // consecutive starved cycles per link
-	wdCredit   []bool  // credit arrived on link i this cycle
-	rerouted   int64   // route computations diverted around the fault map
-	unroutable int64   // sends refused because the fault map cut the network
+	wdStarve   []int64  // consecutive starved cycles per link
+	wdCredit   []int64  // cycle the latest credit arrived on link i; -1 = none
+	wdMark     []uint64 // tiles the watchdog tick visits, one bit each; zero between ticks
+	rerouted   int64    // route computations diverted around the fault map
+	unroutable int64    // sends refused because the fault map cut the network
 
 	// Checkpoint state (checkpoint.go): registered extra state, the
 	// callbacks a restore runs last, the cycle of the most recent snapshot
@@ -269,12 +269,10 @@ func New(cfg Config) (*Network, error) {
 		kernel:        sim.NewKernel(cfg.Seed),
 		recorder:      NewRecorder(cfg.Warmup),
 		faultMap:      fault.NewMap(),
-		caps:          CapabilitiesOf(cfg),
 		probe:         cfg.Probe,
 		lastCkptCycle: -1,
 	}
 	if cfg.Probe != nil {
-		n.traceLinks = cfg.Probe.Tracer() != nil
 		kx, ky := cfg.Topo.Radix()
 		cfg.Probe.SetGrid(kx, ky)
 		cfg.Probe.SetClock(n.kernel.Now)
@@ -369,15 +367,22 @@ func New(cfg Config) (*Network, error) {
 	}
 	if n.probe != nil {
 		// Every tile's router and port share one record, which reads their
-		// counters in place; registering binds it to this network's.
+		// counters in place and stages trace events in the tile's shard;
+		// registering binds it to this network's. A link's events stage in
+		// the shard that delivers it, the receiver's.
 		for tile, r := range n.routers {
 			p := n.ports[tile]
-			p.probe = n.probe.RegisterRouter(tile, n.cfg.Router.NumVCs, &r.Stats.RouterCounts, &p.PortCounts)
+			p.probe = n.probe.RegisterRouter(tile, n.cfg.Router.NumVCs, &r.Stats.RouterCounts, &p.PortCounts, &p.shard.trace)
 			r.SetProbe(p.probe)
 		}
 		for i, le := range n.links {
 			px, py := cfg.Topo.PhysPos(le.from)
-			n.probe.RegisterLink(i, le.from, le.to, le.dir, cfg.SerdesCycles, px, py, &le.l.LinkCounts)
+			n.probe.RegisterLink(i, le.from, le.to, le.dir, cfg.SerdesCycles, px, py, &le.l.LinkCounts, &n.shards[n.shardOf[le.to]].trace)
+		}
+		if n.probe.Tracer() != nil {
+			for _, s := range n.shards {
+				n.traceStages = append(n.traceStages, &s.trace)
+			}
 		}
 	}
 	n.registerPhases()
@@ -459,7 +464,11 @@ func (n *Network) registerPhases() {
 	k.AddShardedPhase("pump", n.pumpShard, n.pumpMerge)
 	if n.cfg.Watchdog > 0 {
 		n.wdStarve = make([]int64, len(n.links))
-		n.wdCredit = make([]bool, len(n.links))
+		n.wdCredit = make([]int64, len(n.links))
+		for i := range n.wdCredit {
+			n.wdCredit[i] = -1
+		}
+		n.wdMark = make([]uint64, (len(n.routers)+63)/64)
 		n.kernel.AddPhase("watchdog", n.watchdogTick)
 	}
 	// The sampling phase exists only when a probe asked for a series, so a

@@ -9,6 +9,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // This file implements intra-cycle spatial parallelism: the network's
@@ -23,18 +24,19 @@ import (
 // delivered in deliver), so per-router work inside one phase is
 // commutative. The only same-phase cross-shard effects are (a) credit
 // returns surfacing at a link whose sending router lives in another shard,
-// (b) link activations by a sender in another shard, and (c) global
-// recorder counters and delivered-packet records; all are deferred into
-// per-shard buffers and folded in at the phase barrier, in shard order, so
-// the post-barrier state is byte-identical to the sequential schedule for
-// any shard count. Client Tick stays a serial phase: it assigns globally
-// ordered packet ids (they appear in traces and goldens), and it is cheap
-// — the expensive halves of the old clients phase, packet reassembly
-// (eject) and injection arbitration (pump), do shard.
+// (b) link activations by a sender in another shard, (c) global recorder
+// counters and delivered-packet records, and (d) lifecycle trace events;
+// all are deferred into per-shard buffers and folded in at a phase
+// barrier, so the post-barrier state is byte-identical to the sequential
+// schedule for any shard count. Client Tick stays a serial phase: it
+// assigns globally ordered packet ids (they appear in traces and goldens),
+// and it is cheap — the expensive halves of the old clients phase, packet
+// reassembly (eject) and injection arbitration (pump), do shard.
 //
 // Every phase body walks worklists in every configuration. Worklist order
-// is not tile order, so ejectMerge sorts what a packet observer sees; the
-// wire layer draws each link's own stream, so its order does not matter.
+// is not tile order, so ejectMerge sorts what a packet observer sees and
+// the tracer's merge sorts a cycle's trace events; the wire layer draws
+// each link's own stream, so its order does not matter.
 //
 // Every flit-recycling component (router, link, port) draws from its
 // shard's own flit.Pool; Put fully zeroes a flit, so which pool a flit
@@ -105,19 +107,19 @@ type shardState struct {
 	delivered      int64 // loopback packets (recorder.DeliveredPackets)
 	deliveredFlits int64 // loopback flits (recorder.DeliveredFlits)
 	injected       int64 // recorder.InjectedPackets
+
+	// trace stages the lifecycle events this shard's routers, ports and
+	// links record while tracing is on; pumpMerge merges every shard's
+	// stage into the tracer once per cycle.
+	trace telemetry.TraceStage
 }
 
 // initShards partitions the tiles into contiguous ranges, one per shard;
 // each link belongs to the shard of its receiving tile. The count is
-// Config.Shards clamped to [1, tiles], or one when the configuration
-// withdraws sharding (Capabilities.Sharding).
+// Config.Shards clamped to [1, tiles].
 func (n *Network) initShards() {
 	tiles := n.topo.NumTiles()
-	count := n.cfg.Shards
-	if count < 1 || n.caps.Sharding != nil {
-		count = 1
-	}
-	count = min(count, tiles)
+	count := min(max(n.cfg.Shards, 1), tiles)
 	n.shardOf = make([]int, tiles)
 	n.onList = make([]bool, tiles)
 	n.shards = make([]*shardState, count)
@@ -130,8 +132,7 @@ func (n *Network) initShards() {
 }
 
 // Shards reports the effective intra-cycle shard count the network runs
-// with (1 = sequential). It can be lower than Config.Shards when the
-// configuration withdraws sharding (Capabilities.Sharding).
+// with (1 = sequential): Config.Shards clamped to [1, tiles].
 func (n *Network) Shards() int { return len(n.shards) }
 
 // FlitsOutstanding reports pool-allocated flits currently alive anywhere
@@ -215,7 +216,7 @@ func (n *Network) deliverShard(now sim.Cycle, si int) {
 		f, vc, credited := le.l.Deliver()
 		if credited {
 			if n.wdCredit != nil {
-				n.wdCredit[i] = true
+				n.wdCredit[i] = int64(now)
 			}
 			if n.shardOf[le.from] == si {
 				n.routers[le.from].HandleCredit(le.dir, vc)
@@ -226,7 +227,7 @@ func (n *Network) deliverShard(now sim.Cycle, si int) {
 		if f == nil {
 			continue
 		}
-		if n.traceLinks && f.Type.IsHead() {
+		if n.traceStages != nil && f.Type.IsHead() {
 			n.probe.Links[i].TraceHead(int64(now), f.PacketID)
 		}
 		n.acceptAt(le.to, f, le.dir.Opposite())
@@ -423,10 +424,17 @@ func (n *Network) pumpShard(now sim.Cycle, si int) {
 	s.pumpList = keep
 }
 
-// pumpMerge folds the shards' injected-packet counts into the recorder.
+// pumpMerge folds the shards' injected-packet counts into the recorder
+// and, when tracing, the cycle's staged lifecycle events into the tracer.
+// Pump is the last network phase, so no staged event outlives its cycle:
+// a checkpoint, a serial phase's own events and the next cycle all see
+// the merged log.
 func (n *Network) pumpMerge(sim.Cycle) {
 	for _, s := range n.shards {
 		n.recorder.InjectedPackets += s.injected
 		s.injected = 0
+	}
+	if n.traceStages != nil {
+		n.probe.Tracer().Merge(n.traceStages)
 	}
 }

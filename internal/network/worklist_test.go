@@ -19,7 +19,9 @@ import (
 // shard's link worklist, every VC router holding a flit is on its shard's
 // router worklist, and every port with injection or loopback work is on
 // its pump or loopback list. It also checks that each membership flag
-// matches exactly one entry on the owning shard's list.
+// matches exactly one entry on the owning shard's list, and that the
+// watchdog, which visits only the listed routers' links, left every live
+// link of an unlisted router at a zero starvation count.
 func worklistGaps(n *Network) string {
 	links := make([]int, len(n.links))
 	routers := make([]int, len(n.routers))
@@ -43,11 +45,15 @@ func worklistGaps(n *Network) string {
 		}
 	}
 	for i := range n.links {
+		le := &n.links[i]
 		if want := b2i(n.linkOn[i]); links[i] != want {
 			return fmt.Sprintf("link %d listed %d times with linkOn %v", i, links[i], n.linkOn[i])
 		}
-		if !n.links[i].l.Idle() && !n.linkOn[i] {
-			return fmt.Sprintf("link %d has flits or credits in flight (%d flits) off its worklist", i, n.links[i].l.InFlight())
+		if !le.l.Idle() && !n.linkOn[i] {
+			return fmt.Sprintf("link %d has flits or credits in flight (%d flits) off its worklist", i, le.l.InFlight())
+		}
+		if n.wdStarve != nil && n.wdStarve[i] != 0 && !n.onList[le.from] && !n.faultMap.IsDown(le.from, le.dir) {
+			return fmt.Sprintf("live link %d counts %d starved cycles with its sender off its worklist", i, n.wdStarve[i])
 		}
 	}
 	for t, r := range n.routers {
@@ -79,10 +85,12 @@ func b2i(b bool) int {
 	return 0
 }
 
-// TestWorklistCoverage runs every configuration flavour under load with
-// worklistGaps checked in a serial phase at the end of every cycle. The
-// watchdog flavour kills three links mid-run, so the watchdog's fault
-// sweep hands credits to links whose router may then leave its worklist.
+// TestWorklistCoverage runs every configuration flavour under load at
+// shards 1, 2 and 3 with worklistGaps checked in a serial phase at the end
+// of every cycle. The watchdog flavour kills three links mid-run, so the
+// watchdog's fault sweep hands credits to links whose router may then
+// leave its worklist. Once drained, every flavour must have swept each
+// port off the pump worklist and must take a checkpoint.
 func TestWorklistCoverage(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -90,27 +98,27 @@ func TestWorklistCoverage(t *testing.T) {
 		mod      func(*Config)
 		maxFlits int
 		kills    string
-		shardsOK bool
 	}{
-		{"vc-torus", true, nil, 3, "", true},
-		{"drop", true, func(c *Config) { c.Router.Mode = router.ModeDrop }, 1, "", true},
-		{"cut-through", true, func(c *Config) { c.Router.CutThrough = true }, 3, "", true},
-		{"adaptive-mesh", false, func(c *Config) { c.Adaptive = true }, 3, "", true},
-		{"elastic-mesh", false, func(c *Config) { c.ElasticLinks = true }, 3, "", true},
-		{"deflect", true, func(c *Config) { c.Router.Mode = router.ModeDeflect }, 1, "", true},
-		{"phys-transients", true, func(c *Config) { c.PhysWires, c.TransientProb = true, 0.05 }, 3, "", false},
+		{"vc-torus", true, nil, 3, ""},
+		{"drop", true, func(c *Config) { c.Router.Mode = router.ModeDrop }, 1, ""},
+		{"cut-through", true, func(c *Config) { c.Router.CutThrough = true }, 3, ""},
+		{"adaptive-mesh", false, func(c *Config) { c.Adaptive = true }, 3, ""},
+		{"elastic-mesh", false, func(c *Config) { c.ElasticLinks = true }, 3, ""},
+		{"deflect", true, func(c *Config) { c.Router.Mode = router.ModeDeflect }, 1, ""},
+		{"phys-transients", true, func(c *Config) { c.PhysWires, c.TransientProb = true, 0.05 }, 3, ""},
 		{"watchdog-kills", true, func(c *Config) { c.Watchdog = 40 }, 3,
-			"kill,link=0,at=100;kill,link=21,at=150;kill,link=42,at=200", true},
-		{"tracing", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{Trace: true}) }, 3, "", false},
+			"kill,link=0,at=100;kill,link=21,at=150;kill,link=42,at=200"},
+		{"probe-counters", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{}) }, 3, ""},
+		{"probe-series", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{SampleEvery: 10}) }, 3, ""},
+		{"tracing", true, func(c *Config) { c.Probe = telemetry.New(telemetry.Config{Trace: true}) }, 3, ""},
 	} {
-		shardList := []int{1}
-		if tc.shardsOK {
-			shardList = []int{1, 2, 3}
-		}
-		for _, shards := range shardList {
+		for _, shards := range []int{1, 2, 3} {
 			for _, rate := range []float64{0.1, 0.3, 0.5} {
 				t.Run(fmt.Sprintf("%s/shards%d/rate%.1f", tc.name, shards, rate), func(t *testing.T) {
 					n := buildShardNet(t, shards, tc.wrap, tc.mod)
+					if got := n.Shards(); got != shards {
+						t.Fatalf("runs %d shards, want %d", got, shards)
+					}
 					if tc.kills != "" {
 						events, err := fault.ParseEvents(tc.kills)
 						if err != nil {
@@ -132,12 +140,23 @@ func TestWorklistCoverage(t *testing.T) {
 						}
 					})
 					n.Run(500)
-					n.Drain(3000)
+					if !n.Drain(3000) {
+						t.Fatalf("did not drain (occupancy %d)", n.Occupancy())
+					}
 					if gap != "" {
 						t.Fatal(gap)
 					}
 					if tc.kills != "" && n.FaultMap().Len() == 0 {
 						t.Fatal("no link was declared dead; the fault sweep never ran")
+					}
+					for tile, p := range n.ports {
+						if p.onPump {
+							t.Errorf("drained port %d still on the pump worklist", tile)
+						}
+						n.AttachClient(tile, nil) // loadClients' clients keep no checkpoint state
+					}
+					if _, err := n.SaveCheckpoint(0, 0); err != nil {
+						t.Errorf("SaveCheckpoint = %v", err)
 					}
 				})
 			}

@@ -76,9 +76,6 @@ func (r *Router) KillOutput(d route.Dir) {
 	oc.bypass = nil
 }
 
-// OutputDead reports whether the output in direction d has been killed.
-func (r *Router) OutputDead(d route.Dir) bool { return r.deadOut[portIndex(d)] }
-
 // HasDeadOutput reports whether any output has been killed, so the network
 // can skip FaultSweep on healthy routers.
 func (r *Router) HasDeadOutput() bool { return r.anyDead }

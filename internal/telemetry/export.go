@@ -182,24 +182,3 @@ func (p *Probe) Heatmap() string {
 	}
 	return sb.String()
 }
-
-// WriteHeatmapCSV writes the k×k per-tile mean outgoing utilization grid as
-// CSV, row y=ky-1 first (matching the ASCII rendering's orientation).
-func (p *Probe) WriteHeatmapCSV(w io.Writer) error {
-	grid := p.HeatmapGrid(p.Elapsed())
-	if grid == nil {
-		return fmt.Errorf("telemetry: no grid registered")
-	}
-	for _, row := range grid {
-		for x, v := range row {
-			if x > 0 {
-				if _, err := fmt.Fprint(w, ","); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintf(w, "%.4f", v)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 
 	"repro/internal/network"
 	"repro/internal/telemetry"
@@ -594,17 +593,4 @@ func (o *Observatory) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ActiveFlows reports the indices of flows with at least one delivered
-// packet, in index order (allocates; reporting path only).
-func (o *Observatory) ActiveFlows() []int {
-	var out []int
-	for fi := range o.flows {
-		if o.flows[fi].count > 0 {
-			out = append(out, fi)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

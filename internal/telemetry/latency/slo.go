@@ -80,9 +80,6 @@ func ParseSLO(spec string) ([]Objective, error) {
 	return out, nil
 }
 
-// Objectives reports the parsed objective list.
-func (o *Observatory) Objectives() []Objective { return o.objectives }
-
 // BurnSink receives SLO burn transitions; the flight recorder
 // implements it to log the event and write a post-mortem dump whose
 // captured window includes the burn cycle. Calls arrive from a serial

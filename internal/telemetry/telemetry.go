@@ -21,8 +21,7 @@ type Config struct {
 	SampleEvery int64
 
 	// Trace records per-packet lifecycle events (inject, route,
-	// arbitrate, traverse, eject) for the Chrome trace and hop-timeline
-	// exporters.
+	// arbitrate, traverse, eject) for the Chrome trace exporter.
 	Trace bool
 
 	// MaxTraceEvents caps the tracer's memory; once full, further events
@@ -84,19 +83,15 @@ type RouterProbe struct {
 	VCOccSum []int64
 	Samples  int64
 
-	tr *Tracer
+	stage *TraceStage // the tile's shard's trace stage; nil when not tracing
 }
 
-// Trace records a lifecycle event for this router's tile if tracing is on.
+// Trace stages a lifecycle event for this router's tile if tracing is on.
 func (rp *RouterProbe) Trace(kind EventKind, now int64, pkt uint64, a, b int32) {
-	if rp.tr != nil {
-		rp.tr.Add(Event{Cycle: now, Pkt: pkt, Kind: kind, A: a, B: b})
+	if rp.stage != nil {
+		rp.stage.events = append(rp.stage.events, Event{Cycle: now, Pkt: pkt, Kind: kind, A: a, B: b})
 	}
 }
-
-// Tracing reports whether lifecycle tracing is live, so callers can skip
-// preparing event arguments entirely when it is off.
-func (rp *RouterProbe) Tracing() bool { return rp.tr != nil }
 
 // LinkProbe is one unidirectional channel's telemetry record: its place
 // on the die, its link's counters read in place, and its dead-link stamp.
@@ -110,14 +105,14 @@ type LinkProbe struct {
 	*LinkCounts
 	DeadAt int64 // cycle the watchdog declared the channel dead; -1 = alive
 
-	tr *Tracer
+	stage *TraceStage // the receiving tile's shard's trace stage, or nil
 }
 
-// TraceHead records a head flit completing its wire traversal; the
+// TraceHead stages a head flit completing its wire traversal; the
 // network's delivery phase calls it, since it knows the cycle.
 func (lp *LinkProbe) TraceHead(now int64, pkt uint64) {
-	if lp.tr != nil {
-		lp.tr.Add(Event{Cycle: now, Pkt: pkt, Kind: EvLink, A: int32(lp.Index), B: int32(lp.To)})
+	if lp.stage != nil {
+		lp.stage.events = append(lp.stage.events, Event{Cycle: now, Pkt: pkt, Kind: EvLink, A: int32(lp.Index), B: int32(lp.To)})
 	}
 }
 
@@ -235,24 +230,29 @@ func (p *Probe) Elapsed() int64 {
 }
 
 // RegisterRouter creates (or returns) the record for tile id and binds it
-// to the tile's router and port counters; a network rebuilt over the same
+// to the tile's router and port counters and, when tracing, to the trace
+// stage of the shard that runs the tile; a network rebuilt over the same
 // probe (an in-memory resume) registers it again, rebinding it.
-func (p *Probe) RegisterRouter(id, numVCs int, rc *RouterCounts, pc *PortCounts) *RouterProbe {
+func (p *Probe) RegisterRouter(id, numVCs int, rc *RouterCounts, pc *PortCounts, stage *TraceStage) *RouterProbe {
 	for len(p.Routers) <= id {
 		p.Routers = append(p.Routers, nil)
 	}
 	rp := p.Routers[id]
 	if rp == nil {
-		rp = &RouterProbe{ID: id, VCOccSum: make([]int64, numVCs), tr: p.tracer}
+		rp = &RouterProbe{ID: id, VCOccSum: make([]int64, numVCs)}
 		p.Routers[id] = rp
 	}
 	rp.RouterCounts, rp.PortCounts = rc, pc
+	if p.tracer != nil {
+		rp.stage = stage
+	}
 	return rp
 }
 
 // RegisterLink creates (or returns) the record for channel index and
-// binds it to the link's counters, as RegisterRouter does.
-func (p *Probe) RegisterLink(index, from, to int, dir route.Dir, serdes, px, py int, lc *LinkCounts) *LinkProbe {
+// binds it to the link's counters and the stage of the shard that
+// delivers it, as RegisterRouter does.
+func (p *Probe) RegisterLink(index, from, to int, dir route.Dir, serdes, px, py int, lc *LinkCounts, stage *TraceStage) *LinkProbe {
 	for len(p.Links) <= index {
 		p.Links = append(p.Links, nil)
 	}
@@ -260,11 +260,14 @@ func (p *Probe) RegisterLink(index, from, to int, dir route.Dir, serdes, px, py 
 	if lp == nil {
 		lp = &LinkProbe{
 			Index: index, From: from, To: to, Dir: dir,
-			PX: px, PY: py, Serdes: max(serdes, 1), DeadAt: -1, tr: p.tracer,
+			PX: px, PY: py, Serdes: max(serdes, 1), DeadAt: -1,
 		}
 		p.Links[index] = lp
 	}
 	lp.LinkCounts = lc
+	if p.tracer != nil {
+		lp.stage = stage
+	}
 	return lp
 }
 

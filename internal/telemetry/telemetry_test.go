@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,8 +15,8 @@ func TestRegisterIdempotent(t *testing.T) {
 	p := New(Config{})
 	var rc1, rc2 RouterCounts
 	var pc1, pc2 PortCounts
-	a := p.RegisterRouter(3, 4, &rc1, &pc1)
-	b := p.RegisterRouter(3, 4, &rc2, &pc2)
+	a := p.RegisterRouter(3, 4, &rc1, &pc1, nil)
+	b := p.RegisterRouter(3, 4, &rc2, &pc2, nil)
 	if a != b {
 		t.Fatal("RegisterRouter(3) returned two probes")
 	}
@@ -28,8 +29,8 @@ func TestRegisterIdempotent(t *testing.T) {
 		t.Fatalf("re-registered router reads switch moves %d, injected %d; want the second counters' 2, 4", a.SwitchMoves, a.InjectedFlits)
 	}
 	var lc1, lc2 LinkCounts
-	la := p.RegisterLink(2, 0, 1, route.East, 1, 0, 0, &lc1)
-	lb := p.RegisterLink(2, 0, 1, route.East, 1, 0, 0, &lc2)
+	la := p.RegisterLink(2, 0, 1, route.East, 1, 0, 0, &lc1, nil)
+	lb := p.RegisterLink(2, 0, 1, route.East, 1, 0, 0, &lc2, nil)
 	if la != lb {
 		t.Fatal("RegisterLink(2) returned two probes")
 	}
@@ -61,8 +62,8 @@ func TestLinkUtil(t *testing.T) {
 func TestAddSampleCumulative(t *testing.T) {
 	p := New(Config{SampleEvery: 10})
 	rc := &RouterCounts{SwitchMoves: 7, Ejected: 5}
-	rp := p.RegisterRouter(0, 2, rc, &PortCounts{})
-	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{Flits: 11})
+	rp := p.RegisterRouter(0, 2, rc, &PortCounts{}, nil)
+	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{Flits: 11}, nil)
 	rp.ArbLosses = 2
 	p.AddSample(10, 3, 1)
 	rc.SwitchMoves = 9
@@ -84,11 +85,13 @@ func TestAddSampleCumulative(t *testing.T) {
 
 func TestTracerBounded(t *testing.T) {
 	p := New(Config{Trace: true, MaxTraceEvents: 3})
-	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{})
+	var st TraceStage
+	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{}, &st)
+	tr := p.Tracer()
 	for i := 0; i < 5; i++ {
 		rp.Trace(EvRoute, int64(i), 1, 0, 0)
+		tr.Merge([]*TraceStage{&st})
 	}
-	tr := p.Tracer()
 	if len(tr.Events()) != 3 {
 		t.Fatalf("recorded %d events, want 3 (cap)", len(tr.Events()))
 	}
@@ -97,13 +100,60 @@ func TestTracerBounded(t *testing.T) {
 	}
 }
 
+// TestTraceMergeOrder: one cycle's staged events merge in phase order,
+// then packet id, whichever stage holds them; a packet's own events keep
+// their sequence, the stages are emptied, and a cap reached inside the
+// cycle keeps a prefix of the merged order. Packet ids too far apart to
+// pack into one sort key (base 1<<62 next to id 1) take the comparison
+// sort and must merge the same way.
+func TestTraceMergeOrder(t *testing.T) {
+	for _, base := range []uint64{0, 1 << 62} {
+		ev := func(kind EventKind, pkt uint64, a int32) Event {
+			if pkt > 1 {
+				pkt += base
+			}
+			return Event{Cycle: 7, Pkt: pkt, Kind: kind, A: a}
+		}
+		stage := func(evs ...Event) *TraceStage { return &TraceStage{events: evs} }
+		want := []Event{
+			ev(EvLink, 2, 1), ev(EvLink, 5, 0),
+			ev(EvRoute, 2, 0), ev(EvRoute, 5, 1),
+			ev(EvXbar, 2, 0),
+			ev(EvAbort, 3, 0), ev(EvEject, 3, 1), ev(EvEject, 4, 0),
+			ev(EvInject, 1, 0), ev(EvInject, 6, 0),
+		}
+		for _, max := range []int{0, 4} {
+			p := New(Config{Trace: true, MaxTraceEvents: max})
+			a := stage(ev(EvInject, 6, 0), ev(EvLink, 5, 0), ev(EvRoute, 5, 1), ev(EvEject, 4, 0))
+			b := stage(ev(EvXbar, 2, 0), ev(EvInject, 1, 0), ev(EvAbort, 3, 0), ev(EvEject, 3, 1))
+			c := stage(ev(EvRoute, 2, 0), ev(EvLink, 2, 1))
+			tr := p.Tracer()
+			tr.Merge([]*TraceStage{a, b, c})
+			got, keep := tr.Events(), len(want)
+			if max > 0 {
+				keep = max
+			}
+			if !slices.Equal(got, want[:keep]) {
+				t.Errorf("base %d, cap %d: merged\n%v\nwant\n%v", base, max, got, want[:keep])
+			}
+			if d := tr.Dropped(); d != int64(len(want)-keep) {
+				t.Errorf("base %d, cap %d: dropped %d, want %d", base, max, d, len(want)-keep)
+			}
+			if len(a.events)+len(b.events)+len(c.events) != 0 {
+				t.Errorf("base %d, cap %d: Merge left events staged", base, max)
+			}
+		}
+	}
+}
+
 func TestTraceDisabledIsNilSafe(t *testing.T) {
 	p := New(Config{})
-	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{})
-	if rp.Tracing() {
-		t.Fatal("Tracing() true without Config.Trace")
-	}
+	var st TraceStage
+	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{}, &st)
 	rp.Trace(EvRoute, 1, 1, 0, 0) // must not panic
+	if len(st.events) != 0 {
+		t.Fatal("a probe without Config.Trace staged an event")
+	}
 	if p.Tracer() != nil {
 		t.Fatal("Tracer() non-nil without Config.Trace")
 	}
@@ -115,13 +165,19 @@ func TestTraceDisabledIsNilSafe(t *testing.T) {
 
 func TestChromeTraceAndTimeline(t *testing.T) {
 	p := New(Config{Trace: true})
-	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{})
-	lp := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{})
+	var st TraceStage
+	stages := []*TraceStage{&st}
+	rp := p.RegisterRouter(0, 1, &RouterCounts{}, &PortCounts{}, &st)
+	lp := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{}, &st)
 	rp.Trace(EvInject, 0, 1, 0, 1)
+	p.Tracer().Merge(stages)
 	rp.Trace(EvRoute, 1, 1, 0, int32(route.East))
 	rp.Trace(EvXbar, 1, 1, 0, 0)
+	p.Tracer().Merge(stages)
 	lp.TraceHead(2, 1)
+	p.Tracer().Merge(stages)
 	rp.Trace(EvEject, 3, 1, 1, 2)
+	p.Tracer().Merge(stages)
 	p.OnLinkDead(0, 4)
 
 	var sb strings.Builder
@@ -138,28 +194,12 @@ func TestChromeTraceAndTimeline(t *testing.T) {
 		}
 	}
 
-	line := p.PacketTimeline(1)
-	for _, want := range []string{"pkt 1:", "inject@0[0->1]", "route@1[t0 E]", "wire@2[L0]", "eject@3[t1] net=3"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("timeline %q missing %q", line, want)
-		}
-	}
-	if p.PacketTimeline(99) != "" {
-		t.Error("unknown packet should have an empty timeline")
-	}
-	var tl strings.Builder
-	if err := p.WriteTimelines(&tl, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tl.String(), "pkt 1:") {
-		t.Errorf("WriteTimelines output %q missing packet 1", tl.String())
-	}
 }
 
 func TestMetricsCSVSections(t *testing.T) {
 	p := New(Config{SampleEvery: 5})
-	rp := p.RegisterRouter(0, 2, &RouterCounts{}, &PortCounts{})
-	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{})
+	rp := p.RegisterRouter(0, 2, &RouterCounts{}, &PortCounts{}, nil)
+	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{}, nil)
 	rp.VCOccSum[0], rp.VCOccSum[1], rp.Samples = 4, 2, 2
 	p.AddSample(5, 6, 0)
 	p.SetClock(func() int64 { return 100 })
@@ -188,7 +228,7 @@ func TestHeatmapGrid(t *testing.T) {
 		if tile == 3 {
 			lc.Flits = 100
 		}
-		p.RegisterLink(tile, tile, (tile+1)%4, route.East, 1, tile%2, tile/2, lc)
+		p.RegisterLink(tile, tile, (tile+1)%4, route.East, 1, tile%2, tile/2, lc, nil)
 	}
 	p.SetClock(func() int64 { return 100 })
 	hm := p.Heatmap()
@@ -205,20 +245,8 @@ func TestHeatmapGrid(t *testing.T) {
 		t.Errorf("bottom row %q missing idle tile 0", lines[2])
 	}
 
-	var sb strings.Builder
-	if err := p.WriteHeatmapCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	rows := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(rows) != 2 || rows[0] != "0.0000,1.0000" || rows[1] != "0.0000,0.0000" {
-		t.Errorf("heatmap CSV = %q", sb.String())
-	}
-
 	if (&Probe{}).Heatmap() != "" {
 		t.Error("grid-less probe should render an empty heatmap")
-	}
-	if err := (&Probe{}).WriteHeatmapCSV(&sb); err == nil {
-		t.Error("grid-less WriteHeatmapCSV should error")
 	}
 }
 
@@ -227,10 +255,10 @@ func TestMetricsTableTotals(t *testing.T) {
 	for tile := 0; tile < 2; tile++ {
 		rp := p.RegisterRouter(tile, 1,
 			&RouterCounts{SwitchMoves: 20, Ejected: 10},
-			&PortCounts{InjectedFlits: 10, DeliveredFlits: 10, DeliveredPackets: 5})
+			&PortCounts{InjectedFlits: 10, DeliveredFlits: 10, DeliveredPackets: 5}, nil)
 		rp.ArbLosses = int64(tile)
 	}
-	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{Flits: 7})
+	p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{Flits: 7}, nil)
 	p.SetClock(func() int64 { return 50 })
 	out := p.MetricsTable()
 	for _, want := range []string{
@@ -252,7 +280,7 @@ func TestMetricsTableTotals(t *testing.T) {
 
 func TestFaultAccounting(t *testing.T) {
 	p := New(Config{})
-	p.RegisterLink(1, 0, 1, route.East, 1, 0, 0, &LinkCounts{})
+	p.RegisterLink(1, 0, 1, route.East, 1, 0, 0, &LinkCounts{}, nil)
 	p.OnLinkDead(1, 42)
 	p.OnFault(40, 2, 7)
 	if p.DeadLinks != 1 || p.Links[1].DeadAt != 42 || p.FaultsApplied != 1 {
@@ -267,8 +295,8 @@ func TestFaultAccounting(t *testing.T) {
 // surface it.
 func TestOverUnityClampAndSurfacing(t *testing.T) {
 	p := New(Config{})
-	good := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{})
-	bad := p.RegisterLink(1, 1, 2, route.East, 2, 0, 0, &LinkCounts{})
+	good := p.RegisterLink(0, 0, 1, route.East, 1, 0, 0, &LinkCounts{}, nil)
+	bad := p.RegisterLink(1, 1, 2, route.East, 2, 0, 0, &LinkCounts{}, nil)
 	good.Flits = 50 // serdes 1 over 100 cycles: duty 0.5
 	bad.Flits = 80  // serdes 2 over 100 cycles: raw duty 1.6
 	p.SetClock(func() int64 { return 100 })

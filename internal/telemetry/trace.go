@@ -1,11 +1,13 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/route"
 )
@@ -76,12 +78,26 @@ type Event struct {
 }
 
 // Tracer is the bounded in-memory event log shared by every probe of one
-// network. The cycle loop is single-goroutine, so no locking.
+// network. The per-packet events are staged by shard (TraceStage) and
+// merged once per cycle; the network-level events come from serial
+// phases. Both run on one goroutine, so no locking.
 type Tracer struct {
 	events  []Event
 	max     int
 	dropped int64
+	cycle   []Event  // Merge's working copy of a cycle, reused
+	keys    []uint64 // Merge's sort keys, reused
 }
+
+// TraceStage holds the per-packet events one shard's routers, ports and
+// links record during a cycle, until Tracer.Merge folds them into the log.
+// Only the shard's own worker appends to it.
+type TraceStage struct{ events []Event }
+
+// cycleRank orders the per-packet event kinds by the network phase that
+// records them within one cycle: wire delivery, route computation, switch
+// traversal, ejection, then injection.
+var cycleRank = [EvFault + 1]uint8{EvLink: 0, EvRoute: 1, EvXbar: 2, EvEject: 3, EvAbort: 3, EvInject: 4}
 
 // Add records an event, or counts it dropped once the buffer is full.
 func (t *Tracer) Add(e Event) {
@@ -92,7 +108,52 @@ func (t *Tracer) Add(e Event) {
 	t.events = append(t.events, e)
 }
 
-// Events exposes the recorded events in record order.
+// Merge appends one cycle's staged events to the log and empties the
+// stages. The order does not depend on how the tiles were sharded: events
+// sort by the phase that recorded them, then by packet id. The sort is
+// stable and a packet records all of one cycle's events at one tile, so in
+// one stage, which keeps each packet's own sequence. The MaxTraceEvents
+// cap applies to the merged order.
+func (t *Tracer) Merge(stages []*TraceStage) {
+	cyc := t.cycle[:0]
+	lo, hi := ^uint64(0), uint64(0)
+	for _, s := range stages {
+		for _, e := range s.events {
+			lo, hi = min(lo, e.Pkt), max(hi, e.Pkt)
+		}
+		cyc = append(cyc, s.events...)
+		s.events = s.events[:0]
+	}
+	t.cycle = cyc
+	if len(t.events) >= t.max { // full: every event drops, in any order
+		t.dropped += int64(len(cyc))
+		return
+	}
+	// Each key packs the phase, the packet id's offset from the cycle's
+	// lowest and the staged position, so sorting the keys is the stable
+	// sort; ids too far apart to pack fall back to a comparison sort.
+	idxBits := bits.Len(uint(len(cyc)))
+	if 3+bits.Len64(hi-lo)+idxBits > 64 {
+		slices.SortStableFunc(cyc, func(a, b Event) int {
+			return cmp.Or(cmp.Compare(cycleRank[a.Kind], cycleRank[b.Kind]), cmp.Compare(a.Pkt, b.Pkt))
+		})
+		for _, e := range cyc {
+			t.Add(e)
+		}
+		return
+	}
+	keys := t.keys[:0]
+	for i, e := range cyc {
+		keys = append(keys, uint64(cycleRank[e.Kind])<<61|(e.Pkt-lo)<<idxBits|uint64(i))
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		t.Add(cyc[k&(1<<idxBits-1)])
+	}
+	t.keys = keys
+}
+
+// Events exposes the log in the order Merge and Add appended it.
 func (t *Tracer) Events() []Event { return t.events }
 
 // Dropped reports events lost to the MaxTraceEvents cap.
@@ -215,74 +276,4 @@ func (p *Probe) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
-}
-
-// PacketTimeline renders one packet's hop-by-hop history as a single line,
-// or "" if the packet left no trace.
-func (p *Probe) PacketTimeline(pkt uint64) string {
-	if p.tracer == nil {
-		return ""
-	}
-	var evs []Event
-	for _, e := range p.tracer.events {
-		if e.Pkt == pkt {
-			evs = append(evs, e)
-		}
-	}
-	if len(evs) == 0 {
-		return ""
-	}
-	return timelineLine(pkt, evs)
-}
-
-// timelineLine formats one packet's event list.
-func timelineLine(pkt uint64, evs []Event) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "pkt %d:", pkt)
-	var inject int64 = -1
-	for _, e := range evs {
-		switch e.Kind {
-		case EvInject:
-			inject = e.Cycle
-			fmt.Fprintf(&sb, " inject@%d[%d->%d]", e.Cycle, e.A, e.B)
-		case EvRoute:
-			fmt.Fprintf(&sb, " route@%d[t%d %v]", e.Cycle, e.A, route.Dir(e.B))
-		case EvXbar:
-			fmt.Fprintf(&sb, " xbar@%d[t%d vc%d]", e.Cycle, e.A, e.B)
-		case EvLink:
-			fmt.Fprintf(&sb, " wire@%d[L%d]", e.Cycle, e.A)
-		case EvEject:
-			if inject >= 0 {
-				fmt.Fprintf(&sb, " eject@%d[t%d] net=%d", e.Cycle, e.A, e.Cycle-inject)
-			} else {
-				fmt.Fprintf(&sb, " eject@%d[t%d]", e.Cycle, e.A)
-			}
-		case EvAbort:
-			fmt.Fprintf(&sb, " abort@%d[t%d]", e.Cycle, e.A)
-		default:
-			fmt.Fprintf(&sb, " %s@%d", e.Kind, e.Cycle)
-		}
-	}
-	return sb.String()
-}
-
-// WriteTimelines writes per-packet hop timelines, one line per packet in
-// packet-id order, up to maxPackets lines (0 = all).
-func (p *Probe) WriteTimelines(w io.Writer, maxPackets int) error {
-	if p.tracer == nil {
-		return fmt.Errorf("telemetry: tracing was not enabled (Config.Trace)")
-	}
-	pkts, byPkt, _ := p.tracer.packetEvents()
-	if maxPackets > 0 && len(pkts) > maxPackets {
-		pkts = pkts[:maxPackets]
-	}
-	for _, pkt := range pkts {
-		if _, err := fmt.Fprintln(w, timelineLine(pkt, byPkt[pkt])); err != nil {
-			return err
-		}
-	}
-	if d := p.tracer.dropped; d > 0 {
-		fmt.Fprintf(w, "(%d events dropped at the %d-event cap)\n", d, p.tracer.max)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -99,18 +100,15 @@ func TestCycleLoopAllocFree(t *testing.T) {
 // torus: with traffic sources on only 64 of 4096 tiles, a simulated
 // cycle must cost a small fraction of the fully loaded cycle — the
 // per-cycle sweeps walk the active-router and active-link worklists, so
-// idle regions cost O(active routers), not O(tiles). The 25% bound is
-// deliberately loose (the measured ratio is a few percent) so scheduler
-// noise can't trip it; it fails only if a full-die scan comes back to
-// the hot path.
+// idle regions cost O(active routers), not O(tiles). The pair runs again
+// with the credit watchdog armed, at a threshold no healthy link reaches,
+// since its tick walks the same worklists. The 25% bound is deliberately
+// loose (the measured ratio is a few percent) so scheduler noise can't
+// trip it; it fails only if a full-die scan comes back to the hot path.
 func TestIdleRegionCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("idle-region cost gate is not -short")
 	}
-	busy := build4096(t, false)
-	idle := build4096(t, true)
-	busy.Run(2000)
-	idle.Run(2000)
 	const cycles = 2000
 	best := func(n *network.Network) time.Duration {
 		bestD := time.Duration(1 << 62)
@@ -123,11 +121,19 @@ func TestIdleRegionCost(t *testing.T) {
 		}
 		return bestD
 	}
-	busyD := best(busy)
-	idleD := best(idle)
-	if ratio := float64(idleD) / float64(busyD); ratio > 0.25 {
-		t.Fatalf("idle 4096-tile cycle costs %.0f%% of busy (idle %v vs busy %v per %d cycles); want <= 25%%: idle regions must cost O(active routers)",
-			100*ratio, idleD, busyD, cycles)
+	for _, watchdog := range []int{0, 1000} {
+		t.Run(fmt.Sprintf("watchdog%d", watchdog), func(t *testing.T) {
+			busy := build4096(t, false, watchdog)
+			idle := build4096(t, true, watchdog)
+			busy.Run(2000)
+			idle.Run(2000)
+			busyD := best(busy)
+			idleD := best(idle)
+			if ratio := float64(idleD) / float64(busyD); ratio > 0.25 {
+				t.Fatalf("idle 4096-tile cycle costs %.0f%% of busy (idle %v vs busy %v per %d cycles); want <= 25%%: idle regions must cost O(active routers)",
+					100*ratio, idleD, busyD, cycles)
+			}
+		})
 	}
 }
 
@@ -135,9 +141,9 @@ func TestIdleRegionCost(t *testing.T) {
 // flit drawn from the network's pools has been recycled — whether it was
 // delivered normally, dropped at a full buffer (drop mode), discarded on
 // a dead link, swept toward a dead output, or synthesized as an abort
-// tail. The networks run with the default shard count (GOMAXPROCS), and
-// flits recycle into whichever shard's pool frees them, so only the sum
-// over every shard's pool balances.
+// tail. Each case runs at 1 and 3 shards; flits recycle into whichever
+// shard's pool frees them, so only the sum over every shard's pool
+// balances.
 func TestDrainReturnsEveryFlit(t *testing.T) {
 	check := func(t *testing.T, n *network.Network) {
 		t.Helper()
@@ -151,62 +157,74 @@ func TestDrainReturnsEveryFlit(t *testing.T) {
 			t.Fatal("pools were never used; leak check is vacuous")
 		}
 	}
+	atShards := func(t *testing.T, body func(t *testing.T, shards int)) {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) { body(t, shards) })
+		}
+	}
 
 	t.Run("normal-traffic", func(t *testing.T) {
-		n := buildLoadedNet(t, 3000, nil)
-		n.Run(3000)
-		check(t, n)
+		atShards(t, func(t *testing.T, shards int) {
+			n := buildLoadedNet(t, 3000, func(cfg *network.Config) { cfg.Shards = shards })
+			n.Run(3000)
+			check(t, n)
+		})
 	})
 
 	t.Run("drop-mode", func(t *testing.T) {
-		topo, err := topology.NewFoldedTorus(4, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc := router.DefaultConfig(0)
-		rc.Mode = router.ModeDrop
-		rc.BufFlits = 1
-		n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tile := 0; tile < topo.NumTiles(); tile++ {
-			// Single-flit packets at high load so drops actually happen.
-			g := traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.6, 1, flit.VCMask(0xFF), 3)
-			g.StopAt = 3000
-			n.AttachClient(tile, g)
-		}
-		n.Run(3000)
-		dropped := int64(0)
-		for tile := 0; tile < topo.NumTiles(); tile++ {
-			dropped += n.Router(tile).Stats.DroppedFlits
-		}
-		if dropped == 0 {
-			t.Fatal("no drops occurred; drop-path leak check is vacuous")
-		}
-		check(t, n)
+		atShards(t, func(t *testing.T, shards int) {
+			topo, err := topology.NewFoldedTorus(4, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := router.DefaultConfig(0)
+			rc.Mode = router.ModeDrop
+			rc.BufFlits = 1
+			n, err := network.New(network.Config{Topo: topo, Router: rc, Seed: 3, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tile := 0; tile < topo.NumTiles(); tile++ {
+				// Single-flit packets at high load so drops actually happen.
+				g := traffic.NewGenerator(tile, traffic.Uniform{Tiles: 16}, 0.6, 1, flit.VCMask(0xFF), 3)
+				g.StopAt = 3000
+				n.AttachClient(tile, g)
+			}
+			n.Run(3000)
+			dropped := int64(0)
+			for tile := 0; tile < topo.NumTiles(); tile++ {
+				dropped += n.Router(tile).Stats.DroppedFlits
+			}
+			if dropped == 0 {
+				t.Fatal("no drops occurred; drop-path leak check is vacuous")
+			}
+			check(t, n)
+		})
 	})
 
 	t.Run("link-kill-abort-tails", func(t *testing.T) {
 		// A killed link exercises the fault recycle points: flits lost on
 		// the dead wire, FaultSweep discards, and pool-drawn abort tails.
-		n := buildLoadedNet(t, 4000, func(cfg *network.Config) {
-			cfg.Watchdog = 64
-			cfg.Seed = 7
+		atShards(t, func(t *testing.T, shards int) {
+			n := buildLoadedNet(t, 4000, func(cfg *network.Config) {
+				cfg.Watchdog = 64
+				cfg.Seed = 7
+				cfg.Shards = shards
+			})
+			inj, err := fault.NewInjector(n, []fault.Event{
+				{Kind: fault.LinkKill, At: 500, Link: 9, From: -1, Tile: -1, VC: -1},
+			}, 0, 4000, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj.Attach()
+			n.Run(4000)
+			tot := n.FaultTotals()
+			if len(tot.Detections) == 0 {
+				t.Fatal("link kill was never detected; fault-path leak check is vacuous")
+			}
+			check(t, n)
 		})
-		inj, err := fault.NewInjector(n, []fault.Event{
-			{Kind: fault.LinkKill, At: 500, Link: 9, From: -1, Tile: -1, VC: -1},
-		}, 0, 4000, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj.Attach()
-		n.Run(4000)
-		tot := n.FaultTotals()
-		if len(tot.Detections) == 0 {
-			t.Fatal("link kill was never detected; fault-path leak check is vacuous")
-		}
-		check(t, n)
 	})
 }
 
